@@ -69,7 +69,7 @@ def _load_json(path):
 def _load_gf(path):
     try:
         return serialize.gf_from_obj(_load_json(path))
-    except (KeyError, TypeError, ValueError, AssertionError):
+    except (KeyError, TypeError, ValueError):
         raise CliError(PARSE, f"not a generating function: {path}")
 
 
@@ -387,7 +387,7 @@ def cmd_synth(args):
     obj = _load_json(args.pqp)
     try:
         g = serialize.pqp_from_obj(obj)
-    except (KeyError, TypeError, ValueError, AssertionError):
+    except (KeyError, TypeError, ValueError):
         raise CliError(PARSE, f"not a piecewise quasi-polynomial: "
                               f"{args.pqp}")
     if g.n != 1:

@@ -78,7 +78,8 @@ def make_term(coef, numer, denoms):
     out = []
     for b in denoms:
         b = tuple(int(c) for c in b)
-        assert any(c != 0 for c in b), "zero vector in denominator"
+        if not any(b):
+            raise ValueError("zero vector in denominator")
         if not lex_positive(b):
             b = vneg(b)
             coef = -coef
@@ -247,16 +248,16 @@ def monomial_substitute(g, new_names, images):
 # generating function of a cell (Brion decomposition)
 
 
-def _gf_halfopen_simplicial(names, apex, gens, excluded):
+def _gf_halfopen_simplicial(names, apex, gens, ginv, excluded):
     """GF of apex + cone(gens) with facets in `excluded` removed.
 
-    gens are linearly independent and span the ambient space; the integer
-    points split into lattice cosets of the generator lattice, one point
-    per coset inside the half-open fundamental parallelepiped.
+    gens are linearly independent and span the ambient space, and ginv is
+    the inverse of the matrix with the gens as columns; the integer points
+    split into lattice cosets of the generator lattice, one point per
+    coset inside the half-open fundamental parallelepiped.
     """
     d = len(gens)
     grows = tuple(tuple(g[i] for g in gens) for i in range(d))
-    ginv = rat_inv(grows)
     lat = Lattice.from_generators(d, gens)
     terms = []
     for rep in lat.coset_representatives():
@@ -283,22 +284,23 @@ def _gf_of_cone(names, cone):
     data = []
     for piece in pieces:
         grows = tuple(tuple(g[i] for g in piece) for i in range(d))
-        normals = [clear_denominators(row) for row in rat_inv(grows)]
-        data.append((piece, normals))
+        ginv = rat_inv(grows)
+        normals = [clear_denominators(row) for row in ginv]
+        data.append((piece, ginv, normals))
     first = pieces[0]
     M = 1
     while True:
         w = zero_vec(d)
         for i, h in enumerate(first):
             w = vadd(w, tuple(M ** i * c for c in h))
-        if all(vdot(n, w) != 0 for _, normals in data for n in normals):
+        if all(vdot(n, w) != 0 for _, _, normals in data for n in normals):
             break
         M *= 2
     total = gf_zero(names)
-    for piece, normals in data:
+    for piece, ginv, normals in data:
         excluded = {i for i, n in enumerate(normals) if vdot(n, w) < 0}
         total = gf_add(total,
-                       _gf_halfopen_simplicial(names, cone.apex, piece,
+                       _gf_halfopen_simplicial(names, cone.apex, piece, ginv,
                                                excluded))
     return total
 

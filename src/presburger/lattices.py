@@ -2,9 +2,10 @@
 full-rank lattices and lattice cosets.
 
 Vectors are tuples of ints (or Fractions where noted), matrices are tuples
-of rows.  Nothing in this module ever touches floating point.  Lattice
-bases are kept in a canonical column-style Hermite normal form, so lattice
-and coset equality is plain structural equality.
+of rows.  Nothing in this module ever touches floating point.  Rational
+rank, solving, kernels and inverses share one Gauss-Jordan kernel over
+Fractions.  Lattice bases are kept in a canonical column-style Hermite
+normal form, so lattice and coset equality is plain structural equality.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ def zero_vec(d):
     return (0,) * d
 
 
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
-
-
 def primitive(v):
     """Divide a nonzero integer vector by the gcd of its entries."""
     g = 0
@@ -78,14 +75,6 @@ def mat_mul(A, B):
     return tuple(tuple(vdot(row, col) for col in bt) for row in A)
 
 
-def transpose(M):
-    return tuple(zip(*M))
-
-
-def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def columns(M):
     return [list(col) for col in zip(*M)] if M else []
 
@@ -95,20 +84,21 @@ def from_columns(cols, m):
 
 
 # ---------------------------------------------------------------------------
-# rational Gaussian elimination helpers
+# rational Gauss-Jordan elimination
 
 
-def _frac_rows(M):
-    return [[Fraction(a) for a in row] for row in M]
+def _rref(rows, n):
+    """Gauss-Jordan elimination in place on lists of Fractions.
 
-
-def rat_rank(M):
-    if not M:
-        return 0
-    rows = _frac_rows(M)
-    n = len(rows[0])
-    rank = 0
+    Pivots only in the first n columns; any later columns (right-hand
+    sides, an identity block) are carried along.  Returns the pivot
+    columns: afterwards row r has a 1 in column pivots[r], every other
+    row has 0 there, and the rows past len(pivots) are zero in the first
+    n columns.
+    """
+    pivots = []
     for c in range(n):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
         if piv is None:
             continue
@@ -119,8 +109,14 @@ def rat_rank(M):
             if r != rank and rows[r][c] != 0:
                 f = rows[r][c]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return pivots
+
+
+def rat_rank(M):
+    if not M:
+        return 0
+    return len(_rref([[Fraction(a) for a in row] for row in M], len(M[0])))
 
 
 def rat_solve(M, rhs):
@@ -133,58 +129,27 @@ def rat_solve(M, rhs):
         return None
     n = len(M[0])
     rows = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(M, rhs)]
-    piv_cols = []
-    rank = 0
-    for c in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        piv_cols.append(c)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][n] != 0:
-            return None  # inconsistent
+    rank = len(_rref(rows, n))
+    if any(row[n] != 0 for row in rows[rank:]):
+        return None  # inconsistent
     if rank < n:
         return None  # underdetermined
-    x = [Fraction(0)] * n
-    for r, c in enumerate(piv_cols):
-        x[c] = rows[r][n]
-    return tuple(x)
+    return tuple(row[n] for row in rows[:n])
 
 
 def rat_nullspace(M, n=None):
     """Basis of the rational kernel of M (rows of length n)."""
     if n is None:
         n = len(M[0]) if M else 0
-    rows = _frac_rows(M) if M else []
-    piv_cols = []
-    rank = 0
-    for c in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        piv_cols.append(c)
-        rank += 1
-    free_cols = [c for c in range(n) if c not in piv_cols]
+    rows = [[Fraction(a) for a in row] for row in M]
+    pivots = _rref(rows, n)
     basis = []
-    for fc in free_cols:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for r, pc in enumerate(piv_cols):
+        for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         basis.append(tuple(v))
     return basis
@@ -194,38 +159,9 @@ def rat_inv(M):
     n = len(M)
     rows = [[Fraction(a) for a in row] + [Fraction(1 if i == j else 0) for j in range(n)]
             for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [a * inv for a in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    if len(_rref(rows, n)) < n:
+        raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def rat_det(M):
-    n = len(M)
-    rows = _frac_rows(M)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
 
 
 def clear_denominators(v):
@@ -340,10 +276,9 @@ class Lattice:
     basis: tuple
 
     def __post_init__(self):
-        assert len(self.basis) == self.dim
-        for j, b in enumerate(self.basis):
-            assert len(b) == self.dim
-            assert b[j] > 0, "basis not in HNF"
+        if len(self.basis) != self.dim or any(
+                len(b) != self.dim or b[j] <= 0 for j, b in enumerate(self.basis)):
+            raise ValueError("lattice basis is not a full-rank HNF")
 
     @staticmethod
     def standard(dim):

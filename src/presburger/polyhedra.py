@@ -1,4 +1,5 @@
-"""Rational polyhedra: Fourier-Motzkin, vertices, rays, triangulation.
+"""Rational polyhedra: Fourier-Motzkin feasibility, vertices, rays,
+triangulation.
 
 A Polyhedron stores inequality rows (a, b) meaning a.x >= b and equality
 rows meaning a.x = b, with integer a and b.  All geometry is exact; points
@@ -15,7 +16,6 @@ from math import gcd
 
 from .lattices import (
     clear_denominators,
-    primitive,
     rat_nullspace,
     rat_rank,
     rat_solve,
@@ -38,20 +38,25 @@ class Polyhedron:
     def of(dim, ineqs=(), eqs=()):
         def as_int(b):
             bi = int(b)
-            assert bi == b, f"non-integer bound {b}"
+            if bi != b:
+                raise ValueError(f"non-integer bound {b}")
             return bi
+
+        def as_normal(a):
+            a = tuple(int(c) for c in a)
+            if len(a) != dim:
+                raise ValueError(f"row {a} does not have length {dim}")
+            return a
 
         ineq_rows = []
         for a, b in ineqs:
-            a = tuple(int(c) for c in a)
-            assert len(a) == dim
+            a = as_normal(a)
             if a == (0,) * dim and b <= 0:
                 continue  # trivially true; an unsatisfiable 0 >= b>0 row stays
             ineq_rows.append((a, as_int(b)))
         eq_rows = []
         for a, b in eqs:
-            a = tuple(int(c) for c in a)
-            assert len(a) == dim
+            a = as_normal(a)
             if a == (0,) * dim and b == 0:
                 continue
             eq_rows.append((a, as_int(b)))
@@ -123,16 +128,6 @@ def _eliminate_last(rows, k):
     return out
 
 
-def _const_rows_ok(rows):
-    for a, b, s in rows:
-        if s:
-            if b >= 0:
-                return False
-        elif b > 0:
-            return False
-    return True
-
-
 def _rows_of(p, strict):
     rows = [(a, b, strict) for a, b in p.ineqs]
     for a, b in p.eqs:
@@ -141,104 +136,32 @@ def _rows_of(p, strict):
     return rows
 
 
-def _fm_systems(rows, d):
-    systems = [rows]
+def _fm_feasible(rows, d):
+    """True when the rows (a, b, strict) over d variables have a common
+    rational solution.
+
+    Eliminates the variables last to first, keeping only the current
+    system; what remains are constant rows 0 >= b (or 0 > b if strict).
+    """
     for k in range(d, 0, -1):
         rows = _eliminate_last(rows, k)
-        systems.append(rows)
-    return systems  # systems[i] is over d-i variables
-
-
-def fm_solve(rows, d):
-    """A Fraction point satisfying every row, or None.
-
-    Works by full elimination then back-substitution; strict rows are
-    honoured by picking midpoints or stepping one unit off a bound.
-    """
-    systems = _fm_systems(rows, d)
-    if not _const_rows_ok(systems[d]):
-        return None
-    x = []
-    for k in range(1, d + 1):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for a, b, s in systems[d - k]:
-            c = a[k - 1]
-            if c == 0:
-                continue
-            bound = Fraction(b - vdot(a[: k - 1], x), c)
-            if c > 0:
-                if lo is None or bound > lo:
-                    lo, lo_strict = bound, s
-                elif bound == lo:
-                    lo_strict = lo_strict or s
-            else:
-                if hi is None or bound < hi:
-                    hi, hi_strict = bound, s
-                elif bound == hi:
-                    hi_strict = hi_strict or s
-        if lo is None and hi is None:
-            val = Fraction(0)
-        elif lo is None:
-            val = hi - 1 if hi_strict else hi
-        elif hi is None:
-            val = lo + 1 if lo_strict else lo
-        else:
-            assert lo < hi or (lo == hi and not lo_strict and not hi_strict)
-            val = lo if lo == hi else (lo + hi) / 2
-        x.append(val)
-    return tuple(x)
+    return all(b < 0 if s else b <= 0 for _, b, s in rows)
 
 
 def is_feasible(p):
-    rows = _rows_of(p, False)
-    systems = _fm_systems(rows, p.dim)
-    return _const_rows_ok(systems[p.dim])
+    return _fm_feasible(_rows_of(p, False), p.dim)
 
 
 def has_interior(p):
     """True when the polyhedron is full-dimensional."""
-    if p.eqs:
-        return False
-    systems = _fm_systems(_rows_of(p, True), p.dim)
-    return _const_rows_ok(systems[p.dim])
-
-
-def find_point(p):
-    """Some rational point of p, or None when empty."""
-    return fm_solve(_rows_of(p, False), p.dim)
+    return not p.eqs and _fm_feasible(_rows_of(p, True), p.dim)
 
 
 def implicit_equalities(p):
     """Inequality rows that hold with equality everywhere on p."""
     base = _rows_of(p, False)
-    out = []
-    for a, b in p.ineqs:
-        systems = _fm_systems(base + [(a, b, True)], p.dim)
-        if not _const_rows_ok(systems[p.dim]):
-            out.append((a, b))
-    return out
-
-
-def find_interior_point(p):
-    return fm_solve(_rows_of(p, True), p.dim)
-
-
-def fm_project(p, i):
-    """Project out coordinate i; the result lives in dimension dim-1."""
-    d = p.dim
-    perm = [j for j in range(d) if j != i] + [i]
-    rows = [(tuple(a[j] for j in perm), b, s) for a, b, s in _rows_of(p, False)]
-    out = _eliminate_last(rows, d)
-    ineqs = []
-    for a, b, s in out:
-        if all(c == 0 for c in a):
-            continue
-        den = 1
-        if isinstance(b, Fraction):
-            den = b.denominator
-        ineqs.append((tuple(c * den for c in a), b * den))
-    return Polyhedron.of(d - 1, ineqs)
+    return [(a, b) for a, b in p.ineqs
+            if not _fm_feasible(base + [(a, b, True)], p.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +213,6 @@ def _extreme_rays(ge_normals, eq_normals, dim):
                     rays.append(cand)
                 break
     return sorted(rays)
-
-
-def recession_cone(p):
-    """Extreme rays of the recession cone of a pointed polyhedron."""
-    return _extreme_rays([a for a, _ in p.ineqs], [a for a, _ in p.eqs], p.dim)
 
 
 def tangent_cone(p, v):

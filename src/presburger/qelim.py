@@ -5,9 +5,9 @@ eliminated by conjoining x >= 0, scaling every atom so x appears with
 coefficient +-l (l the lcm of its coefficients), changing variable to
 x' = l*x (recorded as x' = 0 mod l), and replacing E x'. phi by the finite
 disjunction over lower-bound candidates b and offsets j in [0, D) of
-phi[x' := b + j], D the lcm of the congruence moduli on x'.  The "minus
-infinity" branch of the classic recipe is kept for completeness but always
-collapses here, since x' >= 0 is itself one of the atoms.
+phi[x' := b + j], D the lcm of the congruence moduli on x'.  The classic
+recipe's "minus infinity" disjuncts are left out: x' >= 0 is a top-level
+conjunct, so each of them is false over N.
 
 Universals go through the negation dual.  Elimination is innermost-first,
 so each step only ever sees a quantifier-free body.
@@ -19,7 +19,6 @@ from math import lcm
 
 from .formulas import (
     FALSE,
-    TRUE,
     And,
     Cmp,
     Congruence,
@@ -121,23 +120,8 @@ def eliminate_exists(var, body):
         if b not in candidates:
             candidates.append(b)
 
-    def minus_inf(a, j):
-        c = a.term.coeff(fresh)
-        if c == 0:
-            return a
-        if isinstance(a, Congruence):
-            return substitute(a, fresh, LinearTerm.const(j))
-        if a.op == "=":
-            return FALSE
-        return FALSE if c > 0 else TRUE
-
-    branches = []
-    for j in range(modulus):
-        branches.append(_map_atoms(shifted, lambda a: minus_inf(a, j)))
-    for b in candidates:
-        for j in range(modulus):
-            branches.append(substitute(shifted, fresh, b + LinearTerm.const(j)))
-    return simplify(disj(branches))
+    return simplify(disj([substitute(shifted, fresh, b + LinearTerm.const(j))
+                          for b in candidates for j in range(modulus)]))
 
 
 def qelim(f):

@@ -157,10 +157,6 @@ def qp_zero(n):
     return QuasiPolynomial(n, Lattice.standard(n), {(0,) * n: {}})
 
 
-def qp_eval(q, p):
-    return q.eval(p)
-
-
 @dataclass(eq=True)
 class PiecewiseQuasiPolynomial:
     """Quasi-polynomials on disjoint polyhedral cells; zero elsewhere."""
@@ -174,10 +170,6 @@ class PiecewiseQuasiPolynomial:
             if cell.contains(p):
                 return q.eval(p)
         return Fraction(0)
-
-
-def pqp_eval(g, p):
-    return g.eval(p)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """End-to-end command line tests driven through main(argv)."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import presburger
 from oracles import count_solutions
 from presburger.cli import main
 from presburger.formulas import eval_ground, parse
@@ -241,3 +244,39 @@ def test_console_script_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+
+
+def run_module(*args):
+    """Run `python <args>` with the package under test importable."""
+    src = str(Path(presburger.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_python_m_presburger():
+    proc = run_module("-m", "presburger", "decide", "E u. u > 1 & u % 2 = 1")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "true"
+
+
+def test_malformed_input_rejected_under_optimize(tmp_path):
+    # python -O strips asserts, so input checks must raise on their own
+    zero_denominator = {"names": ["x"], "terms": [
+        {"coef": "1", "numer_exp": [0], "denom": [[0]]}]}
+
+    def pqp(lattice, ineqs):
+        return {"n": 1, "names": ["p"], "pieces": [{
+            "constituents": {"0": [{"coef": "1", "exps": [0]}]},
+            "lattice": lattice,
+            "polyhedron": {"dim": 1, "eqs": [], "ineqs": ineqs}}]}
+
+    cases = [("series", zero_denominator),
+             ("synth", pqp([[0]], [[[1], 0]])),
+             ("synth", pqp([[1]], [[[1, 1], 0]]))]
+    for i, (cmd, obj) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(obj))
+        proc = run_module("-O", "-m", "presburger.cli", cmd, str(path))
+        assert proc.returncode == 2, (cmd, proc.stdout, proc.stderr)
+        assert "error: not a" in proc.stderr

@@ -1,10 +1,18 @@
 import random
 from itertools import product
 
+import pytest
+
 from presburger.lattices import (Lattice, LatticeCoset, congruences_of_coset,
                                  coset_intersect, full_coset, hnf, hnf_kernel,
-                                 mat_mul, mat_vec, rat_det, solve_congruences,
+                                 mat_mul, mat_vec, rat_inv, rat_nullspace,
+                                 rat_rank, rat_solve, solve_congruences,
                                  solve_int, vdot)
+
+
+def is_unimodular(U):
+    # U and its inverse both integral means det U = +-1
+    return all(a.denominator == 1 for row in rat_inv(U) for a in row)
 
 
 def hnf_shape_ok(H, pivots_expected=None):
@@ -40,7 +48,7 @@ def test_hnf_cone_basis():
     H, U = hnf(M)
     assert H == ((1, 0), (0, 2))
     assert mat_mul(M, U) == H
-    assert abs(rat_det(U)) == 1
+    assert is_unimodular(U)
 
 
 def test_hnf_diag_2_3_index():
@@ -61,7 +69,7 @@ def test_hnf_random_properties():
         M = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m))
         H, U = hnf(M)
         assert mat_mul(M, U) == H
-        assert abs(rat_det(U)) == 1
+        assert is_unimodular(U)
         hnf_shape_ok(H)
 
 
@@ -182,3 +190,39 @@ def test_congruences_of_coset_roundtrip():
 def test_full_coset():
     c = full_coset(2)
     assert c.contains((5, 7)) and c.lattice.index() == 1
+
+
+def test_rational_elimination_random():
+    rng = random.Random(9)
+    singular = 0
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        M = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            M[-1] = tuple(2 * a - b for a, b in zip(M[0], M[1]))
+        M = tuple(M)
+        rank = rat_rank(M)
+        ns = rat_nullspace(M)
+        assert len(ns) == n - rank
+        assert rat_rank(ns) == len(ns)
+        for v in ns:
+            assert mat_vec(M, v) == (0,) * m
+        for rhs in (mat_vec(M, tuple(rng.randint(-3, 3) for _ in range(n))),
+                    tuple(rng.randint(-4, 4) for _ in range(m))):
+            x = rat_solve(M, rhs)
+            if x is not None:
+                assert mat_vec(M, x) == rhs
+            else:
+                aug = tuple(row + (b,) for row, b in zip(M, rhs))
+                assert rank < n or rat_rank(aug) > rank
+        if m == n:
+            if rank < n:
+                singular += 1
+                with pytest.raises(ValueError):
+                    rat_inv(M)
+            else:
+                eye = tuple(tuple(int(i == j) for j in range(n))
+                            for i in range(n))
+                assert mat_mul(rat_inv(M), M) == eye
+    assert singular > 0

@@ -9,13 +9,10 @@ from presburger.polyhedra import (
     Cone,
     NonPointedError,
     Polyhedron,
-    find_interior_point,
-    find_point,
-    fm_project,
     has_interior,
+    implicit_equalities,
     is_feasible,
     nonneg_orthant,
-    recession_cone,
     tangent_cone,
     triangulate,
     vertices,
@@ -27,16 +24,32 @@ def square():
                              ((-1, 0), -1), ((0, -1), -1)])
 
 
+def box(d, r):
+    """The cube [-r, r]^d."""
+    rows = []
+    for i in range(d):
+        e = tuple(1 if j == i else 0 for j in range(d))
+        rows += [(e, -r), (tuple(-c for c in e), -r)]
+    return Polyhedron.of(d, rows)
+
+
+def recession(p):
+    # the recession cone {a.y >= 0, e.y = 0} is its own tangent cone at 0
+    cone = Polyhedron.of(p.dim, [(a, 0) for a, _ in p.ineqs],
+                         [(a, 0) for a, _ in p.eqs])
+    return list(tangent_cone(cone, (0,) * p.dim).generators)
+
+
 def test_feasibility_known():
     assert is_feasible(square())
     empty = Polyhedron.of(1, [((1,), 2), ((-1,), -1)])  # x >= 2 and x <= 1
     assert not is_feasible(empty)
     thin = Polyhedron.of(1, [((5,), 2), ((-5,), -3)])   # 2/5 <= x <= 3/5
     assert is_feasible(thin)
-    assert find_point(thin) is not None
+    assert vertices(thin) == [(Fraction(2, 5),), (Fraction(3, 5),)]
     point = Polyhedron.of(2, eqs=[((1, 1), 3), ((1, -1), 1)])
     assert is_feasible(point)
-    assert find_point(point) == (2, 1)
+    assert vertices(point) == [(2, 1)]
 
 
 def test_interior():
@@ -44,13 +57,11 @@ def test_interior():
     assert not has_interior(Polyhedron.of(2, eqs=[((1, -1), 0)]))
     segment = Polyhedron.of(1, [((1,), 0), ((-1,), 0)])  # the point x = 0
     assert is_feasible(segment) and not has_interior(segment)
-    ip = find_interior_point(square())
-    assert all(0 < c < 1 for c in ip)
 
 
 def test_feasibility_random_certified():
-    # feasible verdicts must come with a satisfying point; infeasible
-    # verdicts are cross-checked on a rational grid
+    # feasible verdicts must come with a vertex of p cut down to a box;
+    # infeasible verdicts are cross-checked on a rational grid
     rng = random.Random(31337)
     grid = [Fraction(n, 2) for n in range(-8, 9)]
     for _ in range(120):
@@ -60,16 +71,38 @@ def test_feasibility_random_certified():
             a = tuple(rng.randint(-3, 3) for _ in range(d))
             rows.append((a, rng.randint(-4, 4)))
         p = Polyhedron.of(d, rows)
-        pt = find_point(p)
         if is_feasible(p):
-            assert pt is not None and p.contains(pt)
-        else:
-            assert pt is None
-            if d <= 2:
-                import itertools
+            vs = vertices(p.intersect(box(d, 1000)))
+            assert vs and all(p.contains(v) for v in vs)
+        elif d <= 2:
+            import itertools
 
-                for x in itertools.product(grid, repeat=d):
-                    assert not p.contains(x)
+            for x in itertools.product(grid, repeat=d):
+                assert not p.contains(x)
+
+
+def test_implicit_equalities_random():
+    # on a polytope a row is an implicit equality iff every vertex is on it
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            a = tuple(rng.randint(-3, 3) for _ in range(d))
+            b = rng.randint(-4, 4)
+            rows.append((a, b))
+            if rng.random() < 0.3:
+                rows.append((tuple(-c for c in a), -b))
+        q = Polyhedron.of(d, rows).intersect(box(d, 5))
+        if not is_feasible(q):
+            continue
+        vs = vertices(q)
+        want = [(a, b) for a, b in q.ineqs
+                if all(sum(c * x for c, x in zip(a, v)) == b for v in vs)]
+        assert implicit_equalities(q) == want, q
+        checked += bool(want)
+    assert checked > 0
 
 
 def test_vertices_square_and_triangle():
@@ -87,7 +120,7 @@ def test_vertices_unbounded_pointed():
     p = Polyhedron.of(2, [((1, 0), 1), ((0, 1), 0), ((1, -1), 0)])
     # x >= 1, 0 <= y <= x: the bounded edge x = 1 contributes both ends
     assert vertices(p) == [(1, 0), (1, 1)]
-    assert recession_cone(p) == [(1, 0), (1, 1)]
+    assert recession(p) == [(1, 0), (1, 1)]
 
 
 def test_vertices_nonpointed_raises():
@@ -99,10 +132,11 @@ def test_vertices_nonpointed_raises():
 
 def test_recession_cone():
     tri = Polyhedron.of(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -3)])
-    assert recession_cone(tri) == []
+    assert recession(tri) == []
     wedge = Polyhedron.of(2, [((1, 0), 0), ((-1, 1), 0)])  # 0 <= x <= y
-    assert recession_cone(wedge) == [(0, 1), (1, 1)]
-    assert recession_cone(nonneg_orthant(3)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert recession(wedge) == [(0, 1), (1, 1)]
+    assert tangent_cone(wedge, (0, 0)).generators == ((0, 1), (1, 1))
+    assert recession(nonneg_orthant(3)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_tangent_cone():
@@ -144,17 +178,6 @@ def test_triangulate_interior_generator_subdivides():
     # because it is placed before (1, 2)
     pieces = triangulate([(1, 2), (1, 0), (1, 1)])
     assert pieces == [((1, 0), (1, 1)), ((1, 1), (1, 2))]
-
-
-def test_fm_project():
-    shadow = fm_project(square(), 1)
-    assert is_feasible(shadow)
-    assert shadow.contains((Fraction(1, 2),))
-    assert not shadow.contains((Fraction(3, 2),))
-    # projecting a diagonal segment x = y, 0 <= x <= 1
-    seg = Polyhedron.of(2, [((1, 0), 0), ((-1, 0), -1)], eqs=[((1, -1), 0)])
-    sh = fm_project(seg, 0)
-    assert sh.contains((1,)) and sh.contains((0,)) and not sh.contains((2,))
 
 
 def test_intersect_and_contains():
