@@ -22,8 +22,6 @@ from .genfun import (
     gf_of_cell,
     gf_of_formula,
     gf_of_semilinear,
-    hadamard_univariate,
-    is_zero_univariate,
     make_term,
     rgf,
     series_coeffs,
@@ -45,6 +43,8 @@ from .quasipoly import (
     QuasiPolynomial,
     StepPolynomial,
     eventual_form,
+    hadamard_univariate,
+    is_zero_univariate,
     pqp_to_rgf,
     qp_to_step,
     rgf_to_pqp,

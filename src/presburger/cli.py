@@ -25,14 +25,12 @@ from .genfun import (
     DivergentSpecialization,
     counting_gf,
     gf_of_formula,
-    hadamard_univariate,
-    is_zero_univariate,
     series_coeffs,
 )
 from .lattices import congruences_of_coset
 from .qelim import decide, qelim
 from .quasipoly import eventual_form, qp_to_step, rgf_to_pqp, synth_formula
-from .quasipoly import vpf_gf, vpf_pqp
+from .quasipoly import hadamard_univariate, is_zero_univariate, vpf_gf, vpf_pqp
 from .semilinear import to_dnf
 
 PARSE, SEMANTIC, UNSUPPORTED = 2, 3, 4

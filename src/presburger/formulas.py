@@ -305,21 +305,6 @@ def free_vars(f):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def bound_vars(f):
-    if isinstance(f, (Cmp, Congruence)):
-        return set()
-    if isinstance(f, (And, Or)):
-        out = set()
-        for p in f.parts:
-            out |= bound_vars(p)
-        return out
-    if isinstance(f, Not):
-        return bound_vars(f.inner)
-    if isinstance(f, (Exists, ForAll)):
-        return bound_vars(f.body) | {f.var}
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def is_quantifier_free(f):
     if isinstance(f, (Cmp, Congruence)):
         return True
@@ -826,19 +811,19 @@ def atoms_of(f):
     """All atoms of a formula, in first-occurrence order."""
     out = []
 
-    def walk(g):
+    def collect(g):
         if isinstance(g, (Cmp, Congruence)):
             if g not in out:
                 out.append(g)
         elif isinstance(g, (And, Or)):
             for p in g.parts:
-                walk(p)
+                collect(p)
         elif isinstance(g, Not):
-            walk(g.inner)
+            collect(g.inner)
         elif isinstance(g, (Exists, ForAll)):
-            walk(g.body)
+            collect(g.body)
         else:
             raise TypeError(f"not a formula: {g!r}")
 
-    walk(f)
+    collect(f)
     return out

@@ -12,7 +12,8 @@ vertex-cone decomposition on the full-dimensional remainder: each tangent
 cone is triangulated, the pieces are made half-open towards a generic
 reference vector so facets are never counted twice, and each half-open
 simplicial cone is summed exactly by enumerating the integer points of its
-fundamental parallelepiped.
+fundamental parallelepiped.  Every series coefficient is read through one
+dynamic-programming kernel, series_coeffs, in any dimension.
 """
 
 from __future__ import annotations
@@ -151,54 +152,45 @@ def _positive_functional(vectors, d):
         M *= 2
 
 
-def _series_coeffs_1d(g, bound):
-    # univariate fast path: one prefix-sum pass per geometric factor
-    out = {}
-    for t in g.terms:
-        off = t.numer[0]
-        if off > bound:
-            continue
-        lo = min(off, 0)
-        arr = [Fraction(0)] * (bound - lo + 1)
-        arr[off - lo] = t.coef
-        for (e,) in t.denom:
-            for i in range(e, len(arr)):
-                arr[i] += arr[i - e]
-        for p in range(bound + 1):
-            if arr[p - lo]:
-                out[(p,)] = out.get((p,), Fraction(0)) + arr[p - lo]
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def series_coeffs(g, bound):
     """Power-series coefficients of g on the box [0, bound]^dim.
 
-    Expands every term as numer * prod_b (sum_k x^(k b)); a linear
-    functional positive on all denominator vectors bounds the search.
+    One dynamic-programming table per term: tau is a linear functional
+    with tau.b >= 1 on every denominator vector, so any exponent on the
+    way to a box point has tau.e <= cap = bound * sum(tau).  Starting from
+    the numerator monomial, each factor 1/(1 - x^b) turns the table into
+    running sums along the chains e, e + b, e + 2b, ... below cap.  The
+    sums are integers over the common denominator of the coefficients.
     """
-    d = g.dim
-    if d == 1:
-        return _series_coeffs_1d(g, bound)
     vectors = {b for t in g.terms for b in t.denom}
-    tau = _positive_functional(vectors, d) if d else ()
+    tau = _positive_functional(vectors, g.dim)
     cap = bound * sum(tau)
+    den = math.lcm(*(t.coef.denominator for t in g.terms))
+    levels = {}  # exponent -> tau . exponent
     out = {}
-
-    def walk(denoms, i, exp, coef):
-        if vdot(tau, exp) > cap:
-            return
-        if i == len(denoms):
-            if all(0 <= e <= bound for e in exp):
-                out[exp] = out.get(exp, Fraction(0)) + coef
-            return
-        e = exp
-        while vdot(tau, e) <= cap:
-            walk(denoms, i + 1, e, coef)
-            e = vadd(e, denoms[i])
-
     for t in g.terms:
-        walk(t.denom, 0, t.numer, t.coef)
-    return {k: v for k, v in out.items() if v != 0}
+        levels[t.numer] = vdot(tau, t.numer)
+        if levels[t.numer] > cap:
+            continue
+        table = {t.numer: t.coef.numerator * (den // t.coef.denominator)}
+        for b in t.denom:
+            step = vdot(tau, b)
+            summed = {}
+            for start in sorted(table, key=levels.__getitem__):
+                if start in summed:
+                    continue  # on the chain of a lower point
+                e, level, run = start, levels[start], 0
+                while level <= cap:
+                    run += table.get(e, 0)
+                    summed[e] = run
+                    levels[e] = level
+                    e = vadd(e, b)
+                    level += step
+            table = summed
+        for e, c in table.items():
+            if all(0 <= x <= bound for x in e):
+                out[e] = out.get(e, 0) + c
+    return {e: Fraction(c, den) for e, c in out.items() if c}
 
 
 def series_equal(g1, g2, bound):
@@ -536,7 +528,8 @@ def cardinality(g):
     """Number of points listed by g (all variables set to 1), as an int."""
     g0 = specialize_ones(g, range(g.dim))
     val = sum((t.coef for t in g0.terms), Fraction(0))
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ValueError(f"point count {val} is not an integer")
     return int(val)
 
 
@@ -550,39 +543,3 @@ def counting_gf(f, count_names, param_names):
     names = tuple(count_names) + tuple(param_names)
     g = gf_of_formula(f, names)
     return specialize_ones(g, range(len(count_names)))
-
-
-def hadamard_univariate(f, g):
-    """Coefficientwise product of two univariate series, exactly.
-
-    Both series are brought to eventual quasi-polynomial form, multiplied
-    pointwise, and converted back to a rational function.
-    """
-    from . import quasipoly as qp
-
-    assert f.dim == 1 and g.dim == 1
-    ia, qa = qp.eventual_form(qp.rgf_to_pqp(f))
-    ib, qb = qp.eventual_form(qp.rgf_to_pqp(g))
-    ma = qa.lattice.basis[0][0]
-    mb = qb.lattice.basis[0][0]
-    m = math.lcm(ma, mb)
-    cons = {(r,): qp.poly_mul(qa.constituents[(r % ma,)],
-                              qb.constituents[(r % mb,)])
-            for r in range(m)}
-    prod = qp.QuasiPolynomial(1, Lattice(1, ((m,),)), cons)
-
-    def val(init, q, p):
-        return init[p] if p < len(init) else q.eval((p,))
-
-    T = max(len(ia), len(ib))
-    initial = [val(ia, qa, p) * val(ib, qb, p) for p in range(T)]
-    return qp.pqp_to_rgf(qp.eventual_pqp(initial, prod), names=f.names)
-
-
-def is_zero_univariate(f):
-    """Exact zero test for a univariate series."""
-    from . import quasipoly as qp
-
-    assert f.dim == 1
-    initial, q = qp.eventual_form(qp.rgf_to_pqp(f))
-    return not any(initial) and q.is_zero()

@@ -5,10 +5,13 @@ to each coset of a full-rank lattice in parameter space; a
 PiecewiseQuasiPolynomial attaches quasi-polynomials to disjoint polyhedral
 cells, with everything off the cells counting as zero.  This module
 converts univariate rational generating functions to and from that form,
+takes Hadamard products and zero tests of univariate series through it,
 computes vector partition functions (chamber decomposition in parameter
 dimension two), rewrites quasi-polynomials as step polynomials built from
 floors, and synthesizes counting formulas whose solution count realizes a
-given quasi-polynomial.
+given quasi-polynomial.  Constituents are recovered from series
+coefficients (genfun.series_coeffs) by one interpolation helper on the
+grid of exponents of bounded total degree.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import product
 from math import factorial, gcd, lcm
 
 from .formulas import (
@@ -40,7 +44,7 @@ from .genfun import (
     series_coeffs,
     specialize_ones,
 )
-from .lattices import Lattice, LatticeCoset, rat_solve
+from .lattices import Lattice, LatticeCoset, mat_vec, rat_inv
 from .polyhedra import Polyhedron
 from .semilinear import SemilinearCell
 
@@ -116,21 +120,23 @@ def poly_compose_affine(p, forms):
     return total
 
 
-def _lagrange(points):
-    """Univariate interpolation through exact (x, y) pairs."""
-    total = {}
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        num = {(0,): Fraction(1)}
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = poly_mul(num, {(1,): Fraction(1), (0,): -Fraction(xj)})
-            den *= xi - xj
-        total = poly_add(total, poly_scale(num, Fraction(yi) / den))
-    return poly_norm(total)
+@lru_cache(maxsize=None)
+def _grid(n, D):
+    """Exponents of total degree <= D in n variables, which double as the
+    sample points, and the inverse of their Vandermonde matrix."""
+    grid = [e for e in product(range(D + 1), repeat=n) if sum(e) <= D]
+    vander = [[math.prod(Fraction(x) ** k for x, k in zip(pt, e))
+               for e in grid] for pt in grid]
+    return grid, rat_inv(vander)
+
+
+def _interpolate(n, D, samples, forms):
+    """Polynomial of total degree <= D in n variables taking samples[i] at
+    the i-th point of _grid(n, D), with variable i then replaced by the
+    affine form forms[i]."""
+    grid, inv = _grid(n, D)
+    coeffs = mat_vec(inv, samples)
+    return poly_compose_affine(poly_norm(dict(zip(grid, coeffs))), forms)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +327,9 @@ def rgf_to_pqp(f):
     constituents = {}
     for r in range(period):
         p0 = T + (r - T) % period
-        pts = [(Fraction(p0 + period * i), at(p0 + period * i))
-               for i in range(degree + 1)]
-        constituents[(r,)] = _lagrange(pts)
+        samples = [at(p0 + period * i) for i in range(degree + 1)]
+        form = ((Fraction(1, period),), Fraction(-p0, period))
+        constituents[(r,)] = _interpolate(1, degree, samples, [form])
     q = QuasiPolynomial(1, Lattice(1, ((period,),)), constituents)
     return eventual_pqp([at(p) for p in range(T)], q)
 
@@ -428,6 +434,40 @@ def pqp_to_rgf(g, names=None):
 
 
 # ---------------------------------------------------------------------------
+# Hadamard product and zero test
+
+
+def hadamard_univariate(f, g):
+    """Coefficientwise product of two univariate series, exactly.
+
+    Both series are brought to eventual quasi-polynomial form, multiplied
+    pointwise, and converted back to a rational function.
+    """
+    ia, qa = eventual_form(rgf_to_pqp(f))
+    ib, qb = eventual_form(rgf_to_pqp(g))
+    ma = qa.lattice.basis[0][0]
+    mb = qb.lattice.basis[0][0]
+    m = lcm(ma, mb)
+    cons = {(r,): poly_mul(qa.constituents[(r % ma,)],
+                           qb.constituents[(r % mb,)])
+            for r in range(m)}
+    prod = QuasiPolynomial(1, Lattice(1, ((m,),)), cons)
+
+    def val(init, q, p):
+        return init[p] if p < len(init) else q.eval((p,))
+
+    T = max(len(ia), len(ib))
+    initial = [val(ia, qa, p) * val(ib, qb, p) for p in range(T)]
+    return pqp_to_rgf(eventual_pqp(initial, prod), names=f.names)
+
+
+def is_zero_univariate(f):
+    """Exact zero test for a univariate series."""
+    initial, q = eventual_form(rgf_to_pqp(f))
+    return not any(initial) and q.is_zero()
+
+
+# ---------------------------------------------------------------------------
 # vector partition functions
 
 
@@ -455,23 +495,9 @@ def vpf_gf(gens, names=None):
 
 
 def partition_count(gens, p):
-    """#{lam in NN^d : sum lam_i a_i = p} by direct bounded search."""
-    gens, n = _check_generators(gens)
+    """#{lam in NN^d : sum lam_i a_i = p}, read off the series of vpf_gf."""
     p = tuple(int(c) for c in p)
-
-    def rec(i, rest):
-        if i == len(gens):
-            return 1 if all(c == 0 for c in rest) else 0
-        a = gens[i]
-        cap = min(rest[c] // a[c] for c in range(n) if a[c])
-        total = 0
-        for k in range(cap + 1):
-            total += rec(i + 1, tuple(r - k * ac for r, ac in zip(rest, a)))
-        return total
-
-    if any(c < 0 for c in p):
-        return 0
-    return rec(0, p)
+    return int(series_coeffs(vpf_gf(gens), max(p, default=0)).get(p, 0))
 
 
 def _cross(u, v):
@@ -521,7 +547,9 @@ def _vpf_ray(gens, g0):
 def _vpf_pqp_2d(gens):
     """Chamber decomposition: walls are the generator rays; on each closed
     chamber the partition counter is one quasi-polynomial, recovered by
-    interpolation on a lattice-translated triangular grid."""
+    interpolation on a lattice-translated triangular grid.  All samples
+    come from one series table of vpf_gf, taken out to the largest sample
+    coordinate."""
     d = len(gens)
     prim = []
     for g in gens:
@@ -541,8 +569,10 @@ def _vpf_pqp_2d(gens):
             if det:
                 m = lcm(m, det)
     D = d - 2
-    basis = [(a, b) for a in range(D + 1) for b in range(D + 1 - a)]
-    pieces = []
+    grid, _ = _grid(2, D)
+    checks = [(D + 1, 0), (0, D + 1), (D + 1, 1)]
+    lat = Lattice(2, ((m, 0), (0, m)))
+    chambers = []
     for j in range(len(prim) - 1):
         u, v = prim[j], prim[j + 1]
         last = j == len(prim) - 2
@@ -550,34 +580,33 @@ def _vpf_pqp_2d(gens):
                                  ((v[1], -v[0]), 0 if last else 1),
                                  ((1, 0), 0), ((0, 1), 0)])
         cruv = _cross(u, v)
-        constituents = {}
-        for rho in Lattice(2, ((m, 0), (0, m))).coset_representatives():
+        den = Fraction(1, m * cruv)
+        cosets = []
+        for rho in lat.coset_representatives():
             S = 1 + max(abs(_cross(u, rho)),
                         abs(_cross(rho, v))) // (m * cruv)
-
-            def sample(al, be):
-                return (rho[0] + m * (al + S) * u[0] + m * (be + S) * v[0],
-                        rho[1] + m * (al + S) * u[1] + m * (be + S) * v[1])
-
-            rows = [[Fraction(al) ** ea * Fraction(be) ** eb
-                     for ea, eb in basis] for al, be in basis]
-            rhs = [Fraction(partition_count(gens, sample(al, be)))
-                   for al, be in basis]
-            sol = rat_solve(rows, rhs)
-            assert sol is not None
-            qt = poly_norm({basis[i]: sol[i] for i in range(len(basis))})
-            for al, be in ((D + 1, 0), (0, D + 1), (D + 1, 1)):
-                assert poly_eval(qt, (al, be)) == \
-                    partition_count(gens, sample(al, be)), \
-                    "chamber period too small"
-            den = Fraction(1, m * cruv)
+            points = [(rho[0] + m * (al + S) * u[0] + m * (be + S) * v[0],
+                       rho[1] + m * (al + S) * u[1] + m * (be + S) * v[1])
+                      for al, be in grid + checks]
             fa = ((v[1] * den, -v[0] * den),
                   Fraction(-v[1] * rho[0] + v[0] * rho[1], m * cruv) - S)
             fb = ((-u[1] * den, u[0] * den),
                   Fraction(u[1] * rho[0] - u[0] * rho[1], m * cruv) - S)
-            constituents[rho] = poly_compose_affine(qt, [fa, fb])
-        q = QuasiPolynomial(2, Lattice(2, ((m, 0), (0, m))), constituents)
-        pieces.append((cell, q))
+            cosets.append((rho, points, [fa, fb]))
+        chambers.append((cell, cosets))
+    B = max(c for _, cosets in chambers for _, points, _ in cosets
+            for pt in points for c in pt)
+    table = series_coeffs(vpf_gf(gens), B)
+    pieces = []
+    for cell, cosets in chambers:
+        constituents = {}
+        for rho, points, forms in cosets:
+            values = [table.get(pt, Fraction(0)) for pt in points]
+            q = _interpolate(2, D, values[:len(grid)], forms)
+            for pt, val in list(zip(points, values))[len(grid):]:
+                assert poly_eval(q, pt) == val, "chamber period too small"
+            constituents[rho] = q
+        pieces.append((cell, QuasiPolynomial(2, lat, constituents)))
     return PiecewiseQuasiPolynomial(2, tuple(pieces))
 
 

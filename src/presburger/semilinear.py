@@ -65,9 +65,6 @@ class SemilinearSet:
     def contains(self, point):
         return any(cell.contains(point) for cell in self.cells)
 
-    def contains_env(self, env):
-        return self.contains(tuple(env[n] for n in self.names))
-
 
 def _term_row(term, index, d):
     a = [0] * d

@@ -35,6 +35,14 @@ def dumps(obj):
 loads = json.loads
 
 
+def _vec(obj, n):
+    """Integer vector that must have exactly n entries."""
+    v = tuple(int(c) for c in obj)
+    if len(v) != n:
+        raise ValueError(f"vector {list(v)} does not have {n} entries")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # rational generating functions
 
@@ -52,9 +60,9 @@ def gf_to_obj(g):
 
 def gf_from_obj(obj):
     names = tuple(obj["names"])
-    terms = [make_term(parse_frac(t["coef"]),
-                       tuple(int(c) for c in t["numer_exp"]),
-                       tuple(tuple(int(c) for c in b) for b in t["denom"]))
+    d = len(names)
+    terms = [make_term(parse_frac(t["coef"]), _vec(t["numer_exp"], d),
+                       tuple(_vec(b, d) for b in t["denom"]))
              for t in obj["terms"]]
     return rgf(names, terms)
 
@@ -113,9 +121,8 @@ def _poly_to_obj(poly):
             for e, c in sorted(poly.items())]
 
 
-def _poly_from_obj(obj):
-    return {tuple(int(x) for x in m["exps"]): parse_frac(m["coef"])
-            for m in obj}
+def _poly_from_obj(obj, n):
+    return {_vec(m["exps"], n): parse_frac(m["coef"]) for m in obj}
 
 
 def _rep_key(rep):
@@ -142,12 +149,16 @@ def pqp_from_obj(obj):
     pieces = []
     for pc in obj["pieces"]:
         cell = polyhedron_from_obj(pc["polyhedron"])
+        if cell.dim != n:
+            raise ValueError(f"polyhedron of dimension {cell.dim}, not {n}")
         lat = Lattice(n,
                       tuple(tuple(int(x) for x in b) for b in pc["lattice"]))
         constituents = {}
         for key, poly in pc["constituents"].items():
-            rep = tuple(int(x) for x in key.split(",")) if key else ()
-            constituents[lat.reduce(rep)] = _poly_from_obj(poly)
+            rep = _vec(key.split(",") if key else (), n)
+            constituents[lat.reduce(rep)] = _poly_from_obj(poly, n)
+        if len(constituents) != lat.index():
+            raise ValueError("need one constituent per lattice coset")
         pieces.append((cell, QuasiPolynomial(n, lat, constituents)))
     return PiecewiseQuasiPolynomial(n, tuple(pieces))
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from math import comb, gcd
 
-from oracles import count_solutions
+from oracles import count_solutions, partition_count
 from presburger.cli import main
 from presburger.formulas import (
     LinearTerm,
@@ -24,8 +24,6 @@ from presburger.formulas import (
     parse,
 )
 from presburger.genfun import (
-    hadamard_univariate,
-    is_zero_univariate,
     make_term,
     gf_of_cell,
     rgf,
@@ -40,7 +38,8 @@ from presburger.quasipoly import (
     QuasiPolynomial,
     PiecewiseQuasiPolynomial,
     eventual_pqp,
-    partition_count,
+    hadamard_univariate,
+    is_zero_univariate,
     pqp_to_rgf,
     rgf_to_pqp,
     synth_formula,

@@ -262,18 +262,25 @@ def test_python_m_presburger():
 
 def test_malformed_input_rejected_under_optimize(tmp_path):
     # python -O strips asserts, so input checks must raise on their own
-    zero_denominator = {"names": ["x"], "terms": [
-        {"coef": "1", "numer_exp": [0], "denom": [[0]]}]}
+    def gf(names, numer, denom):
+        return {"names": names, "terms": [
+            {"coef": "1", "numer_exp": numer, "denom": denom}]}
 
-    def pqp(lattice, ineqs):
+    def pqp(lattice, ineqs, key="0", exps=(0,), dim=1):
         return {"n": 1, "names": ["p"], "pieces": [{
-            "constituents": {"0": [{"coef": "1", "exps": [0]}]},
+            "constituents": {key: [{"coef": "1", "exps": list(exps)}]},
             "lattice": lattice,
-            "polyhedron": {"dim": 1, "eqs": [], "ineqs": ineqs}}]}
+            "polyhedron": {"dim": dim, "eqs": [], "ineqs": ineqs}}]}
 
-    cases = [("series", zero_denominator),
+    cases = [("series", gf(["x"], [0], [[0]])),
+             ("series", gf(["x", "y"], [0], [[1, 0]])),
+             ("series", gf(["x"], [0, 1], [[1]])),
              ("synth", pqp([[0]], [[[1], 0]])),
-             ("synth", pqp([[1]], [[[1, 1], 0]]))]
+             ("synth", pqp([[1]], [[[1, 1], 0]])),
+             ("synth", pqp([[1]], [[[1], 0]], exps=(1, 1))),
+             ("synth", pqp([[1]], [[[1], 0]], key="0,5")),
+             ("synth", pqp([[1]], [[[1, 0], 0]], dim=2)),
+             ("synth", pqp([[2]], [[[1], 0]]))]
     for i, (cmd, obj) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(obj))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import series_oracle
 from presburger.formulas import (
     LinearTerm,
     cmp_eq,
@@ -37,19 +38,22 @@ from presburger.genfun import (
     make_term,
     monomial_substitute,
     rgf,
-    hadamard_univariate,
-    is_zero_univariate,
     series_coeffs,
     series_equal,
     specialize_ones,
 )
 from presburger.lattices import Lattice, LatticeCoset
 from presburger.polyhedra import Cone, Polyhedron
+from presburger.quasipoly import hadamard_univariate, is_zero_univariate
 from presburger.semilinear import SemilinearCell, to_dnf
 
 
 def box(d, hi):
     return itertools.product(range(hi + 1), repeat=d)
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def indicator(f, names, hi):
@@ -92,6 +96,34 @@ def test_series_cancellation():
 def test_series_dim_zero():
     assert series_coeffs(gf_const((), 5), 3) == {(): 5}
     assert series_coeffs(rgf((), []), 3) == {}
+
+
+def test_series_coeffs_random_against_enumeration():
+    rng = random.Random(2468)
+    for trial in range(150):
+        d = 1 + trial % 3
+        E = (3, 2, 1)[d - 1]  # largest |entry| of a denominator vector
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            denoms = []
+            for _ in range(rng.randint(0, 3 if d < 3 else 2)):
+                b = (0,) * d
+                while not any(b):
+                    b = tuple(rng.randint(-E, E) for _ in range(d))
+                denoms.append(b)
+            numer = tuple(rng.randint(-2, 2) for _ in range(d))
+            coef = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
+            terms.append(make_term(coef, numer, denoms))
+        g = rgf(tuple(f"x{i}" for i in range(d)), terms)
+        bound = rng.randint(0, 6)
+        # tau = ((E+1)^(d-1), ..., 1) has tau.b >= 1 on every lex-positive
+        # b with entries in [-E, E], so every k reaching the box has
+        # k_j <= (cap - tau.numer) / tau.b_j
+        tau = tuple((E + 1) ** (d - 1 - i) for i in range(d))
+        cap = bound * sum(tau)
+        K = max([0] + [(cap - dot(tau, t.numer)) // dot(tau, b)
+                       for t in g.terms for b in t.denom])
+        assert series_coeffs(g, bound) == series_oracle(g, bound, K)
 
 
 def test_cell_odd_at_least_three():
@@ -184,6 +216,11 @@ def test_specialize_partial_box():
     h = specialize_ones(g, [0])
     assert series_coeffs(h, 5) == {(y,): 3 for y in range(4)}
     assert cardinality(g) == 12
+
+
+def test_cardinality_rejects_fractional_count():
+    with pytest.raises(ValueError):
+        cardinality(gf_const(("x",), Fraction(1, 2)))
 
 
 def test_counting_gf_interval():

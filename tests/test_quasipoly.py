@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
-from oracles import count_solutions
+from oracles import count_solutions, partition_count
+from presburger import quasipoly
 from presburger.genfun import make_term, rgf, series_coeffs, series_equal
 from presburger.lattices import Lattice
 from presburger.polyhedra import Polyhedron
@@ -11,7 +13,6 @@ from presburger.quasipoly import (
     StepPolynomial,
     eventual_form,
     eventual_pqp,
-    partition_count,
     poly_compose_affine,
     poly_eval,
     poly_mul,
@@ -166,6 +167,12 @@ def test_partition_count_agrees_with_series():
     table = series_coeffs(vpf_gf(gens), 15)
     for p in range(16):
         assert partition_count(gens, (p,)) == table.get((p,), F(0))
+        assert quasipoly.partition_count(gens, (p,)) == table.get((p,), F(0))
+    gens = [(1, 0), (1, 2), (2, 1), (0, 3)]
+    for a in range(-1, 9):
+        for b in range(-1, 9):
+            assert quasipoly.partition_count(gens, (a, b)) == \
+                partition_count(gens, (a, b)), (a, b)
 
 
 def test_vpf_pqp_univariate():
@@ -207,6 +214,27 @@ def test_vpf_pqp_2d_ray():
     for a in range(17):
         for b in range(17):
             assert g2.eval((a, b)) == partition_count(gens, (a, b)), (a, b)
+
+
+def test_vpf_pqp_2d_random_against_brute_force():
+    rng = random.Random(1357)
+    checked = 0
+    while checked < 10:
+        gens = [tuple(rng.randint(0, 3) for _ in range(2))
+                for _ in range(rng.randint(3, 4))]
+        dets = [abs(u[0] * v[1] - u[1] * v[0]) for u in gens for v in gens]
+        if not all(any(g) for g in gens) or not any(dets):
+            continue
+        # cost grows with the period m, the lcm of the 2x2 minors: m^2
+        # cosets are interpolated from a series table of size about m^2
+        if math.lcm(*(x for x in dets if x)) > 6:
+            continue
+        g = vpf_pqp(gens)
+        for a in range(11):
+            for b in range(11):
+                assert g.eval((a, b)) == partition_count(gens, (a, b)), \
+                    (gens, a, b)
+        checked += 1
 
 
 def test_vpf_pqp_dimension_guard():
