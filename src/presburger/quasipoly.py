@@ -495,7 +495,10 @@ def vpf_gf(gens, names=None):
 
 
 def partition_count(gens, p):
-    """#{lam in NN^d : sum lam_i a_i = p}, read off the series of vpf_gf."""
+    """#{lam in NN^d : sum lam_i a_i = p}, read off the series of vpf_gf.
+
+    Not called inside the package; kept only because bench/tracing.py
+    wraps it by name."""
     p = tuple(int(c) for c in p)
     return int(series_coeffs(vpf_gf(gens), max(p, default=0)).get(p, 0))
 

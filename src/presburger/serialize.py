@@ -155,8 +155,10 @@ def pqp_from_obj(obj):
                       tuple(tuple(int(x) for x in b) for b in pc["lattice"]))
         constituents = {}
         for key, poly in pc["constituents"].items():
-            rep = _vec(key.split(",") if key else (), n)
-            constituents[lat.reduce(rep)] = _poly_from_obj(poly, n)
+            rep = lat.reduce(_vec(key.split(",") if key else (), n))
+            if rep in constituents:
+                raise ValueError(f"two constituents for the coset of {key}")
+            constituents[rep] = _poly_from_obj(poly, n)
         if len(constituents) != lat.index():
             raise ValueError("need one constituent per lattice coset")
         pieces.append((cell, QuasiPolynomial(n, lat, constituents)))

@@ -8,11 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import presburger
-from oracles import count_solutions
+from oracles import count_solutions, partition_count
 from presburger.cli import main
 from presburger.formulas import eval_ground, parse
 from presburger.genfun import series_coeffs, series_equal
-from presburger.quasipoly import partition_count, step_eval
+from presburger.quasipoly import step_eval
 from presburger.serialize import (
     gf_from_obj,
     pqp_from_obj,
@@ -272,6 +272,10 @@ def test_malformed_input_rejected_under_optimize(tmp_path):
             "lattice": lattice,
             "polyhedron": {"dim": dim, "eqs": [], "ineqs": ineqs}}]}
 
+    dup = pqp([[2]], [[[1], 0]])
+    dup["pieces"][0]["constituents"] = {
+        k: [{"coef": c, "exps": [0]}] for k, c in [("0", "1"), ("1", "1"),
+                                                   ("2", "5")]}
     cases = [("series", gf(["x"], [0], [[0]])),
              ("series", gf(["x", "y"], [0], [[1, 0]])),
              ("series", gf(["x"], [0, 1], [[1]])),
@@ -280,7 +284,8 @@ def test_malformed_input_rejected_under_optimize(tmp_path):
              ("synth", pqp([[1]], [[[1], 0]], exps=(1, 1))),
              ("synth", pqp([[1]], [[[1], 0]], key="0,5")),
              ("synth", pqp([[1]], [[[1, 0], 0]], dim=2)),
-             ("synth", pqp([[2]], [[[1], 0]]))]
+             ("synth", pqp([[2]], [[[1], 0]])),
+             ("synth", dup)]
     for i, (cmd, obj) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(obj))
