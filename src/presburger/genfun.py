@@ -12,13 +12,17 @@ vertex-cone decomposition on the full-dimensional remainder: each tangent
 cone is triangulated, the pieces are made half-open towards a generic
 reference vector so facets are never counted twice, and each half-open
 simplicial cone is summed exactly by enumerating the integer points of its
-fundamental parallelepiped.  Every series coefficient is read through one
-dynamic-programming kernel, series_coeffs, in any dimension.
+fundamental parallelepiped, in integer arithmetic against a scaled
+adjugate.  Every series coefficient is read through one dynamic-programming
+kernel, series_coeffs, in any dimension.  specialize_ones evaluates at 1
+by one Laurent expansion per distinct denominator (per simplicial cone),
+leaving each term only integer binomial sums.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +37,6 @@ from .lattices import (
     vadd,
     vdot,
     vneg,
-    vsub,
     zero_vec,
 )
 from .polyhedra import (
@@ -94,8 +97,10 @@ def rgf(names, terms):
     acc = {}
     for t in terms:
         key = (t.numer, t.denom)
-        acc[key] = acc.get(key, Fraction(0)) + t.coef
-    out = [GFTerm(c, n, d) for (n, d), c in sorted(acc.items()) if c != 0]
+        if key in acc:
+            t = GFTerm(acc[key].coef + t.coef, t.numer, t.denom)
+        acc[key] = t
+    out = [t for _, t in sorted(acc.items()) if t.coef != 0]
     return RationalGF(tuple(names), tuple(out))
 
 
@@ -118,7 +123,8 @@ def gf_add(*gs):
     names = gs[0].names
     terms = []
     for g in gs:
-        assert g.names == names
+        if g.names != names:
+            raise ValueError("generating functions over different variables")
         terms.extend(g.terms)
     return rgf(names, terms)
 
@@ -128,7 +134,8 @@ def gf_scale(g, c):
 
 
 def gf_mul(g1, g2):
-    assert g1.names == g2.names
+    if g1.names != g2.names:
+        raise ValueError("generating functions over different variables")
     terms = []
     for t1 in g1.terms:
         for t2 in g2.terms:
@@ -202,37 +209,37 @@ def series_equal(g1, g2, bound):
 
 
 def _substitute_exponents(g, new_names, images, shift=None):
-    """x_j -> y^images[j] (integer vectors), optionally shifted by y^shift."""
+    """x_j -> y^images[j] (integer vectors), optionally shifted by y^shift.
+
+    Each distinct denominator is mapped once, its lex flips folded into
+    the sign and shift of a unit term that its numerators then reuse.
+    """
     D = len(new_names)
     if shift is None:
         shift = zero_vec(D)
+    rows = tuple(tuple(v[i] for v in images) for i in range(D))
+    units = {}
     terms = []
     for t in g.terms:
-        numer = tuple(shift)
-        for j, e in enumerate(t.numer):
-            if e:
-                numer = vadd(numer, tuple(e * c for c in images[j]))
-        denoms = []
-        for b in t.denom:
-            nb = zero_vec(D)
-            for j, e in enumerate(b):
-                if e:
-                    nb = vadd(nb, tuple(e * c for c in images[j]))
-            if all(c == 0 for c in nb):
+        if t.denom not in units:
+            denoms = [mat_vec(rows, b) for b in t.denom]
+            if not all(any(b) for b in denoms):
                 raise ValueError(
                     "denominator vector maps to zero; substitute with "
                     "specialize_ones instead")
-            denoms.append(nb)
-        terms.append(make_term(t.coef, numer, denoms))
+            units[t.denom] = make_term(1, shift, denoms)
+        u = units[t.denom]
+        terms.append(GFTerm(t.coef * u.coef,
+                            vadd(mat_vec(rows, t.numer), u.numer), u.denom))
     return rgf(new_names, terms)
 
 
 def monomial_substitute(g, new_names, images):
     """Substitute x_j -> y^images[j] with nonnegative exponent vectors."""
-    assert len(images) == g.dim
-    for v in images:
-        assert len(v) == len(new_names)
-        assert all(c >= 0 for c in v), "exponent images must be nonnegative"
+    if len(images) != g.dim or any(len(v) != len(new_names) for v in images):
+        raise ValueError("one image of length len(new_names) per variable")
+    if any(c < 0 for v in images for c in v):
+        raise ValueError("exponent images must be nonnegative")
     return _substitute_exponents(g, new_names, [tuple(v) for v in images])
 
 
@@ -244,28 +251,38 @@ def _gf_halfopen_simplicial(names, apex, gens, ginv, excluded):
     """GF of apex + cone(gens) with facets in `excluded` removed.
 
     gens are linearly independent and span the ambient space, and ginv is
-    the inverse of the matrix with the gens as columns; the integer points
-    split into lattice cosets of the generator lattice, one point per
-    coset inside the half-open fundamental parallelepiped.
+    the inverse of the matrix G with the gens as columns; the integer
+    points split into lattice cosets of the generator lattice, one point
+    per coset inside the half-open fundamental parallelepiped.  All in
+    integers: with den and q the common denominators of ginv and apex,
+    adj = den * ginv, A = q * apex and D = den * q, a coset representative
+    rep has parallelepiped coordinates v = adj (q rep - A) mod D (D instead
+    of 0 on excluded facets) and the point is (den A + G v) / D.
     """
     d = len(gens)
     grows = tuple(tuple(g[i] for g in gens) for i in range(d))
+    den = math.lcm(*(c.denominator for row in ginv for c in row))
+    q = math.lcm(*(c.denominator for c in apex))
+    D = den * q
+    adj = [[int(c * den) for c in row] for row in ginv]
+    A = [int(c * q) for c in apex]
+    unit = make_term(1, zero_vec(d), gens)  # sign and shift of lex flips
+    base = [den * a + D * s for a, s in zip(A, unit.numer)]
     lat = Lattice.from_generators(d, gens)
     terms = []
     for rep in lat.coset_representatives():
-        t = mat_vec(ginv, vsub(tuple(Fraction(c) for c in rep),
-                               tuple(Fraction(c) for c in apex)))
-        tt = []
-        for i, ti in enumerate(t):
-            fr = ti - math.floor(ti)
-            if i in excluded and fr == 0:
-                fr = Fraction(1)
-            tt.append(fr)
-        pt = vadd(apex, mat_vec(grows, tt))
-        ipt = tuple(int(c) for c in pt)
-        assert all(a == b for a, b in zip(ipt, pt)), "parallelepiped point " \
-            "is not integral"
-        terms.append(make_term(1, ipt, gens))
+        w = [q * r - a for r, a in zip(rep, A)]
+        v = [sum(map(operator.mul, row, w)) % D for row in adj]
+        for i in excluded:
+            if v[i] == 0:
+                v[i] = D
+        pt = []
+        for b, row in zip(base, grows):
+            x, rem = divmod(b + sum(map(operator.mul, row, v)), D)
+            if rem:
+                raise ValueError("parallelepiped point is not integral")
+            pt.append(x)
+        terms.append(GFTerm(unit.coef, tuple(pt), unit.denom))
     return rgf(names, terms)
 
 
@@ -288,13 +305,12 @@ def _gf_of_cone(names, cone):
         if all(vdot(n, w) != 0 for _, _, normals in data for n in normals):
             break
         M *= 2
-    total = gf_zero(names)
+    terms = []
     for piece, ginv, normals in data:
         excluded = {i for i, n in enumerate(normals) if vdot(n, w) < 0}
-        total = gf_add(total,
-                       _gf_halfopen_simplicial(names, cone.apex, piece, ginv,
-                                               excluded))
-    return total
+        terms.extend(_gf_halfopen_simplicial(names, cone.apex, piece, ginv,
+                                             excluded).terms)
+    return rgf(names, terms)
 
 
 def _gf_of_integer_points(names, p):
@@ -329,10 +345,8 @@ def _gf_of_integer_points(names, p):
         sub = _gf_of_integer_points(inner_names, Polyhedron.of(k, rows))
         return _substitute_exponents(sub, names, w_cols, shift=x0)
 
-    total = gf_zero(names)
-    for v in vertices(p):
-        total = gf_add(total, _gf_of_cone(names, tangent_cone(p, v)))
-    return total
+    return rgf(names, [t for v in vertices(p)
+                       for t in _gf_of_cone(names, tangent_cone(p, v)).terms])
 
 
 def gf_of_cell(names, cell):
@@ -350,10 +364,8 @@ def gf_of_cell(names, cell):
 
 
 def gf_of_semilinear(s):
-    total = gf_zero(s.names)
-    for cell in s.cells:
-        total = gf_add(total, gf_of_cell(s.names, cell))
-    return total
+    return rgf(s.names, [t for cell in s.cells
+                         for t in gf_of_cell(s.names, cell).terms])
 
 
 def gf_of_formula(f, names=None):
@@ -375,15 +387,14 @@ def _nonvanishing_functional(vectors, size):
 
 def _binom(a, n):
     """Generalized binomial coefficient C(a, n) for integer a of any sign."""
-    num = Fraction(1)
-    for i in range(n):
-        num *= a - i
-    return num / math.factorial(n)
+    if a >= 0:
+        return math.comb(a, n)
+    return (-1) ** n * math.comb(n - a - 1, n)
 
 
 def _scalar_inverse(r, depth):
     """Inverse of a Fraction series with r[0] != 0, to the given depth."""
-    inv0 = 1 / r[0]
+    inv0 = Fraction(1) / r[0]
     out = [inv0]
     for n in range(1, depth + 1):
         s = Fraction(0)
@@ -460,6 +471,13 @@ def specialize_ones(g, positions):
     the summed series must cancel, otherwise the underlying value is
     infinite and DivergentSpecialization is raised.  Returns the GF in the
     remaining variables.
+
+    Terms sharing a denominator (the terms of one simplicial cone) share
+    its factor series, so these are multiplied out once per denominator.
+    A term coef * x^numer contributes only coef * C(tau . numer_s, n) at
+    order n, so each denominator keeps integer binomial sums keyed by the
+    remaining exponent and coefficient, and meets its factor series in one
+    series product.
     """
     positions = sorted(set(positions))
     spec = set(positions)
@@ -472,24 +490,31 @@ def specialize_ones(g, positions):
     def proj_r(v):
         return tuple(v[i] for i in keep)
 
-    restricted = {proj_s(b) for t in g.terms for b in t.denom
+    groups = {}  # denom -> its terms
+    for t in g.terms:
+        groups.setdefault(t.denom, []).append(t)
+    restricted = {proj_s(b) for denom in groups for b in denom
                   if any(b[i] for i in positions)}
     tau = _nonvanishing_functional(restricted, len(positions))
 
-    acc = {}  # order (<= 0) -> RationalGF
-
-    for t in g.terms:
-        k = sum(1 for b in t.denom if not any(proj_r(b)))
-        factor_series = []
+    acc = {}  # order (<= 0) -> list of GFTerms
+    for denom, terms in groups.items():
+        k = sum(1 for b in denom if not any(proj_r(b)))
+        sums = {}  # (remaining exponent, coef) -> binomial sums
+        for t in terms:
+            a_exp = vdot(tau, proj_s(t.numer))
+            row = sums.setdefault((proj_r(t.numer), t.coef), [0] * (k + 1))
+            for n in range(k + 1):
+                row[n] += _binom(a_exp, n)
+        factors = [gf_const(names_r, 1)] + [gf_zero(names_r)] * k
         pure_remaining = []
-        for b in t.denom:
+        for b in denom:
             bs, br = proj_s(b), proj_r(b)
             if not any(br):
                 # pure pole: 1/(1 - t^m) = s^-1 * inverse((1-(1+s)^m)/s)
                 m = vdot(tau, bs)
                 r = [-_binom(m, n + 1) for n in range(k + 1)]
-                factor_series.append(
-                    [gf_const(names_r, c) for c in _scalar_inverse(r, k)])
+                fs = [gf_const(names_r, c) for c in _scalar_inverse(r, k)]
             elif any(bs):
                 # mixed: 1/(1 - x^br (1+s)^m)
                 m = vdot(tau, bs)
@@ -498,25 +523,18 @@ def specialize_ones(g, positions):
                 for n in range(1, k + 1):
                     a.append(gf_monomial(names_r, -_binom(m, n), br))
                 a0inv = rgf(names_r, [make_term(1, zero_vec(len(keep)), [br])])
-                factor_series.append(_series_inv_with(a, a0inv, names_r, k))
+                fs = _series_inv_with(a, a0inv, names_r, k)
             else:
                 pure_remaining.append(br)
-        a_exp = vdot(tau, proj_s(t.numer))
-        binom_series = [gf_const(names_r, _binom(a_exp, n))
-                        for n in range(k + 1)]
-        base = rgf(names_r,
-                   [make_term(t.coef, proj_r(t.numer), pure_remaining)])
-        prod = [base] + [gf_zero(names_r)] * k
-        prod = _series_mul(prod, binom_series, names_r, k)
-        for fs in factor_series:
-            prod = _series_mul(prod, fs, names_r, k)
-        for n, part in enumerate(prod):
-            order = n - k
-            if order > 0:
-                break
-            if part.terms:
-                acc[order] = gf_add(acc[order], part) if order in acc else part
+                continue
+            factors = _series_mul(factors, fs, names_r, k)
+        numer = [rgf(names_r, [make_term(c * row[n], e, pure_remaining)
+                               for (e, c), row in sums.items()])
+                 for n in range(k + 1)]
+        for n, part in enumerate(_series_mul(numer, factors, names_r, k)):
+            acc.setdefault(n - k, []).extend(part.terms)
 
+    acc = {order: rgf(names_r, terms) for order, terms in acc.items()}
     for order in sorted(acc):
         if order < 0 and not _gf_is_identically_zero(acc[order]):
             raise DivergentSpecialization(

@@ -1,6 +1,7 @@
 """Shared brute-force oracles for the test suite."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from presburger.formulas import (
@@ -11,6 +12,8 @@ from presburger.formulas import (
     simplify,
     substitute,
 )
+from presburger.genfun import make_term, rgf
+from presburger.lattices import Lattice, mat_vec, vadd, vsub
 
 
 def count_solutions(formula, param, p0, counted):
@@ -93,3 +96,26 @@ def series_oracle(g, bound, K):
             if all(0 <= x <= bound for x in e):
                 out[tuple(e)] = out.get(tuple(e), Fraction(0)) + t.coef
     return {k: v for k, v in out.items() if v != 0}
+
+
+def halfopen_simplicial_oracle(names, apex, gens, ginv, excluded):
+    """GF of apex + cone(gens) minus the facets in `excluded`, one term per
+    coset of the generator lattice: the point is apex + G frac(ginv (rep -
+    apex)) in Fraction arithmetic, with 1 for 0 on excluded facets."""
+    d = len(gens)
+    grows = tuple(tuple(g[i] for g in gens) for i in range(d))
+    terms = []
+    for rep in Lattice.from_generators(d, gens).coset_representatives():
+        t = mat_vec(ginv, vsub(tuple(Fraction(c) for c in rep),
+                               tuple(Fraction(c) for c in apex)))
+        tt = []
+        for i, ti in enumerate(t):
+            fr = ti - math.floor(ti)
+            if i in excluded and fr == 0:
+                fr = Fraction(1)
+            tt.append(fr)
+        pt = vadd(apex, mat_vec(grows, tt))
+        if any(c.denominator != 1 for c in pt):
+            raise AssertionError(f"parallelepiped point {pt} not integral")
+        terms.append(make_term(1, pt, gens))
+    return rgf(names, terms)

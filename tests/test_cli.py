@@ -105,6 +105,18 @@ def test_count_gf_and_value(capsys):
     assert rc == 0 and out.strip() == "1326"
 
 
+def test_count_value_four_dim_knapsack(capsys):
+    rc, out, _ = run(capsys, "count", "5*x + 7*y + 9*z + 11*w <= 100",
+                     "--count-vars", "w,x,y,z", "--as", "value")
+    assert rc == 0 and out.strip() == "2193"
+    # DP over the coefficients: ways[n] tuples have weight exactly n
+    ways = [1] + [0] * 100
+    for c in (5, 7, 9, 11):
+        for n in range(c, 101):
+            ways[n] += ways[n - c]
+    assert sum(ways) == 2193
+
+
 def test_count_value_two_parameters(capsys):
     rc, out, _ = run(capsys, "count", "c <= p1 & c <= p2",
                      "--count-vars", "c", "--param-vars", "p1,p2",

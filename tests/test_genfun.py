@@ -2,12 +2,13 @@
 Brion decomposition on small polyhedra, specialization at 1."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import series_oracle
+from oracles import halfopen_simplicial_oracle, series_oracle
 from presburger.formulas import (
     LinearTerm,
     cmp_eq,
@@ -24,6 +25,7 @@ from presburger.genfun import (
     DivergentSpecialization,
     GFTerm,
     RationalGF,
+    _gf_halfopen_simplicial,
     _gf_of_cone,
     _gf_of_integer_points,
     cardinality,
@@ -42,7 +44,7 @@ from presburger.genfun import (
     series_equal,
     specialize_ones,
 )
-from presburger.lattices import Lattice, LatticeCoset
+from presburger.lattices import Lattice, LatticeCoset, rat_inv
 from presburger.polyhedra import Cone, Polyhedron
 from presburger.quasipoly import hadamard_univariate, is_zero_univariate
 from presburger.semilinear import SemilinearCell, to_dnf
@@ -151,6 +153,31 @@ def test_cone_fixture():
     assert got == want
 
 
+def test_halfopen_simplicial_random_against_oracle():
+    rng = random.Random(1357)
+    trials = on_facets = 0
+    while trials < 150:
+        d = 1 + trials % 4
+        gens = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d)]
+        try:
+            if Lattice.from_generators(d, gens).index() > 300:
+                continue
+        except ValueError:  # singular
+            continue
+        q = rng.randint(1, 7)
+        apex = tuple(Fraction(rng.randint(-20, 20), q) for _ in range(d))
+        excluded = {i for i in range(d) if rng.random() < 0.5}
+        ginv = rat_inv(tuple(tuple(g[i] for g in gens) for i in range(d)))
+        names = tuple(f"x{i}" for i in range(d))
+        want = halfopen_simplicial_oracle(names, apex, gens, ginv, excluded)
+        got = _gf_halfopen_simplicial(names, apex, gens, ginv, excluded)
+        assert got.terms == want.terms, (gens, apex, excluded)
+        closed = _gf_halfopen_simplicial(names, apex, gens, ginv, set())
+        on_facets += closed.terms != want.terms
+        trials += 1
+    assert on_facets >= 30  # excluded facets that really hold points
+
+
 def test_unit_square_brion():
     rows = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
     g = _gf_of_integer_points(("x", "y"), Polyhedron.of(2, rows))
@@ -185,7 +212,7 @@ def test_monomial_substitute():
     assert series_coeffs(h, 6) == {(n, n): 1 for n in range(7)}
     with pytest.raises(ValueError):
         monomial_substitute(g, ("x", "y"), [(0, 0)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         monomial_substitute(g, ("x", "y"), [(-1, 2)])
 
 
@@ -216,6 +243,87 @@ def test_specialize_partial_box():
     h = specialize_ones(g, [0])
     assert series_coeffs(h, 5) == {(y,): 3 for y in range(4)}
     assert cardinality(g) == 12
+
+
+def random_bounded_formula(rng, names):
+    """A seeded knapsack or box with up to two congruences in the given
+    variables: the formula, its integer points by enumeration, and a
+    bound on every coordinate."""
+    d = len(names)
+    if rng.random() < 0.5:
+        hi = rng.randint(0, 16 - 2 * d)
+        rows = [([rng.randint(1, 6) for _ in names], hi)]
+    else:
+        rows = [([int(i == j) for j in range(d)], rng.randint(0, 4))
+                for i in range(d)]
+        hi = max(h for _, h in rows)
+    congs = []
+    for _ in range(rng.randint(0, 2)):
+        c = [rng.randint(0, 3) for _ in names]
+        c[rng.randrange(d)] = 1
+        m = rng.randint(2, 4)
+        congs.append((c, m, rng.randrange(m)))
+
+    def lin(c):
+        return " + ".join(f"{a}*{n}" for a, n in zip(c, names) if a)
+
+    text = [f"{lin(a)} <= {h}" for a, h in rows]
+    text += [f"{lin(c)} % {m} = {r}" for c, m, r in congs]
+    points = [p for p in box(d, hi)
+              if all(dot(a, p) <= h for a, h in rows)
+              and all(dot(c, p) % m == r for c, m, r in congs)]
+    return parse(" & ".join(text)), points, hi
+
+
+def gf_value(g, x):
+    """Exact value of g at a point x where no 1 - x^b vanishes."""
+    def mono(e):
+        return math.prod(c ** k for c, k in zip(x, e))
+    return sum((t.coef * mono(t.numer)
+                / math.prod(1 - mono(b) for b in t.denom) for t in g.terms),
+               Fraction(0))
+
+
+def test_specialize_random_bounded_against_enumeration():
+    rng = random.Random(8642)
+    # x^b = 1 only for b = 0 at these points (unique factorization)
+    at = [tuple(Fraction(1, p) for p in (2, 3, 5, 7)),
+          tuple(Fraction(p, q)
+                for p, q in ((2, 3), (5, 7), (11, 13), (17, 19)))]
+    for trial in range(30):
+        d = 2 + trial % 3
+        names = ["w", "x", "y", "z"][:d]
+        f, points, hi = random_bounded_formula(rng, names)
+        g = gf_of_formula(f, names)
+        assert cardinality(g) == len(points), format_formula(f)
+        # the full GF lists the enumerated points; checked by exact values,
+        # as its series on the box can cost far more than the box in 4-d
+        for pt in at:
+            listed = rgf(names, [make_term(1, p, []) for p in points])
+            assert gf_value(g, pt[:d]) == gf_value(listed, pt[:d]), \
+                format_formula(f)
+        counted = sorted(rng.sample(range(d), rng.randint(1, d - 1)))
+        want = {}
+        for p in points:
+            key = tuple(x for i, x in enumerate(p) if i not in counted)
+            want[key] = want.get(key, 0) + 1
+        h = specialize_ones(g, counted)
+        assert series_coeffs(h, hi) == want, (format_formula(f), counted)
+
+
+def test_specialize_random_unbounded_diverges():
+    rng = random.Random(9753)
+    for trial in range(9):
+        d = 2 + trial % 3
+        names = ["w", "x", "y", "z"][:d]
+        points = []
+        while not points:
+            f, points, _ = random_bounded_formula(rng, names[:-1])
+        g = gf_of_formula(f, names)  # the last variable is unconstrained
+        with pytest.raises(DivergentSpecialization):
+            cardinality(g)
+        with pytest.raises(DivergentSpecialization):
+            specialize_ones(g, [d - 1])
 
 
 def test_cardinality_rejects_fractional_count():
