@@ -20,9 +20,17 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .formulas import FormulaSyntaxError, format_formula, free_vars, parse
+from .formulas import (
+    FormulaSyntaxError,
+    LinearTerm,
+    format_formula,
+    free_vars,
+    parse,
+    substitute,
+)
 from .genfun import (
     DivergentSpecialization,
+    cardinality,
     counting_gf,
     gf_of_formula,
     series_coeffs,
@@ -90,12 +98,20 @@ def _parse_vectors(spec):
     return vecs
 
 
-def _emit(args, obj):
-    if args.format == "json":
-        print(serialize.dumps({k: v for k, v in obj.items()
-                               if k != "_text"}))
-    else:
-        print(obj["_text"])
+def _emit(args, obj, text):
+    """Print the document that --format asks for; obj and text build the
+    JSON object and the text, and only the printed one is built."""
+    print(serialize.dumps(obj()) if args.format == "json" else text())
+
+
+def _emit_gf(args, g):
+    _emit(args, lambda: serialize.gf_to_obj(g), lambda: _fmt_gf(g))
+
+
+def _emit_infinite(args, message):
+    print(message, file=sys.stderr)
+    _emit(args, lambda: {"result": "infinite"}, lambda: "infinite")
+    return SEMANTIC
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +174,21 @@ def _fmt_gf(g):
     return _join_signed(parts)
 
 
+def _fmt_cells(s):
+    lines = []
+    for i, cell in enumerate(s.cells):
+        lines.append(f"cell {i + 1}:")
+        body = []
+        for a, b in cell.polyhedron.eqs:
+            body.append("  " + _fmt_row(s.names, a, b, "="))
+        for a, b in cell.polyhedron.ineqs:
+            body.append("  " + _fmt_row(s.names, a, b, ">="))
+        for coeffs, r, mod in congruences_of_coset(cell.coset):
+            body.append("  " + _fmt_row(s.names, coeffs, r, f"% {mod} ="))
+        lines.extend(body or ["  true"])
+    return "\n".join(lines) if lines else "empty"
+
+
 def _fmt_row(names, a, b, op):
     parts = [(c < 0, n if abs(c) == 1 else f"{abs(c)}*{n}")
              for n, c in zip(names, a) if c]
@@ -203,6 +234,16 @@ def _fmt_pieces(names, g):
     return "\n".join(lines) if lines else "0"
 
 
+def _fmt_step_form(names, initial, s):
+    lines = []
+    if initial:
+        vals = ", ".join(f"{names[0]}={p}: {v}"
+                         for p, v in enumerate(initial))
+        lines.append(f"initial values [{vals}]")
+    lines.append(f"for {names[0]} >= {len(initial)}: " + _fmt_step(names, s))
+    return "\n".join(lines)
+
+
 def _fmt_step(names, s):
     if not s.terms:
         return "0"
@@ -234,44 +275,27 @@ def cmd_decide(args):
         raise CliError(SEMANTIC,
                        f"formula has free variables: {sorted(fv)}")
     val = decide(f)
-    _emit(args, {"result": val, "_text": "true" if val else "false"})
+    _emit(args, lambda: {"result": val}, lambda: "true" if val else "false")
     return 0
 
 
 def cmd_qelim(args):
     g = qelim(parse(args.formula))
     s = format_formula(g)
-    _emit(args, {"formula": s, "_text": s})
+    _emit(args, lambda: {"formula": s}, lambda: s)
     return 0
 
 
 def cmd_dnf(args):
     s = to_dnf(parse(args.formula))
-    lines = []
-    for i, cell in enumerate(s.cells):
-        lines.append(f"cell {i + 1}:")
-        body = []
-        for a, b in cell.polyhedron.eqs:
-            body.append("  " + _fmt_row(s.names, a, b, "="))
-        for a, b in cell.polyhedron.ineqs:
-            body.append("  " + _fmt_row(s.names, a, b, ">="))
-        for coeffs, r, mod in congruences_of_coset(cell.coset):
-            t = _fmt_row(s.names, coeffs, r, f"% {mod} =")
-            body.append("  " + t)
-        lines.extend(body or ["  true"])
-    obj = serialize.semilinear_to_obj(s)
-    obj["_text"] = "\n".join(lines) if lines else "empty"
-    _emit(args, obj)
+    _emit(args, lambda: serialize.semilinear_to_obj(s), lambda: _fmt_cells(s))
     return 0
 
 
 def cmd_genfun(args):
     f = parse(args.formula)
     names = tuple(sorted(free_vars(f)))
-    g = gf_of_formula(f, names)
-    obj = serialize.gf_to_obj(g)
-    obj["_text"] = _fmt_gf(g)
-    _emit(args, obj)
+    _emit_gf(args, gf_of_formula(f, names))
     return 0
 
 
@@ -291,35 +315,16 @@ def cmd_count(args):
         raise CliError(SEMANTIC,
                        f"free variables neither counted nor parameter: "
                        f"{sorted(missing)}")
+    if args.as_ == "value":
+        return _count_at(args, f, counted, params)
     try:
         g = counting_gf(f, tuple(counted), tuple(params))
     except DivergentSpecialization:
-        print("count is infinite for some parameter value",
-              file=sys.stderr)
-        _emit(args, {"result": "infinite", "_text": "infinite"})
-        return SEMANTIC
+        return _emit_infinite(args,
+                              "count is infinite for some parameter value")
 
     if args.as_ == "gf":
-        obj = serialize.gf_to_obj(g)
-        obj["_text"] = _fmt_gf(g)
-        _emit(args, obj)
-        return 0
-
-    if args.as_ == "value":
-        if not params:
-            val = sum((t.coef for t in g.terms), Fraction(0))
-        else:
-            if args.at is None:
-                raise CliError(SEMANTIC, "--as value needs --at")
-            at = _parse_vectors(args.at)[0]
-            if len(at) != len(params):
-                raise CliError(SEMANTIC,
-                               f"--at needs {len(params)} coordinates")
-            if len(params) == 1:
-                val = rgf_to_pqp(g).eval(at)
-            else:
-                val = series_coeffs(g, max(at)).get(at, Fraction(0))
-        _emit(args, {"value": serialize.frac_str(val), "_text": str(val)})
+        _emit_gf(args, g)
         return 0
 
     if len(params) != 1:
@@ -327,26 +332,38 @@ def cmd_count(args):
                        f"--as {args.as_} needs exactly one parameter")
     pqp = rgf_to_pqp(g)
     if args.as_ == "qp":
-        obj = serialize.pqp_to_obj(pqp, names=params)
-        initial, q = eventual_form(pqp)
-        obj["_text"] = _fmt_eventual(params[0], initial, q)
-        _emit(args, obj)
+        _emit(args, lambda: serialize.pqp_to_obj(pqp, names=params),
+              lambda: _fmt_eventual(params[0], *eventual_form(pqp)))
         return 0
 
     # --as step
     initial, q = eventual_form(pqp)
     s = qp_to_step(q)
-    obj = {"initial": [serialize.frac_str(v) for v in initial],
-           "names": params, "step": serialize.step_to_obj(s)}
-    lines = []
-    if initial:
-        vals = ", ".join(f"{params[0]}={p}: {v}"
-                         for p, v in enumerate(initial))
-        lines.append(f"initial values [{vals}]")
-    lines.append(f"for {params[0]} >= {len(initial)}: "
-                 + _fmt_step(tuple(params), s))
-    obj["_text"] = "\n".join(lines)
-    _emit(args, obj)
+    _emit(args, lambda: {"initial": [serialize.frac_str(v) for v in initial],
+                         "names": params, "step": serialize.step_to_obj(s)},
+          lambda: _fmt_step_form(tuple(params), initial, s))
+    return 0
+
+
+def _count_at(args, f, counted, params):
+    """--as value: substitute the point for the parameters in the
+    quantifier-free form of f and count the counted variables."""
+    if params and args.at is None:
+        raise CliError(SEMANTIC, "--as value needs --at")
+    at = _parse_vectors(args.at)[0] if params else ()
+    if len(at) != len(params):
+        raise CliError(SEMANTIC, f"--at needs {len(params)} coordinates")
+    val = 0  # parameters range over N
+    if all(v >= 0 for v in at):
+        g = qelim(f)
+        for name, v in zip(params, at):
+            g = substitute(g, name, LinearTerm.const(v))
+        try:
+            val = cardinality(gf_of_formula(g, counted))
+        except DivergentSpecialization:
+            return _emit_infinite(args, "count is infinite" + (
+                f" at {args.at}" if params else ""))
+    _emit(args, lambda: {"value": serialize.frac_str(val)}, lambda: str(val))
     return 0
 
 
@@ -360,9 +377,7 @@ def cmd_vpf(args):
             g = vpf_gf(vecs, names=names)
         except ValueError as e:
             raise CliError(SEMANTIC, str(e))
-        obj = serialize.gf_to_obj(g)
-        obj["_text"] = _fmt_gf(g)
-        _emit(args, obj)
+        _emit_gf(args, g)
         return 0
     if n > 2:
         raise CliError(UNSUPPORTED,
@@ -371,13 +386,9 @@ def cmd_vpf(args):
         g = vpf_pqp(vecs)
     except ValueError as e:
         raise CliError(SEMANTIC, str(e))
-    obj = serialize.pqp_to_obj(g, names=pnames)
-    if n == 1:
-        initial, q = eventual_form(g)
-        obj["_text"] = _fmt_eventual("p", initial, q)
-    else:
-        obj["_text"] = _fmt_pieces(pnames, g)
-    _emit(args, obj)
+    _emit(args, lambda: serialize.pqp_to_obj(g, names=pnames),
+          lambda: _fmt_eventual("p", *eventual_form(g)) if n == 1
+          else _fmt_pieces(pnames, g))
     return 0
 
 
@@ -396,10 +407,10 @@ def cmd_synth(args):
     except ValueError as e:
         raise CliError(SEMANTIC, str(e))
     text = format_formula(formula)
-    out = {"formula": text, "counted": list(counted), "param": param,
-           "_text": f"formula: {text}\ncounted: {','.join(counted)}\n"
-                    f"param: {param}"}
-    _emit(args, out)
+    _emit(args, lambda: {"formula": text, "counted": list(counted),
+                         "param": param},
+          lambda: f"formula: {text}\ncounted: {','.join(counted)}\n"
+                  f"param: {param}")
     return 0
 
 
@@ -409,19 +420,16 @@ def cmd_series(args):
     table = series_coeffs(g, bound)
     if g.dim == 1:
         vals = [table.get((p,), Fraction(0)) for p in range(bound + 1)]
-        obj = {"bound": bound,
-               "values": [serialize.frac_str(v) for v in vals],
-               "_text": " ".join(str(v) for v in vals)}
+        _emit(args, lambda: {"bound": bound,
+                             "values": [serialize.frac_str(v) for v in vals]},
+              lambda: " ".join(str(v) for v in vals))
     else:
         pts = sorted(table)
-        obj = {"bound": bound,
-               "coeffs": [{"point": list(pt),
-                           "value": serialize.frac_str(table[pt])}
-                          for pt in pts],
-               "_text": "\n".join(
-                   f"{' '.join(str(c) for c in pt)}: {table[pt]}"
-                   for pt in pts) or "0"}
-    _emit(args, obj)
+        _emit(args, lambda: {"bound": bound, "coeffs": [
+                  {"point": list(pt), "value": serialize.frac_str(table[pt])}
+                  for pt in pts]},
+              lambda: "\n".join(f"{' '.join(str(c) for c in pt)}: {table[pt]}"
+                                for pt in pts) or "0")
     return 0
 
 
@@ -430,10 +438,7 @@ def cmd_hadamard(args):
     g = _load_gf(args.gf2)
     if f.dim != 1 or g.dim != 1:
         raise CliError(UNSUPPORTED, "hadamard product is univariate only")
-    h = hadamard_univariate(f, g)
-    obj = serialize.gf_to_obj(h)
-    obj["_text"] = _fmt_gf(h)
-    _emit(args, obj)
+    _emit_gf(args, hadamard_univariate(f, g))
     return 0
 
 
@@ -442,7 +447,7 @@ def cmd_zero(args):
     if g.dim != 1:
         raise CliError(UNSUPPORTED, "zero test is univariate only")
     val = is_zero_univariate(g)
-    _emit(args, {"result": val, "_text": "true" if val else "false"})
+    _emit(args, lambda: {"result": val}, lambda: "true" if val else "false")
     return 0
 
 

@@ -6,17 +6,20 @@ A RationalGF is a finite sum of terms
 
 with Fraction coef, integer exponent vectors numer (negative entries are
 allowed in intermediate results) and nonzero lex-positive denominator
-vectors b.  The GF of a cell is computed by changing coordinates along the
-coset lattice, splitting off the affine hull over Z, and running Brion's
-vertex-cone decomposition on the full-dimensional remainder: each tangent
-cone is triangulated, the pieces are made half-open towards a generic
-reference vector so facets are never counted twice, and each half-open
-simplicial cone is summed exactly by enumerating the integer points of its
-fundamental parallelepiped, in integer arithmetic against a scaled
-adjugate.  Every series coefficient is read through one dynamic-programming
-kernel, series_coeffs, in any dimension.  specialize_ones evaluates at 1
-by one Laurent expansion per distinct denominator (per simplicial cone),
-leaving each term only integer binomial sums.
+vectors b.  The GF of a cell is computed after one change of coordinates:
+an integer affine map from Z^k onto the points of the cell's coset in its
+affine hull, the coset basis composed with an integer parametrization of
+the hull.  Brion's vertex-cone decomposition then runs on the
+full-dimensional polyhedron in Z^k: each tangent cone is triangulated, the
+pieces are made half-open towards a generic reference vector so facets are
+never counted twice, and each half-open simplicial cone is summed exactly
+by enumerating the integer points of its fundamental parallelepiped, in
+integer arithmetic against a scaled adjugate.  These steps pass plain term
+lists; the terms are mapped back and coalesced once per cell.  Every
+series coefficient is read through one dynamic-programming kernel,
+series_coeffs, in any dimension.  specialize_ones evaluates at 1 by one
+Laurent expansion per distinct denominator (per simplicial cone), leaving
+each term only integer binomial sums.
 """
 
 from __future__ import annotations
@@ -208,19 +211,16 @@ def series_equal(g1, g2, bound):
 # monomial substitution
 
 
-def _substitute_exponents(g, new_names, images, shift=None):
-    """x_j -> y^images[j] (integer vectors), optionally shifted by y^shift.
+def _substitute_exponents(terms, images, shift):
+    """Terms under x_j -> y^images[j] (integer vectors), times y^shift.
 
     Each distinct denominator is mapped once, its lex flips folded into
     the sign and shift of a unit term that its numerators then reuse.
     """
-    D = len(new_names)
-    if shift is None:
-        shift = zero_vec(D)
-    rows = tuple(tuple(v[i] for v in images) for i in range(D))
+    rows = tuple(tuple(v[i] for v in images) for i in range(len(shift)))
     units = {}
-    terms = []
-    for t in g.terms:
+    out = []
+    for t in terms:
         if t.denom not in units:
             denoms = [mat_vec(rows, b) for b in t.denom]
             if not all(any(b) for b in denoms):
@@ -229,9 +229,9 @@ def _substitute_exponents(g, new_names, images, shift=None):
                     "specialize_ones instead")
             units[t.denom] = make_term(1, shift, denoms)
         u = units[t.denom]
-        terms.append(GFTerm(t.coef * u.coef,
-                            vadd(mat_vec(rows, t.numer), u.numer), u.denom))
-    return rgf(new_names, terms)
+        out.append(GFTerm(t.coef * u.coef,
+                          vadd(mat_vec(rows, t.numer), u.numer), u.denom))
+    return out
 
 
 def monomial_substitute(g, new_names, images):
@@ -240,14 +240,15 @@ def monomial_substitute(g, new_names, images):
         raise ValueError("one image of length len(new_names) per variable")
     if any(c < 0 for v in images for c in v):
         raise ValueError("exponent images must be nonnegative")
-    return _substitute_exponents(g, new_names, [tuple(v) for v in images])
+    return rgf(new_names, _substitute_exponents(
+        g.terms, [tuple(v) for v in images], zero_vec(len(new_names))))
 
 
 # ---------------------------------------------------------------------------
 # generating function of a cell (Brion decomposition)
 
 
-def _gf_halfopen_simplicial(names, apex, gens, ginv, excluded):
+def _gf_halfopen_simplicial(apex, gens, ginv, excluded):
     """GF of apex + cone(gens) with facets in `excluded` removed.
 
     gens are linearly independent and span the ambient space, and ginv is
@@ -283,10 +284,10 @@ def _gf_halfopen_simplicial(names, apex, gens, ginv, excluded):
                 raise ValueError("parallelepiped point is not integral")
             pt.append(x)
         terms.append(GFTerm(unit.coef, tuple(pt), unit.denom))
-    return rgf(names, terms)
+    return terms
 
 
-def _gf_of_cone(names, cone):
+def _gf_of_cone(cone):
     """GF of the integer points of a pointed full-dimensional cone."""
     d = len(cone.apex)
     pieces = triangulate(cone.generators)
@@ -308,59 +309,51 @@ def _gf_of_cone(names, cone):
     terms = []
     for piece, ginv, normals in data:
         excluded = {i for i, n in enumerate(normals) if vdot(n, w) < 0}
-        terms.extend(_gf_halfopen_simplicial(names, cone.apex, piece, ginv,
-                                             excluded).terms)
-    return rgf(names, terms)
-
-
-def _gf_of_integer_points(names, p):
-    """GF listing the integer points of a pointed polyhedron."""
-    d = p.dim
-    if not is_feasible(p):
-        return gf_zero(names)
-    if d == 0:
-        return gf_const(names, 1)
-
-    eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p)))
-    if eq_rows:
-        A = tuple(a for a, _ in eq_rows)
-        rhs = tuple(b for _, b in eq_rows)
-        x0 = solve_int(A, rhs)
-        if x0 is None:
-            return gf_zero(names)
-        w_cols = hnf_kernel(A)
-        k = len(w_cols)
-        if k == 0:
-            if p.contains(x0):
-                return gf_monomial(names, 1, x0)
-            return gf_zero(names)
-        eq_set = set(eq_rows)
-        rows = []
-        for a, b in p.ineqs:
-            if (a, b) in eq_set:
-                continue
-            aw = tuple(vdot(a, wc) for wc in w_cols)
-            rows.append((aw, b - vdot(a, x0)))
-        inner_names = tuple(f"_t{i}" for i in range(k))
-        sub = _gf_of_integer_points(inner_names, Polyhedron.of(k, rows))
-        return _substitute_exponents(sub, names, w_cols, shift=x0)
-
-    return rgf(names, [t for v in vertices(p)
-                       for t in _gf_of_cone(names, tangent_cone(p, v)).terms])
+        terms.extend(_gf_halfopen_simplicial(cone.apex, piece, ginv, excluded))
+    return terms
 
 
 def gf_of_cell(names, cell):
-    """GF of the integer points of polyhedron-intersect-coset."""
+    """GF of the integer points of polyhedron-intersect-coset.
+
+    One integer affine map x = shift + M t carries Z^k onto the integer
+    points of the cell: the coset is x = rep + B z with B its basis, and
+    the affine hull of the polyhedron in z (its equalities plus the
+    implicit ones) is z = z0 + W t with W an integer kernel basis.  Brion
+    runs on the full-dimensional polyhedron in t (a 0-dimensional one is
+    its single vertex), and its terms are mapped back once, not at all
+    when x = t.
+    """
     d = len(names)
-    basis = cell.coset.lattice.basis  # basis[j] is the j-th basis vector
-    rep = cell.coset.rep
-    rows = [(tuple(vdot(a, basis[j]) for j in range(d)), b - vdot(a, rep))
-            for a, b in cell.polyhedron.ineqs]
-    eqs = [(tuple(vdot(a, basis[j]) for j in range(d)), b - vdot(a, rep))
-           for a, b in cell.polyhedron.eqs]
-    inner_names = tuple(f"_z{i}" for i in range(d))
-    inner = _gf_of_integer_points(inner_names, Polyhedron.of(d, rows, eqs))
-    return _substitute_exponents(inner, names, list(basis), shift=rep)
+    basis, rep = cell.coset.lattice.basis, cell.coset.rep
+
+    def in_z(a, b):
+        return tuple(vdot(a, v) for v in basis), b - vdot(a, rep)
+
+    p = Polyhedron.of(d, [in_z(a, b) for a, b in cell.polyhedron.ineqs],
+                      [in_z(a, b) for a, b in cell.polyhedron.eqs])
+    if not is_feasible(p):
+        return gf_zero(names)
+    eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p)))
+    identity = Lattice.standard(d).basis
+    z0, kernel = zero_vec(d), identity
+    if eq_rows:
+        A = tuple(a for a, _ in eq_rows)
+        z0 = solve_int(A, tuple(b for _, b in eq_rows))
+        if z0 is None:
+            return gf_zero(names)
+        kernel = hnf_kernel(A)
+    # an implicit equality becomes the trivial row 0 >= 0, which is dropped
+    q = Polyhedron.of(len(kernel), [
+        (tuple(vdot(a, w) for w in kernel), b - vdot(a, z0))
+        for a, b in p.ineqs])
+    terms = [t for v in vertices(q) for t in _gf_of_cone(tangent_cone(q, v))]
+    B = cell.coset.lattice.basis_matrix()
+    images = [mat_vec(B, w) for w in kernel]
+    shift = vadd(rep, mat_vec(B, z0))
+    if images != list(identity):  # else the coset is Z^d and shift is 0
+        terms = _substitute_exponents(terms, images, shift)
+    return rgf(names, terms)
 
 
 def gf_of_semilinear(s):

@@ -411,50 +411,12 @@ def congruence_coset(coeffs, residue, modulus, dim):
     Returns a LatticeCoset, or None when the congruence has no solution.
     """
     assert modulus >= 1
-    row = tuple(coeffs) + (modulus,)
-    g = 0
-    for a in row:
-        g = gcd(g, a)
-    if residue % g != 0:
+    row = (*coeffs, modulus)
+    x0 = solve_int((row,), (residue,))
+    if x0 is None:
         return None
-    # Bezout coefficients for g = sum c_i a_i + c_m m, built incrementally.
-    cs = _bezout(row)
-    x0 = tuple((residue // g) * c for c in cs[:dim])
     gens = [tuple(u[:dim]) for u in hnf_kernel((row,))]
-    return LatticeCoset(Lattice.from_generators(dim, gens), x0)
-
-
-def _bezout(nums):
-    """Coefficients c with sum(c_i * nums_i) = gcd(nums)."""
-    coeffs = []
-    g = 0
-    for a in nums:
-        if g == 0:
-            s = 1 if a >= 0 else -1
-            coeffs = [0] * len(coeffs) + [s] if a != 0 else coeffs + [0]
-            g = abs(a)
-            continue
-        x, y, g2 = _xgcd(g, a)
-        coeffs = [c * x for c in coeffs] + [y]
-        g = g2
-    if g == 0:
-        return [0] * len(nums)
-    return coeffs + [0] * (len(nums) - len(coeffs))
-
-
-def _xgcd(a, b):
-    """(x, y, g) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_s, old_t, old_r
+    return LatticeCoset(Lattice.from_generators(dim, gens), x0[:dim])
 
 
 def solve_congruences(atoms, dim):

@@ -186,7 +186,7 @@ def vertices(p):
     for sub in combinations(p.ineqs, k):
         M = [a for a, _ in eq_rows] + [a for a, _ in sub]
         rhs = [b for _, b in eq_rows] + [b for _, b in sub]
-        x = rat_solve(M, rhs)
+        x = rat_solve(M, rhs) if M else ()  # no rows only when d = 0
         if x is not None and p.contains(x):
             out.add(x)
     return sorted(out)
@@ -235,11 +235,12 @@ def triangulate(generators):
     to the boundary facets it can see.  Generators interior to the hull of
     the earlier ones are absorbed; generators interior to the final cone
     but placed early subdivide it.  Pieces are sorted tuples of the given
-    generators, each of full rank.
+    generators, each of full rank; no generators give the one empty
+    piece.
     """
     gens = sorted(set(tuple(g) for g in generators))
     if not gens:
-        return []
+        return [()]  # the cone {0} is its own simplicial piece
     basis_idx = []
     basis_rows = []
     for i, g in enumerate(gens):

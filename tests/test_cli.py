@@ -124,6 +124,47 @@ def test_count_value_two_parameters(capsys):
     assert rc == 0 and out.strip() == "4"
 
 
+def test_count_value_large_two_parameter_point(capsys):
+    rc, out, _ = run(capsys, "count", "x + y <= p + q",
+                     "--count-vars", "x,y", "--param-vars", "p,q",
+                     "--as", "value", "--at", "600,600")
+    # (n + 1)(n + 2)/2 pairs with x + y <= n = 1200
+    assert rc == 0 and out.strip() == str(1201 * 1202 // 2) == "721801"
+
+
+def test_count_value_negative_coordinate_is_zero(capsys):
+    for at in ("-1", "-7"):
+        rc, out, _ = run(capsys, "count", "x <= p + 5",
+                         "--count-vars", "x", "--param-vars", "p",
+                         "--as", "value", "--at", at)
+        assert rc == 0 and out.strip() == "0", at
+    rc, out, _ = run(capsys, "count", "x + y <= p + q",
+                     "--count-vars", "x,y", "--param-vars", "p,q",
+                     "--as", "value", "--at", "3,-1", "--format", "json")
+    assert rc == 0 and json.loads(out) == {"value": "0"}
+
+
+def test_count_value_parameter_name_also_bound(capsys):
+    # the quantifier binds its own p; only the free p takes the value 6
+    rc, out, _ = run(capsys, "count", "x <= p & E p. x = 2*p",
+                     "--count-vars", "x", "--param-vars", "p",
+                     "--as", "value", "--at", "6")
+    assert rc == 0 and out.strip() == "4"  # x in {0, 2, 4, 6}
+
+
+def test_count_value_finite_here_infinite_elsewhere(capsys):
+    f = "x <= p | p >= 3"
+    argv = ("count", f, "--count-vars", "x", "--param-vars", "p")
+    rc, out, _ = run(capsys, *argv, "--as", "qp")
+    assert rc == 3 and out.strip() == "infinite"
+    for p in range(3):
+        rc, out, _ = run(capsys, *argv, "--as", "value", "--at", str(p))
+        assert rc == 0 and out.strip() == str(p + 1), p
+    rc, out, err = run(capsys, *argv, "--as", "value", "--at", "3")
+    assert rc == 3 and out.strip() == "infinite"
+    assert "infinite" in err
+
+
 def test_count_total_value_without_params(capsys):
     rc, out, _ = run(capsys, "count", "3*c1 + 5*c2 = 20",
                      "--count-vars", "c1,c2", "--as", "value")

@@ -27,7 +27,6 @@ from presburger.genfun import (
     RationalGF,
     _gf_halfopen_simplicial,
     _gf_of_cone,
-    _gf_of_integer_points,
     cardinality,
     counting_gf,
     gf_add,
@@ -44,7 +43,7 @@ from presburger.genfun import (
     series_equal,
     specialize_ones,
 )
-from presburger.lattices import Lattice, LatticeCoset, rat_inv
+from presburger.lattices import Lattice, LatticeCoset, full_coset, rat_inv
 from presburger.polyhedra import Cone, Polyhedron
 from presburger.quasipoly import hadamard_univariate, is_zero_univariate
 from presburger.semilinear import SemilinearCell, to_dnf
@@ -142,7 +141,7 @@ def test_cell_odd_at_least_three():
 def test_cone_fixture():
     # cone over (1,0) and (1,2): parallelepiped holds (0,0) and (1,1)
     cone = Cone((Fraction(0), Fraction(0)), ((1, 0), (1, 2)))
-    g = _gf_of_cone(("a", "b"), cone)
+    g = rgf(("a", "b"), _gf_of_cone(cone))
     assert set(g.terms) == {
         GFTerm(Fraction(1), (0, 0), ((1, 0), (1, 2))),
         GFTerm(Fraction(1), (1, 1), ((1, 0), (1, 2))),
@@ -170,9 +169,9 @@ def test_halfopen_simplicial_random_against_oracle():
         ginv = rat_inv(tuple(tuple(g[i] for g in gens) for i in range(d)))
         names = tuple(f"x{i}" for i in range(d))
         want = halfopen_simplicial_oracle(names, apex, gens, ginv, excluded)
-        got = _gf_halfopen_simplicial(names, apex, gens, ginv, excluded)
+        got = rgf(names, _gf_halfopen_simplicial(apex, gens, ginv, excluded))
         assert got.terms == want.terms, (gens, apex, excluded)
-        closed = _gf_halfopen_simplicial(names, apex, gens, ginv, set())
+        closed = rgf(names, _gf_halfopen_simplicial(apex, gens, ginv, set()))
         on_facets += closed.terms != want.terms
         trials += 1
     assert on_facets >= 30  # excluded facets that really hold points
@@ -180,7 +179,8 @@ def test_halfopen_simplicial_random_against_oracle():
 
 def test_unit_square_brion():
     rows = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
-    g = _gf_of_integer_points(("x", "y"), Polyhedron.of(2, rows))
+    cell = SemilinearCell(Polyhedron.of(2, rows), full_coset(2))
+    g = gf_of_cell(("x", "y"), cell)
     assert series_coeffs(g, 4) == {
         (0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
 
@@ -188,9 +188,53 @@ def test_unit_square_brion():
 def test_triangle_brion():
     # x >= 0, y >= 0, x + y <= 5: all tangent cone arithmetic is exercised
     rows = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -5)]
-    g = _gf_of_integer_points(("x", "y"), Polyhedron.of(2, rows))
+    cell = SemilinearCell(Polyhedron.of(2, rows), full_coset(2))
+    g = gf_of_cell(("x", "y"), cell)
     got = series_coeffs(g, 6)
     assert got == {(x, y): 1 for x in range(6) for y in range(6 - x)}
+
+
+def random_hnf_coset(rng, d):
+    """A coset of a random full-rank HNF lattice other than Z^d."""
+    diag = [rng.randint(1, 3) for _ in range(d)]
+    diag[rng.randrange(d)] = rng.randint(2, 3)
+    basis = tuple(tuple(0 if i < j else diag[j] if i == j
+                        else rng.randrange(diag[i]) for i in range(d))
+                  for j in range(d))
+    rep = tuple(rng.randint(-5, 5) for _ in range(d))
+    return LatticeCoset(Lattice(d, basis), rep)
+
+
+def test_gf_of_cell_random_against_enumeration():
+    rng = random.Random(4321)
+    with_equality = nonempty_with_equality = 0
+    for trial in range(150):
+        d = 1 + trial % 3
+        B = rng.randint(2, 6 - d)
+        rows = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
+        rows += [(tuple(-int(i == j) for j in range(d)), -B)
+                 for i in range(d)]
+        for _ in range(rng.randint(0, 2)):
+            rows.append((tuple(rng.randint(-2, 2) for _ in range(d)),
+                         rng.randint(-B, B)))
+        eqs = []
+        a = tuple(rng.randint(-2, 2) for _ in range(d))
+        b = dot(a, [rng.randint(0, B) for _ in range(d)])
+        if trial % 6 in (0, 1) and any(a):
+            eqs.append((a, b))  # explicit equality
+        elif trial % 6 in (2, 3) and any(a):
+            rows += [(a, b), (tuple(-c for c in a), -b)]  # implicit
+        cell = SemilinearCell(Polyhedron.of(d, rows, eqs),
+                              random_hnf_coset(rng, d))
+        names = tuple(f"x{i}" for i in range(d))
+        want = {p: 1 for p in box(d, B) if cell.contains(p)}
+        got = series_coeffs(gf_of_cell(names, cell), B)
+        assert got == want, (cell, trial)
+        if trial % 6 < 4 and any(a):
+            with_equality += 1
+            nonempty_with_equality += bool(want)
+    assert with_equality >= 50  # a third of the trials
+    assert nonempty_with_equality >= 20
 
 
 def test_formula_gf_equality_line():
