@@ -317,6 +317,8 @@ def cmd_count(args):
                        f"{sorted(missing)}")
     if args.as_ == "value":
         return _count_at(args, f, counted, params)
+    if args.at is not None:
+        raise CliError(SEMANTIC, "--at applies only to --as value")
     try:
         g = counting_gf(f, tuple(counted), tuple(params))
     except DivergentSpecialization:
@@ -350,7 +352,12 @@ def _count_at(args, f, counted, params):
     quantifier-free form of f and count the counted variables."""
     if params and args.at is None:
         raise CliError(SEMANTIC, "--as value needs --at")
-    at = _parse_vectors(args.at)[0] if params else ()
+    if not params and args.at is not None:
+        raise CliError(SEMANTIC, "--at needs --param-vars")
+    points = _parse_vectors(args.at) if params else [()]
+    if len(points) != 1:
+        raise CliError(SEMANTIC, f"--at takes one point, got {len(points)}")
+    at = points[0]
     if len(at) != len(params):
         raise CliError(SEMANTIC, f"--at needs {len(params)} coordinates")
     val = 0  # parameters range over N

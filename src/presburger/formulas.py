@@ -810,10 +810,12 @@ def _fmt(f, prec):
 def atoms_of(f):
     """All atoms of a formula, in first-occurrence order."""
     out = []
+    seen = set()
 
     def collect(g):
         if isinstance(g, (Cmp, Congruence)):
-            if g not in out:
+            if g not in seen:
+                seen.add(g)
                 out.append(g)
         elif isinstance(g, (And, Or)):
             for p in g.parts:

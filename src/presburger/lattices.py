@@ -37,7 +37,8 @@ def vscale(k, u):
 
 
 def vdot(u, v):
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError(f"vdot of vectors of lengths {len(u)} and {len(v)}")
     return sum(a * b for a, b in zip(u, v))
 
 

@@ -2,12 +2,22 @@
 
 Cooper's method, adapted to variables ranging over N: an existential is
 eliminated by conjoining x >= 0, scaling every atom so x appears with
-coefficient +-l (l the lcm of its coefficients), changing variable to
-x' = l*x (recorded as x' = 0 mod l), and replacing E x'. phi by the finite
-disjunction over lower-bound candidates b and offsets j in [0, D) of
-phi[x' := b + j], D the lcm of the congruence moduli on x'.  The classic
-recipe's "minus infinity" disjuncts are left out: x' >= 0 is a top-level
-conjunct, so each of them is false over N.
+coefficient +-l (l the lcm of its coefficients), and changing variable to
+x' = l*x (recorded as x' = 0 mod l).  Call the result phi; x' has
+coefficient +-1 in each of its atoms.
+
+Equalities go first, as in Pugh's Omega test: if a top-level conjunct of
+phi is an equality x' = b, then E x'. phi is phi[x' := b].  This is exact
+because phi itself carries x' >= 0 and x' = 0 (mod l), so the substituted
+formula keeps b >= 0 and b = 0 (mod l).  One substitution replaces the
+whole case split, which matters most for semigroup-style bodies such as
+E u. x = ... + 9*u, where the split would multiply the formula's size.
+
+Otherwise E x'. phi becomes the finite disjunction over lower-bound
+candidates b and offsets j in [0, D) of phi[x' := b + j], D the lcm of
+the congruence moduli on x'.  The classic recipe's "minus infinity"
+disjuncts are left out: x' >= 0 is a top-level conjunct, so each of them
+is false over N.
 
 Universals go through the negation dual.  Elimination is innermost-first,
 so each step only ever sees a quantifier-free body.
@@ -70,6 +80,13 @@ def _replace_scaled_var(term, var, fresh):
     return LinearTerm.of(d, term.constant)
 
 
+def _root(term, fresh):
+    """b with term = 0 <=> fresh = b; term has coefficient +-1 on fresh."""
+    rest = LinearTerm(tuple((n, v) for n, v in term.coeffs if n != fresh),
+                      term.constant)
+    return rest if term.coeff(fresh) < 0 else -rest
+
+
 def eliminate_exists(var, body):
     """Quantifier-free formula equivalent over N to E var. body (body QF)."""
     work = nnf(conj([body, cmp_ge(LinearTerm.var(var))]))
@@ -100,6 +117,11 @@ def eliminate_exists(var, body):
     if shifted == FALSE:
         return FALSE
 
+    for a in shifted.parts if isinstance(shifted, And) else (shifted,):
+        if isinstance(a, Cmp) and a.op == "=" and a.term.coeff(fresh) != 0:
+            # the equality shortcut of the module docstring
+            return simplify(substitute(shifted, fresh, _root(a.term, fresh)))
+
     modulus = 1
     candidates = []
     for a in atoms_of(shifted):
@@ -109,14 +131,9 @@ def eliminate_exists(var, body):
         if isinstance(a, Congruence):
             modulus = lcm(modulus, a.modulus)
             continue
-        rest = LinearTerm(tuple((n, v) for n, v in a.term.coeffs if n != fresh),
-                          a.term.constant)
-        if a.op == "=":
-            b = rest if c < 0 else -rest
-        elif c > 0:
-            b = -rest  # fresh >= -rest
-        else:
+        if a.op == ">=" and c < 0:
             continue  # upper bound, no candidate
+        b = _root(a.term, fresh)  # fresh = b, or fresh >= b
         if b not in candidates:
             candidates.append(b)
 

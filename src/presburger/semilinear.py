@@ -175,16 +175,23 @@ def to_dnf(f, names=None):
             split_eq(0, [], [], coset)
             return
         (coeffs, modulus), atoms = group_items[i]
+        by_residue = {}
+        for a in atoms:
+            truth[a] = False
+            by_residue.setdefault(a.residue, []).append(a)
         for rho in range(modulus):
             refined = coset_intersect(
                 coset, congruence_coset(coeffs, rho, modulus, d))
             if refined is None:
                 continue
-            for a in atoms:
-                truth[a] = (a.residue == rho)
+            hits = by_residue.get(rho, ())
+            for a in hits:
+                truth[a] = True
             split_cong(i + 1, refined)
+            for a in hits:
+                truth[a] = False
         for a in atoms:
-            truth.pop(a, None)
+            del truth[a]
 
     split_cong(0, full_coset(d))
     return SemilinearSet(names, tuple(cells))

@@ -165,6 +165,28 @@ def test_count_value_finite_here_infinite_elsewhere(capsys):
     assert "infinite" in err
 
 
+def test_count_at_with_two_points_is_rejected(capsys):
+    rc, out, err = run(capsys, "count", "x <= p", "--count-vars", "x",
+                       "--param-vars", "p", "--as", "value", "--at", "1;2")
+    assert rc == 3 and out == "" and err.count("\n") == 1
+    assert "one point" in err
+
+
+def test_count_at_without_parameters_is_rejected(capsys):
+    rc, out, err = run(capsys, "count", "x <= 3", "--count-vars", "x",
+                       "--as", "value", "--at", "1")
+    assert rc == 3 and out == "" and err.count("\n") == 1
+    assert "--param-vars" in err
+
+
+def test_count_at_outside_value_is_rejected(capsys):
+    for as_ in ("gf", "qp", "step"):
+        rc, out, err = run(capsys, "count", "x <= p", "--count-vars", "x",
+                           "--param-vars", "p", "--as", as_, "--at", "1")
+        assert rc == 3 and out == "" and err.count("\n") == 1, as_
+        assert "--as value" in err
+
+
 def test_count_total_value_without_params(capsys):
     rc, out, _ = run(capsys, "count", "3*c1 + 5*c2 = 20",
                      "--count-vars", "c1,c2", "--as", "value")

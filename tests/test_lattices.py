@@ -226,3 +226,10 @@ def test_rational_elimination_random():
                             for i in range(n))
                 assert mat_mul(rat_inv(M), M) == eye
     assert singular > 0
+
+
+def test_vdot_rejects_length_mismatch():
+    assert vdot((1, 2, 3), (4, 5, 6)) == 32
+    assert vdot((), ()) == 0
+    with pytest.raises(ValueError):
+        vdot((1, 2), (1, 2, 3))

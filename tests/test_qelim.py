@@ -6,8 +6,13 @@ from math import lcm
 import pytest
 
 from presburger.formulas import (
+    And,
+    Cmp,
     Congruence,
+    Exists,
     LinearTerm,
+    Not,
+    Or,
     atoms_of,
     cmp_eq,
     cmp_ge,
@@ -231,3 +236,89 @@ def test_stacked_eliminations():
                 assert eval_ground(g1, {**env, "x": x}) == \
                     brute_exists(body, "y", {**env, "x": x})
             assert eval_ground(g2, env) == brute_exists(g1, "x", env)
+
+
+def _split_equalities(f):
+    """f with each top-level equality t = 0 written as t >= 0 & -t >= 0,
+    which hides it from the equality shortcut but keeps the meaning."""
+    parts = f.parts if isinstance(f, And) else (f,)
+    return conj([conj([cmp_ge(p.term), cmp_ge(-p.term)])
+                 if isinstance(p, Cmp) and p.op == "=" else p
+                 for p in parts])
+
+
+def _leaves(f):
+    """Number of atom occurrences in a quantifier-free formula."""
+    if isinstance(f, (And, Or)):
+        return sum(_leaves(p) for p in f.parts)
+    if isinstance(f, Not):
+        return _leaves(f.inner)
+    return 1
+
+
+def _pinning_eq(rng, var, names):
+    """|c|*var = t for |c| in 1..4 and t with coefficients in 0..3 on names,
+    written with either sign of c, so var has a solution for some values."""
+    c = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    t = LinearTerm.of({n: rng.randint(0, 3) for n in names},
+                      rng.randint(-6, 6))
+    return cmp_eq(LinearTerm.var(var).scale(c) - t.scale(1 if c > 0 else -1))
+
+
+def test_eliminate_exists_equality_random():
+    # E x. (c*x = t & phi); a third of the trials add an equality free of
+    # x, a third nest a second E y. (d*y = s & psi) inside the body
+    rng = random.Random(31337)
+    shortcut = 0
+    for trial in range(150):
+        body = conj([_pinning_eq(rng, "x", ["p", "q"]),
+                     _random_qf(rng, ["x", "p", "q"], 2, cmax=2, const=4,
+                                mmax=3)])
+        if trial % 3 == 1:
+            body = conj([body, cmp_eq(LinearTerm.of(
+                {"p": rng.randint(1, 2), "q": -rng.randint(1, 2)},
+                rng.randint(-3, 3)))])
+        inner = None
+        if trial % 3 == 2:
+            inner = conj([_pinning_eq(rng, "y", ["x", "p"]),
+                          _random_qf(rng, ["y", "x", "q"], 1, cmax=2,
+                                     const=4, mmax=3)])
+        if inner is None:
+            g = eliminate_exists("x", body)
+            plain = eliminate_exists("x", _split_equalities(body))
+        else:
+            g = qelim(Exists("x", conj([body, Exists("y", inner)])))
+            plain = qelim(Exists("x", conj([
+                _split_equalities(body),
+                Exists("y", _split_equalities(inner))])))
+        assert is_quantifier_free(g) and free_vars(g) <= {"p", "q"}
+        shortcut += _leaves(g) < _leaves(plain)
+        for p in range(7):
+            for q in range(7):
+                env = {"p": p, "q": q}
+                if inner is None:
+                    want = brute_exists(body, "x", env)
+                else:
+                    # body pins x, so its witness bound also bounds x here
+                    want = any(
+                        eval_ground(body, {**env, "x": x})
+                        and brute_exists(inner, "y", {**env, "x": x})
+                        for x in range(witness_bound(body, "x", env) + 1))
+                assert eval_ground(g, env) == want, \
+                    (format_formula(body), inner and format_formula(inner),
+                     env)
+                assert eval_ground(plain, env) == want
+    assert shortcut >= 50, shortcut
+
+
+def test_qelim_semigroup_size():
+    # the numerical semigroup <4, 7, 9>; each equality pins its variable,
+    # so the result is one substituted body per quantifier, not a Cooper
+    # disjunction over every candidate and offset
+    g = qelim(parse("E y. E z. E u. x = 4*y + 7*z + 9*u"))
+    assert len(atoms_of(g)) <= 100
+    member = [True] + [False] * 60
+    for n in range(1, 61):
+        member[n] = any(n >= a and member[n - a] for a in (4, 7, 9))
+    for x in range(61):
+        assert eval_ground(g, {"x": x}) == member[x], x

@@ -65,6 +65,16 @@ def test_congruence_cells():
     assert cell.coset.lattice.index() == 2
 
 
+def test_negated_congruence_cells():
+    # one cell per residue class other than the excluded one
+    s = check_exact(parse("!(x % 199 = 3)"), ["x"], 600)
+    assert len(s.cells) == 198
+    check_exact(parse("!(x + 2*y % 101 = 5)"), ["x", "y"], 40)
+    # several residues of one congruence group, some under a negation
+    check_exact(parse("(x % 7 = 1 | x % 7 = 3) & !(x % 7 = 3 & y % 4 = 2)"),
+                ["x", "y"], 30)
+
+
 def test_odd_after_elimination():
     # witness b = (p-1)/2 never exceeds p, so bound=16 covers the box
     s = check_exact(parse("E b. p = 2*b + 1"), ["p"], 16, bound=16)
