@@ -424,6 +424,8 @@ def cmd_synth(args):
 def cmd_series(args):
     g = _load_gf(args.gf)
     bound = args.bound
+    if bound < 0:
+        raise CliError(SEMANTIC, "--bound must be nonnegative")
     table = series_coeffs(g, bound)
     if g.dim == 1:
         vals = [table.get((p,), Fraction(0)) for p in range(bound + 1)]
@@ -551,6 +553,9 @@ def main(argv=None):
     except FormulaSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return PARSE
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return UNSUPPORTED
     except BrokenPipeError:
         return 0
 

@@ -246,9 +246,12 @@ def hnf_kernel(M):
 
 def solve_int(M, rhs):
     """One integer solution x of M x = rhs, or None if none exists."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    H, U, pivots = _hnf_core(M)
+    return _back_substitute(*_hnf_core(M), rhs)
+
+
+def _back_substitute(H, U, pivots, rhs):
+    # H = M U with U unimodular, so x = U z solves M x = rhs when H z = rhs
+    n = len(U)
     z = [0] * n
     for r, c in pivots:
         s = rhs[r] - sum(H[r][j] * z[j] for j in range(n) if z[j])
@@ -367,25 +370,6 @@ def full_coset(dim):
     return LatticeCoset(Lattice.standard(dim), zero_vec(dim))
 
 
-def lattice_intersect(l1, l2):
-    """Intersection of two full-rank lattices in the same dimension."""
-    d = l1.dim
-    assert l2.dim == d
-    if d == 0:
-        return l1
-    b1 = l1.basis
-    b2 = l2.basis
-    M = tuple(tuple([b1[j][i] for j in range(d)] + [-b2[j][i] for j in range(d)])
-              for i in range(d))
-    gens = []
-    for u in hnf_kernel(M):
-        w = zero_vec(d)
-        for j in range(d):
-            w = vadd(w, vscale(u[j], b1[j]))
-        gens.append(w)
-    return Lattice.from_generators(d, gens)
-
-
 def coset_intersect(c1, c2):
     """Intersection of two cosets: a canonical coset, or None when disjoint."""
     d = c1.dim
@@ -396,14 +380,23 @@ def coset_intersect(c1, c2):
     b2 = c2.lattice.basis
     M = tuple(tuple([b1[j][i] for j in range(d)] + [-b2[j][i] for j in range(d)])
               for i in range(d))
-    rhs = vsub(c2.rep, c1.rep)
-    y = solve_int(M, rhs)
+    # one HNF gives both the particular solution of [B1 | -B2] y = rep2 - rep1
+    # and, from the columns of U past the rank, the kernel, whose B1 halves
+    # generate the intersection lattice
+    H, U, pivots = _hnf_core(M)
+    y = _back_substitute(H, U, pivots, vsub(c2.rep, c1.rep))
     if y is None:
         return None
     point = c1.rep
     for j in range(d):
         point = vadd(point, vscale(y[j], b1[j]))
-    return LatticeCoset(lattice_intersect(c1.lattice, c2.lattice), point)
+    gens = []
+    for u in columns(U)[len(pivots):]:
+        w = zero_vec(d)
+        for j in range(d):
+            w = vadd(w, vscale(u[j], b1[j]))
+        gens.append(w)
+    return LatticeCoset(Lattice.from_generators(d, gens), point)
 
 
 def congruence_coset(coeffs, residue, modulus, dim):

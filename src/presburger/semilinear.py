@@ -2,10 +2,12 @@
 
 A cell is a rational polyhedron intersected with a full-rank lattice coset;
 a SemilinearSet is a finite disjoint union of cells over a fixed variable
-order.  to_dnf eliminates quantifiers first, then case-splits every atom:
-residue classes for each congruence group, three ways for an equality
-(= 0, >= 1, <= -1) and two for an inequality.  Distinct branches disagree
-on some split, so the produced cells are disjoint by construction.
+order.  to_dnf eliminates quantifiers first, then runs a Shannon expansion
+on the residual formula: a branch splits on one atom its formula still
+needs (residue classes for a congruence group, three ways for an equality
+(= 0, >= 1, <= -1), two for an inequality), folds the decided atoms to
+TRUE/FALSE, and stops when the formula is decided.  Distinct branches
+disagree on some split, so the produced cells are disjoint by construction.
 """
 
 from __future__ import annotations
@@ -75,6 +77,31 @@ def _term_row(term, index, d):
     return tuple(a), term.constant
 
 
+def _assign(h, value):
+    """h with each atom in value replaced by TRUE/FALSE, folded."""
+    if isinstance(h, (Cmp, Congruence)):
+        v = value.get(h)
+        return h if v is None else TRUE if v else FALSE
+    if isinstance(h, And):
+        stop, skip = FALSE, TRUE
+    elif isinstance(h, Or):
+        stop, skip = TRUE, FALSE
+    else:
+        raise TypeError(f"unexpected node {h!r}")
+    parts = []
+    for p in h.parts:
+        q = _assign(p, value)
+        if q is stop:
+            return stop
+        if q is not skip:
+            parts.append(q)
+    if not parts:
+        return skip
+    if len(parts) == 1:
+        return parts[0]
+    return type(h)(tuple(parts))
+
+
 def to_dnf(f, names=None):
     """Decompose the solution set of f over N^names into disjoint cells."""
     if names is None:
@@ -88,41 +115,23 @@ def to_dnf(f, names=None):
     g = simplify(nnf(qelim(f)))
     d = len(names)
     index = {n: i for i, n in enumerate(names)}
-    if g == FALSE:
-        return SemilinearSet(names, ())
     orthant = list(nonneg_orthant(d).ineqs)
 
-    eq_atoms = []
-    ge_atoms = []
     groups = {}
+    cmps = []
     for a in atoms_of(g):
-        if a == TRUE or a == FALSE:
-            continue
         if isinstance(a, Congruence):
             coeffs, c = _term_row(a.term, index, d)
             assert c == 0
             groups.setdefault((coeffs, a.modulus), []).append(a)
-        elif a.op == "=":
-            eq_atoms.append(a)
         else:
-            ge_atoms.append(a)
-    group_items = sorted(groups.items())
-
-    truth = {}
+            cmps.append(a)
+    # split order: congruence groups by key, then equalities, then
+    # inequalities; a branch splits on the first one its residual still needs
+    cmps.sort(key=lambda a: a.op != "=")
+    order = sorted(groups.items()) + [(None, [a]) for a in cmps]
+    rank = {a: i for i, (_, atoms) in enumerate(order) for a in atoms}
     cells = []
-
-    def holds(h):
-        if h == TRUE:
-            return True
-        if h == FALSE:
-            return False
-        if isinstance(h, (Cmp, Congruence)):
-            return truth[h]
-        if isinstance(h, And):
-            return all(holds(p) for p in h.parts)
-        if isinstance(h, Or):
-            return any(holds(p) for p in h.parts)
-        raise TypeError(f"unexpected node {h!r}")
 
     def feasible(ineqs, eqs):
         return is_feasible(Polyhedron.of(d, ineqs + orthant, eqs))
@@ -138,62 +147,50 @@ def to_dnf(f, names=None):
         rhs = vsub(tuple(b for _, b in poly.eqs), mat_vec(rows, coset.rep))
         return solve_int(M, rhs) is not None
 
-    def split_ge(i, ineqs, eqs, coset):
-        if i == len(ge_atoms):
-            if holds(g):
-                poly = Polyhedron.of(d, ineqs + orthant, eqs)
-                if eqs_solvable_on_coset(poly, coset):
-                    cells.append(SemilinearCell(poly, coset))
+    def split(h, ineqs, eqs, coset):
+        # h: g with the atoms decided on this branch folded away
+        if h is FALSE:
             return
-        atom = ge_atoms[i]
-        a, c = _term_row(atom.term, index, d)
-        for value, row in ((True, (a, -c)), (False, (vneg(a), c + 1))):
-            truth[atom] = value
-            if feasible(ineqs + [row], eqs):
-                split_ge(i + 1, ineqs + [row], eqs, coset)
-        del truth[atom]
-
-    def split_eq(i, ineqs, eqs, coset):
-        if i == len(eq_atoms):
-            split_ge(0, ineqs, eqs, coset)
+        if h is TRUE:
+            poly = Polyhedron.of(d, ineqs + orthant, eqs)
+            if eqs_solvable_on_coset(poly, coset):
+                cells.append(SemilinearCell(poly, coset))
             return
-        atom = eq_atoms[i]
+        key, atoms = order[min(map(rank.__getitem__, atoms_of(h)))]
+        if key is not None:
+            coeffs, modulus = key
+            value = dict.fromkeys(atoms, False)
+            by_residue = {}
+            for a in atoms:
+                by_residue.setdefault(a.residue, []).append(a)
+            for rho in range(modulus):
+                refined = coset_intersect(
+                    coset, congruence_coset(coeffs, rho, modulus, d))
+                if refined is None:
+                    continue
+                hits = by_residue.get(rho, ())
+                for a in hits:
+                    value[a] = True
+                split(_assign(h, value), ineqs, eqs, refined)
+                for a in hits:
+                    value[a] = False
+            return
+        atom = atoms[0]
         a, c = _term_row(atom.term, index, d)
-        choices = (
-            (True, [], [(a, -c)]),
-            (False, [(a, 1 - c)], []),
-            (False, [(vneg(a), c + 1)], []),
-        )
+        if atom.op == "=":
+            choices = (
+                (True, [], [(a, -c)]),
+                (False, [(a, 1 - c)], []),
+                (False, [(vneg(a), c + 1)], []),
+            )
+        else:
+            choices = ((True, [(a, -c)], []), (False, [(vneg(a), c + 1)], []))
         for value, add_ineq, add_eq in choices:
-            truth[atom] = value
             if feasible(ineqs + add_ineq, eqs + add_eq):
-                split_eq(i + 1, ineqs + add_ineq, eqs + add_eq, coset)
-        del truth[atom]
+                split(_assign(h, {atom: value}), ineqs + add_ineq,
+                      eqs + add_eq, coset)
 
-    def split_cong(i, coset):
-        if i == len(group_items):
-            split_eq(0, [], [], coset)
-            return
-        (coeffs, modulus), atoms = group_items[i]
-        by_residue = {}
-        for a in atoms:
-            truth[a] = False
-            by_residue.setdefault(a.residue, []).append(a)
-        for rho in range(modulus):
-            refined = coset_intersect(
-                coset, congruence_coset(coeffs, rho, modulus, d))
-            if refined is None:
-                continue
-            hits = by_residue.get(rho, ())
-            for a in hits:
-                truth[a] = True
-            split_cong(i + 1, refined)
-            for a in hits:
-                truth[a] = False
-        for a in atoms:
-            del truth[a]
-
-    split_cong(0, full_coset(d))
+    split(g, [], [], full_coset(d))
     return SemilinearSet(names, tuple(cells))
 
 

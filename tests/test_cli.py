@@ -55,6 +55,14 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_deep_nesting_is_rejected(capsys):
+    for argv in (("decide", "!" * 3000 + "0 = 0"),
+                 ("dnf", "(" * 1200 + "x = 0" + ")" * 1200)):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 4 and out == ""
+        assert err == "error: formula nested too deeply\n"
+
+
 def test_qelim_output_is_quantifier_free_and_equivalent(capsys):
     rc, out, _ = run(capsys, "qelim", "E b. u > 1 & 2*b + 1 = u")
     assert rc == 0
@@ -252,6 +260,9 @@ def test_series_univariate_line(capsys):
         vals = run_json(capsys, "series", path)["values"]
         assert len(vals) == 21            # default bound 20
         assert vals[:5] == ["1", "1", "3", "3", "6"]
+        rc, out, err = run(capsys, "series", path, "--bound", "-3")
+        assert rc == 3 and out == ""
+        assert err == "error: --bound must be nonnegative\n"
     finally:
         os.unlink(path)
 

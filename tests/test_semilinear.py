@@ -132,6 +132,27 @@ def test_random_formulas_exact_and_disjoint():
         check_exact(f, names, 7 if d <= 2 else 5)
 
 
+def test_split_stops_once_the_formula_is_decided():
+    # a branch on which x % 2 = 1 (or x >= 5) holds splits on nothing else
+    for text, names in (("x % 2 = 1 | x >= 5", ["x"]),
+                        ("x >= 5 | y >= 5", ["x", "y"])):
+        assert len(check_exact(parse(text), names, 12).cells) == 2
+    # witnesses y <= x/3 and z <= x/5, so bound=30 covers the box
+    s = check_exact(parse("E y. E z. x = 3*y + 5*z"), ["x"], 30, bound=30)
+    assert len(s.cells) <= 5
+
+
+def test_semigroup_cells():
+    s = to_dnf(parse("E y. E z. E u. x = 4*y + 7*z + 9*u"))
+    assert len(s.cells) <= 12
+    member = [True] + [False] * 60
+    for n in range(1, 61):
+        member[n] = any(n >= a and member[n - a] for a in (4, 7, 9))
+    for x in range(61):
+        hits = sum(1 for cell in s.cells if cell.contains((x,)))
+        assert hits == member[x], x
+
+
 def test_formula_round_trip():
     cases = [
         parse("x >= 3 & x % 2 = 0"),
