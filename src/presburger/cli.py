@@ -447,15 +447,16 @@ def cmd_hadamard(args):
     g = _load_gf(args.gf2)
     if f.dim != 1 or g.dim != 1:
         raise CliError(UNSUPPORTED, "hadamard product is univariate only")
-    _emit_gf(args, hadamard_univariate(f, g))
+    try:
+        h = hadamard_univariate(f, g)
+    except ValueError as e:
+        raise CliError(SEMANTIC, str(e))
+    _emit_gf(args, h)
     return 0
 
 
 def cmd_zero(args):
-    g = _load_gf(args.gf)
-    if g.dim != 1:
-        raise CliError(UNSUPPORTED, "zero test is univariate only")
-    val = is_zero_univariate(g)
+    val = is_zero_univariate(_load_gf(args.gf))
     _emit(args, lambda: {"result": val}, lambda: "true" if val else "false")
     return 0
 
@@ -537,7 +538,7 @@ def _build_parser():
     h.set_defaults(func=cmd_hadamard)
 
     z = sub.add_parser("zero", parents=[common],
-                       help="does a univariate GF vanish identically?")
+                       help="does a GF vanish identically?")
     z.add_argument("gf")
     z.set_defaults(func=cmd_zero)
     return p

@@ -19,7 +19,8 @@ lists; the terms are mapped back and coalesced once per cell.  Every
 series coefficient is read through one dynamic-programming kernel,
 series_coeffs, in any dimension.  specialize_ones evaluates at 1 by one
 Laurent expansion per distinct denominator (per simplicial cone), leaving
-each term only integer binomial sums.
+each term only integer binomial sums.  gf_is_zero tests a GF exactly over
+one common denominator, and gf_euler applies x_i d/dx_i term by term.
 """
 
 from __future__ import annotations
@@ -146,6 +147,23 @@ def gf_mul(g1, g2):
                                    vadd(t1.numer, t2.numer),
                                    t1.denom + t2.denom))
     return rgf(g1.names, terms)
+
+
+def gf_euler(g, i):
+    """x_i d/dx_i of g, which multiplies each coefficient at p by p_i.
+
+    c x^a / prod(1 - x^b) goes to a_i times itself plus, for each factor
+    b, c b_i x^(a+b) / (prod(1 - x^b) (1 - x^b)).
+    """
+    terms = []
+    for t in g.terms:
+        if t.numer[i]:
+            terms.append(GFTerm(t.coef * t.numer[i], t.numer, t.denom))
+        for b in t.denom:
+            if b[i]:
+                terms.append(GFTerm(t.coef * b[i], vadd(t.numer, b),
+                                    tuple(sorted(t.denom + (b,)))))
+    return rgf(g.names, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -422,37 +440,26 @@ def _series_inv_with(A, a0inv, names, depth):
     return out
 
 
-def _gf_is_identically_zero(g):
-    """Exact zero test: clear to one denominator and expand the numerator."""
-    if not g.terms:
-        return True
-    common = {}
+def gf_is_zero(g):
+    """Exact zero test in any dimension: clear to one denominator and
+    expand the numerator."""
+    common = {}  # denominator vector -> its largest multiplicity
     for t in g.terms:
-        counts = {}
         for b in t.denom:
-            counts[b] = counts.get(b, 0) + 1
-        for b, c in counts.items():
-            common[b] = max(common.get(b, 0), c)
+            common[b] = max(common.get(b, 0), t.denom.count(b))
     poly = {}
     for t in g.terms:
-        counts = {}
-        for b in t.denom:
-            counts[b] = counts.get(b, 0) + 1
-        missing = []
-        for b, c in common.items():
-            missing.extend([b] * (c - counts.get(b, 0)))
-        # expand coef * x^numer * prod (1 - x^b) over the missing factors
-        partial = {t.numer: t.coef}
-        for b in missing:
-            nxt = {}
-            for e, c in partial.items():
-                nxt[e] = nxt.get(e, Fraction(0)) + c
-                e2 = vadd(e, b)
-                nxt[e2] = nxt.get(e2, Fraction(0)) - c
-            partial = nxt
-        for e, c in partial.items():
-            poly[e] = poly.get(e, Fraction(0)) + c
-    return all(c == 0 for c in poly.values())
+        part = {t.numer: t.coef}
+        for b, k in common.items():
+            for _ in range(k - t.denom.count(b)):  # times (1 - x^b)
+                nxt = dict(part)
+                for e, c in part.items():
+                    eb = vadd(e, b)
+                    nxt[eb] = nxt.get(eb, 0) - c
+                part = nxt
+        for e, c in part.items():
+            poly[e] = poly.get(e, 0) + c
+    return not any(poly.values())
 
 
 def specialize_ones(g, positions):
@@ -529,7 +536,7 @@ def specialize_ones(g, positions):
 
     acc = {order: rgf(names_r, terms) for order, terms in acc.items()}
     for order in sorted(acc):
-        if order < 0 and not _gf_is_identically_zero(acc[order]):
+        if order < 0 and not gf_is_zero(acc[order]):
             raise DivergentSpecialization(
                 f"pole of order {-order} does not cancel at 1")
     return acc.get(0, gf_zero(names_r))

@@ -3,15 +3,17 @@
 A QuasiPolynomial attaches one polynomial (dict exponent-tuple -> Fraction)
 to each coset of a full-rank lattice in parameter space; a
 PiecewiseQuasiPolynomial attaches quasi-polynomials to disjoint polyhedral
-cells, with everything off the cells counting as zero.  This module
-converts univariate rational generating functions to and from that form,
-takes Hadamard products and zero tests of univariate series through it,
-computes vector partition functions (chamber decomposition in parameter
-dimension two), rewrites quasi-polynomials as step polynomials built from
-floors, and synthesizes counting formulas whose solution count realizes a
-given quasi-polynomial.  Constituents are recovered from series
-coefficients (genfun.series_coeffs) by one interpolation helper on the
-grid of exponents of bounded total degree.
+cells, with everything off the cells counting as zero.  This module reads
+the eventual form of a univariate rational generating function, turns a
+piecewise quasi-polynomial in any dimension back into one (the GF of each
+coset of each cell, then Euler operators x_i d/dx_i), takes Hadamard
+products of univariate series through both, computes vector partition
+functions (chamber decomposition in parameter dimension two), rewrites
+quasi-polynomials as step polynomials built from floors, and synthesizes
+counting formulas whose solution count realizes a given quasi-polynomial.
+Constituents are recovered from series coefficients (genfun.series_coeffs)
+by one interpolation helper on the grid of exponents of bounded total
+degree.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import product
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from .formulas import (
     FALSE,
@@ -34,15 +36,13 @@ from .formulas import (
     neg,
 )
 from .genfun import (
-    gf_add,
-    gf_monomial,
+    GFTerm,
+    gf_euler,
+    gf_is_zero,
     gf_of_cell,
-    gf_scale,
-    gf_zero,
     make_term,
     rgf,
     series_coeffs,
-    specialize_ones,
 )
 from .lattices import Lattice, LatticeCoset, mat_vec, rat_inv
 from .polyhedra import Polyhedron
@@ -305,12 +305,21 @@ def rgf_to_pqp(f):
     Each term c x^a / prod(1 - x^e_i) has a coefficient sequence that is
     quasi-polynomial with period lcm(e_i) and degree < #factors from p = a
     on, so sampling past every shift and interpolating per residue is
-    exact.
+    exact.  The series must vanish at negative exponents: with -k the
+    lowest numerator exponent, x^k f is read on [0, k - 1], and
+    ValueError is raised if any of those coefficients is nonzero.
     """
     if f.dim != 1:
         raise ValueError("rgf_to_pqp is univariate only")
     if not f.terms:
         return PiecewiseQuasiPolynomial(1, ())
+    k = -min(t.numer[0] for t in f.terms)
+    if k > 0:
+        shifted = rgf(f.names, [GFTerm(t.coef, (t.numer[0] + k,), t.denom)
+                                for t in f.terms])
+        if series_coeffs(shifted, k - 1):
+            raise ValueError("series has a nonzero coefficient at a "
+                             "negative exponent")
     period = 1
     degree = 0
     T = 0
@@ -338,99 +347,41 @@ def rgf_to_pqp(f):
 # piecewise quasi-polynomial -> rational generating function
 
 
-def _monomial_piece_gf(names, cell, lattice, rep, exps):
-    """GF of sum over the cell's coset class of prod p_i^exps[i] * x^p.
-
-    Each power of p_i becomes a counted variable ranging over [1, p_i];
-    the counted variables are then specialized to 1.
-    """
-    n = len(names)
-    E = sum(exps)
-    ext = n + E
-    rows = [(a + (0,) * E, b) for a, b in cell.ineqs]
-    eqs = [(a + (0,) * E, b) for a, b in cell.eqs]
-    for i in range(n):
-        rows.append((tuple(1 if j == i else 0 for j in range(ext)), 0))
-    col = n
-    for i, e in enumerate(exps):
-        for _ in range(e):
-            rows.append((tuple(1 if j == col else 0 for j in range(ext)), 1))
-            rows.append((tuple((1 if j == i else 0) - (1 if j == col else 0)
-                               for j in range(ext)), 0))
-            col += 1
-    basis = [tuple(b) + (0,) * E for b in lattice.basis]
-    for j in range(E):
-        basis.append((0,) * n + tuple(1 if i == j else 0 for i in range(E)))
-    ext_lat = Lattice(ext, tuple(basis))
-    coset = LatticeCoset(ext_lat, tuple(rep) + (0,) * E)
-    cellx = SemilinearCell(Polyhedron.of(ext, rows, eqs), coset)
-    cnames = tuple(f"_c{j}" for j in range(E))
-    gfx = gf_of_cell(tuple(names) + cnames, cellx)
-    return specialize_ones(gfx, range(n, ext))
-
-
-@lru_cache(maxsize=None)
-def _stirling2(n, k):
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-def _ray_gf(names, lo, q):
-    """GF of a univariate eventual piece [lo, inf).
-
-    Within one residue class p = p0 + m t the value is polynomial in t;
-    expanding t^j over binomial coefficients gives sum_t C(t,i) y^t =
-    y^i / (1-y)^(i+1) with y = x^m.
-    """
-    m = q.lattice.basis[0][0]
-    terms = []
-    for (r,), poly in sorted(q.constituents.items()):
-        if not poly:
-            continue
-        p0 = lo + (r - lo) % m
-        tpoly = poly_compose_affine(poly, [((Fraction(m),), Fraction(p0))])
-        for (j,), a in sorted(tpoly.items()):
-            for i in range(j + 1):
-                c = a * _stirling2(j, i) * factorial(i)
-                if c:
-                    terms.append(make_term(c, (p0 + m * i,),
-                                           ((m,),) * (i + 1)))
-    return rgf(names, terms)
-
-
 def pqp_to_rgf(g, names=None):
-    """Rational GF whose series lists g's values: sum_p g(p) x^p."""
+    """Rational GF whose series lists g's values: sum_p g(p) x^p.
+
+    Any number of parameters.  Each piece's cell, cut down to NN^n, and
+    each coset of its lattice with a nonzero constituent make one
+    SemilinearCell, summed once by gf_of_cell.  Its terms are scaled by
+    the constituent's coefficients and grouped by monomial p^e.  As
+    sum_p p^e x^p = (x d/dx)^e sum_p x^p and the operator is linear, each
+    group then takes e_i Euler operators x_i d/dx_i, once per exponent e
+    however many cosets it sums.
+    """
     if names is None:
         names = ("p",) if g.n == 1 else tuple(f"p{i + 1}" for i in range(g.n))
     names = tuple(names)
-    total = gf_zero(names)
+    orthant = [(tuple(int(i == j) for j in range(g.n)), 0)
+               for i in range(g.n)]
+    by_exp = {}  # monomial exponent e -> terms of sum over its cosets
     for cell, q in g.pieces:
-        if g.n == 1:
-            iv = _interval_of(cell)
-            if iv is None:
+        cell = Polyhedron.of(g.n, list(cell.ineqs) + orthant, cell.eqs)
+        for rep, poly in q.constituents.items():
+            if not poly:
                 continue
-            lo, hi = iv
-            if hi is None:
-                total = gf_add(total, _ray_gf(names, lo, q))
-            else:
-                if hi - lo > 4096:
-                    raise ValueError("bounded piece too long to enumerate")
-                for p in range(lo, hi + 1):
-                    v = q.eval((p,))
-                    if v:
-                        total = gf_add(total,
-                                       gf_scale(gf_monomial(names, 1, (p,)),
-                                                v))
-            continue
-        for rep in sorted(q.constituents):
-            poly = q.constituents[rep]
-            for exps in sorted(poly):
-                piece = _monomial_piece_gf(names, cell, q.lattice, rep, exps)
-                total = gf_add(total, gf_scale(piece, poly[exps]))
-    return total
+            coset = SemilinearCell(cell, LatticeCoset(q.lattice, rep))
+            terms = gf_of_cell(names, coset).terms
+            for e, c in poly.items():
+                by_exp.setdefault(e, []).extend(
+                    GFTerm(t.coef * c, t.numer, t.denom) for t in terms)
+    out = []
+    for e, terms in by_exp.items():
+        f = rgf(names, terms)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                f = gf_euler(f, i)
+        out.extend(f.terms)
+    return rgf(names, out)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +392,9 @@ def hadamard_univariate(f, g):
     """Coefficientwise product of two univariate series, exactly.
 
     Both series are brought to eventual quasi-polynomial form, multiplied
-    pointwise, and converted back to a rational function.
+    pointwise, and converted back to a rational function.  Raises
+    ValueError if a series has a nonzero coefficient at a negative
+    exponent.
     """
     ia, qa = eventual_form(rgf_to_pqp(f))
     ib, qb = eventual_form(rgf_to_pqp(g))
@@ -462,9 +415,8 @@ def hadamard_univariate(f, g):
 
 
 def is_zero_univariate(f):
-    """Exact zero test for a univariate series."""
-    initial, q = eventual_form(rgf_to_pqp(f))
-    return not any(initial) and q.is_zero()
+    """Exact zero test of a series, in any dimension (see gf_is_zero)."""
+    return gf_is_zero(f)
 
 
 # ---------------------------------------------------------------------------

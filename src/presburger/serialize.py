@@ -9,7 +9,7 @@ byte-identical.
 import json
 from fractions import Fraction
 
-from .genfun import RationalGF, make_term, rgf
+from .genfun import make_term, rgf
 from .lattices import Lattice, LatticeCoset
 from .polyhedra import Polyhedron
 from .quasipoly import (

@@ -289,6 +289,36 @@ def test_hadamard_and_zero(capsys, tmp_path):
     assert rc == 0 and out.strip() == "true"
 
 
+def test_zero_is_exact_at_negative_exponents_and_in_2d(capsys, tmp_path):
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"names": ["x"], "terms": [
+        {"coef": "1", "numer_exp": [-1], "denom": []}]}))
+    rc, out, _ = run(capsys, "zero", str(inv))
+    assert rc == 0 and out.strip() == "false"
+    # 1/((1 - x)(1 - y)) - x/((1 - x)(1 - y)) - 1/(1 - y) = 0
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"names": ["x", "y"], "terms": [
+        {"coef": "1", "numer_exp": [0, 0], "denom": [[1, 0], [0, 1]]},
+        {"coef": "-1", "numer_exp": [1, 0], "denom": [[1, 0], [0, 1]]},
+        {"coef": "-1", "numer_exp": [0, 0], "denom": [[0, 1]]}]}))
+    rc, out, _ = run(capsys, "zero", str(flat))
+    assert rc == 0 and out.strip() == "true"
+    flat.write_text(json.dumps({"names": ["x", "y"], "terms": [
+        {"coef": "1", "numer_exp": [0, 1], "denom": [[1, 0]]}]}))
+    rc, out, _ = run(capsys, "zero", str(flat))
+    assert rc == 0 and out.strip() == "false"
+
+
+def test_hadamard_rejects_negative_exponents(capsys, tmp_path):
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"names": ["x"], "terms": [
+        {"coef": "1", "numer_exp": [-1], "denom": []}]}))
+    rc, out, err = run(capsys, "hadamard", str(inv), str(inv))
+    assert rc == 3 and out == ""
+    assert err == ("error: series has a nonzero coefficient at a negative "
+                   "exponent\n")
+
+
 def test_synth_pipeline_roundtrip(capsys, tmp_path):
     obj = run_json(capsys, "vpf", "2;3", "--as", "qp")
     path = tmp_path / "pqp.json"

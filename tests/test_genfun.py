@@ -31,6 +31,7 @@ from presburger.genfun import (
     counting_gf,
     gf_add,
     gf_const,
+    gf_euler,
     gf_monomial,
     gf_mul,
     gf_of_cell,
@@ -125,6 +126,28 @@ def test_series_coeffs_random_against_enumeration():
         K = max([0] + [(cap - dot(tau, t.numer)) // dot(tau, b)
                        for t in g.terms for b in t.denom])
         assert series_coeffs(g, bound) == series_oracle(g, bound, K)
+
+
+def test_gf_euler_random_against_series():
+    # x_i d/dx_i multiplies the coefficient at p by p_i
+    rng = random.Random(97531)
+    for trial in range(60):
+        d = 1 + trial % 3
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            denoms = []
+            for _ in range(rng.randint(0, 3)):
+                b = (0,) * d
+                while not any(b):
+                    b = tuple(rng.randint(-1, 2) for _ in range(d))
+                denoms.append(b)
+            numer = tuple(rng.randint(-1, 3) for _ in range(d))
+            terms.append(make_term(rng.choice([-2, -1, 1, 3]), numer, denoms))
+        g = rgf(tuple(f"x{i}" for i in range(d)), terms)
+        i = rng.randrange(d)
+        table = series_coeffs(g, 5)
+        want = {p: c * p[i] for p, c in table.items() if p[i]}
+        assert series_coeffs(gf_euler(g, i), 5) == want, (g, i)
 
 
 def test_cell_odd_at_least_three():
@@ -467,3 +490,5 @@ def test_is_zero_univariate():
                      make_term(-1, (1,), ((1,),))])
     assert not is_zero_univariate(g)
     assert is_zero_univariate(rgf(("x",), []))
+    # x^-1 lives below the box that series_coeffs reads
+    assert not is_zero_univariate(rgf(("x",), [make_term(1, (-1,), ())]))

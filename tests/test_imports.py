@@ -1,0 +1,49 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import presburger
+
+PACKAGE = Path(presburger.__file__).resolve().parent
+
+
+def unused_imports(source):
+    """Names bound by import statements and never read; names listed in
+    __all__ count as read."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts
+                        if isinstance(elt, ast.Constant))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_imports_are_found():
+    src = ("from __future__ import annotations\n"
+           "import os, sys\nfrom math import gcd, lcm as l\n"
+           "__all__ = ['gcd']\nprint(sys.argv)\n")
+    assert unused_imports(src) == [(2, "os"), (3, "l")]
+
+
+def test_no_unused_imports():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 1
+    assert {name: bad for name, bad in found.items() if bad} == {}

@@ -141,6 +141,51 @@ def test_rgf_pqp_random_roundtrips():
         assert series_equal(pqp_to_rgf(g, names=("x",)), f, 40)
 
 
+def test_pqp_to_rgf_long_bounded_piece():
+    # p + 1 on [0, 10000], zero above: no point is listed one by one
+    q = QuasiPolynomial(1, Lattice.standard(1),
+                        {(0,): {(1,): F(1), (0,): F(1)}})
+    cell = Polyhedron.of(1, [((1,), 0), ((-1,), -10000)])
+    f = pqp_to_rgf(PiecewiseQuasiPolynomial(1, ((cell, q),)))
+    assert len(f.terms) <= 4
+    table = series_coeffs(f, 10002)
+    assert table == {(p,): F(p + 1) for p in range(10001)}
+
+
+def test_pqp_to_rgf_cuts_cells_to_the_orthant():
+    # the cell p >= -3 holds p = -3..-1 too, which NN-indexed series omit
+    q = QuasiPolynomial(1, Lattice(1, ((2,),)),
+                        {(0,): {(1,): F(1)}, (1,): {(0,): F(3)}})
+    g = ray_pqp(q, lo=-3)
+    f = pqp_to_rgf(g)
+    assert all(t.numer[0] >= 0 for t in f.terms)
+    table = series_coeffs(f, 20)
+    assert [table.get((p,), F(0)) for p in range(21)] == \
+        [g.eval((p,)) for p in range(21)]
+
+
+def test_rgf_to_pqp_negative_exponents():
+    # x^-1: a coefficient below 0 cannot be read as a pqp on NN
+    try:
+        rgf_to_pqp(rgf(("x",), [make_term(1, (-1,), ())]))
+        assert False
+    except ValueError as e:
+        assert "negative exponent" in str(e)
+    # x^-1/(1 - x) - x^-1 = 1/(1 - x): the negative exponents cancel
+    f = rgf(("x",), [make_term(1, (-1,), ((1,),)), make_term(-1, (-1,), ())])
+    g = rgf_to_pqp(f)
+    assert [g.eval((p,)) for p in range(6)] == [1] * 6
+
+
+def test_eventual_form_reduces_the_period():
+    # 1/(1 - x^2) + x/(1 - x^2) = 1/(1 - x), sampled with period 2
+    f = rgf(("x",), [make_term(1, (0,), ((2,),)), make_term(1, (1,), ((2,),))])
+    initial, q = eventual_form(rgf_to_pqp(f))
+    assert initial == ()
+    assert q.lattice.basis == ((1,),)
+    assert q.constituents == {(0,): {(0,): F(1)}}
+
+
 def test_pqp_to_rgf_two_parameters():
     g = vpf_pqp([(1, 0), (0, 1), (1, 1)])
     f = pqp_to_rgf(g, names=("x", "y"))
@@ -222,12 +267,20 @@ def test_vpf_pqp_2d_random_against_brute_force():
         # cosets are interpolated from a series table of size about m^2
         if math.lcm(*(x for x in dets if x)) > 6:
             continue
-        g = vpf_pqp(gens)
-        for a in range(11):
-            for b in range(11):
-                assert g.eval((a, b)) == partition_count(gens, (a, b)), \
-                    (gens, a, b)
+        check_vpf_2d(gens, 10)
         checked += 1
+    check_vpf_2d([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)], 12)
+
+
+def check_vpf_2d(gens, bound):
+    """vpf_pqp against brute force, and back to the series of vpf_gf."""
+    g = vpf_pqp(gens)
+    for a in range(bound + 1):
+        for b in range(bound + 1):
+            assert g.eval((a, b)) == partition_count(gens, (a, b)), \
+                (gens, a, b)
+    assert series_coeffs(pqp_to_rgf(g), bound) == \
+        series_coeffs(vpf_gf(gens), bound), gens
 
 
 def test_vpf_pqp_dimension_guard():
