@@ -373,7 +373,8 @@ def full_coset(dim):
 def coset_intersect(c1, c2):
     """Intersection of two cosets: a canonical coset, or None when disjoint."""
     d = c1.dim
-    assert c2.dim == d
+    if c2.dim != d:
+        raise ValueError(f"coset dimensions {d} and {c2.dim} differ")
     if d == 0:
         return c1
     b1 = c1.lattice.basis
@@ -404,7 +405,8 @@ def congruence_coset(coeffs, residue, modulus, dim):
 
     Returns a LatticeCoset, or None when the congruence has no solution.
     """
-    assert modulus >= 1
+    if modulus < 1:
+        raise ValueError(f"modulus {modulus} is not positive")
     row = (*coeffs, modulus)
     x0 = solve_int((row,), (residue,))
     if x0 is None:

@@ -1,9 +1,11 @@
-"""Rational polyhedra: Fourier-Motzkin feasibility, vertices, rays,
-triangulation.
+"""Rational polyhedra: one double-description kernel, triangulation.
 
 A Polyhedron stores inequality rows (a, b) meaning a.x >= b and equality
 rows meaning a.x = b, with integer a and b.  All geometry is exact; points
-come back as Fraction tuples.  Vertex and ray enumeration require a pointed
+come back as Fraction tuples.  Feasibility, implicit equalities, interior
+and vertices are read off the lines and extreme rays of the homogenized
+cone {(x, t) : a.x >= b t, t >= 0}, tangent cones off those of the rows
+tight at a point.  Vertex and ray enumeration require a pointed
 polyhedron and raise NonPointedError otherwise.
 """
 
@@ -11,17 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from operator import mul
 
-from .lattices import (
-    clear_denominators,
-    rat_nullspace,
-    rat_rank,
-    rat_solve,
-    vdot,
-    vneg,
-)
+from .lattices import primitive, rat_nullspace, rat_rank, rat_solve, vdot, vneg
 
 
 class NonPointedError(ValueError):
@@ -64,7 +58,8 @@ class Polyhedron:
                           tuple(sorted(set(eq_rows))))
 
     def intersect(self, other):
-        assert self.dim == other.dim
+        if self.dim != other.dim:
+            raise ValueError(f"dimensions {self.dim} and {other.dim} differ")
         return Polyhedron.of(self.dim, self.ineqs + other.ineqs,
                              self.eqs + other.eqs)
 
@@ -88,139 +83,131 @@ class Cone:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin
+# double description
 
 
-def _reduce_row(a, b, s):
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    if g > 1:
-        a = tuple(c // g for c in a)
-        b = Fraction(b, g)
-    return (a, b, s)
+def _project(v, a, u, s):
+    """v moved along u onto the hyperplane a.y = 0, where s = a.u > 0."""
+    c = sum(map(mul, a, v))
+    return primitive([s * x - c * y for x, y in zip(v, u)]) if c else v
 
 
-def _eliminate_last(rows, k):
-    """Eliminate variable k-1 from rows over k variables."""
-    pos, negs, out = [], [], []
-    seen = set()
-    for a, b, s in rows:
-        c = a[k - 1]
-        if c > 0:
-            pos.append((a, b, s))
-        elif c < 0:
-            negs.append((a, b, s))
-        else:
-            r = (a[: k - 1], b, s)
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-    for a1, b1, s1 in pos:
-        for a2, b2, s2 in negs:
-            al, be = a1[k - 1], -a2[k - 1]
-            row = _reduce_row(
-                tuple(be * a1[i] + al * a2[i] for i in range(k - 1)),
-                be * b1 + al * b2, s1 or s2)
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-    return out
+def _dd(rows, n):
+    """Lines and extreme rays of the cone {y in Q^n : a.y >= 0 for a in rows}.
 
-
-def _rows_of(p, strict):
-    rows = [(a, b, strict) for a, b in p.ineqs]
-    for a, b in p.eqs:
-        rows.append((a, b, False))
-        rows.append((vneg(a), -b, False))
-    return rows
-
-
-def _fm_feasible(rows, d):
-    """True when the rows (a, b, strict) over d variables have a common
-    rational solution.
-
-    Eliminates the variables last to first, keeping only the current
-    system; what remains are constant rows 0 >= b (or 0 > b if strict).
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996), from the n unit lines, one row at a time.  A row
+    that is nonzero on some line turns it into a ray, tight on every
+    earlier row, and projects the other lines and rays along it onto the
+    row's hyperplane.  Otherwise the rays on the row's positive side and
+    hyperplane stay, and each adjacent pair of a positive and a negative
+    ray gives a new ray on the hyperplane.  Rays carry bit masks of their
+    tight rows; two are adjacent when no third ray is tight on every row
+    they share.  The cone is span(lines) + cone(rays); vectors are
+    primitive integer tuples and the rays are distinct.
     """
-    for k in range(d, 0, -1):
-        rows = _eliminate_last(rows, k)
-    return all(b < 0 if s else b <= 0 for _, b, s in rows)
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = []  # (vector, mask of the rows it is tight on)
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        for i, line in enumerate(lines):
+            s = sum(map(mul, a, line))
+            if s:
+                del lines[i]
+                if s < 0:
+                    line, s = tuple(-c for c in line), -s
+                lines = [_project(m, a, line, s) for m in lines]
+                rays = [(_project(r, a, line, s), mask | bit)
+                        for r, mask in rays]
+                rays.append((line, bit - 1))
+                break
+        else:
+            pos, neg, kept = [], [], []
+            for r, mask in rays:
+                c = sum(map(mul, a, r))
+                if c > 0:
+                    pos.append((r, mask, c))
+                    kept.append((r, mask))
+                elif c < 0:
+                    neg.append((r, mask, c))
+                else:
+                    kept.append((r, mask | bit))
+            if pos and neg:
+                # an edge of the cone has n - len(lines) - 2 independent
+                # tight rows
+                need = n - len(lines) - 2
+                masks = [mask for _, mask in rays]
+                for p, mp, cp in pos:
+                    for q, mq, cq in neg:
+                        common = mp & mq
+                        if common.bit_count() < need:
+                            continue
+                        for m in masks:
+                            if m & common == common and m != mp and m != mq:
+                                break
+                        else:
+                            kept.append((_project(q, a, p, cp), common | bit))
+            rays = kept
+    return lines, [r for r, _ in rays]
+
+
+def _homogenized(p):
+    """Lines and rays of {(x, t) : a.x >= b t on p's rows, t >= 0}.
+
+    p is nonempty exactly when some ray has t > 0; when p is pointed those
+    rays, divided by t, are its vertices.
+    """
+    rows = []
+    for a, b in p.eqs:
+        rows += [(*a, -b), (*(-c for c in a), b)]
+    rows += [(*a, -b) for a, b in p.ineqs]
+    rows.append((0,) * p.dim + (1,))
+    return _dd(rows, p.dim + 1)
 
 
 def is_feasible(p):
-    return _fm_feasible(_rows_of(p, False), p.dim)
+    return any(r[-1] for r in _homogenized(p)[1])
+
+
+def implicit_equalities(p):
+    """Inequality rows that hold with equality everywhere on p; every row
+    when p is empty."""
+    rays = _homogenized(p)[1]
+    if not any(r[-1] for r in rays):
+        return list(p.ineqs)
+    return [(a, b) for a, b in p.ineqs
+            if all(vdot(a, r[:-1]) == b * r[-1] for r in rays)]
 
 
 def has_interior(p):
     """True when the polyhedron is full-dimensional."""
-    return not p.eqs and _fm_feasible(_rows_of(p, True), p.dim)
-
-
-def implicit_equalities(p):
-    """Inequality rows that hold with equality everywhere on p."""
-    base = _rows_of(p, False)
-    return [(a, b) for a, b in p.ineqs
-            if not _fm_feasible(base + [(a, b, True)], p.dim)]
-
-
-# ---------------------------------------------------------------------------
-# vertices and rays
-
-
-def _pointedness_rank(p):
-    normals = [a for a, _ in p.ineqs] + [a for a, _ in p.eqs]
-    return rat_rank(normals)
+    # an empty p has an inequality row, and it counts as implicit
+    return not p.eqs and not implicit_equalities(p)
 
 
 def vertices(p):
     """All vertices of a pointed, nonempty polyhedron (sorted)."""
-    d = p.dim
-    if _pointedness_rank(p) < d:
-        raise NonPointedError(f"polyhedron in dim {d} contains a line")
-    if not is_feasible(p):
+    lines, rays = _homogenized(p)
+    if lines:
+        raise NonPointedError(f"polyhedron in dim {p.dim} contains a line")
+    out = sorted(tuple(Fraction(c, r[-1]) for c in r[:-1])
+                 for r in rays if r[-1])
+    if not out:
         raise ValueError("empty polyhedron has no vertices")
-    eq_rows = list(p.eqs)
-    k = d - rat_rank([a for a, _ in eq_rows]) if eq_rows else d
-    out = set()
-    for sub in combinations(p.ineqs, k):
-        M = [a for a, _ in eq_rows] + [a for a, _ in sub]
-        rhs = [b for _, b in eq_rows] + [b for _, b in sub]
-        x = rat_solve(M, rhs) if M else ()  # no rows only when d = 0
-        if x is not None and p.contains(x):
-            out.add(x)
-    return sorted(out)
-
-
-def _extreme_rays(ge_normals, eq_normals, dim):
-    """Extreme rays of {y : G y >= 0, E y = 0}; the cone must be pointed."""
-    if rat_rank(list(ge_normals) + list(eq_normals)) < dim:
-        raise NonPointedError("cone contains a line")
-    base = rat_rank(list(eq_normals)) if eq_normals else 0
-    k = dim - 1 - base
-    if k < 0:
-        return []
-    rays = []
-    for sub in combinations(ge_normals, k):
-        M = list(eq_normals) + list(sub)
-        ns = rat_nullspace(M, dim)
-        if len(ns) != 1:
-            continue
-        v = clear_denominators(ns[0])
-        for cand in (v, vneg(v)):
-            if all(vdot(g, cand) >= 0 for g in ge_normals):
-                if cand not in rays:
-                    rays.append(cand)
-                break
-    return sorted(rays)
+    return out
 
 
 def tangent_cone(p, v):
     """Cone of feasible directions at a point v of p, as apex + rays."""
-    assert p.contains(v)
-    tight = [a for a, b in p.ineqs if vdot(a, v) == b]
-    rays = _extreme_rays(tight, [a for a, _ in p.eqs], p.dim)
-    return Cone(tuple(Fraction(c) for c in v), tuple(rays))
+    if not p.contains(v):
+        raise ValueError(f"{v} is not a point of the polyhedron")
+    rows = [a for a, b in p.ineqs if vdot(a, v) == b]
+    for a, _ in p.eqs:
+        rows += [a, vneg(a)]
+    lines, rays = _dd(rows, p.dim)
+    if lines:
+        raise NonPointedError("cone contains a line")
+    return Cone(tuple(Fraction(c) for c in v), tuple(sorted(rays)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,19 @@ from presburger.formulas import (
     substitute,
 )
 from presburger.genfun import make_term, rgf
-from presburger.lattices import Lattice, mat_vec, vadd, vsub
+from presburger.lattices import (
+    Lattice,
+    clear_denominators,
+    mat_vec,
+    rat_nullspace,
+    rat_rank,
+    rat_solve,
+    vadd,
+    vdot,
+    vneg,
+    vsub,
+)
+from presburger.polyhedra import NonPointedError
 
 
 def count_solutions(formula, param, p0, counted):
@@ -119,3 +131,45 @@ def halfopen_simplicial_oracle(names, apex, gens, ginv, excluded):
             raise AssertionError(f"parallelepiped point {pt} not integral")
         terms.append(make_term(1, pt, gens))
     return rgf(names, terms)
+
+
+def vertices_oracle(p):
+    """Vertices of a polyhedron by solving its equalities together with
+    every subset of d - rank(eqs) inequality rows; NonPointedError when the
+    row normals have rank below d, ValueError when no solution lies in p."""
+    d = p.dim
+    if rat_rank([a for a, _ in p.ineqs + p.eqs]) < d:
+        raise NonPointedError(f"polyhedron in dim {d} contains a line")
+    k = d - rat_rank([a for a, _ in p.eqs])
+    out = set()
+    for sub in itertools.combinations(p.ineqs, k):
+        rows = p.eqs + sub
+        x = (rat_solve([a for a, _ in rows], [b for _, b in rows])
+             if rows else ())  # no rows only when d = 0
+        if x is not None and p.contains(x):
+            out.add(x)
+    if not out:
+        raise ValueError("empty polyhedron has no vertices")
+    return sorted(out)
+
+
+def rays_oracle(ge_normals, eq_normals, dim):
+    """Extreme rays of {y : g.y >= 0, e.y = 0} (sorted), one candidate per
+    subset of dim - 1 - rank(eqs) rows g whose kernel with the e rows is a
+    line; NonPointedError when the cone contains a line."""
+    if rat_rank(list(ge_normals) + list(eq_normals)) < dim:
+        raise NonPointedError("cone contains a line")
+    k = dim - 1 - rat_rank(list(eq_normals))
+    if k < 0:
+        return []  # the cone is {0}
+    rays = set()
+    for sub in itertools.combinations(ge_normals, k):
+        ns = rat_nullspace(list(eq_normals) + list(sub), dim)
+        if len(ns) != 1:
+            continue
+        v = clear_denominators(ns[0])
+        for cand in (v, vneg(v)):
+            if all(vdot(g, cand) >= 0 for g in ge_normals):
+                rays.add(cand)
+                break
+    return sorted(rays)

@@ -47,3 +47,40 @@ def test_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(found) > 1
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def orphaned_helpers(sources):
+    """Module-level _private functions and classes of the given modules
+    (name -> source) whose name no module reads, imports or looks up as an
+    attribute."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted((m, name) for m, name in defined if name not in used)
+
+
+def test_orphaned_helpers_are_found():
+    sources = {"a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n"
+                    "def __dunder__(): pass\ndef api(): return _used()\n",
+               "b": "from .a import api\n"}
+    assert orphaned_helpers(sources) == [("a", "_Gone"), ("a", "_dead")]
+    sources["b"] += "from . import a\na._dead()\n"
+    assert orphaned_helpers(sources) == [("a", "_Gone")]
+
+
+def test_no_orphaned_helpers():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_helpers(sources) == []

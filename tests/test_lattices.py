@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from presburger.lattices import (Lattice, LatticeCoset, congruences_of_coset,
-                                 coset_intersect, full_coset, hnf, hnf_kernel,
+from presburger.lattices import (Lattice, LatticeCoset, congruence_coset,
+                                 congruences_of_coset, coset_intersect,
+                                 full_coset, hnf, hnf_kernel,
                                  mat_mul, mat_vec, rat_inv, rat_nullspace,
                                  rat_rank, rat_solve, solve_congruences,
                                  solve_int, vdot)
@@ -233,3 +234,14 @@ def test_vdot_rejects_length_mismatch():
     assert vdot((), ()) == 0
     with pytest.raises(ValueError):
         vdot((1, 2), (1, 2, 3))
+
+
+def test_coset_intersect_rejects_dimension_mismatch():
+    with pytest.raises(ValueError):
+        coset_intersect(full_coset(1), full_coset(2))
+
+
+def test_congruence_coset_rejects_nonpositive_modulus():
+    assert congruence_coset((1,), 0, 1, 1) == full_coset(1)
+    with pytest.raises(ValueError):
+        congruence_coset((1,), 0, 0, 1)

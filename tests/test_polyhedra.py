@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import rays_oracle, vertices_oracle
+from presburger.lattices import rat_rank, vadd, vdot, vsub
 from presburger.polyhedra import (
     Cone,
     NonPointedError,
@@ -184,3 +186,93 @@ def test_intersect_and_contains():
     p = square().intersect(Polyhedron.of(2, [((1, 1), 1)]))
     assert p.contains((1, 0)) and not p.contains((0, 0))
     assert vertices(p) == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_intersect_rejects_dimension_mismatch():
+    with pytest.raises(ValueError):
+        square().intersect(nonneg_orthant(3))
+
+
+def test_tangent_cone_rejects_point_outside():
+    with pytest.raises(ValueError):
+        tangent_cone(square(), (2, 0))
+
+
+def check_against_oracles(p):
+    """All five double-description answers on p against the subset
+    enumerations.  Feasibility, implicit equalities and interior are read
+    off the vertices and recession rays of p, or of p cut down to a box
+    that meets its relative interior when p has no vertex."""
+    d = p.dim
+    eq_normals = [a for a, _ in p.eqs]
+    try:
+        points = vertices_oracle(p)
+    except ValueError as e:  # NonPointedError is a ValueError too
+        with pytest.raises(type(e)):
+            vertices(p)
+        kind = "non-pointed" if isinstance(e, NonPointedError) else "empty"
+        try:
+            points = vertices_oracle(p.intersect(box(d, 10 ** 4)))
+        except ValueError:
+            points = []
+        directions = []
+    else:
+        kind = "pointed"
+        assert vertices(p) == points, p
+        for v in points:
+            tight = [a for a, b in p.ineqs if vdot(a, v) == b]
+            assert tangent_cone(p, v).generators == \
+                tuple(rays_oracle(tight, eq_normals, d)), (p, v)
+        directions = rays_oracle([a for a, _ in p.ineqs], eq_normals, d)
+    if not points:
+        kind = "empty"
+    assert is_feasible(p) == bool(points), p
+    implicit = [(a, b) for a, b in p.ineqs
+                if all(vdot(a, v) == b for v in points)
+                and all(vdot(a, y) == 0 for y in directions)]
+    assert implicit_equalities(p) == implicit, p
+    spread = [vsub(v, points[0]) for v in points] + directions
+    full = bool(points) and not p.eqs and rat_rank(spread) == d
+    assert has_interior(p) == full, p
+    return kind
+
+
+def test_double_description_against_subset_enumeration():
+    rng = random.Random(20240518)
+    kinds = []
+    for _ in range(150):
+        d = rng.choice([1, 2, 2, 3, 3, 4])
+        rows = [(tuple(rng.randint(-3, 3) for _ in range(d)),
+                 rng.randint(-4, 4)) for _ in range(rng.randint(1, d + 1))]
+        # a redundant row: a relaxed sum of two rows
+        (a1, b1), (a2, b2) = rng.choice(rows), rng.choice(rows)
+        rows.append((vadd(a1, a2), b1 + b2 - rng.randint(0, 2)))
+        eqs = [(tuple(rng.randint(-2, 2) for _ in range(d)),
+                rng.randint(-3, 3)) for _ in range(rng.choice([0, 0, 1, 2]))]
+        kinds.append(check_against_oracles(Polyhedron.of(d, rows, eqs)))
+    assert {"empty", "pointed", "non-pointed"} <= set(kinds)
+
+
+def test_degenerate_vertices_against_subset_enumeration():
+    # apex (1, 1, 1) of a square pyramid over [0, 2]^2 and a vertex of the
+    # octahedron |x| + |y| + |z| <= 1: four facets meet at each, in 3-d
+    pyramid = Polyhedron.of(3, [((0, 0, 1), 0), ((1, 0, -1), 0),
+                                ((0, 1, -1), 0), ((-1, 0, -1), -2),
+                                ((0, -1, -1), -2)])
+    assert tangent_cone(pyramid, (1, 1, 1)).generators == (
+        (-1, -1, -1), (-1, 1, -1), (1, -1, -1), (1, 1, -1))
+    octahedron = Polyhedron.of(3, [((s, t, u), -1) for s in (-1, 1)
+                                   for t in (-1, 1) for u in (-1, 1)])
+    assert tangent_cone(octahedron, (1, 0, 0)).generators == (
+        (-1, -1, 0), (-1, 0, -1), (-1, 0, 1), (-1, 1, 0))
+    assert len(vertices(octahedron)) == 6
+    for p in (pyramid, octahedron, box(3, 1)):
+        assert check_against_oracles(p) == "pointed"
+    # the pyramid's cone at its apex, a wedge with a line, an empty slab
+    apex_cone = Polyhedron.of(3, [(a, 0) for a, b in pyramid.ineqs
+                                  if vdot(a, (1, 1, 1)) == b])
+    assert check_against_oracles(apex_cone) == "pointed"
+    wedge = Polyhedron.of(3, [((1, 0, 0), 0), ((-1, 1, 0), 0)])
+    assert check_against_oracles(wedge) == "non-pointed"
+    slab = Polyhedron.of(2, [((1, 1), 3), ((-1, -1), -2)])
+    assert check_against_oracles(slab) == "empty"
