@@ -12,8 +12,8 @@ functions (chamber decomposition in parameter dimension two), rewrites
 quasi-polynomials as step polynomials built from floors, and synthesizes
 counting formulas whose solution count realizes a given quasi-polynomial.
 Constituents are recovered from series coefficients (genfun.series_coeffs)
-by one interpolation helper on the grid of exponents of bounded total
-degree.
+by integer Newton differences on the grid of exponents of bounded total
+degree, expanded in binomials of affine forms over one common denominator.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, reduce
 from itertools import product
 from math import gcd, lcm
+from operator import add
 
 from .formulas import (
     FALSE,
@@ -44,7 +45,7 @@ from .genfun import (
     rgf,
     series_coeffs,
 )
-from .lattices import Lattice, LatticeCoset, mat_vec, rat_inv
+from .lattices import Lattice, LatticeCoset
 from .polyhedra import Polyhedron
 from .semilinear import SemilinearCell
 
@@ -75,8 +76,8 @@ def poly_mul(p, q):
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
     return poly_norm(out)
 
 
@@ -96,47 +97,67 @@ def poly_const(n, c):
     return {(0,) * n: c} if c else {}
 
 
+def _expand(terms, den, forms, falling):
+    """sum_e terms[e] prod_i B_i(e_i) / den for integer terms, forms[i] =
+    (coeffs, const) = num_i / d_i with num_i integral, and B_i(m) = num_i^m
+    / d_i^m or, when falling, num_i (num_i - d_i) ... (num_i - (m-1) d_i) /
+    d_i^m, as integer polynomials over one denominator den prod d_i^max m."""
+    k = len(forms[0][0])
+    zero = (0,) * k
+    bases = []
+    for i, (coeffs, const) in enumerate(forms):
+        d = lcm(*(x.denominator for x in (*coeffs, const)))
+        *a, b = [x.numerator * (d // x.denominator) for x in (*coeffs, const)]
+        lin = {tuple(int(j == v) for j in range(k)): c
+               for v, c in enumerate(a) if c}
+        top = max((e[i] for e in terms), default=0)
+        den *= d ** top
+        powers = [{zero: 1}]
+        for m in range(top):
+            c = b - m * d if falling else b
+            powers.append(poly_mul(powers[-1], {**lin, zero: c} if c else lin))
+        bases.append([{e: c * d ** (top - m) for e, c in q.items()}
+                      for m, q in enumerate(powers)])
+    acc = {}
+    for e, w in terms.items():
+        prod = reduce(poly_mul, [bases[i][m] for i, m in enumerate(e)])
+        for f, c in prod.items():
+            acc[f] = acc.get(f, 0) + w * c
+    return {f: Fraction(c, den) for f, c in sorted(acc.items()) if c}
+
+
 def poly_compose_affine(p, forms):
     """Substitute variable i of p by the affine form forms[i] = (coeffs,
     const) over a new tuple of variables."""
-    k = len(forms[0][0])
-    form_polys = []
-    for coeffs, const in forms:
-        poly = {}
-        for i, a in enumerate(coeffs):
-            if a:
-                poly[tuple(1 if j == i else 0 for j in range(k))] = Fraction(a)
-        if const:
-            key = (0,) * k
-            poly[key] = poly.get(key, Fraction(0)) + Fraction(const)
-        form_polys.append(poly)
-    total = {}
-    for e, c in p.items():
-        mono = {(0,) * k: Fraction(1)}
-        for i, deg in enumerate(e):
-            for _ in range(deg):
-                mono = poly_mul(mono, form_polys[i])
-        total = poly_add(total, poly_scale(mono, c))
-    return total
+    L = lcm(*(c.denominator for c in p.values()))
+    return _expand({e: c.numerator * (L // c.denominator)
+                    for e, c in p.items()}, L, forms, False)
 
 
 @lru_cache(maxsize=None)
 def _grid(n, D):
-    """Exponents of total degree <= D in n variables, which double as the
-    sample points, and the inverse of their Vandermonde matrix."""
-    grid = [e for e in product(range(D + 1), repeat=n) if sum(e) <= D]
-    vander = [[math.prod(Fraction(x) ** k for x, k in zip(pt, e))
-               for e in grid] for pt in grid]
-    return grid, rat_inv(vander)
+    """Exponents of total degree <= D in n variables, the sample points."""
+    return [e for e in product(range(D + 1), repeat=n) if sum(e) <= D]
 
 
 def _interpolate(n, D, samples, forms):
     """Polynomial of total degree <= D in n variables taking samples[i] at
     the i-th point of _grid(n, D), with variable i then replaced by the
-    affine form forms[i]."""
-    grid, inv = _grid(n, D)
-    coeffs = mat_vec(inv, samples)
-    return poly_compose_affine(poly_norm(dict(zip(grid, coeffs))), forms)
+    affine form forms[i]: Newton's sum_e Delta^e f(0) prod_i C(x_i, e_i)
+    with mixed forward differences of the samples times their lcm L."""
+    grid = _grid(n, D)
+    L = lcm(*(s.denominator for s in samples))
+    vals = {e: s.numerator * (L // s.denominator)
+            for e, s in zip(grid, samples)}
+    for i in range(n):
+        for level in range(1, D + 1):
+            for e in reversed(grid):  # larger e_i first along each line
+                if e[i] >= level:
+                    vals[e] -= vals[e[:i] + (e[i] - 1,) + e[i + 1:]]
+    fact = math.factorial(D)
+    terms = {e: v * (fact // math.prod(map(math.factorial, e)))
+             for e, v in vals.items() if v}
+    return _expand(terms, L * fact, forms, True)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +545,7 @@ def _vpf_pqp_2d(gens):
             if det:
                 m = lcm(m, det)
     D = d - 2
-    grid, _ = _grid(2, D)
+    grid = _grid(2, D)
     checks = [(D + 1, 0), (0, D + 1), (D + 1, 1)]
     lat = Lattice(2, ((m, 0), (0, m)))
     chambers = []
@@ -559,7 +580,8 @@ def _vpf_pqp_2d(gens):
             values = [table.get(pt, Fraction(0)) for pt in points]
             q = _interpolate(2, D, values[:len(grid)], forms)
             for pt, val in list(zip(points, values))[len(grid):]:
-                assert poly_eval(q, pt) == val, "chamber period too small"
+                if poly_eval(q, pt) != val:
+                    raise RuntimeError("chamber period too small")
             constituents[rho] = q
         pieces.append((cell, QuasiPolynomial(2, lat, constituents)))
     return PiecewiseQuasiPolynomial(2, tuple(pieces))
@@ -588,23 +610,22 @@ def qp_to_step(q):
     if q.n != 1:
         raise ValueError("qp_to_step is univariate only")
     m = q.lattice.basis[0][0]
-    acc = {}
-
-    def add(coef, factors):
-        key = tuple(sorted(factors))
-        acc[key] = acc.get(key, Fraction(0)) + coef
-
-    for (r,) in sorted(q.constituents):
-        poly = q.constituents[(r,)]
-        for (e,), c in sorted(poly.items()):
-            base = (((Fraction(1),), Fraction(0)),) * e
-            if m == 1:
-                add(c, base)
-            else:
-                add(c, base + (((Fraction(1, m),), Fraction(-r, m)),))
-                add(-c, base + (((Fraction(1, m),), Fraction(-r - 1, m)),))
-    terms = tuple((c, k) for k, c in sorted(acc.items()) if c != 0)
-    return StepPolynomial(1, terms)
+    L = lcm(*(c.denominator for poly in q.constituents.values()
+              for c in poly.values()))
+    acc = {}  # (-k, e), in output order -> L * coeff of floor((p-k)/m) p^e
+    for (r,), poly in q.constituents.items():
+        for (e,), c in poly.items():
+            c = c.numerator * (L // c.denominator)
+            acc[-r, e] = acc.get((-r, e), 0) + c
+            if m > 1:
+                acc[-r - 1, e] = acc.get((-r - 1, e), 0) - c
+    one = ((Fraction(1),), Fraction(0))
+    terms = []
+    for (neg, e), c in sorted(acc.items()):
+        if c:
+            floor = (((Fraction(1, m),), Fraction(neg, m)),) if m > 1 else ()
+            terms.append((Fraction(c, L), floor + (one,) * e))
+    return StepPolynomial(1, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

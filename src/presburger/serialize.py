@@ -8,6 +8,7 @@ byte-identical.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .genfun import make_term, rgf
 from .lattices import Lattice, LatticeCoset
@@ -29,7 +30,25 @@ def parse_frac(s):
 
 
 def dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """json.dumps(obj, indent=2, sort_keys=True) without json's slow path."""
+    return _dump(obj, "\n")
+
+
+def _dump(obj, nl):
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return str(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (map(str, obj) if all(type(x) is int for x in obj)
+                 else [_dump(x, inner) for x in obj])
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict) and obj:
+        items = [_dump(k if type(k) is str else json.dumps(k), nl) + ": "
+                 + _dump(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj)  # empty containers, bool, None, float
 
 
 loads = json.loads

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from presburger.formulas import (
     Cmp,
@@ -17,6 +18,7 @@ from presburger.lattices import (
     Lattice,
     clear_denominators,
     mat_vec,
+    rat_inv,
     rat_nullspace,
     rat_rank,
     rat_solve,
@@ -26,6 +28,7 @@ from presburger.lattices import (
     vsub,
 )
 from presburger.polyhedra import NonPointedError
+from presburger.quasipoly import StepPolynomial, poly_add, poly_mul, poly_scale
 
 
 def count_solutions(formula, param, p0, counted):
@@ -173,3 +176,69 @@ def rays_oracle(ge_normals, eq_normals, dim):
                 rays.add(cand)
                 break
     return sorted(rays)
+
+
+def compose_affine_oracle(p, forms):
+    """quasipoly.poly_compose_affine by repeated poly_mul of Fraction
+    polynomials: each monomial of p is multiplied out form by form."""
+    k = len(forms[0][0])
+    form_polys = []
+    for coeffs, const in forms:
+        poly = {}
+        for i, a in enumerate(coeffs):
+            if a:
+                poly[tuple(1 if j == i else 0 for j in range(k))] = Fraction(a)
+        if const:
+            key = (0,) * k
+            poly[key] = poly.get(key, Fraction(0)) + Fraction(const)
+        form_polys.append(poly)
+    total = {}
+    for e, c in p.items():
+        mono = {(0,) * k: Fraction(1)}
+        for i, deg in enumerate(e):
+            for _ in range(deg):
+                mono = poly_mul(mono, form_polys[i])
+        total = poly_add(total, poly_scale(mono, c))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _vandermonde_inverse(n, D):
+    grid = [e for e in itertools.product(range(D + 1), repeat=n)
+            if sum(e) <= D]
+    vander = [[math.prod(Fraction(x) ** k for x, k in zip(pt, e))
+               for e in grid] for pt in grid]
+    return grid, rat_inv(vander)
+
+
+def interpolate_oracle(n, D, samples, forms):
+    """quasipoly._interpolate by the Vandermonde matrix of the grid of
+    exponents of total degree <= D (the grid points are the sample
+    points), then compose_affine_oracle."""
+    grid, inv = _vandermonde_inverse(n, D)
+    coeffs = mat_vec(inv, samples)
+    return compose_affine_oracle(
+        {e: c for e, c in zip(grid, coeffs) if c}, forms)
+
+
+def qp_to_step_oracle(q):
+    """quasipoly.qp_to_step with Fraction factor tuples as keys: residue r
+    mod m is floor((p-r)/m) - floor((p-r-1)/m), p^e is e floor(p)
+    factors, and the terms come in the order of their sorted factors."""
+    m = q.lattice.basis[0][0]
+    acc = {}
+
+    def add(coef, factors):
+        key = tuple(sorted(factors))
+        acc[key] = acc.get(key, Fraction(0)) + coef
+
+    for (r,) in sorted(q.constituents):
+        for (e,), c in sorted(q.constituents[(r,)].items()):
+            base = (((Fraction(1),), Fraction(0)),) * e
+            if m == 1:
+                add(c, base)
+            else:
+                add(c, base + (((Fraction(1, m),), Fraction(-r, m)),))
+                add(-c, base + (((Fraction(1, m),), Fraction(-r - 1, m)),))
+    return StepPolynomial(1, tuple((c, k) for k, c in sorted(acc.items())
+                                   if c != 0))

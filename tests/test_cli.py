@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -352,6 +353,53 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, "dnf", "x + y <= 4 | x % 2 = 1", "--format", "json")
     b = run(capsys, "dnf", "x + y <= 4 | x % 2 = 1", "--format", "json")
     assert a == b
+
+
+KNAPSACK = ("count", "5*x + 6*y + 7*z <= p", "--count-vars", "x,y,z",
+            "--param-vars", "p")
+GOLDEN = [  # stdout pinned byte for byte by its sha256
+    (KNAPSACK + ("--as", "qp"),
+     "a5c607535fc85cb54cc920165aa45d96fe8013d0eb65a8fd7f35ee972d6c2571"),
+    (KNAPSACK + ("--as", "step"),
+     "1e389862a0576eb568d410c1b783ee4b770930d4c7a455909b1aab64fc6ecce5"),
+    (("vpf", "1,0;0,1;1,1;1,2", "--as", "qp"),
+     "efb0634d1a953f0b0c055ab4d2e2103d443a86e846fbd033512d7b364f78f333"),
+    (("vpf", "2;3;5;7", "--as", "qp"),
+     "a07451b5d606b1a164d4cc1406ea0b31221c9d7fd7266fa5e635b422e19ad743"),
+]
+
+
+def test_golden_outputs(capsys):
+    for argv, digest in GOLDEN:
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_json_documents_match_the_json_module(capsys, tmp_path):
+    """Every kind of document the command line prints is what
+    json.dumps(indent=2, sort_keys=True) makes of it."""
+    files = {}
+    for name, argv in [("pqp", ("vpf", "2;3", "--as", "qp")),
+                       ("gf1", ("vpf", "1;2;2")),
+                       ("gf2", ("genfun", "x + 2*y <= 3"))]:
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(run_json(capsys, *argv)))
+    for argv in [("decide", "E u. u > 1"), ("qelim", "E b. u = 2*b"),
+                 ("genfun", "u > 1 & u % 2 = 1"), ("dnf", "x + y <= 4"),
+                 KNAPSACK + ("--as", "qp"), KNAPSACK + ("--as", "step"),
+                 KNAPSACK + ("--as", "value", "--at", "9"),
+                 ("count", "x >= p", "--count-vars", "x",
+                  "--param-vars", "p"),
+                 ("vpf", "1,0;1,1", "--as", "qp"), ("synth", files["pqp"]),
+                 ("series", files["gf1"], "--bound", "4"),
+                 ("series", files["gf2"], "--bound", "2"),
+                 ("zero", files["gf1"]),
+                 ("hadamard", files["gf1"], files["gf1"])]:
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert rc == (3 if "x >= p" in argv else 0), (argv, err)  # infinite
+        want = json.dumps(json.loads(out), indent=2, sort_keys=True)
+        assert out == want + "\n", argv
 
 
 def test_console_script_installed():

@@ -2,7 +2,15 @@ import math
 import random
 from fractions import Fraction
 
-from oracles import count_solutions, partition_count
+import pytest
+from oracles import (
+    compose_affine_oracle,
+    count_solutions,
+    interpolate_oracle,
+    partition_count,
+    qp_to_step_oracle,
+)
+from presburger import quasipoly
 from presburger.genfun import make_term, rgf, series_coeffs, series_equal
 from presburger.lattices import Lattice
 from presburger.polyhedra import Polyhedron
@@ -10,6 +18,7 @@ from presburger.quasipoly import (
     PiecewiseQuasiPolynomial,
     QuasiPolynomial,
     StepPolynomial,
+    _interpolate,
     eventual_form,
     eventual_pqp,
     poly_compose_affine,
@@ -48,6 +57,90 @@ def test_poly_basics():
     # substitute x := 2y + z - 1 into x^2
     comp = poly_compose_affine({(2,): F(1)}, [((F(2), F(1)), F(-1))])
     assert poly_eval(comp, (3, 4)) == (2 * 3 + 4 - 1) ** 2
+
+
+def random_frac(rng, size=9):
+    return F(rng.randint(-size, size), rng.randint(1, size))
+
+
+def random_forms(rng, n, k):
+    return [(tuple(random_frac(rng) for _ in range(k)), random_frac(rng))
+            for _ in range(n)]
+
+
+def test_interpolate_matches_vandermonde_oracle():
+    rng = random.Random(8642)
+    for n in (1, 2, 3):
+        for D in range(5):
+            size = math.comb(n + D, D)
+            for _ in range(3):
+                samples = [random_frac(rng, 50) for _ in range(size)]
+                forms = random_forms(rng, n, rng.randint(1, 3))
+                assert _interpolate(n, D, samples, forms) == \
+                    interpolate_oracle(n, D, samples, forms), (n, D)
+    # samples of a polynomial give it back
+    assert _interpolate(1, 2, [F(0), F(1), F(4)], [((F(1),), F(0))]) == \
+        {(2,): F(1)}
+
+
+def test_poly_compose_affine_matches_oracle():
+    rng = random.Random(9753)
+    for _ in range(40):
+        n, k = rng.randint(1, 3), rng.randint(1, 3)
+        p = {tuple(rng.randint(0, 4) for _ in range(n)): random_frac(rng)
+             for _ in range(rng.randint(0, 5))}
+        forms = random_forms(rng, n, k)
+        assert poly_compose_affine(p, forms) == \
+            compose_affine_oracle(p, forms), (p, forms)
+
+
+def random_univariate_gf(rng):
+    """Terms c x^a / prod (1 - x^e) with Fraction c and repeated e; some
+    written as the difference of two terms with numerator shift a - e_0,
+    which may be negative, so the series still vanishes below 0."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        c = random_frac(rng)
+        a = rng.randint(0, 4)
+        dens = tuple((rng.choice((1, 2, 2, 3, 4)),)
+                     for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            (e,), rest = dens[0], dens[1:]
+            terms.append(make_term(c, (a - e,), dens))
+            terms.append(make_term(-c, (a - e,), rest))
+        else:
+            terms.append(make_term(c, (a,), dens))
+    return rgf(("x",), terms)
+
+
+def test_rgf_to_pqp_matches_oracle_path(monkeypatch):
+    rng = random.Random(1122)
+    gfs = [random_univariate_gf(rng) for _ in range(25)]
+    assert any(t.numer[0] < 0 for f in gfs for t in f.terms)
+    got = [rgf_to_pqp(f) for f in gfs]
+    monkeypatch.setattr(quasipoly, "_interpolate", interpolate_oracle)
+    for f, g in zip(gfs, got):
+        assert g == rgf_to_pqp(f), f
+        table = series_coeffs(f, 30)
+        for p in range(31):
+            assert g.eval((p,)) == table.get((p,), 0), (f, p)
+
+
+def test_qp_to_step_matches_oracle():
+    rng = random.Random(4455)
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        pool = [{}] + [{(e,): random_frac(rng)
+                        for e in rng.sample(range(4), rng.randint(1, 3))}
+                       for _ in range(2)]
+        # constituents drawn from a small pool, so floors cancel
+        q = QuasiPolynomial(1, Lattice(1, ((m,),)),
+                            {(r,): dict(rng.choice(pool)) for r in range(m)})
+        s = qp_to_step(q)
+        assert s == qp_to_step_oracle(q), q
+        for p in range(-3, 20):
+            assert step_eval(s, (p,)) == q.eval((p,)), (q, p)
+
 
 
 def test_rgf_to_pqp_partition_parts_1_2_2():
@@ -281,6 +374,18 @@ def check_vpf_2d(gens, bound):
                 (gens, a, b)
     assert series_coeffs(pqp_to_rgf(g), bound) == \
         series_coeffs(vpf_gf(gens), bound), gens
+
+
+def test_vpf_pqp_2d_checks_survive_optimization(monkeypatch):
+    """The chamber check points catch a wrong sample with an explicit
+    error, not an assert that python -O strips."""
+    def wrong_sample(n, D, samples, forms):
+        return interpolate_oracle(n, D, [samples[0] + 1] + samples[1:],
+                                  forms)
+    monkeypatch.setattr(quasipoly, "_interpolate", wrong_sample)
+    with pytest.raises(RuntimeError, match="chamber period too small"):
+        vpf_pqp([(1, 0), (0, 1), (1, 1)])
+
 
 
 def test_vpf_pqp_dimension_guard():

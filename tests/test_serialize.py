@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 from presburger.formulas import parse
@@ -87,3 +88,39 @@ def test_step_round_trip():
     s2 = step_from_obj(step_to_obj(s))
     assert s2 == s
     assert dumps(step_to_obj(s2)) == dumps(step_to_obj(s))
+
+
+def random_text(rng):
+    return "".join(rng.choice('ab"\\/\n\t\x01\x7fé☃\U0001f600 ')
+                   for _ in range(rng.randrange(6)))
+
+
+def random_document(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.randint(-10 ** 20, 10 ** 20)
+    if kind == 1:
+        return random_text(rng)
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return []
+    if kind == 4:
+        return {}
+    if kind in (5, 6):
+        return [rng.randint(-9, 9) for _ in range(rng.randrange(1, 5))]
+    if kind == 7:
+        return [random_document(rng, depth + 1)
+                for _ in range(rng.randrange(1, 5))]
+    return {random_text(rng): random_document(rng, depth + 1)
+            for _ in range(rng.randrange(5))}
+
+
+def test_dumps_matches_the_json_module():
+    rng = random.Random(31337)
+    docs = [random_document(rng) for _ in range(300)]
+    docs.append({"b": [[1, 2], [], [[3]], [{"x": None}]], "a": {"": True},
+                 "\u2603": [False, "\"q\""], "e": [{}, []], "n": (1, 2)})
+    docs.append({10: "ten", 9: [True]})
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
