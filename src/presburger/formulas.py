@@ -565,19 +565,29 @@ def _prune_conj(f):
 
 
 def _prune_disj(f):
-    ges = {}
-    others = []
+    """Drop each disjunct that another with the same other atoms implies.
+
+    The disjuncts are simplified, so each holds one bound a.x + c >= 0 per
+    form a; q implies p when p has each bound of q with a c at least as
+    large.  Only disjuncts with equal other atoms are compared.
+    """
+    groups = {}
     for p in f.parts:
-        if isinstance(p, Cmp) and p.op == ">=":
-            key = p.term.coeffs
-            c = p.term.constant
-            if key not in ges or c > ges[key]:
-                ges[key] = c
-        else:
-            others.append(p)
-    parts = [Cmp(LinearTerm(key, c), ">=") for key, c in ges.items()]
-    parts.extend(others)
-    return disj(sorted(parts, key=repr)) if parts else FALSE
+        bounds, rest = {}, []
+        for q in p.parts if isinstance(p, And) else (p,):
+            if isinstance(q, Cmp) and q.op == ">=":
+                bounds[q.term.coeffs] = q.term.constant
+            else:
+                rest.append(q)
+        groups.setdefault(tuple(rest), []).append((bounds, p))
+    parts = []
+    for group in groups.values():
+        parts += [p for b, p in group if not any(
+            w is not b and all(b.get(k, c + 1) <= c for k, c in w.items())
+            for w, _ in group)]
+    # f's parts are flat, distinct and not constant, so no disj() is needed
+    parts.sort(key=repr)
+    return Or(tuple(parts)) if len(parts) > 1 else parts[0]
 
 
 # ---------------------------------------------------------------------------

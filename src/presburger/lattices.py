@@ -400,19 +400,41 @@ def coset_intersect(c1, c2):
     return LatticeCoset(Lattice.from_generators(d, gens), point)
 
 
+def residue_cosets(coset, coeffs, modulus):
+    """Split a coset a + L by the value of coeffs . x mod modulus.
+
+    One HNF of the columns (coeffs . b, b), b in the basis of L, and
+    (modulus, 0) gives (g, z), with z in L and coeffs . z = g (mod modulus),
+    beside the basis of L' = {x in L : coeffs . x = 0 (mod modulus)}.  So
+    coeffs . x = r0 + k g exactly on a + k z + L', r0 = coeffs . a.  Returns
+    (r0, g, cell): cell(residue) is that coset, or None if no k gives it.
+    """
+    if modulus < 1:
+        raise ValueError(f"modulus {modulus} is not positive")
+    d = coset.dim
+    basis = coset.lattice.basis
+    M = ((*(vdot(coeffs, b) for b in basis), modulus),
+         *((*(b[i] for b in basis), 0) for i in range(d)))
+    H = _hnf_core(M)[0]
+    g = H[0][0]
+    z = tuple(row[0] for row in H[1:])
+    sub = Lattice(d, tuple(tuple(row[j] for row in H[1:])
+                           for j in range(1, d + 1)))
+    r0 = vdot(coeffs, coset.rep) % modulus
+
+    def cell(residue):
+        k, off = divmod((residue - r0) % modulus, g)
+        return None if off else LatticeCoset(sub, vadd(coset.rep, vscale(k, z)))
+
+    return r0, g, cell
+
+
 def congruence_coset(coeffs, residue, modulus, dim):
     """Solution coset of a single congruence  coeffs . x = residue (mod modulus).
 
     Returns a LatticeCoset, or None when the congruence has no solution.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus {modulus} is not positive")
-    row = (*coeffs, modulus)
-    x0 = solve_int((row,), (residue,))
-    if x0 is None:
-        return None
-    gens = [tuple(u[:dim]) for u in hnf_kernel((row,))]
-    return LatticeCoset(Lattice.from_generators(dim, gens), x0[:dim])
+    return residue_cosets(full_coset(dim), coeffs, modulus)[2](residue)
 
 
 def solve_congruences(atoms, dim):
@@ -422,10 +444,7 @@ def solve_congruences(atoms, dim):
     """
     acc = full_coset(dim)
     for coeffs, residue, modulus in atoms:
-        c = congruence_coset(coeffs, residue, modulus, dim)
-        if c is None:
-            return None
-        acc = coset_intersect(acc, c)
+        acc = residue_cosets(acc, coeffs, modulus)[2](residue)
         if acc is None:
             return None
     return acc

@@ -58,20 +58,6 @@ def poly_norm(p):
     return {e: c for e, c in p.items() if c != 0}
 
 
-def poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return poly_norm(out)
-
-
-def poly_scale(p, k):
-    k = Fraction(k)
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in p.items()}
-
-
 def poly_mul(p, q):
     out = {}
     for e1, c1 in p.items():

@@ -4,15 +4,22 @@ A cell is a rational polyhedron intersected with a full-rank lattice coset;
 a SemilinearSet is a finite disjoint union of cells over a fixed variable
 order.  to_dnf eliminates quantifiers first, then runs a Shannon expansion
 on the residual formula: a branch splits on one atom its formula still
-needs (residue classes for a congruence group, three ways for an equality
-(= 0, >= 1, <= -1), two for an inequality), folds the decided atoms to
-TRUE/FALSE, and stops when the formula is decided.  Distinct branches
-disagree on some split, so the produced cells are disjoint by construction.
+needs (three ways for an equality (= 0, >= 1, <= -1), two for an
+inequality), folds the decided atoms to TRUE/FALSE in one pass, and stops
+when the formula is decided.  A group of congruences c.x = r (mod m)
+splits by residue: the residues c.x takes on the branch's coset come from
+one lattice split, and are grouped by their residual.  A trie on the
+prime digits of m (classes mod p1, p1 p2, ..., m) turns a node whose
+residues share one residual into one branch and drops an all-FALSE node,
+so x != r (mod m) gives sum (p - 1) k cells for m = prod p^k, not m - 1.
+Distinct branches disagree on some split, so the produced cells are
+disjoint by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .formulas import (
     FALSE,
@@ -21,7 +28,6 @@ from .formulas import (
     Cmp,
     Congruence,
     LinearTerm,
-    Or,
     atoms_of,
     cmp_eq,
     cmp_ge,
@@ -33,11 +39,10 @@ from .formulas import (
     simplify,
 )
 from .lattices import (
-    congruence_coset,
     congruences_of_coset,
-    coset_intersect,
     full_coset,
     mat_vec,
+    residue_cosets,
     solve_int,
     vneg,
     vsub,
@@ -77,29 +82,55 @@ def _term_row(term, index, d):
     return tuple(a), term.constant
 
 
-def _assign(h, value):
-    """h with each atom in value replaced by TRUE/FALSE, folded."""
-    if isinstance(h, (Cmp, Congruence)):
-        v = value.get(h)
-        return h if v is None else TRUE if v else FALSE
-    if isinstance(h, And):
-        stop, skip = FALSE, TRUE
-    elif isinstance(h, Or):
-        stop, skip = TRUE, FALSE
-    else:
-        raise TypeError(f"unexpected node {h!r}")
-    parts = []
-    for p in h.parts:
-        q = _assign(p, value)
+def _join(h, parts):
+    """Fold an And/Or node h over its already-folded parts."""
+    stop, skip = (FALSE, TRUE) if isinstance(h, And) else (TRUE, FALSE)
+    out = []
+    for q in parts:
         if q is stop:
             return stop
         if q is not skip:
-            parts.append(q)
-    if not parts:
-        return skip
-    if len(parts) == 1:
-        return parts[0]
-    return type(h)(tuple(parts))
+            out.append(q)
+    return type(h)(tuple(out)) if len(out) > 1 else out[0] if out else skip
+
+
+def _fold(h, key):
+    """Fold h for every branch of one split in one pass.
+
+    key(atom) is the branch on which the atom is true, or None if the split
+    leaves it open.  Returns h with every decided atom false, and a dict:
+    per branch some atom names, h with just that branch's atoms true.  A
+    branch costs only the parts it changes and the parts still open.
+    """
+    if isinstance(h, (Cmp, Congruence)):
+        k = key(h)
+        return (h, {}) if k is None else (FALSE, {k: TRUE})
+    kids = [_fold(p, key) for p in h.parts]
+    touched = {}
+    for i, (_, named) in enumerate(kids):
+        for k in named:
+            touched.setdefault(k, []).append(i)
+    if not touched:
+        return h, {}
+    skip = TRUE if isinstance(h, And) else FALSE
+    live = {i for i, (b, _) in enumerate(kids) if b is not skip}
+    named = {k: _join(h, (kids[i][1].get(k, kids[i][0])
+                          for i in sorted(live.union(idx))))
+             for k, idx in touched.items()}
+    return _join(h, (b for b, _ in kids)), named
+
+
+def _digit_moduli(m):
+    """1, p1, p1 p2, ..., m for the prime factors p1 <= p2 <= ... of m."""
+    out, p = [1], 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        while m % p == 0:
+            out.append(out[-1] * p)
+            m //= p
+        p += 1
+    return out
 
 
 def to_dnf(f, names=None):
@@ -157,38 +188,61 @@ def to_dnf(f, names=None):
                 cells.append(SemilinearCell(poly, coset))
             return
         key, atoms = order[min(map(rank.__getitem__, atoms_of(h)))]
-        if key is not None:
-            coeffs, modulus = key
-            value = dict.fromkeys(atoms, False)
-            by_residue = {}
-            for a in atoms:
-                by_residue.setdefault(a.residue, []).append(a)
-            for rho in range(modulus):
-                refined = coset_intersect(
-                    coset, congruence_coset(coeffs, rho, modulus, d))
-                if refined is None:
-                    continue
-                hits = by_residue.get(rho, ())
-                for a in hits:
-                    value[a] = True
-                split(_assign(h, value), ineqs, eqs, refined)
-                for a in hits:
-                    value[a] = False
+        if key is None:
+            atom = atoms[0]
+            base, named = _fold(h, lambda b: True if b == atom else None)
+            a, c = _term_row(atom.term, index, d)
+            below = (base, [(vneg(a), c + 1)], [])
+            if atom.op == "=":
+                choices = ((named[True], [], [(a, -c)]),
+                           (base, [(a, 1 - c)], []), below)
+            else:
+                choices = ((named[True], [(a, -c)], []), below)
+            for branch, add_ineq, add_eq in choices:
+                if feasible(ineqs + add_ineq, eqs + add_eq):
+                    split(branch, ineqs + add_ineq, eqs + add_eq, coset)
             return
-        atom = atoms[0]
-        a, c = _term_row(atom.term, index, d)
-        if atom.op == "=":
-            choices = (
-                (True, [], [(a, -c)]),
-                (False, [(a, 1 - c)], []),
-                (False, [(vneg(a), c + 1)], []),
-            )
-        else:
-            choices = ((True, [(a, -c)], []), (False, [(vneg(a), c + 1)], []))
-        for value, add_ineq, add_eq in choices:
-            if feasible(ineqs + add_ineq, eqs + add_eq):
-                split(_assign(h, {atom: value}), ineqs + add_ineq,
-                      eqs + add_eq, coset)
+        coeffs, modulus = key
+        term = atoms[0].term
+        base, named = _fold(h, lambda b: b.residue if (
+            isinstance(b, Congruence) and b.modulus == modulus
+            and b.term == term) else None)
+        # the residues c.x takes on the coset, numbered by their residual
+        divs, cell_of = _digit_moduli(modulus), {}
+        r0, g, cell_of[len(divs) - 1] = residue_cosets(coset, coeffs, modulus)
+        residuals, kind = {base: 0}, {}
+        for r, v in named.items():
+            if (r - r0) % g == 0:
+                kind[r] = residuals.setdefault(v, len(residuals))
+        residuals = list(residuals)
+        leaves = []
+
+        def walk(t, r, rs):
+            # node c.x = r (mod divs[t]), rs its residues in kind (the rest
+            # have kind 0); one branch if all m / lcm(d, g) share a residual
+            kinds = {kind[x] for x in rs}
+            if kinds <= {0} or len(kinds) == 1 and len(rs) * lcm(
+                    divs[t], g) == modulus:
+                branch = residuals[kinds.pop() if kinds else 0]
+                if branch is not FALSE:
+                    leaves.append((r, t, branch))
+                return
+            parts = {}
+            for x in rs:
+                parts.setdefault(x % divs[t + 1], []).append(x)
+            for r2, rs2 in parts.items():
+                walk(t + 1, r2, rs2)
+            if base is not FALSE:  # the children no atom names
+                leaves.extend((r2, t + 1, base) for r2 in range(
+                    r, divs[t + 1], divs[t]) if r2 not in parts)
+
+        walk(0, 0, list(kind))
+        for r, t, branch in sorted(leaves, key=lambda leaf: leaf[0]):
+            if t not in cell_of:
+                cell_of[t] = residue_cosets(coset, coeffs, divs[t])[2]
+            refined = cell_of[t](r)
+            if refined is not None:
+                split(branch, ineqs, eqs, refined)
 
     split(g, [], [], full_coset(d))
     return SemilinearSet(names, tuple(cells))

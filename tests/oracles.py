@@ -28,7 +28,7 @@ from presburger.lattices import (
     vsub,
 )
 from presburger.polyhedra import NonPointedError
-from presburger.quasipoly import StepPolynomial, poly_add, poly_mul, poly_scale
+from presburger.quasipoly import StepPolynomial, poly_mul, poly_norm
 
 
 def count_solutions(formula, param, p0, counted):
@@ -176,6 +176,20 @@ def rays_oracle(ge_normals, eq_normals, dim):
                 rays.add(cand)
                 break
     return sorted(rays)
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return poly_norm(out)
+
+
+def poly_scale(p, k):
+    k = Fraction(k)
+    if k == 0:
+        return {}
+    return {e: c * k for e, c in p.items()}
 
 
 def compose_affine_oracle(p, forms):

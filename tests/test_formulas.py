@@ -274,6 +274,13 @@ def test_simplify_concrete():
     assert simplify(conj([parse("x = 2"), parse("x >= 5")])) == FALSE
     assert simplify(conj([parse("x = 7"), parse("x >= 5")])) == parse("x = 7")
     assert simplify(disj([parse("x >= 3"), parse("x >= 5")])) == parse("x >= 3")
+    # a disjunct with the same other atoms and weaker bounds subsumes
+    assert simplify(parse("x >= 5 & y >= 1 & x % 9 = 0 | x >= 3 & x % 9 = 0")
+                    ) == parse("x >= 3 & x % 9 = 0")
+    assert simplify(parse("x % 9 = 0 | x >= 3 & x % 9 = 0")) == parse(
+        "x % 9 = 0")
+    kept = parse("x >= 5 & x % 9 = 0 | x >= 3 & y >= 1 & x % 9 = 0")
+    assert len(simplify(kept).parts) == 2
     assert simplify(parse("E u. x >= 1")) == parse("x >= 1")
     assert simplify(parse("x = x")) == TRUE
 
@@ -286,6 +293,35 @@ def test_simplify_random_equivalence():
         g = simplify(f)
         for env in box_envs(names, 4):
             assert eval_ground(f, env) == eval_ground(g, env), format_formula(f)
+
+
+def test_subsumed_disjuncts_pruned_equivalently():
+    # disjuncts share a few congruences and bound forms, so many subsume
+    # one another; the pruned Or must keep the unpruned one's points
+    rng = random.Random(4079)
+    names = ["x", "y"]
+    forms = [(t({"x": 1}), -6), (t({"y": 1}), -6), (t({"x": 1, "y": -1}), -6),
+             (t({"x": -1}), 2)]
+    congs = [congruence(t({"x": 1}), 3, 1), congruence(t({"x": 1, "y": 1}), 2),
+             parse("x = 2*y")]
+    dropped = 0
+    for _ in range(60):
+        parts = []
+        for _ in range(rng.randint(2, 7)):
+            lits = [cmp_ge(f + t({}, rng.randint(lo, lo + 5)))
+                    for f, lo in rng.sample(forms, rng.randint(0, 3))]
+            lits += rng.sample(congs, rng.randint(0, 1))
+            parts.append(conj(lits) if lits else parse("x >= 1"))
+        f = Or(tuple(parts))
+        g = simplify(f)
+        # count only what subsumption drops, not duplicates or merged bounds
+        distinct = {p for p in map(simplify, parts)
+                    if isinstance(p, And) or isinstance(p, Cmp) and p.op == "="}
+        dropped += len(distinct) - sum(
+            1 for p in (g.parts if isinstance(g, Or) else [g]) if p in distinct)
+        for env in box_envs(names, 9):
+            assert eval_ground(f, env) == eval_ground(g, env), format_formula(f)
+    assert dropped >= 40, dropped
 
 
 def test_smart_constructor_folding():

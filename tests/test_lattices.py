@@ -7,8 +7,8 @@ from presburger.lattices import (Lattice, LatticeCoset, congruence_coset,
                                  congruences_of_coset, coset_intersect,
                                  full_coset, hnf, hnf_kernel,
                                  mat_mul, mat_vec, rat_inv, rat_nullspace,
-                                 rat_rank, rat_solve, solve_congruences,
-                                 solve_int, vdot)
+                                 rat_rank, rat_solve, residue_cosets,
+                                 solve_congruences, solve_int, vdot)
 
 
 def is_unimodular(U):
@@ -135,6 +135,42 @@ def test_coset_intersect_random_membership():
         for p in box:
             inter = c1.contains(p) and c2.contains(p)
             assert inter == (got is not None and got.contains(p))
+
+
+def test_residue_cosets_match_coset_intersect():
+    # every residue of the split is the canonical coset that intersecting
+    # with the congruence's own coset gives, or None on both sides
+    rng = random.Random(31)
+    moduli = list(range(1, 37)) + [8, 9, 16, 25, 27, 32]
+    done = 0
+    while done < 160:
+        d = rng.randint(1, 3)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(d))
+                for _ in range(d + 1)]
+        try:
+            lat = Lattice.from_generators(d, gens)
+        except ValueError:
+            continue
+        coset = LatticeCoset(lat, tuple(rng.randint(-9, 9) for _ in range(d)))
+        coeffs = tuple(rng.randint(-40, 40) for _ in range(d))
+        m = moduli[done % len(moduli)]
+        r0, g, cell = residue_cosets(coset, coeffs, m)
+        reached = set()
+        # the congruence's own coset, solved without the split
+        row = (*coeffs, m)
+        kernel = [u[:d] for u in hnf_kernel((row,))]
+        for r in range(m):
+            x0 = solve_int((row,), (r,))
+            want = None if x0 is None else coset_intersect(coset, LatticeCoset(
+                Lattice.from_generators(d, kernel), x0[:d]))
+            assert cell(r) == want, (coset, coeffs, m, r)
+            if want is not None:
+                reached.add(r % m)
+        assert reached == {(r0 + k * g) % m for k in range(m)}
+        assert cell(-1) == cell(m - 1) and cell(r0 + 5 * m) == cell(r0)
+        done += 1
+    assert residue_cosets(full_coset(0), (), 6)[2](12) == full_coset(0)
+    assert residue_cosets(full_coset(0), (), 6)[2](5) is None
 
 
 def test_solve_congruences_examples():

@@ -317,6 +317,8 @@ def test_qelim_semigroup_size():
     # disjunction over every candidate and offset
     g = qelim(parse("E y. E z. E u. x = 4*y + 7*z + 9*u"))
     assert len(atoms_of(g)) <= 100
+    # x >= 20 & x % 9 = 2 is dropped beside x >= 11 & x % 9 = 2
+    assert len(g.parts) <= 12
     member = [True] + [False] * 60
     for n in range(1, 61):
         member[n] = any(n >= a and member[n - a] for a in (4, 7, 9))

@@ -75,6 +75,28 @@ def test_negated_congruence_cells():
                 ["x", "y"], 30)
 
 
+def test_negated_composite_congruence_cells():
+    # x != r (mod m) takes sum (p - 1) k cells for m = prod p^k, one per
+    # residue digit that leaves r's class, not m - 1
+    s = check_exact(parse("!(x % 2000 = 3)"), ["x"], 2010)
+    assert len(s.cells) == 16
+    assert {c.coset.lattice.index() for c in s.cells} == {
+        2, 4, 8, 16, 80, 400, 2000}
+    s = check_exact(parse("!(x + 2*y % 100 = 61)"), ["x", "y"], 40)
+    assert len(s.cells) == 10
+    # two residues of a class of 4 that together fill a class of 2
+    s = check_exact(parse("x % 4 = 1 | x % 4 = 3 | x % 4 = 0 & x >= 9"),
+                    ["x"], 30)
+    assert len(s.cells) == 2
+
+
+def test_positive_congruence_with_large_prime_modulus():
+    # residues no atom names are false, so the split never lists them
+    s = to_dnf(parse("x % 1000003 = 5 & y % 999983 = 7"), ["x", "y"])
+    assert len(s.cells) == 1
+    assert s.contains((1000008, 7)) and not s.contains((5, 8))
+
+
 def test_odd_after_elimination():
     # witness b = (p-1)/2 never exceeds p, so bound=16 covers the box
     s = check_exact(parse("E b. p = 2*b + 1"), ["p"], 16, bound=16)
