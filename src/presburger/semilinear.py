@@ -8,18 +8,15 @@ needs (three ways for an equality (= 0, >= 1, <= -1), two for an
 inequality), folds the decided atoms to TRUE/FALSE in one pass, and stops
 when the formula is decided.  A group of congruences c.x = r (mod m)
 splits by residue: the residues c.x takes on the branch's coset come from
-one lattice split, and are grouped by their residual.  A trie on the
-prime digits of m (classes mod p1, p1 p2, ..., m) turns a node whose
-residues share one residual into one branch and drops an all-FALSE node,
-so x != r (mod m) gives sum (p - 1) k cells for m = prod p^k, not m - 1.
-Distinct branches disagree on some split, so the produced cells are
-disjoint by construction.
+one lattice split, the residuals of all of them from one fold, and each
+residue whose residual is not FALSE becomes one branch, so x != r (mod m)
+gives m - 1 cells.  Distinct branches disagree on some split, so the
+produced cells are disjoint by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .formulas import (
     FALSE,
@@ -120,19 +117,6 @@ def _fold(h, key):
     return _join(h, (b for b, _ in kids)), named
 
 
-def _digit_moduli(m):
-    """1, p1, p1 p2, ..., m for the prime factors p1 <= p2 <= ... of m."""
-    out, p = [1], 2
-    while m > 1:
-        if p * p > m:
-            p = m
-        while m % p == 0:
-            out.append(out[-1] * p)
-            m //= p
-        p += 1
-    return out
-
-
 def to_dnf(f, names=None):
     """Decompose the solution set of f over N^names into disjoint cells."""
     if names is None:
@@ -207,40 +191,14 @@ def to_dnf(f, names=None):
         base, named = _fold(h, lambda b: b.residue if (
             isinstance(b, Congruence) and b.modulus == modulus
             and b.term == term) else None)
-        # the residues c.x takes on the coset, numbered by their residual
-        divs, cell_of = _digit_moduli(modulus), {}
-        r0, g, cell_of[len(divs) - 1] = residue_cosets(coset, coeffs, modulus)
-        residuals, kind = {base: 0}, {}
-        for r, v in named.items():
-            if (r - r0) % g == 0:
-                kind[r] = residuals.setdefault(v, len(residuals))
-        residuals = list(residuals)
-        leaves = []
-
-        def walk(t, r, rs):
-            # node c.x = r (mod divs[t]), rs its residues in kind (the rest
-            # have kind 0); one branch if all m / lcm(d, g) share a residual
-            kinds = {kind[x] for x in rs}
-            if kinds <= {0} or len(kinds) == 1 and len(rs) * lcm(
-                    divs[t], g) == modulus:
-                branch = residuals[kinds.pop() if kinds else 0]
-                if branch is not FALSE:
-                    leaves.append((r, t, branch))
-                return
-            parts = {}
-            for x in rs:
-                parts.setdefault(x % divs[t + 1], []).append(x)
-            for r2, rs2 in parts.items():
-                walk(t + 1, r2, rs2)
-            if base is not FALSE:  # the children no atom names
-                leaves.extend((r2, t + 1, base) for r2 in range(
-                    r, divs[t + 1], divs[t]) if r2 not in parts)
-
-        walk(0, 0, list(kind))
-        for r, t, branch in sorted(leaves, key=lambda leaf: leaf[0]):
-            if t not in cell_of:
-                cell_of[t] = residue_cosets(coset, coeffs, divs[t])[2]
-            refined = cell_of[t](r)
+        # c.x takes the residues r0 + k g on the coset; one no atom names
+        # keeps the residual base, so a FALSE base lists only named ones
+        r0, step, cell = residue_cosets(coset, coeffs, modulus)
+        residues = sorted(named) if base is FALSE else range(
+            r0 % step, modulus, step)
+        for r in residues:
+            branch = named.get(r, base)
+            refined = None if branch is FALSE else cell(r)
             if refined is not None:
                 split(branch, ineqs, eqs, refined)
 
