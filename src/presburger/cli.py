@@ -14,6 +14,7 @@ unsupported feature.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -465,6 +466,7 @@ def cmd_zero(args):
 # argument parsing
 
 
+@functools.cache  # built once per process; parse_args keeps no state
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"),

@@ -13,8 +13,11 @@ the hull.  Brion's vertex-cone decomposition then runs on the
 full-dimensional polyhedron in Z^k: each tangent cone is triangulated, the
 pieces are made half-open towards a generic reference vector so facets are
 never counted twice, and each half-open simplicial cone is summed exactly
-by enumerating the integer points of its fundamental parallelepiped, in
-integer arithmetic against a scaled adjugate.  These steps pass plain term
+by enumerating the integer points of its fundamental parallelepiped.  That
+enumeration is integer-only: one fraction-free elimination gives the
+adjugate and determinant of the generators, and the walk over the coset
+representatives updates their parallelepiped coordinates one coordinate
+of the representative at a time.  These steps pass plain term
 lists; the terms are mapped back and coalesced once per cell.  Every
 series coefficient is read through one dynamic-programming kernel,
 series_coeffs, in any dimension.  specialize_ones evaluates at 1 by one
@@ -32,15 +35,17 @@ from fractions import Fraction
 
 from .lattices import (
     Lattice,
-    clear_denominators,
     hnf_kernel,
+    int_inverse,
     lex_positive,
+    mat_mul,
     mat_vec,
-    rat_inv,
+    primitive,
     solve_int,
     vadd,
     vdot,
     vneg,
+    vscale,
     zero_vec,
 )
 from .polyhedra import (
@@ -266,42 +271,59 @@ def monomial_substitute(g, new_names, images):
 # generating function of a cell (Brion decomposition)
 
 
-def _gf_halfopen_simplicial(apex, gens, ginv, excluded):
+def _gf_halfopen_simplicial(apex, gens, adj, det, excluded):
     """GF of apex + cone(gens) with facets in `excluded` removed.
 
-    gens are linearly independent and span the ambient space, and ginv is
-    the inverse of the matrix G with the gens as columns; the integer
-    points split into lattice cosets of the generator lattice, one point
-    per coset inside the half-open fundamental parallelepiped.  All in
-    integers: with den and q the common denominators of ginv and apex,
-    adj = den * ginv, A = q * apex and D = den * q, a coset representative
-    rep has parallelepiped coordinates v = adj (q rep - A) mod D (D instead
-    of 0 on excluded facets) and the point is (den A + G v) / D.
+    gens are linearly independent and span the ambient space, and (adj,
+    det) are the adjugate and determinant of the matrix G with the gens
+    as columns; the integer points split into cosets of the generator
+    lattice, one point per coset inside the half-open fundamental
+    parallelepiped.  All in integers: with q the common denominator of
+    apex, A = q * apex and D = det * q, a coset representative rep has
+    parallelepiped coordinates u / D with u = adj (q rep - A), and its
+    point is rep - G floor(u / D), one lower on an excluded facet where D
+    divides u_i.  The representatives are walked one coordinate at a
+    time in HNF order, each step adding a column of q adj to u.
     """
     d = len(gens)
     grows = tuple(tuple(g[i] for g in gens) for i in range(d))
-    den = math.lcm(*(c.denominator for row in ginv for c in row))
-    q = math.lcm(*(c.denominator for c in apex))
-    D = den * q
-    adj = [[int(c * den) for c in row] for row in ginv]
-    A = [int(c * q) for c in apex]
+    if not det or mat_mul(grows, adj) != tuple(
+            tuple(det * (i == j) for j in range(d)) for i in range(d)):
+        raise ValueError("adjugate does not invert the cone generators")
     unit = make_term(1, zero_vec(d), gens)  # sign and shift of lex flips
-    base = [den * a + D * s for a, s in zip(A, unit.numer)]
-    lat = Lattice.from_generators(d, gens)
+    if not d:
+        return [unit]
+    q = math.lcm(*(c.denominator for c in apex))
+    D = det * q
+    A = [int(c * q) for c in apex]
+    basis = Lattice.from_generators(d, gens).basis
+    sizes = [b[j] for j, b in enumerate(basis)]
+    steps = [[q * row[j] for row in adj] for j in range(d)]
+    # floor(u / D) - [D divides u] = floor((u - sign D) / D), so u starts
+    # lower by sign D on the excluded facets
+    sign = 1 if D > 0 else -1
+    # entries (rep plus the shift of the lex flips, u)
+    walk = [(unit.numer, [-sum(map(operator.mul, row, A))
+                          - sign * (i in excluded)
+                          for i, row in enumerate(adj)])]
+    for j in range(d - 1):  # representatives with last coordinate 0
+        nxt = []
+        for pt, u in walk:
+            for _ in range(sizes[j]):
+                nxt.append((pt, u))
+                pt = pt[:j] + (pt[j] + 1,) + pt[j + 1:]
+                u = [a + s for a, s in zip(u, steps[j])]
+        walk = nxt
     terms = []
-    for rep in lat.coset_representatives():
-        w = [q * r - a for r, a in zip(rep, A)]
-        v = [sum(map(operator.mul, row, w)) % D for row in adj]
-        for i in excluded:
-            if v[i] == 0:
-                v[i] = D
-        pt = []
-        for b, row in zip(base, grows):
-            x, rem = divmod(b + sum(map(operator.mul, row, v)), D)
-            if rem:
-                raise ValueError("parallelepiped point is not integral")
-            pt.append(x)
-        terms.append(GFTerm(unit.coef, tuple(pt), unit.denom))
+    for pt, u in walk:  # the last coordinate runs here
+        pt = list(pt)
+        for _ in range(sizes[-1]):
+            k = [a // D for a in u]
+            terms.append(GFTerm(unit.coef, tuple(
+                [x - sum(map(operator.mul, row, k))
+                 for x, row in zip(pt, grows)]), unit.denom))
+            pt[-1] += 1
+            u = [a + s for a, s in zip(u, steps[-1])]
     return terms
 
 
@@ -311,23 +333,25 @@ def _gf_of_cone(cone):
     pieces = triangulate(cone.generators)
     data = []
     for piece in pieces:
-        grows = tuple(tuple(g[i] for g in piece) for i in range(d))
-        ginv = rat_inv(grows)
-        normals = [clear_denominators(row) for row in ginv]
-        data.append((piece, ginv, normals))
+        adj, det = int_inverse(tuple(tuple(g[i] for g in piece)
+                                     for i in range(d)))
+        normals = [primitive(vscale(-1 if det < 0 else 1, row))
+                   for row in adj]
+        data.append((piece, adj, det, normals))
     first = pieces[0]
     M = 1
     while True:
         w = zero_vec(d)
         for i, h in enumerate(first):
             w = vadd(w, tuple(M ** i * c for c in h))
-        if all(vdot(n, w) != 0 for _, _, normals in data for n in normals):
+        if all(vdot(n, w) != 0 for *_, normals in data for n in normals):
             break
         M *= 2
     terms = []
-    for piece, ginv, normals in data:
+    for piece, adj, det, normals in data:
         excluded = {i for i, n in enumerate(normals) if vdot(n, w) < 0}
-        terms.extend(_gf_halfopen_simplicial(cone.apex, piece, ginv, excluded))
+        terms.extend(_gf_halfopen_simplicial(cone.apex, piece, adj, det,
+                                             excluded))
     return terms
 
 

@@ -2,10 +2,11 @@
 full-rank lattices and lattice cosets.
 
 Vectors are tuples of ints (or Fractions where noted), matrices are tuples
-of rows.  Nothing in this module ever touches floating point.  Rational
-rank, solving, kernels and inverses share one Gauss-Jordan kernel over
-Fractions.  Lattice bases are kept in a canonical column-style Hermite
-normal form, so lattice and coset equality is plain structural equality.
+of rows.  Nothing in this module ever touches floating point.  Adjugates,
+determinants, inverses and rational kernels share one fraction-free
+Gauss-Jordan kernel over the integers.  Lattice bases are kept in a
+canonical column-style Hermite normal form, so lattice and coset equality
+is plain structural equality.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ def zero_vec(d):
 
 def primitive(v):
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    assert g > 0, "zero vector has no primitive form"
+    g = gcd(*v)
+    if not g:
+        raise ValueError("zero vector has no primitive form")
     return tuple(a // g for a in v)
 
 
@@ -85,65 +85,69 @@ def from_columns(cols, m):
 
 
 # ---------------------------------------------------------------------------
-# rational Gauss-Jordan elimination
+# fraction-free Gauss-Jordan elimination
 
 
-def _rref(rows, n):
-    """Gauss-Jordan elimination in place on lists of Fractions.
+def int_rref(rows, n):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) in place on
+    lists of ints.
 
     Pivots only in the first n columns; any later columns (right-hand
-    sides, an identity block) are carried along.  Returns the pivot
-    columns: afterwards row r has a 1 in column pivots[r], every other
-    row has 0 there, and the rows past len(pivots) are zero in the first
-    n columns.
+    sides, an identity block) are carried along.  A row swap negates one
+    of the rows, so no step changes a determinant.  Returns the pivot
+    columns: afterwards row r holds the last pivot p in column pivots[r]
+    and 0 in every other pivot column, so it is p times the row of the
+    reduced echelon form, and the rows past len(pivots) are zero in the
+    first n columns.  Every entry stays a minor of the input, which makes
+    each division exact.
     """
     pivots = []
+    prev = 1
     for c in range(n):
         rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], [-a for a in rows[rank]]
+        top = rows[rank]
+        p = top[c]
+        for r, row in enumerate(rows):
+            if r != rank:
+                f = row[c]
+                rows[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         pivots.append(c)
     return pivots
 
 
-def rat_rank(M):
-    if not M:
-        return 0
-    return len(_rref([[Fraction(a) for a in row] for row in M], len(M[0])))
+def int_inverse(M):
+    """Adjugate and determinant (adj, det) of a square integer matrix, so
+    that M adj = det I, from one elimination of [M | I].  A singular M
+    gives det 0 and a zero adj."""
+    n = len(M)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(M)]
+    if len(int_rref(rows, n)) < n:
+        return ((0,) * n,) * n, 0
+    return tuple(tuple(row[n:]) for row in rows), rows[0][0] if n else 1
 
 
-def rat_solve(M, rhs):
-    """Solve M x = rhs over exactly (M need not be square).
-
-    Returns one solution as a Fraction tuple when the system is consistent
-    and has a unique solution, otherwise None.
-    """
-    if not M:
-        return None
-    n = len(M[0])
-    rows = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(M, rhs)]
-    rank = len(_rref(rows, n))
-    if any(row[n] != 0 for row in rows[rank:]):
-        return None  # inconsistent
-    if rank < n:
-        return None  # underdetermined
-    return tuple(row[n] for row in rows[:n])
+def rat_inv(M):
+    """Inverse of a nonsingular integer matrix, as Fractions adj / det."""
+    adj, det = int_inverse(M)
+    if not det:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(Fraction(a, det) for a in row) for row in adj)
 
 
 def rat_nullspace(M, n=None):
-    """Basis of the rational kernel of M (rows of length n)."""
+    """Basis of the rational kernel of the integer matrix M (rows of
+    length n), as Fraction vectors with a 1 in their own free column."""
     if n is None:
         n = len(M[0]) if M else 0
-    rows = [[Fraction(a) for a in row] for row in M]
-    pivots = _rref(rows, n)
+    rows = [list(row) for row in M]
+    pivots = int_rref(rows, n)
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -151,27 +155,9 @@ def rat_nullspace(M, n=None):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = Fraction(-rows[r][fc], rows[r][pc])
         basis.append(tuple(v))
     return basis
-
-
-def rat_inv(M):
-    n = len(M)
-    rows = [[Fraction(a) for a in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(M)]
-    if len(_rref(rows, n)) < n:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
-def clear_denominators(v):
-    """Scale a Fraction vector to a primitive integer vector (same direction)."""
-    den = 1
-    for a in v:
-        den = den * a.denominator // gcd(den, a.denominator)
-    w = tuple(int(a * den) for a in v)
-    return primitive(w)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .lattices import primitive, rat_nullspace, rat_rank, rat_solve, vdot, vneg
+from .lattices import int_rref, primitive, rat_nullspace, vdot, vneg
 
 
 class NonPointedError(ValueError):
@@ -228,22 +228,15 @@ def triangulate(generators):
     gens = sorted(set(tuple(g) for g in generators))
     if not gens:
         return [()]  # the cone {0} is its own simplicial piece
-    basis_idx = []
-    basis_rows = []
-    for i, g in enumerate(gens):
-        if rat_rank(basis_rows + [g]) > len(basis_rows):
-            basis_idx.append(i)
-            basis_rows.append(g)
-    r = len(basis_rows)
-    # coordinates of every generator in the basis of the initial simplex
-    M = [[basis_rows[j][i] for j in range(r)] for i in range(len(gens[0]))]
-    coords = []
-    for g in gens:
-        al = rat_solve(M, g)
-        assert al is not None
-        coords.append(al)
+    # one fraction-free elimination with the generators as columns: its
+    # pivot columns are the initial simplex, and every column ends as the
+    # generator's coordinates in that basis, all scaled by the same pivot
+    rows = [list(col) for col in zip(*gens)]
+    basis_idx = int_rref(rows, len(gens))
+    r = len(basis_idx)
     pieces = [tuple(basis_idx)]
     rest = [i for i in range(len(gens)) if i not in basis_idx]
+    coords = list(zip(*rows[:r]))
     for idx in rest:
         counts = {}
         owner = {}
@@ -257,6 +250,8 @@ def triangulate(generators):
             if cnt != 1:
                 continue
             ns = rat_nullspace([coords[i] for i in facet], r)
+            # unreachable: each piece is r independent generators, so each
+            # of its facets spans a hyperplane of the coordinate space
             assert len(ns) == 1
             n = ns[0]
             if vdot(n, coords[owner[facet]]) < 0:

@@ -16,12 +16,8 @@ from presburger.formulas import (
 from presburger.genfun import make_term, rgf
 from presburger.lattices import (
     Lattice,
-    clear_denominators,
     mat_vec,
-    rat_inv,
-    rat_nullspace,
-    rat_rank,
-    rat_solve,
+    primitive,
     vadd,
     vdot,
     vneg,
@@ -29,6 +25,88 @@ from presburger.lattices import (
 )
 from presburger.polyhedra import NonPointedError
 from presburger.quasipoly import StepPolynomial, poly_mul, poly_norm
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over Fractions, the reference for the package's
+# fraction-free integer kernel (lattices.int_rref)
+
+
+def _rref(rows, n):
+    """Gauss-Jordan elimination in place on lists of Fractions, pivoting
+    in the first n columns; returns the pivot columns.  Row r ends with a
+    1 in column pivots[r] and 0 in every other row there."""
+    pivots = []
+    for c in range(n):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][c]
+        rows[rank] = [a * inv for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(c)
+    return pivots
+
+
+def rat_rank(M):
+    if not M:
+        return 0
+    return len(_rref([[Fraction(a) for a in row] for row in M], len(M[0])))
+
+
+def rat_solve(M, rhs):
+    """The unique solution of M x = rhs as a Fraction tuple, or None when
+    the system is inconsistent or underdetermined."""
+    if not M:
+        return None
+    n = len(M[0])
+    rows = [[Fraction(a) for a in row] + [Fraction(b)]
+            for row, b in zip(M, rhs)]
+    rank = len(_rref(rows, n))
+    if rank < n or any(row[n] != 0 for row in rows[rank:]):
+        return None
+    return tuple(row[n] for row in rows[:n])
+
+
+def fraction_nullspace(M, n=None):
+    """Kernel basis of M, one Fraction vector per free column."""
+    if n is None:
+        n = len(M[0]) if M else 0
+    rows = [[Fraction(a) for a in row] for row in M]
+    pivots = _rref(rows, n)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_inverse(M):
+    """Inverse of a square matrix over Fractions; ValueError if singular."""
+    n = len(M)
+    rows = [[Fraction(a) for a in row] + [Fraction(int(i == j))
+                                          for j in range(n)]
+            for i, row in enumerate(M)]
+    if len(_rref(rows, n)) < n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def clear_denominators(v):
+    """Scale a Fraction vector to a primitive integer vector, same
+    direction."""
+    den = math.lcm(*(a.denominator for a in v))
+    return primitive(tuple(int(a * den) for a in v))
 
 
 def count_solutions(formula, param, p0, counted):
@@ -167,7 +245,7 @@ def rays_oracle(ge_normals, eq_normals, dim):
         return []  # the cone is {0}
     rays = set()
     for sub in itertools.combinations(ge_normals, k):
-        ns = rat_nullspace(list(eq_normals) + list(sub), dim)
+        ns = fraction_nullspace(list(eq_normals) + list(sub), dim)
         if len(ns) != 1:
             continue
         v = clear_denominators(ns[0])
@@ -222,7 +300,7 @@ def _vandermonde_inverse(n, D):
             if sum(e) <= D]
     vander = [[math.prod(Fraction(x) ** k for x, k in zip(pt, e))
                for e in grid] for pt in grid]
-    return grid, rat_inv(vander)
+    return grid, fraction_inverse(vander)
 
 
 def interpolate_oracle(n, D, samples, forms):

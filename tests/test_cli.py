@@ -8,9 +8,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import presburger
 from oracles import count_solutions, partition_count
-from presburger.cli import main
+from presburger.cli import _build_parser, main
 from presburger.formulas import eval_ground, parse
 from presburger.genfun import series_coeffs, series_equal
 from presburger.quasipoly import step_eval
@@ -353,6 +355,22 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, "dnf", "x + y <= 4 | x % 2 = 1", "--format", "json")
     b = run(capsys, "dnf", "x + y <= 4 | x % 2 = 1", "--format", "json")
     assert a == b
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert _build_parser() is _build_parser()
+    qp = ("count", "2*c1 + 2*c2 <= p", "--count-vars", "c1,c2",
+          "--param-vars", "p", "--as", "qp")
+    first = run(capsys, *qp)
+    assert first[0] == 0 and "p" in first[1]
+    # no --param-vars: the earlier "p" and "qp" must not carry over
+    assert run(capsys, "count", "3*c1 + 5*c2 = 20", "--count-vars", "c1,c2",
+               "--as", "value") == (0, "2\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "x <= 3", "--as", "value"])  # --count-vars missing
+    assert exc.value.code == 2
+    assert "--count-vars" in capsys.readouterr().err
+    assert run(capsys, *qp) == first
 
 
 KNAPSACK = ("count", "5*x + 6*y + 7*z <= p", "--count-vars", "x,y,z",

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import halfopen_simplicial_oracle, series_oracle
+from oracles import fraction_inverse, halfopen_simplicial_oracle, series_oracle
 from presburger.formulas import (
     LinearTerm,
     cmp_eq,
@@ -44,7 +44,7 @@ from presburger.genfun import (
     series_equal,
     specialize_ones,
 )
-from presburger.lattices import Lattice, LatticeCoset, full_coset, rat_inv
+from presburger.lattices import Lattice, LatticeCoset, full_coset, int_inverse
 from presburger.polyhedra import Cone, Polyhedron
 from presburger.quasipoly import hadamard_univariate, is_zero_univariate
 from presburger.semilinear import SemilinearCell, to_dnf
@@ -189,15 +189,30 @@ def test_halfopen_simplicial_random_against_oracle():
         q = rng.randint(1, 7)
         apex = tuple(Fraction(rng.randint(-20, 20), q) for _ in range(d))
         excluded = {i for i in range(d) if rng.random() < 0.5}
-        ginv = rat_inv(tuple(tuple(g[i] for g in gens) for i in range(d)))
+        G = tuple(tuple(g[i] for g in gens) for i in range(d))
+        adj, det = int_inverse(G)
         names = tuple(f"x{i}" for i in range(d))
-        want = halfopen_simplicial_oracle(names, apex, gens, ginv, excluded)
-        got = rgf(names, _gf_halfopen_simplicial(apex, gens, ginv, excluded))
+        want = halfopen_simplicial_oracle(names, apex, gens,
+                                          fraction_inverse(G), excluded)
+        got = rgf(names, _gf_halfopen_simplicial(apex, gens, adj, det,
+                                                 excluded))
         assert got.terms == want.terms, (gens, apex, excluded)
-        closed = rgf(names, _gf_halfopen_simplicial(apex, gens, ginv, set()))
+        closed = rgf(names, _gf_halfopen_simplicial(apex, gens, adj, det,
+                                                    set()))
         on_facets += closed.terms != want.terms
         trials += 1
     assert on_facets >= 30  # excluded facets that really hold points
+
+
+def test_halfopen_simplicial_rejects_a_wrong_adjugate():
+    apex, gens = (Fraction(0), Fraction(0)), ((1, 0), (1, 2))
+    adj, det = int_inverse(((1, 1), (0, 2)))
+    assert det == 2 and _gf_halfopen_simplicial(apex, gens, adj, det, set())
+    with pytest.raises(ValueError):
+        _gf_halfopen_simplicial(apex, gens, adj, -det, set())
+    with pytest.raises(ValueError):  # singular: zero adjugate, det 0
+        _gf_halfopen_simplicial(apex, ((1, 1), (2, 2)),
+                                *int_inverse(((1, 2), (1, 2))), set())
 
 
 def test_unit_square_brion():

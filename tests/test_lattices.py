@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from oracles import fraction_inverse, fraction_nullspace, rat_rank, rat_solve
 from presburger.lattices import (Lattice, LatticeCoset, congruence_coset,
                                  congruences_of_coset, coset_intersect,
-                                 full_coset, hnf, hnf_kernel,
-                                 mat_mul, mat_vec, rat_inv, rat_nullspace,
-                                 rat_rank, rat_solve, residue_cosets,
+                                 full_coset, hnf, hnf_kernel, int_inverse,
+                                 mat_mul, mat_vec, primitive, rat_inv,
+                                 rat_nullspace, residue_cosets,
                                  solve_congruences, solve_int, vdot)
 
 
@@ -241,6 +243,7 @@ def test_rational_elimination_random():
         M = tuple(M)
         rank = rat_rank(M)
         ns = rat_nullspace(M)
+        assert ns == fraction_nullspace(M)
         assert len(ns) == n - rank
         assert rat_rank(ns) == len(ns)
         for v in ns:
@@ -263,6 +266,44 @@ def test_rational_elimination_random():
                             for i in range(n))
                 assert mat_mul(rat_inv(M), M) == eye
     assert singular > 0
+
+
+def test_int_inverse_against_fraction_gauss_jordan():
+    rng = random.Random(2468)
+    singular = swapped = 0
+    for trial in range(600):
+        n = 1 + trial % 5
+        M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if trial % 7 == 0:
+            M[0][0] = 0  # the first pivot needs a row swap
+        if n > 1 and rng.random() < 0.25:
+            M[-1] = [2 * a - b for a, b in zip(M[0], M[1])]
+        M = tuple(tuple(row) for row in M)
+        adj, det = int_inverse(M)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert mat_mul(M, adj) == tuple(tuple(det * a for a in row)
+                                        for row in eye), M
+        try:
+            want = fraction_inverse(M)
+        except ValueError:
+            assert det == 0, M
+            singular += 1
+            continue
+        assert det != 0, M
+        swapped += M[0][0] == 0
+        assert tuple(tuple(Fraction(a, det) for a in row)
+                     for row in adj) == want, M
+        assert rat_inv(M) == want
+    assert int_inverse(()) == ((), 1)
+    assert singular > 100 and swapped > 50
+
+
+def test_primitive_rejects_zero_vector():
+    assert primitive((4, -6, 0)) == (2, -3, 0)
+    with pytest.raises(ValueError):
+        primitive((0, 0))
+    with pytest.raises(ValueError):
+        primitive(())
 
 
 def test_vdot_rejects_length_mismatch():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rays_oracle, vertices_oracle
-from presburger.lattices import rat_rank, vadd, vdot, vsub
+from oracles import rat_rank, rays_oracle, vertices_oracle
+from presburger.lattices import vadd, vdot, vsub
 from presburger.polyhedra import (
     Cone,
     NonPointedError,
@@ -180,6 +180,15 @@ def test_triangulate_interior_generator_subdivides():
     # because it is placed before (1, 2)
     pieces = triangulate([(1, 2), (1, 0), (1, 1)])
     assert pieces == [((1, 0), (1, 1)), ((1, 1), (1, 2))]
+
+
+def test_triangulate_below_full_rank():
+    # the generators span a plane of Q^3; the initial simplex is read off
+    # the pivot columns, which skip the zero third coordinate
+    assert triangulate([(1, 2, 0), (1, 0, 0), (1, 1, 0)]) == \
+        [((1, 0, 0), (1, 1, 0)), ((1, 1, 0), (1, 2, 0))]
+    assert triangulate([(0, 1, 1), (0, 1, 0), (0, 2, 1)]) == \
+        [((0, 1, 0), (0, 1, 1))]
 
 
 def test_intersect_and_contains():
