@@ -387,9 +387,6 @@ def cmd_vpf(args):
             raise CliError(SEMANTIC, str(e))
         _emit_gf(args, g)
         return 0
-    if n > 2:
-        raise CliError(UNSUPPORTED,
-                       "piecewise form needs parameter dimension <= 2")
     try:
         g = vpf_pqp(vecs)
     except ValueError as e:

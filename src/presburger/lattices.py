@@ -454,16 +454,8 @@ def congruences_of_coset(coset):
         if den == 1:
             continue
         coeffs = tuple(int(a * den) for a in row)
-        residue = vdot(coeffs, coset.rep) % den
-        # reduce the atom by the common gcd
-        g = den
-        for a in coeffs:
-            g = gcd(g, a)
-        g = gcd(g, residue)
-        if g > 1:
-            coeffs = tuple(a // g for a in coeffs)
-            residue //= g
-            den //= g
+        # den is the lcm of the reduced denominators, so for each prime of
+        # den some coefficient is prime to it: the atom is already reduced
         coeffs = tuple(a % den for a in coeffs)
-        out.append((coeffs, residue % den, den))
+        out.append((coeffs, vdot(coeffs, coset.rep) % den, den))
     return out

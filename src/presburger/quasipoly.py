@@ -8,7 +8,7 @@ the eventual form of a univariate rational generating function, turns a
 piecewise quasi-polynomial in any dimension back into one (the GF of each
 coset of each cell, then Euler operators x_i d/dx_i), takes Hadamard
 products of univariate series through both, computes vector partition
-functions (chamber decomposition in parameter dimension two), rewrites
+functions (one chamber decomposition in any dimension), rewrites
 quasi-polynomials as step polynomials built from floors, and synthesizes
 counting formulas whose solution count realizes a given quasi-polynomial.
 Constituents are recovered from series coefficients (genfun.series_coeffs)
@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache, reduce
-from itertools import product
-from math import gcd, lcm
+from functools import lru_cache, reduce
+from itertools import combinations, count, product
+from math import lcm
 from operator import add
 
 from .formulas import (
@@ -45,8 +45,23 @@ from .genfun import (
     rgf,
     series_coeffs,
 )
-from .lattices import Lattice, LatticeCoset
-from .polyhedra import Polyhedron
+from .lattices import (
+    Lattice,
+    LatticeCoset,
+    coset_intersect,
+    hnf_kernel,
+    int_inverse,
+    int_rref,
+    mat_vec,
+    primitive,
+    solve_int,
+    vadd,
+    vdot,
+    vneg,
+    vscale,
+    vsub,
+)
+from .polyhedra import Polyhedron, implicit_equalities, tangent_cone
 from .semilinear import SemilinearCell
 
 
@@ -462,125 +477,119 @@ def partition_count(gens, p):
     return int(series_coeffs(vpf_gf(gens), max(p, default=0)).get(p, 0))
 
 
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+def _vpf_chambers(gens):
+    """Vector partition function in n >= 2 parameters, one quasi-polynomial
+    per region of the wall arrangement of its generators B.
 
+    With r = rank B and E an integer basis of the normal space of B, each
+    wall is the primitive normal of r - 1 generators together with E; the
+    walls with every generator on one side are the facets of cone(B), and
+    the regions are the sign cells of the others inside it whose relative
+    interior is not empty.  A region's cell keeps its facet rows only, each
+    made half-open by one generic w inside cone(B), so every lattice point
+    of cone(B) lies in exactly one cell.  Each region lies in a chamber,
+    whose quasi-polynomial holds on its closure and is periodic modulo the
+    intersection of the lattices spanned by sigma and E over the bases
+    sigma whose open cone contains it (Sturmfels 1995; Brion and Vergne
+    1997).  On each coset that meets span(B), the constituent is
+    interpolated from a triangular grid along r rays of the region, each
+    scaled into the lattice, from a start in the closed region; all
+    samples come from one series table of vpf_gf.
+    """
+    n = len(gens[0])
+    E = hnf_kernel(gens)
+    r = n - len(E)
+    uniq = sorted(set(gens))
+    facets, walls = set(), set()
+    for S in combinations(sorted({primitive(g) for g in uniq}), r - 1):
+        normal = hnf_kernel([*S, *E])
+        if len(normal) == 1:
+            a = primitive(normal[0])
+            signs = {vdot(a, g) > 0 for g in uniq if vdot(a, g)}
+            if len(signs) == 2:
+                walls.add(max(a, vneg(a)))
+            else:
+                facets.add(a if signs == {True} else vneg(a))
+    eqs = [(e, 0) for e in E]
 
-def _vpf_ray(gens, g0):
-    """All generators parallel: reduce to a univariate partition count
-    along the ray t * g0."""
-    s = g0[0] + g0[1]
-    contents = [(g[0] + g[1]) // s for g in gens]
-    initial, q1 = eventual_form(rgf_to_pqp(vpf_gf([(c,) for c in contents])))
-    m1 = q1.lattice.basis[0][0]
-    M = m1 * s
-    lat = Lattice(2, ((M, 0), (0, M)))
-    constituents = {}
-    for rho in lat.coset_representatives():
-        t0 = next((t for t in range(M)
-                   if (t * g0[0] - rho[0]) % M == 0
-                   and (t * g0[1] - rho[1]) % M == 0), None)
-        if t0 is None:
-            constituents[rho] = {}
-        else:
-            base = q1.constituents[(t0 % m1,)]
-            constituents[rho] = poly_compose_affine(
-                base, [((Fraction(1, s), Fraction(1, s)), Fraction(0))])
-    pieces = []
-    for t_val, v in enumerate(initial):
-        if v:
-            cell = Polyhedron.of(2, [((1, 0), 0), ((0, 1), 0)],
-                                 [((1, 0), t_val * g0[0]),
-                                  ((0, 1), t_val * g0[1])])
-            const = QuasiPolynomial(2, Lattice.standard(2),
-                                    {(0, 0): poly_const(2, v)})
-            pieces.append((cell, const))
-    q2 = QuasiPolynomial(2, lat, constituents)
-    if not q2.is_zero():
-        T = len(initial)
-        ray_cell = Polyhedron.of(
-            2,
-            [((1, 0), 0), ((0, 1), 0), ((1, 1), T * s)],
-            [((-g0[1], g0[0]), 0)])
-        pieces.append((ray_cell, q2))
-    return PiecewiseQuasiPolynomial(2, tuple(pieces))
+    def cone(rows):
+        return Polyhedron.of(n, [(a, 0) for a in rows], eqs)
 
-
-def _vpf_pqp_2d(gens):
-    """Chamber decomposition: walls are the generator rays; on each closed
-    chamber the partition counter is one quasi-polynomial, recovered by
-    interpolation on a lattice-translated triangular grid.  All samples
-    come from one series table of vpf_gf, taken out to the largest sample
-    coordinate."""
-    d = len(gens)
-    prim = []
-    for g in gens:
-        c = gcd(g[0], g[1])
-        p = (g[0] // c, g[1] // c)
-        if p not in prim:
-            prim.append(p)
-    prim.sort(key=cmp_to_key(
-        lambda u, v: -1 if _cross(u, v) > 0 else (1 if _cross(u, v) < 0
-                                                  else 0)))
-    if len(prim) == 1:
-        return _vpf_ray(gens, prim[0])
-    m = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            det = abs(_cross(gens[i], gens[j]))
-            if det:
-                m = lcm(m, det)
-    D = d - 2
-    grid = _grid(2, D)
-    checks = [(D + 1, 0), (0, D + 1), (D + 1, 1)]
-    lat = Lattice(2, ((m, 0), (0, m)))
+    regions = [sorted(facets)]
+    for a in sorted(walls):
+        regions = [rows + [s] for rows in regions for s in (a, vneg(a))
+                   if not implicit_equalities(cone(rows + [s]))]
+    # a.w is a base-M number whose digits a.g are not all 0, so no wall
+    # holds w
+    M = 1 + max((abs(vdot(a, g)) for a in walls for g in uniq), default=0)
+    w = reduce(vadd, (vscale(M ** i, g) for i, g in enumerate(uniq)))
+    bases = []
+    for sigma in combinations(uniq, r):
+        adj, det = int_inverse(tuple(zip(*sigma, *E)))
+        if det:
+            lat = Lattice.from_generators(n, [*sigma, *E])
+            bases.append((adj, det, LatticeCoset(lat, (0,) * n)))
+    D = len(gens) - r
+    grid = _grid(r, D) + [e for e in _grid(r, D + 1) if sum(e) == D + 1]
     chambers = []
-    for j in range(len(prim) - 1):
-        u, v = prim[j], prim[j + 1]
-        last = j == len(prim) - 2
-        cell = Polyhedron.of(2, [((-u[1], u[0]), 0),
-                                 ((v[1], -v[0]), 0 if last else 1),
-                                 ((1, 0), 0), ((0, 1), 0)])
-        cruv = _cross(u, v)
-        den = Fraction(1, m * cruv)
+    for rows in regions:
+        rays = tangent_cone(cone(rows), (0,) * n).generators
+        cell = Polyhedron.of(n, [
+            (a, 0 if vdot(a, w) > 0 else 1) for a in rows
+            if len(int_rref([u for u in rays if not vdot(a, u)], n)) == r - 1
+        ], eqs)
+        inner = reduce(vadd, rays)
+        lat = reduce(coset_intersect, [
+            c for adj, det, c in bases
+            if all(x * det > 0 for x in mat_vec(adj, inner)[:r])]).lattice
+        # r independent rays of the region, each scaled into the lattice
+        steps = [next(vscale(k, rays[i]) for k in count(1)
+                      if lat.contains(vscale(k, rays[i])))
+                 for i in int_rref([list(c) for c in zip(*rays)], len(rays))]
+        adj, det = int_inverse(tuple(zip(*steps, *E)))
+        step_mat = tuple(zip(*steps))
+        # rho + L meets span(B) when E (rho + basis z) = 0 for some integer z
+        e_basis = tuple(zip(*(mat_vec(E, b) for b in lat.basis)))
         cosets = []
         for rho in lat.coset_representatives():
-            S = 1 + max(abs(_cross(u, rho)),
-                        abs(_cross(rho, v))) // (m * cruv)
-            points = [(rho[0] + m * (al + S) * u[0] + m * (be + S) * v[0],
-                       rho[1] + m * (al + S) * u[1] + m * (be + S) * v[1])
-                      for al, be in grid + checks]
-            fa = ((v[1] * den, -v[0] * den),
-                  Fraction(-v[1] * rho[0] + v[0] * rho[1], m * cruv) - S)
-            fb = ((-u[1] * den, u[0] * den),
-                  Fraction(u[1] * rho[0] - u[0] * rho[1], m * cruv) - S)
-            cosets.append((rho, points, [fa, fb]))
-        chambers.append((cell, cosets))
-    B = max(c for _, cosets in chambers for _, points, _ in cosets
-            for pt in points for c in pt)
-    table = series_coeffs(vpf_gf(gens), B)
+            z = solve_int(e_basis, vneg(mat_vec(E, rho)))
+            if z is None:
+                cosets.append((rho, [], []))
+                continue
+            p0 = reduce(vadd, map(vscale, z, lat.basis), rho)
+            start = vsub(p0, mat_vec(step_mat, [c // det for c in
+                                                mat_vec(adj[:r], p0)]))
+            cosets.append((rho, [vadd(start, mat_vec(step_mat, e))
+                                 for e in grid],
+                           [(tuple(Fraction(c, det) for c in row),
+                             Fraction(-vdot(row, start), det))
+                            for row in adj[:r]]))
+        chambers.append((cell, lat, cosets))
+    table = series_coeffs(vpf_gf(gens), max(
+        c for _, _, cosets in chambers for _, points, _ in cosets
+        for pt in points for c in pt))
+    size = len(_grid(r, D))
     pieces = []
-    for cell, cosets in chambers:
+    for cell, lat, cosets in chambers:
         constituents = {}
         for rho, points, forms in cosets:
             values = [table.get(pt, Fraction(0)) for pt in points]
-            q = _interpolate(2, D, values[:len(grid)], forms)
-            for pt, val in list(zip(points, values))[len(grid):]:
-                if poly_eval(q, pt) != val:
-                    raise RuntimeError("chamber period too small")
+            q = _interpolate(r, D, values[:size], forms) if points else {}
+            if any(poly_eval(q, pt) != val
+                   for pt, val in zip(points[size:], values[size:])):
+                raise RuntimeError("chamber period too small")
             constituents[rho] = q
-        pieces.append((cell, QuasiPolynomial(2, lat, constituents)))
-    return PiecewiseQuasiPolynomial(2, tuple(pieces))
+        pieces.append((cell, QuasiPolynomial(n, lat, constituents)))
+    return PiecewiseQuasiPolynomial(n, tuple(pieces))
 
 
 def vpf_pqp(gens):
-    """Vector partition function as a piecewise quasi-polynomial (n <= 2)."""
+    """Vector partition function as a piecewise quasi-polynomial, in any
+    dimension; one parameter goes through rgf_to_pqp."""
     gens, n = _check_generators(gens)
     if n == 1:
         return rgf_to_pqp(vpf_gf(gens))
-    if n != 2:
-        raise ValueError("parameter dimension above 2 not supported")
-    return _vpf_pqp_2d(gens)
+    return _vpf_chambers(gens)
 
 
 # ---------------------------------------------------------------------------

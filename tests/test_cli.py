@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -242,8 +243,10 @@ def test_vpf_qp_dimensions(capsys):
     for a in range(8):
         for b in range(8):
             assert g.eval((a, b)) == min(a, b) + 1
-    rc, _, err = run(capsys, "vpf", "1,0,0;0,1,1", "--as", "qp")
-    assert rc == 4
+    obj = run_json(capsys, "vpf", "1,0,0;0,1,0;0,0,1;1,1,1", "--as", "qp")
+    g = pqp_from_obj(obj)
+    for p in product(range(6), repeat=3):
+        assert g.eval(p) == min(p) + 1, p
 
 
 def test_vpf_rejects_zero_generator(capsys):
@@ -381,7 +384,7 @@ GOLDEN = [  # stdout pinned byte for byte by its sha256
     (KNAPSACK + ("--as", "step"),
      "1e389862a0576eb568d410c1b783ee4b770930d4c7a455909b1aab64fc6ecce5"),
     (("vpf", "1,0;0,1;1,1;1,2", "--as", "qp"),
-     "efb0634d1a953f0b0c055ab4d2e2103d443a86e846fbd033512d7b364f78f333"),
+     "e0750067294a1b2c6bf522ef1d8644ac10481131a8fbf5471f7e4021f2ee59e7"),
     (("vpf", "2;3;5;7", "--as", "qp"),
      "a07451b5d606b1a164d4cc1406ea0b31221c9d7fd7266fa5e635b422e19ad743"),
 ]

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from oracles import (
@@ -11,7 +12,15 @@ from oracles import (
     qp_to_step_oracle,
 )
 from presburger import quasipoly
-from presburger.genfun import make_term, rgf, series_coeffs, series_equal
+from presburger.genfun import (
+    gf_add,
+    gf_is_zero,
+    gf_scale,
+    make_term,
+    rgf,
+    series_coeffs,
+    series_equal,
+)
 from presburger.lattices import Lattice
 from presburger.polyhedra import Polyhedron
 from presburger.quasipoly import (
@@ -353,27 +362,49 @@ def test_vpf_pqp_2d_random_against_brute_force():
     while checked < 10:
         gens = [tuple(rng.randint(0, 3) for _ in range(2))
                 for _ in range(rng.randint(3, 4))]
-        dets = [abs(u[0] * v[1] - u[1] * v[0]) for u in gens for v in gens]
-        if not all(any(g) for g in gens) or not any(dets):
+        if not all(any(g) for g in gens):
             continue
-        # cost grows with the period m, the lcm of the 2x2 minors: m^2
-        # cosets are interpolated from a series table of size about m^2
-        if math.lcm(*(x for x in dets if x)) > 6:
-            continue
-        check_vpf_2d(gens, 10)
+        check_vpf(gens, 10)
         checked += 1
-    check_vpf_2d([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)], 12)
+    check_vpf([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)], 12)
 
 
-def check_vpf_2d(gens, bound):
-    """vpf_pqp against brute force, and back to the series of vpf_gf."""
+def test_vpf_pqp_3d_random_against_series():
+    rng = random.Random(2468)
+    checked = 0
+    while checked < 8:
+        gens = [tuple(rng.randint(0, 2) for _ in range(3))
+                for _ in range(rng.randint(1, 4))]
+        if not all(any(g) for g in gens):
+            continue
+        check_vpf(gens, 5)
+        checked += 1
+
+
+def test_vpf_pqp_rank_deficient():
+    for gens, bound in [([(2, 3), (4, 6)], 12),
+                        ([(1, 0, 1), (0, 1, 1), (1, 1, 2)], 6)]:
+        for cell, _ in check_vpf(gens, bound).pieces:
+            (a, b), = cell.eqs  # the cells lie in the span of the gens
+            assert b == 0 and not any(
+                sum(u * v for u, v in zip(a, x)) for x in gens)
+
+
+def check_vpf(gens, bound):
+    """vpf_pqp against the series of vpf_gf on the box [0, bound]^n, its
+    cells pairwise disjoint on [-2, bound]^n (eval stops at the first cell
+    that holds a point, so an overlap would go unseen), and its GF exactly
+    that of vpf_gf."""
     g = vpf_pqp(gens)
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            assert g.eval((a, b)) == partition_count(gens, (a, b)), \
-                (gens, a, b)
-    assert series_coeffs(pqp_to_rgf(g), bound) == \
-        series_coeffs(vpf_gf(gens), bound), gens
+    f = vpf_gf(gens)
+    table = series_coeffs(f, bound)
+    for p in product(range(-2, bound + 1), repeat=g.n):
+        assert sum(cell.contains(p) for cell, _ in g.pieces) <= 1, (gens, p)
+        if min(p) >= 0:
+            assert g.eval(p) == table.get(p, F(0)), (gens, p)
+    back = pqp_to_rgf(g, names=f.names)
+    assert gf_is_zero(gf_add(back, gf_scale(f, -1))), gens
+    return g
 
 
 def test_vpf_pqp_2d_checks_survive_optimization(monkeypatch):
@@ -387,13 +418,11 @@ def test_vpf_pqp_2d_checks_survive_optimization(monkeypatch):
         vpf_pqp([(1, 0), (0, 1), (1, 1)])
 
 
-
-def test_vpf_pqp_dimension_guard():
-    try:
-        vpf_pqp([(1, 0, 0), (0, 1, 1)])
-        assert False
-    except ValueError:
-        pass
+def test_vpf_pqp_three_dimensions():
+    gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    g = check_vpf(gens, 5)
+    for p in product(range(6), repeat=3):
+        assert g.eval(p) == min(p) + 1, p
 
 
 def test_qp_to_step_matches_qp():
