@@ -316,26 +316,38 @@ def is_quantifier_free(f):
 
 
 def substitute(f, name, term):
-    """Replace free occurrences of a variable by a term.
+    """Replace free occurrences of a variable by a term, folding as it goes.
+
+    A substituted comparison is normalized by cmp_ge/cmp_eq, and every
+    comparison is then folded by `_simplify_atom`; an And stops at its first
+    part that folds to FALSE and an Or at its first TRUE, and connectives
+    are rebuilt with conj/disj/neg.  The result is equivalent to the plain
+    substitution over N, not over Z: the atom fold uses that the remaining
+    variables are >= 0.
 
     Rejects formulas that quantify over the substituted variable or over a
     variable of the replacement term (no capture at this scale).
     """
     if isinstance(f, Cmp):
-        if f.term.coeff(name) == 0:
-            return f
-        new = f.term.subst(name, term)
-        return cmp_ge(new) if f.op == ">=" else cmp_eq(new)
+        if f.term.coeff(name) != 0:
+            new = f.term.subst(name, term)
+            f = cmp_ge(new) if f.op == ">=" else cmp_eq(new)
+        return _simplify_atom(f)
     if isinstance(f, Congruence):
         if f.term.coeff(name) == 0:
             return f
         return congruence(f.term.subst(name, term), f.modulus, f.residue)
-    if isinstance(f, And):
-        return And(tuple(substitute(p, name, term) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(p, name, term) for p in f.parts))
+    if isinstance(f, (And, Or)):
+        stop = FALSE if isinstance(f, And) else TRUE
+        parts = []
+        for p in f.parts:
+            q = substitute(p, name, term)
+            if q == stop:
+                return stop
+            parts.append(q)
+        return conj(parts) if isinstance(f, And) else disj(parts)
     if isinstance(f, Not):
-        return Not(substitute(f.inner, name, term))
+        return neg(substitute(f.inner, name, term))
     if isinstance(f, (Exists, ForAll)):
         if f.var == name:
             raise ValueError(f"cannot substitute bound variable {name!r}")

@@ -399,6 +399,8 @@ def gf_of_cell(names, cell):
 
 
 def gf_of_semilinear(s):
+    if len(s.cells) == 1:  # gf_of_cell's result is already coalesced
+        return gf_of_cell(s.names, s.cells[0])
     return rgf(s.names, [t for cell in s.cells
                          for t in gf_of_cell(s.names, cell).terms])
 

@@ -17,7 +17,10 @@ Otherwise E x'. phi becomes the finite disjunction over lower-bound
 candidates b and offsets j in [0, D) of phi[x' := b + j], D the lcm of
 the congruence moduli on x'.  The classic recipe's "minus infinity"
 disjuncts are left out: x' >= 0 is a top-level conjunct, so each of them
-is false over N.
+is false over N.  Only live branches are built: substitution folds (see
+formulas.substitute), and an offset is skipped when a top-level
+congruence on x', such as x' = 0 (mod l), becomes FALSE under
+x' := b + j, since that branch would fold to FALSE anyway.
 
 Universals go through the negation dual.  Elimination is innermost-first,
 so each step only ever sees a quantifier-free body.
@@ -29,6 +32,7 @@ from math import lcm
 
 from .formulas import (
     FALSE,
+    TRUE,
     And,
     Cmp,
     Congruence,
@@ -117,7 +121,8 @@ def eliminate_exists(var, body):
     if shifted == FALSE:
         return FALSE
 
-    for a in shifted.parts if isinstance(shifted, And) else (shifted,):
+    tops = shifted.parts if isinstance(shifted, And) else (shifted,)
+    for a in tops:
         if isinstance(a, Cmp) and a.op == "=" and a.term.coeff(fresh) != 0:
             # the equality shortcut of the module docstring
             return simplify(substitute(shifted, fresh, _root(a.term, fresh)))
@@ -137,8 +142,17 @@ def eliminate_exists(var, body):
         if b not in candidates:
             candidates.append(b)
 
-    return simplify(disj([substitute(shifted, fresh, b + LinearTerm.const(j))
-                          for b in candidates for j in range(modulus)]))
+    branches = []
+    for b in candidates:
+        # an offset that fails a top-level congruence made ground by
+        # fresh := b would give a FALSE branch
+        ground = [a for a in tops if isinstance(a, Congruence)
+                  and substitute(a, fresh, b) in (TRUE, FALSE)]
+        for j in range(modulus):
+            bj = b + LinearTerm.const(j)
+            if all(substitute(a, fresh, bj) == TRUE for a in ground):
+                branches.append(substitute(shifted, fresh, bj))
+    return simplify(disj(branches))
 
 
 def qelim(f):

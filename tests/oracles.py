@@ -6,12 +6,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from presburger.formulas import (
+    And,
     Cmp,
+    Congruence,
+    Exists,
+    ForAll,
     LinearTerm,
+    Not,
+    Or,
     atoms_of,
+    eval_ground,
     eval_partial,
-    simplify,
-    substitute,
 )
 from presburger.genfun import make_term, rgf
 from presburger.lattices import (
@@ -112,32 +117,42 @@ def clear_denominators(v):
 def count_solutions(formula, param, p0, counted):
     """Enumerate satisfying assignments of the counted variables directly.
 
-    Bounds for each counted variable are read off the single-variable
-    atoms after substituting the parameter, so the search space stays
-    small; eval_partial prunes dead branches early.
+    Bounds for each counted variable are read off the atoms that, with the
+    parameter set to p0, mention that variable alone, skipping every
+    subformula that p0 already decides, so the search space stays small;
+    eval_partial prunes dead branches early.  Nothing is substituted or
+    simplified: the formula is only evaluated.
     """
-    g = simplify(substitute(formula, param, LinearTerm.const(p0)))
-    caps = {v: 0 for v in counted}
-    for a in atoms_of(g):
-        if not isinstance(a, Cmp):
-            continue
-        t = a.term
-        if len(t.coeffs) != 1:
-            continue
-        name, c = t.coeffs[0]
-        if name not in caps:
-            continue
-        if a.op == ">=" and c < 0:
-            caps[name] = max(caps[name], t.constant // -c)
-        elif a.op != ">=" and -t.constant % c == 0 and -t.constant // c >= 0:
-            caps[name] = max(caps[name], -t.constant // c)
-
-    total = 0
     env = {param: p0}
+    caps = {v: 0 for v in counted}
+
+    def read_caps(f):
+        if eval_partial(f, env) is not None:
+            return  # decided by p0 alone, so it bounds nothing
+        if isinstance(f, (And, Or)):
+            for g in f.parts:
+                read_caps(g)
+        elif isinstance(f, Not):
+            read_caps(f.inner)
+        elif isinstance(f, (Exists, ForAll)):
+            read_caps(f.body)
+        elif isinstance(f, Cmp):
+            coeffs = [(n, c) for n, c in f.term.coeffs if n != param]
+            if len(coeffs) != 1 or coeffs[0][0] not in caps:
+                return
+            name, c = coeffs[0]
+            const = f.term.constant + f.term.coeff(param) * p0
+            if f.op == ">=" and c < 0:
+                caps[name] = max(caps[name], const // -c)
+            elif f.op != ">=" and -const % c == 0 and -const // c >= 0:
+                caps[name] = max(caps[name], -const // c)
+
+    read_caps(formula)
+    total = 0
 
     def rec(i):
         nonlocal total
-        v = eval_partial(g, env)
+        v = eval_partial(formula, env)
         if v is False:
             return
         if i == len(counted):
@@ -152,6 +167,42 @@ def count_solutions(formula, param, p0, counted):
 
     rec(0)
     return total
+
+
+def witness_bound(body, var, env):
+    """W such that (E var in N. body) holds iff it holds with var <= W.
+
+    An atom c*var + t(env) changes truth only at var = -t/c, so above
+    T = max over atoms of ceil(|t(env)|/|c|) every comparison atom is
+    constant, while congruence atoms repeat with period D = lcm of their
+    moduli.  A least witness therefore lies in [0, T + D].  The extra +2
+    absorbs the one-unit threshold shifts of atoms sitting under a
+    negation.  The argument only uses the atoms, not the elimination.
+    """
+    T, D = 0, 1
+    for a in atoms_of(body):
+        c = a.term.coeff(var)
+        if c == 0:
+            continue
+        if isinstance(a, Congruence):
+            D = math.lcm(D, a.modulus)
+            continue
+        rest = LinearTerm(
+            tuple((n, v) for n, v in a.term.coeffs if n != var), a.term.constant)
+        val = abs(rest.eval(env))
+        T = max(T, -(-val // abs(c)))
+    return T + D + 2
+
+
+def brute_exists(body, var, env):
+    W = witness_bound(body, var, env)
+    return any(eval_ground(body, {**env, var: k}) for k in range(W + 1))
+
+
+def brute_forall(body, var, env):
+    # dual of brute_exists; the same W works for the negated body
+    W = witness_bound(body, var, env)
+    return all(eval_ground(body, {**env, var: k}) for k in range(W + 1))
 
 
 def partition_count(gens, p):

@@ -201,6 +201,13 @@ def test_substitute():
         substitute(parse("E x. x >= y"), "x", t({}, 1))
     with pytest.raises(ValueError):
         substitute(parse("E x. x >= y"), "y", t({"x": 1}))
+    # substitution folds: an And stops at a FALSE part, an Or at a TRUE one
+    assert substitute(parse("x % 30 = 0 & x + y >= 3"), "x",
+                      LinearTerm.const(7)) == FALSE
+    assert substitute(parse("x >= 2 | y % 3 = 1"), "x",
+                      LinearTerm.const(5)) == TRUE
+    assert substitute(parse("!(x + y >= 1)"), "x", LinearTerm.const(2)) == FALSE
+    assert substitute(parse("!(x = y + 3)"), "y", t({"x": 1})) == TRUE
 
 
 # ---------------------------------------------------------------------------

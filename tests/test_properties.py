@@ -7,8 +7,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from oracles import brute_exists  # noqa: E402
 from presburger.formulas import (  # noqa: E402
+    FALSE,
+    TRUE,
+    Cmp,
     LinearTerm,
+    _simplify_atom,
+    atoms_of,
+    cmp_eq,
     cmp_ge,
     congruence,
     conj,
@@ -16,7 +23,9 @@ from presburger.formulas import (  # noqa: E402
     eval_ground,
     format_formula,
     neg,
+    substitute,
 )
+from presburger.qelim import eliminate_exists  # noqa: E402
 from presburger.semilinear import to_dnf  # noqa: E402
 
 NAMES = ("x", "y")
@@ -60,3 +69,58 @@ def test_dnf_cells_exact_and_disjoint(f):
         assert hits <= 1, (format_formula(f), pt, "cells overlap")
         assert (hits == 1) == eval_ground(f, dict(zip(NAMES, pt))), (
             format_formula(f), pt)
+
+
+@st.composite
+def linear_terms(draw, cmax):
+    """A linear term whose coefficient on each name is in [-c, c], c from
+    the dict cmax, with a constant in [-9, 9]."""
+    return LinearTerm.of({n: draw(st.integers(-c, c)) for n, c in cmax.items()},
+                         draw(st.integers(-9, 9)))
+
+
+@st.composite
+def qf_formulas(draw, cmax, mmax):
+    """A quantifier-free formula of depth at most 2 with comparison and
+    congruence atoms (moduli 2..mmax), and, or and not."""
+
+    def formula(depth):
+        kind = draw(st.integers(0, 3)) if depth else 0
+        if kind == 0:
+            t = draw(linear_terms(cmax))
+            op = draw(st.integers(0, 2))
+            if op < 2:
+                return cmp_ge(t) if op == 0 else cmp_eq(t)
+            m = draw(st.integers(2, mmax))
+            return congruence(t, m, draw(st.integers(0, m - 1)))
+        if kind == 3:
+            return neg(formula(depth - 1))
+        parts = [formula(depth - 1) for _ in range(draw(st.integers(2, 3)))]
+        return conj(parts) if kind == 1 else disj(parts)
+
+    return formula(2)
+
+
+XYZ = {"x": 3, "y": 3, "z": 3}
+
+
+@hypothesis.given(qf_formulas(XYZ, 6), linear_terms(XYZ))
+def test_substitute_folds_and_keeps_meaning(f, t):
+    g = substitute(f, "x", t)
+    if g not in (TRUE, FALSE):
+        for a in atoms_of(g):
+            assert a not in (TRUE, FALSE), (format_formula(g), a)
+            if isinstance(a, Cmp):
+                assert _simplify_atom(a) == a, (format_formula(g), a)
+    for pt in itertools.product(range(4), repeat=3):
+        env = dict(zip(XYZ, pt))
+        assert eval_ground(g, env) == eval_ground(
+            f, {**env, "x": t.eval(env)}), (format_formula(f), t, env)
+
+
+@hypothesis.given(qf_formulas({"x": 4, "y": 3}, 12))
+def test_eliminate_exists_matches_search(body):
+    g = eliminate_exists("x", body)
+    for y in range(10):
+        assert eval_ground(g, {"y": y}) == brute_exists(body, "x", {"y": y}), (
+            format_formula(body), y)

@@ -1,14 +1,12 @@
 """Quantifier elimination against brute-force search with certified bounds."""
 
 import random
-from math import lcm
 
 import pytest
 
 from presburger.formulas import (
     And,
     Cmp,
-    Congruence,
     Exists,
     LinearTerm,
     Not,
@@ -27,42 +25,7 @@ from presburger.formulas import (
     parse,
 )
 from presburger.qelim import decide, eliminate_exists, qelim
-
-
-def witness_bound(body, var, env):
-    """W such that (E var in N. body) holds iff it holds with var <= W.
-
-    An atom c*var + t(env) changes truth only at var = -t/c, so above
-    T = max over atoms of ceil(|t(env)|/|c|) every comparison atom is
-    constant, while congruence atoms repeat with period D = lcm of their
-    moduli.  A least witness therefore lies in [0, T + D].  The extra +2
-    absorbs the one-unit threshold shifts of atoms sitting under a
-    negation.  The argument only uses the atoms, not the elimination.
-    """
-    T, D = 0, 1
-    for a in atoms_of(body):
-        c = a.term.coeff(var)
-        if c == 0:
-            continue
-        if isinstance(a, Congruence):
-            D = lcm(D, a.modulus)
-            continue
-        rest = LinearTerm(
-            tuple((n, v) for n, v in a.term.coeffs if n != var), a.term.constant)
-        val = abs(rest.eval(env))
-        T = max(T, -(-val // abs(c)))
-    return T + D + 2
-
-
-def brute_exists(body, var, env):
-    W = witness_bound(body, var, env)
-    return any(eval_ground(body, {**env, var: k}) for k in range(W + 1))
-
-
-def brute_forall(body, var, env):
-    # dual of brute_exists; the same W works for the negated body
-    W = witness_bound(body, var, env)
-    return all(eval_ground(body, {**env, var: k}) for k in range(W + 1))
+from oracles import brute_exists, brute_forall, witness_bound
 
 
 def _random_term(rng, names, cmax, const):
