@@ -24,6 +24,7 @@ from . import serialize
 from .formulas import (
     FormulaSyntaxError,
     LinearTerm,
+    ModulusTooLarge,
     format_formula,
     free_vars,
     parse,
@@ -100,13 +101,14 @@ def _parse_vectors(spec):
 
 
 def _emit(args, obj, text):
-    """Print the document that --format asks for; obj and text build the
-    JSON object and the text, and only the printed one is built."""
+    """Print the document that --format asks for; obj and text build what
+    serialize.dumps writes (a JSON object or a RationalGF) and the text,
+    and only the printed one is built."""
     print(serialize.dumps(obj()) if args.format == "json" else text())
 
 
 def _emit_gf(args, g):
-    _emit(args, lambda: serialize.gf_to_obj(g), lambda: _fmt_gf(g))
+    _emit(args, lambda: g, lambda: _fmt_gf(g))
 
 
 def _emit_infinite(args, message):
@@ -555,6 +557,9 @@ def main(argv=None):
         return PARSE
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
+        return UNSUPPORTED
+    except ModulusTooLarge as e:
+        print(f"error: {e}", file=sys.stderr)
         return UNSUPPORTED
     except BrokenPipeError:
         return 0

@@ -36,6 +36,25 @@ class FormulaSyntaxError(ValueError):
         self.pos = pos
 
 
+# The most residues one loop may run through: negating a congruence,
+# splitting a cell by the residues of a congruence and Cooper's offsets
+# each cost time and memory linear in the modulus they loop over.  It is
+# above every modulus those loops meet in the tests and the benchmark
+# (the largest, lcm(7, 8, 9, 11, 13) = 72072, is a Cooper period).
+MODULUS_LIMIT = 100_000
+
+
+class ModulusTooLarge(ValueError):
+    """A loop would run through more than MODULUS_LIMIT residues."""
+
+
+def check_modulus(modulus, what):
+    if modulus > MODULUS_LIMIT:
+        raise ModulusTooLarge(
+            f"{what} needs {modulus} residues, above the modulus limit "
+            f"{MODULUS_LIMIT}")
+
+
 # ---------------------------------------------------------------------------
 # linear terms
 
@@ -368,18 +387,11 @@ def eval_ground(f, env, bound=0):
     Quantifiers range over [0, bound] rather than all of N, which is exact
     whenever `bound` dominates the relevant witnesses.
     """
+    # not an input check: with partial=False an unassigned variable raises
+    # ValueError, so _eval never returns None
     v = _eval(f, dict(env), bound, partial=False)
     assert v is not None
     return v
-
-
-def eval_partial(f, env, bound=0):
-    """Three-valued evaluation: True / False / None (undetermined).
-
-    Atoms mentioning unassigned variables evaluate to None; and/or/not use
-    Kleene logic.  Used by enumeration oracles to prune search.
-    """
-    return _eval(f, dict(env), bound, partial=True)
 
 
 def _eval(f, env, bound, partial):
@@ -471,6 +483,7 @@ def _nnf(f, negate):
     if isinstance(f, Congruence):
         if not negate:
             return f
+        check_modulus(f.modulus, "negating a congruence")
         return disj([Congruence(f.term, f.modulus, r)
                      for r in range(f.modulus) if r != f.residue])
     if isinstance(f, And):

@@ -22,8 +22,9 @@ lists; the terms are mapped back and coalesced once per cell.  Every
 series coefficient is read through one dynamic-programming kernel,
 series_coeffs, in any dimension.  specialize_ones evaluates at 1 by one
 Laurent expansion per distinct denominator (per simplicial cone), leaving
-each term only integer binomial sums.  gf_is_zero tests a GF exactly over
-one common denominator, and gf_euler applies x_i d/dx_i term by term.
+each term only integer binomial sums, and multiplies pure poles as scalar
+series.  gf_is_zero tests a GF exactly over one common denominator, and
+gf_euler applies x_i d/dx_i term by term.
 """
 
 from __future__ import annotations
@@ -257,16 +258,6 @@ def _substitute_exponents(terms, images, shift):
     return out
 
 
-def monomial_substitute(g, new_names, images):
-    """Substitute x_j -> y^images[j] with nonnegative exponent vectors."""
-    if len(images) != g.dim or any(len(v) != len(new_names) for v in images):
-        raise ValueError("one image of length len(new_names) per variable")
-    if any(c < 0 for v in images for c in v):
-        raise ValueError("exponent images must be nonnegative")
-    return rgf(new_names, _substitute_exponents(
-        g.terms, [tuple(v) for v in images], zero_vec(len(new_names))))
-
-
 # ---------------------------------------------------------------------------
 # generating function of a cell (Brion decomposition)
 
@@ -442,6 +433,12 @@ def _scalar_inverse(r, depth):
     return out
 
 
+def _scalar_mul(A, B):
+    """Product of two scalar series, to the depth of A."""
+    return [sum(A[i] * B[n - i] for i in range(n + 1) if n - i < len(B))
+            for n in range(len(A))]
+
+
 def _series_mul(A, B, names, depth):
     out = [gf_zero(names) for _ in range(depth + 1)]
     for i, a in enumerate(A):
@@ -502,8 +499,12 @@ def specialize_ones(g, positions):
     its factor series, so these are multiplied out once per denominator.
     A term coef * x^numer contributes only coef * C(tau . numer_s, n) at
     order n, so each denominator keeps integer binomial sums keyed by the
-    remaining exponent and coefficient, and meets its factor series in one
-    series product.
+    remaining exponent and coefficient.  The series of a pure pole (a
+    factor with no remaining part) is a list of constants: the pure poles
+    multiply as Fraction series, which fold into each key's binomial row.
+    Only the mixed factors have GF coefficients; they meet the numerator
+    in GF series products, and with none of them (always so for
+    cardinality) no GF product is formed.
     """
     positions = sorted(set(positions))
     spec = set(positions)
@@ -532,7 +533,8 @@ def specialize_ones(g, positions):
             row = sums.setdefault((proj_r(t.numer), t.coef), [0] * (k + 1))
             for n in range(k + 1):
                 row[n] += _binom(a_exp, n)
-        factors = [gf_const(names_r, 1)] + [gf_zero(names_r)] * k
+        pure = [Fraction(1)] + [Fraction(0)] * k
+        mixed = []
         pure_remaining = []
         for b in denom:
             bs, br = proj_s(b), proj_r(b)
@@ -540,7 +542,7 @@ def specialize_ones(g, positions):
                 # pure pole: 1/(1 - t^m) = s^-1 * inverse((1-(1+s)^m)/s)
                 m = vdot(tau, bs)
                 r = [-_binom(m, n + 1) for n in range(k + 1)]
-                fs = [gf_const(names_r, c) for c in _scalar_inverse(r, k)]
+                pure = _scalar_mul(pure, _scalar_inverse(r, k))
             elif any(bs):
                 # mixed: 1/(1 - x^br (1+s)^m)
                 m = vdot(tau, bs)
@@ -549,16 +551,20 @@ def specialize_ones(g, positions):
                 for n in range(1, k + 1):
                     a.append(gf_monomial(names_r, -_binom(m, n), br))
                 a0inv = rgf(names_r, [make_term(1, zero_vec(len(keep)), [br])])
-                fs = _series_inv_with(a, a0inv, names_r, k)
+                mixed.append(_series_inv_with(a, a0inv, names_r, k))
             else:
                 pure_remaining.append(br)
-                continue
-            factors = _series_mul(factors, fs, names_r, k)
-        numer = [rgf(names_r, [make_term(c * row[n], e, pure_remaining)
-                               for (e, c), row in sums.items()])
-                 for n in range(k + 1)]
-        for n, part in enumerate(_series_mul(numer, factors, names_r, k)):
-            acc.setdefault(n - k, []).extend(part.terms)
+        rows = [(e, c, _scalar_mul(row, pure)) for (e, c), row in sums.items()]
+        numer = [[make_term(c * row[n], e, pure_remaining)
+                  for e, c, row in rows if row[n]] for n in range(k + 1)]
+        if mixed:
+            factors = mixed[0]
+            for fs in mixed[1:]:
+                factors = _series_mul(factors, fs, names_r, k)
+            numer = [part.terms for part in _series_mul(
+                [rgf(names_r, part) for part in numer], factors, names_r, k)]
+        for n, part in enumerate(numer):
+            acc.setdefault(n - k, []).extend(part)
 
     acc = {order: rgf(names_r, terms) for order, terms in acc.items()}
     for order in sorted(acc):

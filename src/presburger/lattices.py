@@ -415,14 +415,6 @@ def residue_cosets(coset, coeffs, modulus):
     return r0, g, cell
 
 
-def congruence_coset(coeffs, residue, modulus, dim):
-    """Solution coset of a single congruence  coeffs . x = residue (mod modulus).
-
-    Returns a LatticeCoset, or None when the congruence has no solution.
-    """
-    return residue_cosets(full_coset(dim), coeffs, modulus)[2](residue)
-
-
 def solve_congruences(atoms, dim):
     """Common solution coset of congruences (coeffs, residue, modulus).
 

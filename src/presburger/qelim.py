@@ -42,6 +42,7 @@ from .formulas import (
     Not,
     Or,
     atoms_of,
+    check_modulus,
     cmp_eq,
     cmp_ge,
     congruence,
@@ -142,6 +143,8 @@ def eliminate_exists(var, body):
         if b not in candidates:
             candidates.append(b)
 
+    if candidates:
+        check_modulus(modulus, "Cooper elimination")
     branches = []
     for b in candidates:
         # an offset that fails a top-level congruence made ground by
@@ -179,5 +182,7 @@ def decide(f):
     if fv:
         raise ValueError(f"formula has free variables: {sorted(fv)}")
     g = qelim(f)
+    # not an input check: qelim raises TypeError on anything but a formula,
+    # and every branch of it returns a quantifier-free one
     assert is_quantifier_free(g)
     return eval_ground(g, {})

@@ -26,6 +26,7 @@ from .formulas import (
     Congruence,
     LinearTerm,
     atoms_of,
+    check_modulus,
     cmp_eq,
     cmp_ge,
     congruence,
@@ -137,7 +138,9 @@ def to_dnf(f, names=None):
     for a in atoms_of(g):
         if isinstance(a, Congruence):
             coeffs, c = _term_row(a.term, index, d)
-            assert c == 0
+            if c:
+                raise ValueError(f"congruence term carries the constant "
+                                 f"{c}; fold it into the residue")
             groups.setdefault((coeffs, a.modulus), []).append(a)
         else:
             cmps.append(a)
@@ -194,8 +197,11 @@ def to_dnf(f, names=None):
         # c.x takes the residues r0 + k g on the coset; one no atom names
         # keeps the residual base, so a FALSE base lists only named ones
         r0, step, cell = residue_cosets(coset, coeffs, modulus)
-        residues = sorted(named) if base is FALSE else range(
-            r0 % step, modulus, step)
+        if base is FALSE:
+            residues = sorted(named)
+        else:
+            check_modulus(modulus // step, "splitting a cell by a congruence")
+            residues = range(r0 % step, modulus, step)
         for r in residues:
             branch = named.get(r, base)
             refined = None if branch is FALSE else cell(r)

@@ -4,21 +4,23 @@ Rationals travel as exact "num/den" strings, vectors as integer arrays.
 Serialization is canonical (sorted keys, sorted monomials), so
 serialize/deserialize round trips are bit-exact and repeated runs are
 byte-identical.
+
+dumps writes what json.dumps(obj, indent=2, sort_keys=True) writes.  A
+RationalGF, the largest document, goes to dumps as it is: each term is
+filled into one fixed template, and each distinct denominator and
+coefficient is rendered once, so a GF is written without building its
+object form.  gf_to_obj is that object form, the reference the writer's
+bytes are tested against.
 """
 
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .genfun import make_term, rgf
-from .lattices import Lattice, LatticeCoset
+from .genfun import RationalGF, make_term, rgf
+from .lattices import Lattice
 from .polyhedra import Polyhedron
-from .quasipoly import (
-    PiecewiseQuasiPolynomial,
-    QuasiPolynomial,
-    StepPolynomial,
-)
-from .semilinear import SemilinearCell, SemilinearSet
+from .quasipoly import PiecewiseQuasiPolynomial, QuasiPolynomial
 
 
 def frac_str(c):
@@ -30,7 +32,13 @@ def parse_frac(s):
 
 
 def dumps(obj):
-    """json.dumps(obj, indent=2, sort_keys=True) without json's slow path."""
+    """json.dumps(obj, indent=2, sort_keys=True) without json's slow path.
+
+    A RationalGF is written as dumps(gf_to_obj(obj)) would write it, term
+    by term (see _gf_text).
+    """
+    if isinstance(obj, RationalGF):
+        return _gf_text(obj)
     return _dump(obj, "\n")
 
 
@@ -77,6 +85,33 @@ def gf_to_obj(g):
     }
 
 
+# One term of gf_to_obj's document as dumps writes it: keys sorted, the
+# term at depth 2 of the document and its vectors' entries at depth 4.
+_TERM = '{\n      "coef": %s,\n      "denom": %s,\n      "numer_exp": %s\n    }'
+
+
+def _gf_text(g):
+    """dumps(gf_to_obj(g)) from one template per term.  Each distinct
+    coefficient and denominator is rendered once: the terms of one
+    simplicial cone share their denominator."""
+    coefs, denoms = {}, {}
+    terms = []
+    for t in g.terms:
+        coef = coefs.get(t.coef)
+        if coef is None:
+            coef = coefs[t.coef] = encode_basestring_ascii(frac_str(t.coef))
+        denom = denoms.get(t.denom)
+        if denom is None:
+            denom = denoms[t.denom] = _dump([list(b) for b in t.denom],
+                                            "\n      ")
+        numer = ("[\n        " + ",\n        ".join(map(str, t.numer))
+                 + "\n      ]") if t.numer else "[]"
+        terms.append(_TERM % (coef, denom, numer))
+    body = "[\n    " + ",\n    ".join(terms) + "\n  ]" if terms else "[]"
+    return ('{\n  "names": %s,\n  "terms": %s\n}'
+            % (_dump(list(g.names), "\n  "), body))
+
+
 def gf_from_obj(obj):
     names = tuple(obj["names"])
     d = len(names)
@@ -117,18 +152,6 @@ def semilinear_to_obj(s):
             "rep": list(c.coset.rep),
         } for c in s.cells],
     }
-
-
-def semilinear_from_obj(obj):
-    names = tuple(obj["names"])
-    cells = []
-    for c in obj["cells"]:
-        poly = polyhedron_from_obj(c["polyhedron"])
-        lat = Lattice(poly.dim,
-                      tuple(tuple(int(x) for x in b) for b in c["lattice"]))
-        coset = LatticeCoset(lat, tuple(int(x) for x in c["rep"]))
-        cells.append(SemilinearCell(poly, coset))
-    return SemilinearSet(names, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +218,3 @@ def step_to_obj(s):
         } for c, factors in s.terms],
     }
 
-
-def step_from_obj(obj):
-    n = int(obj["n"])
-    terms = []
-    for t in obj["terms"]:
-        factors = tuple((tuple(parse_frac(a) for a in f["coeffs"]),
-                         parse_frac(f["const"])) for f in t["factors"])
-        terms.append((parse_frac(t["coef"]), factors))
-    return StepPolynomial(n, tuple(terms))

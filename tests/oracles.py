@@ -14,22 +14,28 @@ from presburger.formulas import (
     LinearTerm,
     Not,
     Or,
+    _eval,
     atoms_of,
     eval_ground,
-    eval_partial,
 )
-from presburger.genfun import make_term, rgf
+from presburger.genfun import _substitute_exponents, make_term, rgf
 from presburger.lattices import (
     Lattice,
+    LatticeCoset,
+    full_coset,
     mat_vec,
     primitive,
+    residue_cosets,
     vadd,
     vdot,
     vneg,
     vsub,
+    zero_vec,
 )
 from presburger.polyhedra import NonPointedError
 from presburger.quasipoly import StepPolynomial, poly_mul, poly_norm
+from presburger.semilinear import SemilinearCell, SemilinearSet
+from presburger.serialize import parse_frac, polyhedron_from_obj
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +391,58 @@ def qp_to_step_oracle(q):
                 add(-c, base + (((Fraction(1, m),), Fraction(-r - 1, m)),))
     return StepPolynomial(1, tuple((c, k) for k, c in sorted(acc.items())
                                    if c != 0))
+
+
+# ---------------------------------------------------------------------------
+# public helpers that only the tests call, moved out of the package
+
+
+def eval_partial(f, env, bound=0):
+    """Three-valued evaluation: True / False / None (undetermined).
+
+    Atoms mentioning unassigned variables evaluate to None; and/or/not use
+    Kleene logic.  Used by enumeration oracles to prune search.
+    """
+    return _eval(f, dict(env), bound, partial=True)
+
+
+def monomial_substitute(g, new_names, images):
+    """Substitute x_j -> y^images[j] with nonnegative exponent vectors."""
+    if len(images) != g.dim or any(len(v) != len(new_names) for v in images):
+        raise ValueError("one image of length len(new_names) per variable")
+    if any(c < 0 for v in images for c in v):
+        raise ValueError("exponent images must be nonnegative")
+    return rgf(new_names, _substitute_exponents(
+        g.terms, [tuple(v) for v in images], zero_vec(len(new_names))))
+
+
+def congruence_coset(coeffs, residue, modulus, dim):
+    """Solution coset of a single congruence  coeffs . x = residue (mod modulus).
+
+    Returns a LatticeCoset, or None when the congruence has no solution.
+    """
+    return residue_cosets(full_coset(dim), coeffs, modulus)[2](residue)
+
+
+def semilinear_from_obj(obj):
+    """Reader of serialize.semilinear_to_obj's document."""
+    names = tuple(obj["names"])
+    cells = []
+    for c in obj["cells"]:
+        poly = polyhedron_from_obj(c["polyhedron"])
+        lat = Lattice(poly.dim,
+                      tuple(tuple(int(x) for x in b) for b in c["lattice"]))
+        coset = LatticeCoset(lat, tuple(int(x) for x in c["rep"]))
+        cells.append(SemilinearCell(poly, coset))
+    return SemilinearSet(names, tuple(cells))
+
+
+def step_from_obj(obj):
+    """Reader of serialize.step_to_obj's document."""
+    n = int(obj["n"])
+    terms = []
+    for t in obj["terms"]:
+        factors = tuple((tuple(parse_frac(a) for a in f["coeffs"]),
+                         parse_frac(f["const"])) for f in t["factors"])
+        terms.append((parse_frac(t["coef"]), factors))
+    return StepPolynomial(n, tuple(terms))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -12,16 +13,12 @@ from pathlib import Path
 import pytest
 
 import presburger
-from oracles import count_solutions, partition_count
+from oracles import count_solutions, partition_count, step_from_obj
 from presburger.cli import _build_parser, main
-from presburger.formulas import eval_ground, parse
+from presburger.formulas import MODULUS_LIMIT, eval_ground, parse
 from presburger.genfun import series_coeffs, series_equal
 from presburger.quasipoly import step_eval
-from presburger.serialize import (
-    gf_from_obj,
-    pqp_from_obj,
-    step_from_obj,
-)
+from presburger.serialize import gf_from_obj, pqp_from_obj
 
 F = Fraction
 
@@ -65,6 +62,23 @@ def test_deep_nesting_is_rejected(capsys):
         rc, out, err = run(capsys, *argv)
         assert rc == 4 and out == ""
         assert err == "error: formula nested too deeply\n"
+
+
+def test_modulus_limit_fails_fast(capsys):
+    """Each loop over the residues of a modulus checks MODULUS_LIMIT first:
+    negating a congruence, a cell split and Cooper's offsets."""
+    for argv, what in [(("dnf", "!(x % 10000000 = 3)"),
+                        "negating a congruence"),
+                       (("dnf", "x % 10000000 = 3 | y >= 1"),
+                        "splitting a cell by a congruence"),
+                       (("decide", "E x. x % 10000000 = 3"),
+                        "Cooper elimination")]:
+        t0 = time.process_time()
+        rc, out, err = run(capsys, *argv)
+        assert time.process_time() - t0 < 1
+        assert rc == 4 and out == ""
+        assert err == (f"error: {what} needs 10000000 residues, above the "
+                       f"modulus limit {MODULUS_LIMIT}\n")
 
 
 def test_qelim_output_is_quantifier_free_and_equivalent(capsys):
@@ -387,6 +401,8 @@ GOLDEN = [  # stdout pinned byte for byte by its sha256
      "e0750067294a1b2c6bf522ef1d8644ac10481131a8fbf5471f7e4021f2ee59e7"),
     (("vpf", "2;3;5;7", "--as", "qp"),
      "a07451b5d606b1a164d4cc1406ea0b31221c9d7fd7266fa5e635b422e19ad743"),
+    (("genfun", "13*x + 17*y + 19*z <= 104"),
+     "76df173f6fb18adfa89116bc1f557271b79c303f24c4b72e773939d391c9aa9d"),
 ]
 
 

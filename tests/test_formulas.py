@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import eval_partial
 from presburger.formulas import (
     FALSE,
     TRUE,
@@ -24,7 +25,6 @@ from presburger.formulas import (
     conj,
     disj,
     eval_ground,
-    eval_partial,
     format_formula,
     free_vars,
     is_quantifier_free,

@@ -8,7 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_inverse, halfopen_simplicial_oracle, series_oracle
+from oracles import (
+    fraction_inverse,
+    halfopen_simplicial_oracle,
+    monomial_substitute,
+    series_oracle,
+)
 from presburger.formulas import (
     LinearTerm,
     cmp_eq,
@@ -38,7 +43,6 @@ from presburger.genfun import (
     gf_of_formula,
     gf_of_semilinear,
     make_term,
-    monomial_substitute,
     rgf,
     series_coeffs,
     series_equal,

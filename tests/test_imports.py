@@ -84,3 +84,59 @@ def test_no_orphaned_helpers():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_helpers(sources) == []
+
+
+# Public functions that nothing in the package calls, kept on purpose.
+UNCALLED_PUBLIC = {
+    ("serialize.py", "gf_to_obj"):
+        "object form of a GF document: the reference the term-by-term "
+        "writer in dumps is tested against, and a benchmark trace target",
+    ("quasipoly.py", "partition_count"): "a benchmark trace target",
+    ("polyhedra.py", "has_interior"):
+        "the planned refinement of piecewise quasi-polynomial cells uses it",
+    ("semilinear.py", "formula_from_semilinear"):
+        "the planned converse from a rational GF to a formula prints its "
+        "result with it",
+}
+
+
+def uncalled_public_functions(sources):
+    """Module-level public functions of the given modules (name -> source)
+    that no other top-level statement of any module reads, imports or
+    looks up as an attribute; a function calling itself does not count."""
+    defined = []
+    readers = {}  # name -> {(module, index of the top-level statement)}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for i, stmt in enumerate(tree.body):
+            if (isinstance(stmt, ast.FunctionDef)
+                    and not stmt.name.startswith("_")):
+                defined.append((module, stmt.name, i))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    readers.setdefault(name, set()).add((module, i))
+    return sorted((m, name) for m, name, i in defined
+                  if not readers.get(name, set()) - {(m, i)})
+
+
+def test_uncalled_public_functions_are_found():
+    sources = {"a": "def api(): return helper()\ndef helper(): pass\n"
+                    "def planted(): return planted()\n",
+               "__init__.py": "from .a import api\n"}
+    assert uncalled_public_functions(sources) == [("a", "planted")]
+    sources["b"] = "from . import a\nx = a.planted\n"
+    assert uncalled_public_functions(sources) == []
+
+
+def test_every_public_function_is_exported_or_called():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert uncalled_public_functions(sources) == sorted(UNCALLED_PUBLIC)

@@ -4,12 +4,12 @@ from itertools import product
 
 import pytest
 
-from oracles import fraction_inverse, fraction_nullspace, rat_rank, rat_solve
-from presburger.lattices import (Lattice, LatticeCoset, congruence_coset,
-                                 congruences_of_coset, coset_intersect,
-                                 full_coset, hnf, hnf_kernel, int_inverse,
-                                 mat_mul, mat_vec, primitive, rat_inv,
-                                 rat_nullspace, residue_cosets,
+from oracles import (congruence_coset, fraction_inverse, fraction_nullspace,
+                     rat_rank, rat_solve)
+from presburger.lattices import (Lattice, LatticeCoset, congruences_of_coset,
+                                 coset_intersect, full_coset, hnf, hnf_kernel,
+                                 int_inverse, mat_mul, mat_vec, primitive,
+                                 rat_inv, rat_nullspace, residue_cosets,
                                  solve_congruences, solve_int, vdot)
 
 

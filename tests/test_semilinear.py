@@ -3,7 +3,10 @@
 import itertools
 import random
 
+import pytest
+
 from presburger.formulas import (
+    Congruence,
     LinearTerm,
     cmp_eq,
     cmp_ge,
@@ -92,6 +95,14 @@ def test_positive_congruence_with_large_prime_modulus():
     s = to_dnf(parse("x % 1000003 = 5 & y % 999983 = 7"), ["x", "y"])
     assert len(s.cells) == 1
     assert s.contains((1000008, 7)) and not s.contains((5, 8))
+
+
+def test_congruence_term_with_a_constant_is_rejected():
+    # parse and congruence() fold the constant into the residue; a
+    # Congruence built directly may not
+    f = Congruence(LinearTerm.of({"x": 1}, 5), 3, 1)
+    with pytest.raises(ValueError, match="constant 5"):
+        to_dnf(f, ["x"])
 
 
 def test_odd_after_elimination():

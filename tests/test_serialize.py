@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+from oracles import semilinear_from_obj, step_from_obj
 from presburger.formulas import parse
 from presburger.genfun import make_term, rgf
 from presburger.lattices import Lattice
@@ -21,9 +22,7 @@ from presburger.serialize import (
     gf_to_obj,
     pqp_from_obj,
     pqp_to_obj,
-    semilinear_from_obj,
     semilinear_to_obj,
-    step_from_obj,
     step_to_obj,
 )
 
@@ -49,6 +48,34 @@ def test_gf_obj_shape():
     assert obj == {"names": ["x"],
                    "terms": [{"coef": "1/2", "numer_exp": [3],
                               "denom": [[2]]}]}
+
+
+def random_gf(rng):
+    names = tuple(random_text(rng) or "x" for _ in range(rng.randrange(4)))
+    d = len(names)
+    denoms = [tuple(tuple(rng.randint(-3, 3) or 1 for _ in range(d))
+                    for _ in range(rng.randrange(3 if d else 1)))
+              for _ in range(3)]
+    coefs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+    return rgf(names, [make_term(rng.choice(coefs),
+                                 [rng.randint(-5, 5) for _ in range(d)],
+                                 rng.choice(denoms))
+                       for _ in range(rng.randrange(8))])
+
+
+def test_gf_dumps_matches_the_object_form():
+    """dumps writes a GF term by term; the bytes are those of its object
+    form.  Covers no terms, no names, empty denominators, Fraction
+    coefficients and negative numerator exponents."""
+    rng = random.Random(2718)
+    gfs = [random_gf(rng) for _ in range(300)]
+    gfs.append(rgf((), [make_term(F(-3, 2), (), ())]))
+    gfs.append(rgf(("x", "y"), []))
+    assert any(t.denom == () for g in gfs for t in g.terms)
+    assert any(min(t.numer, default=0) < 0 for g in gfs for t in g.terms)
+    for g in gfs:
+        want = json.dumps(gf_to_obj(g), indent=2, sort_keys=True)
+        assert dumps(g) == want, g
 
 
 def test_semilinear_round_trip():
