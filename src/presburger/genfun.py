@@ -506,16 +506,15 @@ def specialize_ones(g, positions):
     in GF series products, and with none of them (always so for
     cardinality) no GF product is formed.
     """
-    positions = sorted(set(positions))
-    spec = set(positions)
-    keep = [i for i in range(g.dim) if i not in spec]
+    positions = tuple(sorted(set(positions)))
+    keep = tuple(i for i in range(g.dim) if i not in positions)
     names_r = tuple(g.names[i] for i in keep)
 
     def proj_s(v):
-        return tuple(v[i] for i in positions)
+        return tuple(map(v.__getitem__, positions))
 
     def proj_r(v):
-        return tuple(v[i] for i in keep)
+        return tuple(map(v.__getitem__, keep))
 
     groups = {}  # denom -> its terms
     for t in g.terms:
@@ -529,10 +528,13 @@ def specialize_ones(g, positions):
         k = sum(1 for b in denom if not any(proj_r(b)))
         sums = {}  # (remaining exponent, coef) -> binomial sums
         for t in terms:
-            a_exp = vdot(tau, proj_s(t.numer))
-            row = sums.setdefault((proj_r(t.numer), t.coef), [0] * (k + 1))
-            for n in range(k + 1):
-                row[n] += _binom(a_exp, n)
+            v = t.numer
+            a = sum(map(operator.mul, tau, map(v.__getitem__, positions)))
+            row = sums.setdefault((proj_r(v), t.coef), [0] * (k + 1))
+            c = 1
+            for n in range(k + 1):  # C(a, n + 1) = C(a, n) (a - n) / (n + 1)
+                row[n] += c
+                c = c * (a - n) // (n + 1)
         pure = [Fraction(1)] + [Fraction(0)] * k
         mixed = []
         pure_remaining = []
@@ -554,8 +556,11 @@ def specialize_ones(g, positions):
                 mixed.append(_series_inv_with(a, a0inv, names_r, k))
             else:
                 pure_remaining.append(br)
+        lp = math.lcm(*(x.denominator for x in pure))
+        pure = [x.numerator * (lp // x.denominator) for x in pure]
         rows = [(e, c, _scalar_mul(row, pure)) for (e, c), row in sums.items()]
-        numer = [[make_term(c * row[n], e, pure_remaining)
+        numer = [[make_term(Fraction(c.numerator * row[n],
+                                     c.denominator * lp), e, pure_remaining)
                   for e, c, row in rows if row[n]] for n in range(k + 1)]
         if mixed:
             factors = mixed[0]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import add, mul, sub
 
 
 # ---------------------------------------------------------------------------
@@ -22,11 +23,11 @@ from math import gcd
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u):
@@ -40,7 +41,7 @@ def vscale(k, u):
 def vdot(u, v):
     if len(u) != len(v):
         raise ValueError(f"vdot of vectors of lengths {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def zero_vec(d):

@@ -12,8 +12,10 @@ functions (one chamber decomposition in any dimension), rewrites
 quasi-polynomials as step polynomials built from floors, and synthesizes
 counting formulas whose solution count realizes a given quasi-polynomial.
 Constituents are recovered from series coefficients (genfun.series_coeffs)
-by integer Newton differences on the grid of exponents of bounded total
-degree, expanded in binomials of affine forms over one common denominator.
+one lattice at a time: every coset shares the grid of exponents of bounded
+total degree, the linear part of the affine forms and one common
+denominator, so one integer pass takes the Newton differences and builds
+the binomial bases of all cosets.
 """
 
 from __future__ import annotations
@@ -98,41 +100,28 @@ def poly_const(n, c):
     return {(0,) * n: c} if c else {}
 
 
-def _expand(terms, den, forms, falling):
-    """sum_e terms[e] prod_i B_i(e_i) / den for integer terms, forms[i] =
-    (coeffs, const) = num_i / d_i with num_i integral, and B_i(m) = num_i^m
-    / d_i^m or, when falling, num_i (num_i - d_i) ... (num_i - (m-1) d_i) /
-    d_i^m, as integer polynomials over one denominator den prod d_i^max m."""
-    k = len(forms[0][0])
-    zero = (0,) * k
-    bases = []
-    for i, (coeffs, const) in enumerate(forms):
-        d = lcm(*(x.denominator for x in (*coeffs, const)))
-        *a, b = [x.numerator * (d // x.denominator) for x in (*coeffs, const)]
-        lin = {tuple(int(j == v) for j in range(k)): c
-               for v, c in enumerate(a) if c}
-        top = max((e[i] for e in terms), default=0)
-        den *= d ** top
-        powers = [{zero: 1}]
-        for m in range(top):
-            c = b - m * d if falling else b
-            powers.append(poly_mul(powers[-1], {**lin, zero: c} if c else lin))
-        bases.append([{e: c * d ** (top - m) for e, c in q.items()}
-                      for m, q in enumerate(powers)])
-    acc = {}
-    for e, w in terms.items():
-        prod = reduce(poly_mul, [bases[i][m] for i, m in enumerate(e)])
-        for f, c in prod.items():
-            acc[f] = acc.get(f, 0) + w * c
-    return {f: Fraction(c, den) for f, c in sorted(acc.items()) if c}
-
-
 def poly_compose_affine(p, forms):
     """Substitute variable i of p by the affine form forms[i] = (coeffs,
     const) over a new tuple of variables."""
+    k = len(forms[0][0])
+    zero = (0,) * k
+    d = lcm(*(x.denominator for form in forms for x in (*form[0], form[1])))
+    lins = [poly_norm({**{tuple(int(j == v) for j in range(k)): int(c * d)
+                          for v, c in enumerate(coeffs)}, zero: int(b * d)})
+            for coeffs, b in forms]
     L = lcm(*(c.denominator for c in p.values()))
-    return _expand({e: c.numerator * (L // c.denominator)
-                    for e, c in p.items()}, L, forms, False)
+    top = max(map(sum, p), default=0)
+    powers = [[{zero: 1}] for _ in forms]
+    acc = {}
+    for e, c in p.items():
+        for pw, lin, m in zip(powers, lins, e):
+            while len(pw) <= m:
+                pw.append(poly_mul(pw[-1], lin))
+        w = c.numerator * (L // c.denominator) * d ** (top - sum(e))
+        factors = [pw[m] for pw, m in zip(powers, e)]
+        for f, x in reduce(poly_mul, factors).items():
+            acc[f] = acc.get(f, 0) + w * x
+    return {f: Fraction(x, L * d ** top) for f, x in sorted(acc.items()) if x}
 
 
 @lru_cache(maxsize=None)
@@ -141,24 +130,62 @@ def _grid(n, D):
     return [e for e in product(range(D + 1), repeat=n) if sum(e) <= D]
 
 
-def _interpolate(n, D, samples, forms):
-    """Polynomial of total degree <= D in n variables taking samples[i] at
-    the i-th point of _grid(n, D), with variable i then replaced by the
-    affine form forms[i]: Newton's sum_e Delta^e f(0) prod_i C(x_i, e_i)
-    with mixed forward differences of the samples times their lcm L."""
-    grid = _grid(n, D)
-    L = lcm(*(s.denominator for s in samples))
-    vals = {e: s.numerator * (L // s.denominator)
-            for e, s in zip(grid, samples)}
-    for i in range(n):
-        for level in range(1, D + 1):
-            for e in reversed(grid):  # larger e_i first along each line
-                if e[i] >= level:
-                    vals[e] -= vals[e[:i] + (e[i] - 1,) + e[i + 1:]]
+@lru_cache(maxsize=None)
+def _newton_plan(r, n, D):
+    """Index plan of _interpolate: the forward differences (j, k), vals[j]
+    -= vals[k] in order on _grid(r, D); per later grid point e, (parent e
+    - u_i, i, e_i - 1, D! / prod e_i!, D - |e|) for its first nonzero i;
+    per variable v, the index of x_v times each monomial of _grid(n, D)."""
+    grid = _grid(r, D)
+    at = {e: j for j, e in enumerate(grid)}
+    down = [[at.get(e[:i] + (e[i] - 1,) + e[i + 1:]) for i in range(r)]
+            for e in grid]
+    diffs = [(j, down[j][i]) for i in range(r) for level in range(1, D + 1)
+             for j in reversed(range(len(grid))) if grid[j][i] >= level]
     fact = math.factorial(D)
-    terms = {e: v * (fact // math.prod(map(math.factorial, e)))
-             for e, v in vals.items() if v}
-    return _expand(terms, L * fact, forms, True)
+    steps = [(down[j][i], i, e[i] - 1,
+              fact // math.prod(map(math.factorial, e)), D - sum(e))
+             for j, e in enumerate(grid[1:], 1)
+             for i in [next(i for i, x in enumerate(e) if x)]]
+    monos = {e: k for k, e in enumerate(_grid(n, D))}
+    return diffs, steps, [[monos.get(e[:v] + (e[v] + 1,) + e[v + 1:])
+                           for e in monos] for v in range(n)]
+
+
+def _interpolate(r, D, adj, det, cosets):
+    """Constituents of degree <= D on the cosets of one lattice, one per
+    (start, samples): samples[j] is the value at the j-th point of
+    _grid(r, D) in t_i = adj_i . (p - start) / det.  Newton's sum_e
+    Delta^e f(0) prod_i C(t_i, e_i) over one denominator: integer forward
+    differences, and each basis product prod_i prod_{m < e_i} (adj_i . (p
+    - start) - m det) one linear factor times its parent's, as an integer
+    list over the monomials _grid(n, D)."""
+    monos = _grid(len(adj[0]), D)
+    diffs, steps, shifts = _newton_plan(r, len(adj[0]), D)
+    scale = [w * det ** k for *_, w, k in steps]
+    L = lcm(*(s.denominator for _, samples in cosets for s in samples))
+    den = L * math.factorial(D) * det ** D
+    one = [1] + [0] * (len(monos) - 1)
+    out = []
+    for start, samples in cosets:
+        vals = [s.numerator * (L // s.denominator) for s in samples]
+        for j, k in diffs:
+            vals[j] -= vals[k]
+        consts = [-vdot(row, start) for row in adj]
+        acc = [vals[0] * (den // L) * c for c in one]
+        basis = [one]
+        for v, (parent, i, m, _, _), w in zip(vals[1:], steps, scale):
+            prev = basis[parent]
+            cur = [(consts[i] - m * det) * c for c in prev]
+            for a, shift in zip(adj[i], shifts):
+                for k, c in zip(shift, prev):
+                    if a and c:
+                        cur[k] += a * c
+            basis.append(cur)
+            if v:
+                acc = [x + v * w * c for x, c in zip(acc, cur)]
+        out.append({e: Fraction(c, den) for e, c in zip(monos, acc) if c})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +353,11 @@ def rgf_to_pqp(f):
 
     Each term c x^a / prod(1 - x^e_i) has a coefficient sequence that is
     quasi-polynomial with period lcm(e_i) and degree < #factors from p = a
-    on, so sampling past every shift and interpolating per residue is
-    exact.  The series must vanish at negative exponents: with -k the
-    lowest numerator exponent, x^k f is read on [0, k - 1], and
-    ValueError is raised if any of those coefficients is nonzero.
+    on, so sampling past every shift and interpolating is exact; one
+    _interpolate call gives the constituents of all residues of the
+    lattice period * ZZ.  The series must vanish at negative exponents:
+    with -k the lowest numerator exponent, x^k f is read on [0, k - 1],
+    and ValueError is raised if any of those coefficients is nonzero.
     """
     if f.dim != 1:
         raise ValueError("rgf_to_pqp is univariate only")
@@ -351,18 +379,12 @@ def rgf_to_pqp(f):
         degree = max(degree, len(t.denom) - 1)
         T = max(T, t.numer[0] + 1)
     table = series_coeffs(f, T + period * (degree + 1))
-
-    def at(p):
-        return table.get((p,), Fraction(0))
-
-    constituents = {}
-    for r in range(period):
-        p0 = T + (r - T) % period
-        samples = [at(p0 + period * i) for i in range(degree + 1)]
-        form = ((Fraction(1, period),), Fraction(-p0, period))
-        constituents[(r,)] = _interpolate(1, degree, samples, [form])
-    q = QuasiPolynomial(1, Lattice(1, ((period,),)), constituents)
-    return eventual_pqp([at(p) for p in range(T)], q)
+    polys = _interpolate(1, degree, ((1,),), period, [
+        ((p0,), [table.get((p0 + period * i,), 0) for i in range(degree + 1)])
+        for p0 in (T + (r - T) % period for r in range(period))])
+    q = QuasiPolynomial(1, Lattice(1, ((period,),)),
+                        {(r,): poly for r, poly in enumerate(polys)})
+    return eventual_pqp([table.get((p,), 0) for p in range(T)], q)
 
 
 # ---------------------------------------------------------------------------
@@ -554,29 +576,30 @@ def _vpf_chambers(gens):
         for rho in lat.coset_representatives():
             z = solve_int(e_basis, vneg(mat_vec(E, rho)))
             if z is None:
-                cosets.append((rho, [], []))
+                cosets.append((rho, [], None))
                 continue
             p0 = reduce(vadd, map(vscale, z, lat.basis), rho)
             start = vsub(p0, mat_vec(step_mat, [c // det for c in
                                                 mat_vec(adj[:r], p0)]))
             cosets.append((rho, [vadd(start, mat_vec(step_mat, e))
-                                 for e in grid],
-                           [(tuple(Fraction(c, det) for c in row),
-                             Fraction(-vdot(row, start), det))
-                            for row in adj[:r]]))
-        chambers.append((cell, lat, cosets))
+                                 for e in grid], start))
+        chambers.append((cell, lat, adj[:r], det, cosets))
     table = series_coeffs(vpf_gf(gens), max(
-        c for _, _, cosets in chambers for _, points, _ in cosets
+        c for *_, cosets in chambers for _, points, _ in cosets
         for pt in points for c in pt))
     size = len(_grid(r, D))
     pieces = []
-    for cell, lat, cosets in chambers:
+    for cell, lat, adj, det, cosets in chambers:
+        values = [[table.get(pt, 0) for pt in points]
+                  for _, points, _ in cosets]
+        polys = iter(_interpolate(r, D, adj, det, [
+            (start, vals[:size])
+            for (_, points, start), vals in zip(cosets, values) if points]))
         constituents = {}
-        for rho, points, forms in cosets:
-            values = [table.get(pt, Fraction(0)) for pt in points]
-            q = _interpolate(r, D, values[:size], forms) if points else {}
+        for (rho, points, _), vals in zip(cosets, values):
+            q = next(polys) if points else {}
             if any(poly_eval(q, pt) != val
-                   for pt, val in zip(points[size:], values[size:])):
+                   for pt, val in zip(points[size:], vals[size:])):
                 raise RuntimeError("chamber period too small")
             constituents[rho] = q
         pieces.append((cell, QuasiPolynomial(n, lat, constituents)))

@@ -24,7 +24,7 @@ from .quasipoly import PiecewiseQuasiPolynomial, QuasiPolynomial
 
 
 def frac_str(c):
-    return str(Fraction(c))
+    return str(c if isinstance(c, Fraction) else Fraction(c))
 
 
 def parse_frac(s):

@@ -370,6 +370,15 @@ def interpolate_oracle(n, D, samples, forms):
         {e: c for e, c in zip(grid, coeffs) if c}, forms)
 
 
+def interpolate_cosets_oracle(r, D, adj, det, cosets):
+    """quasipoly._interpolate coset by coset through interpolate_oracle,
+    with the affine forms t_i = adj_i . (p - start) / det."""
+    return [interpolate_oracle(r, D, samples, [
+        (tuple(Fraction(a, det) for a in row),
+         Fraction(-vdot(row, start), det)) for row in adj])
+        for start, samples in cosets]
+
+
 def qp_to_step_oracle(q):
     """quasipoly.qp_to_step with Fraction factor tuples as keys: residue r
     mod m is floor((p-r)/m) - floor((p-r-1)/m), p^e is e floor(p)

@@ -7,7 +7,7 @@ import pytest
 from oracles import (
     compose_affine_oracle,
     count_solutions,
-    interpolate_oracle,
+    interpolate_cosets_oracle,
     partition_count,
     qp_to_step_oracle,
 )
@@ -77,19 +77,61 @@ def random_forms(rng, n, k):
             for _ in range(n)]
 
 
+def random_cosets(rng, r, D, k, count, zero=0.0):
+    """count (start, samples) pairs for _interpolate over k variables, each
+    coset's samples all zero with probability zero."""
+    size = math.comb(r + D, D)
+    return [(tuple(rng.randint(-20, 20) for _ in range(k)),
+             [F(0)] * size if rng.random() < zero else
+             [random_frac(rng, 50) for _ in range(size)])
+            for _ in range(count)]
+
+
 def test_interpolate_matches_vandermonde_oracle():
     rng = random.Random(8642)
-    for n in (1, 2, 3):
+    for r in (1, 2, 3):
         for D in range(5):
-            size = math.comb(n + D, D)
             for _ in range(3):
-                samples = [random_frac(rng, 50) for _ in range(size)]
-                forms = random_forms(rng, n, rng.randint(1, 3))
-                assert _interpolate(n, D, samples, forms) == \
-                    interpolate_oracle(n, D, samples, forms), (n, D)
+                k = rng.randint(1, 3)
+                adj = tuple(tuple(rng.randint(-5, 5) for _ in range(k))
+                            for _ in range(r))
+                det = rng.choice([-1, 1]) * rng.randint(1, 9)
+                cosets = random_cosets(rng, r, D, k, rng.randint(1, 3))
+                assert _interpolate(r, D, adj, det, cosets) == \
+                    interpolate_cosets_oracle(r, D, adj, det, cosets), \
+                    (r, D, adj, det)
     # samples of a polynomial give it back
-    assert _interpolate(1, 2, [F(0), F(1), F(4)], [((F(1),), F(0))]) == \
-        {(2,): F(1)}
+    assert _interpolate(1, 2, ((1,),), 1, [((0,), [F(0), F(1), F(4)])]) == \
+        [{(2,): F(1)}]
+
+
+def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
+    """The kernel on every coset of a 1-d lattice (rgf_to_pqp's call: one
+    per residue, starting past T > 0) and on the chambers of 2-d and 3-d
+    vector partition functions, against the Vandermonde oracle."""
+    rng = random.Random(2468)
+    for period in range(1, 31):
+        D = rng.randint(0, 3)
+        T = rng.randint(1, 9)
+        cosets = [((T + (r - T) % period,), samples) for r, (_, samples)
+                  in enumerate(random_cosets(rng, 1, D, 1, period, 0.3))]
+        assert _interpolate(1, D, ((1,),), period, cosets) == \
+            interpolate_cosets_oracle(1, D, ((1,),), period, cosets), period
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _interpolate(*args)
+
+    monkeypatch.setattr(quasipoly, "_interpolate", record)
+    for gens in ([(1, 0), (0, 1), (1, 2), (2, 1)], [(2, 1), (1, 3), (1, 1)],
+                 [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+                 [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]):
+        vpf_pqp(gens)
+    assert {len(adj[0]) for _, _, adj, _, _ in calls} == {2, 3}
+    assert any(len(cosets) > 1 for *_, cosets in calls)
+    for args in calls:
+        assert _interpolate(*args) == interpolate_cosets_oracle(*args), args
 
 
 def test_poly_compose_affine_matches_oracle():
@@ -127,12 +169,19 @@ def test_rgf_to_pqp_matches_oracle_path(monkeypatch):
     gfs = [random_univariate_gf(rng) for _ in range(25)]
     assert any(t.numer[0] < 0 for f in gfs for t in f.terms)
     got = [rgf_to_pqp(f) for f in gfs]
-    monkeypatch.setattr(quasipoly, "_interpolate", interpolate_oracle)
+    calls = []
+
+    def oracle(*args):
+        calls.append(args)
+        return interpolate_cosets_oracle(*args)
+
+    monkeypatch.setattr(quasipoly, "_interpolate", oracle)
     for f, g in zip(gfs, got):
         assert g == rgf_to_pqp(f), f
         table = series_coeffs(f, 30)
         for p in range(31):
             assert g.eval((p,)) == table.get((p,), 0), (f, p)
+    assert len(calls) == sum(1 for f in gfs if f.terms)
 
 
 def test_qp_to_step_matches_oracle():
@@ -410,9 +459,10 @@ def check_vpf(gens, bound):
 def test_vpf_pqp_2d_checks_survive_optimization(monkeypatch):
     """The chamber check points catch a wrong sample with an explicit
     error, not an assert that python -O strips."""
-    def wrong_sample(n, D, samples, forms):
-        return interpolate_oracle(n, D, [samples[0] + 1] + samples[1:],
-                                  forms)
+    def wrong_sample(r, D, adj, det, cosets):
+        (start, samples), *rest = cosets
+        wrong = (start, [samples[0] + 1] + samples[1:])
+        return interpolate_cosets_oracle(r, D, adj, det, [wrong, *rest])
     monkeypatch.setattr(quasipoly, "_interpolate", wrong_sample)
     with pytest.raises(RuntimeError, match="chamber period too small"):
         vpf_pqp([(1, 0), (0, 1), (1, 1)])
