@@ -403,6 +403,14 @@ GOLDEN = [  # stdout pinned byte for byte by its sha256
      "a07451b5d606b1a164d4cc1406ea0b31221c9d7fd7266fa5e635b422e19ad743"),
     (("genfun", "13*x + 17*y + 19*z <= 104"),
      "76df173f6fb18adfa89116bc1f557271b79c303f24c4b72e773939d391c9aa9d"),
+    (("dnf", "!(x % 200 = 15)"),
+     "2f70ca5d8af153f172adfce2e594e717d44f9175333fcb6ddba6748569ba70fe"),
+    (("dnf", "!(x + 2*y % 98 = 79)"),
+     "c0055dc4f7da726833b305195013f2770e2dae6235be73e86fe6935967b9f161"),
+    (("dnf", "A u. (u >= x | E g. 5*g + u = 3*x + w)"),
+     "a050c6995efa6a2821804d1fcab229d3fba11c1bb3b63f7e5695eb8992d9d10b"),
+    (("dnf", "E y. E z. x = 3*y + 5*z"),
+     "6876dce49b8f0f636b73329ce5a8cf77d4b63605bd17e1c89500a170564852a6"),
 ]
 
 
