@@ -100,11 +100,12 @@ def _parse_vectors(spec):
     return vecs
 
 
-def _emit(args, obj, text):
+def _emit(args, obj, text, names=None):
     """Print the document that --format asks for; obj and text build what
-    serialize.dumps writes (a JSON object or a RationalGF) and the text,
-    and only the printed one is built."""
-    print(serialize.dumps(obj()) if args.format == "json" else text())
+    serialize.dumps writes and the text, and only the printed one is built.
+    dumps takes a JSON object, and writes a RationalGF, SemilinearSet,
+    StepPolynomial or PiecewiseQuasiPolynomial (with names) from templates."""
+    print(serialize.dumps(obj(), names) if args.format == "json" else text())
 
 
 def _emit_gf(args, g):
@@ -291,7 +292,7 @@ def cmd_qelim(args):
 
 def cmd_dnf(args):
     s = to_dnf(parse(args.formula))
-    _emit(args, lambda: serialize.semilinear_to_obj(s), lambda: _fmt_cells(s))
+    _emit(args, lambda: s, lambda: _fmt_cells(s))
     return 0
 
 
@@ -337,15 +338,15 @@ def cmd_count(args):
                        f"--as {args.as_} needs exactly one parameter")
     pqp = rgf_to_pqp(g)
     if args.as_ == "qp":
-        _emit(args, lambda: serialize.pqp_to_obj(pqp, names=params),
-              lambda: _fmt_eventual(params[0], *eventual_form(pqp)))
+        _emit(args, lambda: pqp,
+              lambda: _fmt_eventual(params[0], *eventual_form(pqp)), params)
         return 0
 
     # --as step
     initial, q = eventual_form(pqp)
     s = qp_to_step(q)
     _emit(args, lambda: {"initial": [serialize.frac_str(v) for v in initial],
-                         "names": params, "step": serialize.step_to_obj(s)},
+                         "names": params, "step": s},
           lambda: _fmt_step_form(tuple(params), initial, s))
     return 0
 
@@ -393,9 +394,9 @@ def cmd_vpf(args):
         g = vpf_pqp(vecs)
     except ValueError as e:
         raise CliError(SEMANTIC, str(e))
-    _emit(args, lambda: serialize.pqp_to_obj(g, names=pnames),
+    _emit(args, lambda: g,
           lambda: _fmt_eventual("p", *eventual_form(g)) if n == 1
-          else _fmt_pieces(pnames, g))
+          else _fmt_pieces(pnames, g), pnames)
     return 0
 
 

@@ -149,11 +149,21 @@ class Cmp:
 
 @dataclass(frozen=True)
 class Congruence:
-    """Atom ``term = residue (mod modulus)``; term carries no constant."""
+    """Atom ``term = residue (mod modulus)`` in the form congruence()
+    makes: no constant, residue in [0, modulus), coefficients in
+    [1, modulus)."""
 
     term: LinearTerm
     modulus: int
     residue: int
+
+    def __post_init__(self):
+        m = self.modulus
+        if not (m >= 1 and self.term.constant == 0 and 0 <= self.residue < m
+                and all(0 < c < m for _name, c in self.term.coeffs)):
+            raise ValueError(f"{self} is not reduced (modulus >= 1, no "
+                             f"constant, residue in [0, m), coefficients in "
+                             f"[1, m)); build it with congruence()")
 
 
 @dataclass(frozen=True)

@@ -137,10 +137,7 @@ def to_dnf(f, names=None):
     cmps = []
     for a in atoms_of(g):
         if isinstance(a, Congruence):
-            coeffs, c = _term_row(a.term, index, d)
-            if c:
-                raise ValueError(f"congruence term carries the constant "
-                                 f"{c}; fold it into the residue")
+            coeffs, _c = _term_row(a.term, index, d)
             groups.setdefault((coeffs, a.modulus), []).append(a)
         else:
             cmps.append(a)

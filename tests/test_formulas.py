@@ -80,6 +80,25 @@ def test_parse_congruence_whole_term():
     assert parse("x + 5 % 3 = 0") == Congruence(t({"x": 1}), 3, 1)
 
 
+def test_congruence_with_a_residue_out_of_range_is_rejected():
+    # eval_ground read x + y = 5 (mod 3) as never true, qelim as always
+    with pytest.raises(ValueError, match="residue=5"):
+        Congruence(t({"x": 1, "y": 1}), 3, 5)
+    assert congruence(t({"x": 1, "y": 1}), 3, 5) == Congruence(
+        t({"x": 1, "y": 1}), 3, 2)
+
+
+def test_congruence_with_a_negative_coefficient_is_rejected():
+    # decide of E x. -x = 1 (mod 3) raised "modulus must be positive"
+    with pytest.raises(ValueError, match="'x', -1"):
+        Congruence(t({"x": -1}), 3, 1)
+    with pytest.raises(ValueError, match="'x', 3"):
+        Congruence(t({"x": 3}), 3, 0)
+    with pytest.raises(ValueError, match="modulus=0"):
+        Congruence(t({"x": 1}), 0, 0)
+    assert congruence(t({"x": -1}), 3, 1) == Congruence(t({"x": 2}), 3, 1)
+
+
 def test_parse_precedence():
     a, b, c = parse("x >= 1"), parse("y >= 1"), parse("z >= 1")
     assert parse("x >= 1 | y >= 1 & z >= 1") == Or((a, And((b, c))))

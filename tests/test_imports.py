@@ -91,6 +91,15 @@ UNCALLED_PUBLIC = {
     ("serialize.py", "gf_to_obj"):
         "object form of a GF document: the reference the term-by-term "
         "writer in dumps is tested against, and a benchmark trace target",
+    ("serialize.py", "semilinear_to_obj"):
+        "object form of a cell document: the reference the cell-by-cell "
+        "writer in dumps is tested against, and a benchmark trace target",
+    ("serialize.py", "pqp_to_obj"):
+        "object form of a pqp document: the reference the piece-by-piece "
+        "writer in dumps is tested against, and a benchmark trace target",
+    ("serialize.py", "step_to_obj"):
+        "object form of a step polynomial: the reference the term-by-term "
+        "writer in dumps is tested against, and a benchmark trace target",
     ("quasipoly.py", "partition_count"): "a benchmark trace target",
     ("polyhedra.py", "has_interior"):
         "the planned refinement of piecewise quasi-polynomial cells uses it",

@@ -99,10 +99,11 @@ def test_positive_congruence_with_large_prime_modulus():
 
 def test_congruence_term_with_a_constant_is_rejected():
     # parse and congruence() fold the constant into the residue; a
-    # Congruence built directly may not
-    f = Congruence(LinearTerm.of({"x": 1}, 5), 3, 1)
-    with pytest.raises(ValueError, match="constant 5"):
-        to_dnf(f, ["x"])
+    # Congruence built directly with one is refused
+    with pytest.raises(ValueError, match="constant=5"):
+        Congruence(LinearTerm.of({"x": 1}, 5), 3, 1)
+    s = to_dnf(congruence(LinearTerm.of({"x": 1}, 5), 3, 1), ["x"])
+    assert [x for x in range(9) if s.contains((x,))] == [2, 5, 8]
 
 
 def test_odd_after_elimination():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from oracles import semilinear_from_obj, step_from_obj
 from presburger.formulas import parse
 from presburger.genfun import make_term, rgf
-from presburger.lattices import Lattice
+from presburger.lattices import Lattice, LatticeCoset
 from presburger.polyhedra import Polyhedron
 from presburger.quasipoly import (
     PiecewiseQuasiPolynomial,
@@ -15,7 +15,7 @@ from presburger.quasipoly import (
     qp_to_step,
     vpf_pqp,
 )
-from presburger.semilinear import to_dnf
+from presburger.semilinear import SemilinearCell, SemilinearSet, to_dnf
 from presburger.serialize import (
     dumps,
     gf_from_obj,
@@ -76,6 +76,110 @@ def test_gf_dumps_matches_the_object_form():
     for g in gfs:
         want = json.dumps(gf_to_obj(g), indent=2, sort_keys=True)
         assert dumps(g) == want, g
+
+
+def random_lattice(rng, d, top=4):
+    while True:
+        gens = [[rng.randint(-top, top) for _ in range(d)]
+                for _ in range(d + rng.randrange(2))]
+        try:
+            return Lattice.from_generators(d, gens)
+        except ValueError:  # not full rank
+            pass
+
+
+def random_polyhedron(rng, d):
+    def rows(k):
+        return [([rng.randint(-9, 9) for _ in range(d)], rng.randint(-20, 20))
+                for _ in range(rng.randrange(k))]
+    return Polyhedron.of(d, rows(4), rows(2))
+
+
+def random_cells(rng):
+    d = rng.randrange(4)
+    names = tuple(random_text(rng) or "x" for _ in range(d))
+    polys = [random_polyhedron(rng, d) for _ in range(2)]
+    cells = [SemilinearCell(rng.choice(polys), LatticeCoset(
+        random_lattice(rng, d), [rng.randint(-9, 9) for _ in range(d)]))
+             for _ in range(rng.randrange(5))]
+    return SemilinearSet(names, tuple(cells))
+
+
+def test_cells_dumps_matches_the_object_form():
+    """dumps writes a cell set cell by cell; the bytes are those of its
+    object form.  Covers dimension 0 to 3, no cells, empty eqs and ineqs
+    and cells that share a polyhedron."""
+    rng = random.Random(1414)
+    sets = [random_cells(rng) for _ in range(300)]
+    sets.append(SemilinearSet(("x",), ()))
+    assert {s.dim for s in sets} == {0, 1, 2, 3}
+    assert any(c.polyhedron.eqs == () for s in sets for c in s.cells)
+    assert any(c.polyhedron.ineqs == () for s in sets for c in s.cells)
+    assert any(len({c.polyhedron for c in s.cells}) < len(s.cells)
+               for s in sets)
+    for s in sets:
+        want = json.dumps(semilinear_to_obj(s), indent=2, sort_keys=True)
+        assert dumps(s) == want, s
+
+
+def random_pqp(rng):
+    n = rng.randint(1, 3)
+    exps = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(4)]
+    pieces = []
+    for _ in range(rng.randrange(4)):
+        lat = random_lattice(rng, n, top=5 if n == 1 else 3)
+        constituents = {rep: {e: F(rng.randint(-9, 9), rng.randint(1, 4))
+                              for e in rng.sample(exps, rng.randrange(4))}
+                        for rep in lat.coset_representatives()}
+        pieces.append((random_polyhedron(rng, n),
+                       QuasiPolynomial(n, lat, constituents)))
+    return PiecewiseQuasiPolynomial(n, tuple(pieces))
+
+
+def test_pqp_dumps_matches_the_object_form():
+    """dumps writes a pqp piece by piece and monomial by monomial, with
+    and without names.  Covers 1 to 3 parameters, empty constituents,
+    Fraction coefficients and more than 10 cosets, whose keys ("10",
+    "2", "-1,3") sort as strings."""
+    rng = random.Random(1732)
+    pqps = [random_pqp(rng) for _ in range(200)]
+    pqps.append(vpf_pqp([(1, 0), (0, 1), (1, 1), (1, 2)]))
+    pqps.append(PiecewiseQuasiPolynomial(2, ()))
+    qs = [q for g in pqps for _cell, q in g.pieces]
+    assert {g.n for g in pqps} == {1, 2, 3}
+    assert any(q.lattice.index() > 10 for q in qs)
+    assert any(not poly for q in qs for poly in q.constituents.values())
+    assert any(F(c).denominator > 1 for q in qs
+               for poly in q.constituents.values() for c in poly.values())
+    for g in pqps:
+        names = [random_text(rng) for _ in range(g.n)]
+        for ns in (None, names):
+            want = json.dumps(pqp_to_obj(g, ns), indent=2, sort_keys=True)
+            assert dumps(g, ns) == want, g
+
+
+def test_step_dumps_matches_the_object_form():
+    """dumps writes a step polynomial term by term, also as a value inside
+    a document, as the count --as step document holds it."""
+    rng = random.Random(1618)
+    steps = [StepPolynomial(1, ())]
+    for _ in range(100):
+        n = rng.randrange(3)
+        steps.append(StepPolynomial(n, tuple(
+            (F(rng.randint(-9, 9), rng.randint(1, 6)), tuple(
+                (tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
+                       for _ in range(n)), F(rng.randint(-5, 5), 3))
+                for _ in range(rng.randrange(3))))
+            for _ in range(rng.randrange(4)))))
+    q = QuasiPolynomial(1, Lattice(1, ((3,),)), {
+        (0,): {(2,): F(1, 3)}, (1,): {}, (2,): {(0,): F(-2)}})
+    steps.append(qp_to_step(q))
+    for s in steps:
+        want = step_to_obj(s)
+        assert dumps(s) == json.dumps(want, indent=2, sort_keys=True), s
+        doc = {"initial": ["1"], "names": ["p"], "step": s}
+        assert dumps(doc) == json.dumps(dict(doc, step=want), indent=2,
+                                        sort_keys=True), s
 
 
 def test_semilinear_round_trip():
