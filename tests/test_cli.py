@@ -411,6 +411,11 @@ GOLDEN = [  # stdout pinned byte for byte by its sha256
      "a050c6995efa6a2821804d1fcab229d3fba11c1bb3b63f7e5695eb8992d9d10b"),
     (("dnf", "E y. E z. x = 3*y + 5*z"),
      "6876dce49b8f0f636b73329ce5a8cf77d4b63605bd17e1c89500a170564852a6"),
+    (("genfun", "4*x + 5*y + 6*z + 7*w <= 26"),
+     "0dfe8cb5cdbfbe577a83a63d2514931a102d38e8975ad22225c173bdb6b661a2"),
+    (("count", "5*x + 7*y + 9*z + 11*w <= 100", "--count-vars", "w,x,y,z",
+      "--as", "value"),
+     "895bdc2dc0fb3f2681f2eef9cfc27911fae1e29c1aa28a9d7a2db30352ed39be"),
 ]
 
 
