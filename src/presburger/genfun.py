@@ -16,15 +16,16 @@ never counted twice, and each half-open simplicial cone is summed exactly
 by enumerating the integer points of its fundamental parallelepiped.  That
 enumeration is integer-only: one fraction-free elimination gives the
 adjugate and determinant of the generators, and the walk over the coset
-representatives updates their parallelepiped coordinates one coordinate
-of the representative at a time.  These steps pass plain term
-lists; the terms are mapped back and coalesced once per cell.  Every
-series coefficient is read through one dynamic-programming kernel,
+representatives runs along the longest axis of the generator lattice,
+each step moving the point by one of 2^d vectors picked by the carries of
+its parallelepiped coordinates.  These steps pass plain term lists; the
+terms are mapped back and coalesced once per cell.  Every series
+coefficient is read through one dynamic-programming kernel,
 series_coeffs, in any dimension.  specialize_ones evaluates at 1 by one
 Laurent expansion per distinct denominator (per simplicial cone), leaving
-each term only integer binomial sums, and multiplies pure poles as scalar
-series.  gf_is_zero tests a GF exactly over one common denominator, and
-gf_euler applies x_i d/dx_i term by term.
+each term only integer binomial sums, and multiplies pure poles as
+integer series over one denominator.  gf_is_zero tests a GF exactly over
+one common denominator, and gf_euler applies x_i d/dx_i term by term.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .lattices import (
 from .polyhedra import (
     Polyhedron,
     implicit_equalities,
-    is_feasible,
     tangent_cone,
     triangulate,
     vertices,
@@ -269,12 +269,17 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded):
     det) are the adjugate and determinant of the matrix G with the gens
     as columns; the integer points split into cosets of the generator
     lattice, one point per coset inside the half-open fundamental
-    parallelepiped.  All in integers: with q the common denominator of
-    apex, A = q * apex and D = det * q, a coset representative rep has
-    parallelepiped coordinates u / D with u = adj (q rep - A), and its
-    point is rep - G floor(u / D), one lower on an excluded facet where D
-    divides u_i.  The representatives are walked one coordinate at a
-    time in HNF order, each step adding a column of q adj to u.
+    parallelepiped.  All in integers, with adj and det negated together
+    when det < 0: with q the common denominator of apex, A = q * apex and
+    D = det * q > 0, a coset representative rep has parallelepiped
+    coordinates u / D with u = adj (q rep - A), and its point is
+    rep - G floor(u / D), one lower on an excluded facet where D divides
+    u_i.  The representatives form the box prod [0, H_jj) of the HNF H of
+    the generator lattice, walked with the axis of the largest H_jj
+    innermost.  A step along it adds s = D sd + sm (0 <= sm < D) to u, so
+    each entry of u mod D carries at most once and the point moves by
+    e - G (sd + c) for the 0/1 vector c of carries: one of 2^d moves, each
+    formed once per cone.  Only the start of each run divides u by D.
     """
     d = len(gens)
     grows = tuple(tuple(g[i] for g in gens) for i in range(d))
@@ -284,20 +289,23 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded):
     unit = make_term(1, zero_vec(d), gens)  # sign and shift of lex flips
     if not d:
         return [unit]
+    if det < 0:  # floor(u / D) is unchanged when u and D both change sign
+        adj, det = tuple(map(vneg, adj)), -det
     q = math.lcm(*(c.denominator for c in apex))
     D = det * q
     A = [int(c * q) for c in apex]
     basis = Lattice.from_generators(d, gens).basis
     sizes = [b[j] for j, b in enumerate(basis)]
+    inner = sizes.index(max(sizes))
     steps = [[q * row[j] for row in adj] for j in range(d)]
-    # floor(u / D) - [D divides u] = floor((u - sign D) / D), so u starts
-    # lower by sign D on the excluded facets
-    sign = 1 if D > 0 else -1
-    # entries (rep plus the shift of the lex flips, u)
-    walk = [(unit.numer, [-sum(map(operator.mul, row, A))
-                          - sign * (i in excluded)
+    # floor(u / D) - [D divides u] = floor((u - 1) / D), so u starts lower
+    # by 1 on the excluded facets; entries (rep plus the shift of the lex
+    # flips, u)
+    walk = [(unit.numer, [-sum(map(operator.mul, row, A)) - (i in excluded)
                           for i, row in enumerate(adj)])]
-    for j in range(d - 1):  # representatives with last coordinate 0
+    for j in range(d):  # representatives with inner coordinate 0
+        if j == inner:
+            continue
         nxt = []
         for pt, u in walk:
             for _ in range(sizes[j]):
@@ -305,16 +313,29 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded):
                 pt = pt[:j] + (pt[j] + 1,) + pt[j + 1:]
                 u = [a + s for a, s in zip(u, steps[j])]
         walk = nxt
+    sd, sm = zip(*(divmod(s, D) for s in steps[inner]))
+    tops = [D - b for b in sm]  # u_i mod D carries from tops_i up
+    base = [(i == inner) - sum(map(operator.mul, row, sd))
+            for i, row in enumerate(grows)]
+    moves = {}  # carries c -> (e - G (sd + c), sm - D c)
+    coef, denom = unit.coef, unit.denom
     terms = []
-    for pt, u in walk:  # the last coordinate runs here
-        pt = list(pt)
-        for _ in range(sizes[-1]):
-            k = [a // D for a in u]
-            terms.append(GFTerm(unit.coef, tuple(
-                [x - sum(map(operator.mul, row, k))
-                 for x, row in zip(pt, grows)]), unit.denom))
-            pt[-1] += 1
-            u = [a + s for a, s in zip(u, steps[-1])]
+    for pt, u in walk:  # the inner coordinate runs here
+        k, w = zip(*(divmod(a, D) for a in u))
+        pt = tuple([x - sum(map(operator.mul, row, k))
+                    for x, row in zip(pt, grows)])
+        terms.append(GFTerm(coef, pt, denom))
+        for _ in range(sizes[inner] - 1):
+            c = tuple(map(operator.ge, w, tops))
+            move = moves.get(c)
+            if move is None:
+                move = moves[c] = (
+                    tuple([x - sum(map(operator.mul, row, c))
+                           for x, row in zip(base, grows)]),
+                    tuple([b - D * ci for b, ci in zip(sm, c)]))
+            pt = tuple(map(operator.add, pt, move[0]))
+            w = tuple(map(operator.add, w, move[1]))
+            terms.append(GFTerm(coef, pt, denom))
     return terms
 
 
@@ -365,8 +386,7 @@ def gf_of_cell(names, cell):
 
     p = Polyhedron.of(d, [in_z(a, b) for a, b in cell.polyhedron.ineqs],
                       [in_z(a, b) for a, b in cell.polyhedron.eqs])
-    if not is_feasible(p):
-        return gf_zero(names)
+    # an empty p makes every row an equality, which solve_int then refutes
     eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p)))
     identity = Lattice.standard(d).basis
     z0, kernel = zero_vec(d), identity
@@ -420,16 +440,17 @@ def _binom(a, n):
     return (-1) ** n * math.comb(n - a - 1, n)
 
 
-def _scalar_inverse(r, depth):
-    """Inverse of a Fraction series with r[0] != 0, to the given depth."""
-    inv0 = Fraction(1) / r[0]
-    out = [inv0]
+def _int_series_inverse(r, depth):
+    """Integer series I with I / r[0]^(depth + 1) the inverse of the
+    integer series r (r[0] != 0), to the given depth.
+
+    The n-th term of the inverse has a denominator dividing r[0]^(n + 1),
+    so each division by r[0] below is exact.
+    """
+    out = [r[0] ** depth]
     for n in range(1, depth + 1):
-        s = Fraction(0)
-        for j in range(1, n + 1):
-            if j < len(r):
-                s += r[j] * out[n - j]
-        out.append(-inv0 * s)
+        s = sum(r[j] * out[n - j] for j in range(1, min(n + 1, len(r))))
+        out.append(-(s // r[0]))
     return out
 
 
@@ -500,8 +521,10 @@ def specialize_ones(g, positions):
     A term coef * x^numer contributes only coef * C(tau . numer_s, n) at
     order n, so each denominator keeps integer binomial sums keyed by the
     remaining exponent and coefficient.  The series of a pure pole (a
-    factor with no remaining part) is a list of constants: the pure poles
-    multiply as Fraction series, which fold into each key's binomial row.
+    factor with no remaining part) is a list of constants, an integer
+    series over a power of its constant term (_int_series_inverse): the
+    pure poles multiply as integer series over one denominator lp, which
+    fold into each key's binomial row.
     Only the mixed factors have GF coefficients; they meet the numerator
     in GF series products, and with none of them (always so for
     cardinality) no GF product is formed.
@@ -535,7 +558,7 @@ def specialize_ones(g, positions):
             for n in range(k + 1):  # C(a, n + 1) = C(a, n) (a - n) / (n + 1)
                 row[n] += c
                 c = c * (a - n) // (n + 1)
-        pure = [Fraction(1)] + [Fraction(0)] * k
+        pure, lp = [1] + [0] * k, 1  # the pure poles' series times lp
         mixed = []
         pure_remaining = []
         for b in denom:
@@ -544,7 +567,8 @@ def specialize_ones(g, positions):
                 # pure pole: 1/(1 - t^m) = s^-1 * inverse((1-(1+s)^m)/s)
                 m = vdot(tau, bs)
                 r = [-_binom(m, n + 1) for n in range(k + 1)]
-                pure = _scalar_mul(pure, _scalar_inverse(r, k))
+                pure = _scalar_mul(pure, _int_series_inverse(r, k))
+                lp *= r[0] ** (k + 1)
             elif any(bs):
                 # mixed: 1/(1 - x^br (1+s)^m)
                 m = vdot(tau, bs)
@@ -556,8 +580,6 @@ def specialize_ones(g, positions):
                 mixed.append(_series_inv_with(a, a0inv, names_r, k))
             else:
                 pure_remaining.append(br)
-        lp = math.lcm(*(x.denominator for x in pure))
-        pure = [x.numerator * (lp // x.denominator) for x in pure]
         rows = [(e, c, _scalar_mul(row, pure)) for (e, c), row in sums.items()]
         numer = [[make_term(Fraction(c.numerator * row[n],
                                      c.denominator * lp), e, pure_remaining)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .lattices import int_rref, primitive, rat_nullspace, vdot, vneg
@@ -198,10 +199,18 @@ def vertices(p):
 
 
 def tangent_cone(p, v):
-    """Cone of feasible directions at a point v of p, as apex + rays."""
-    if not p.contains(v):
+    """Cone of feasible directions at a point v of p, as apex + rays.
+
+    The rows are tested in integers on V = q v, q the common denominator
+    of v: a row holds when a.V >= b q and is tight when a.V = b q.
+    """
+    q = lcm(*(c.denominator for c in v))
+    V = [c.numerator * (q // c.denominator) for c in v]
+    slack = [(sum(map(mul, a, V)) - b * q, a) for a, b in p.ineqs]
+    if any(s < 0 for s, _ in slack) or any(
+            sum(map(mul, a, V)) != b * q for a, b in p.eqs):
         raise ValueError(f"{v} is not a point of the polyhedron")
-    rows = [a for a, b in p.ineqs if vdot(a, v) == b]
+    rows = [a for s, a in slack if not s]
     for a, _ in p.eqs:
         rows += [a, vneg(a)]
     lines, rays = _dd(rows, p.dim)

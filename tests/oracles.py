@@ -248,6 +248,20 @@ def series_oracle(g, bound, K):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def scalar_inverse(r, depth):
+    """Inverse of a series with r[0] != 0 to the given depth, in Fraction
+    arithmetic: the reference for genfun._int_series_inverse."""
+    inv0 = Fraction(1) / r[0]
+    out = [inv0]
+    for n in range(1, depth + 1):
+        s = Fraction(0)
+        for j in range(1, n + 1):
+            if j < len(r):
+                s += r[j] * out[n - j]
+        out.append(-inv0 * s)
+    return out
+
+
 def halfopen_simplicial_oracle(names, apex, gens, ginv, excluded):
     """GF of apex + cone(gens) minus the facets in `excluded`, one term per
     coset of the generator lattice: the point is apex + G frac(ginv (rep -

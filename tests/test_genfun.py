@@ -12,6 +12,7 @@ from oracles import (
     fraction_inverse,
     halfopen_simplicial_oracle,
     monomial_substitute,
+    scalar_inverse,
     series_oracle,
 )
 from presburger.formulas import (
@@ -32,6 +33,7 @@ from presburger.genfun import (
     RationalGF,
     _gf_halfopen_simplicial,
     _gf_of_cone,
+    _int_series_inverse,
     cardinality,
     counting_gf,
     gf_add,
@@ -208,6 +210,45 @@ def test_halfopen_simplicial_random_against_oracle():
     assert on_facets >= 30  # excluded facets that really hold points
 
 
+def test_halfopen_simplicial_carry_walk_cases():
+    """Cones that reach each branch of the carry walk, under every set of
+    excluded facets."""
+    F = Fraction
+    cases = [
+        # adjugate entry -7 beyond D = 5: the inner step carries a whole D
+        ((F(0), F(0)), ((1, 0), (7, 5))),
+        ((F(1, 3), F(-1, 2)), ((7, 5), (1, 0))),  # det -5
+        ((F(1, 2), F(-2, 3), F(5, 7)), ((2, 1, 0), (0, 3, 1), (1, 0, 2))),
+        ((F(-3, 4), F(1, 6)), ((5, 2), (0, 1))),  # HNF diagonal (5, 1)
+        ((F(2, 5), F(0), F(-1, 3)), ((7, 3, 1), (0, 1, 0), (0, 0, 1))),
+        ((F(1, 2), F(1, 3), F(1, 5)), ((1, 0, 0), (1, 1, 0), (1, 1, 1))),
+        ((F(-7, 2),), ((3,),)),
+        ((F(5, 3),), ((-4,),)),  # d = 1, det < 0
+    ]
+    seen = set()
+    for apex, gens in cases:
+        d = len(gens)
+        G = tuple(tuple(g[i] for g in gens) for i in range(d))
+        adj, det = int_inverse(G)
+        sizes = [b[j] for j, b in
+                 enumerate(Lattice.from_generators(d, gens).basis)]
+        inner = sizes.index(max(sizes))
+        seen.add(("negative det", det < 0))
+        seen.add(("first axis inner", inner == 0 and sizes[-1] < sizes[0]))
+        seen.add(("adjugate beyond det",
+                  any(abs(row[inner]) > abs(det) for row in adj)))
+        seen.add(("unimodular", abs(det) == 1))
+        names = tuple(f"x{i}" for i in range(d))
+        for r in range(d + 1):
+            for excluded in itertools.combinations(range(d), r):
+                want = halfopen_simplicial_oracle(
+                    names, apex, gens, fraction_inverse(G), set(excluded))
+                got = rgf(names, _gf_halfopen_simplicial(
+                    apex, gens, adj, det, set(excluded)))
+                assert got.terms == want.terms, (gens, apex, excluded)
+    assert all((kind, True) in seen for kind, _ in seen)
+
+
 def test_halfopen_simplicial_rejects_a_wrong_adjugate():
     apex, gens = (Fraction(0), Fraction(0)), ((1, 0), (1, 2))
     adj, det = int_inverse(((1, 1), (0, 2)))
@@ -217,6 +258,21 @@ def test_halfopen_simplicial_rejects_a_wrong_adjugate():
     with pytest.raises(ValueError):  # singular: zero adjugate, det 0
         _gf_halfopen_simplicial(apex, ((1, 1), (2, 2)),
                                 *int_inverse(((1, 2), (1, 2))), set())
+
+
+def test_gf_of_cell_empty_cells_have_no_terms():
+    names = ("x", "y")
+    empty = [
+        Polyhedron.of(2, [((1, 0), 2), ((-1, 0), -1), ((0, 1), 0)]),
+        Polyhedron.of(2, eqs=[((1, 1), 1), ((1, 1), 2)]),
+        Polyhedron.of(2, [((0, 0), 1), ((1, 0), 0)]),
+        # 3 <= 2x <= 3 holds at x = 3/2, at no integer
+        Polyhedron.of(2, [((2, 0), 3), ((-2, 0), -3), ((0, 1), 0)]),
+    ]
+    for p in empty:
+        for coset in (full_coset(2), LatticeCoset(
+                Lattice.from_generators(2, [(2, 1), (0, 3)]), (1, 0))):
+            assert gf_of_cell(names, SemilinearCell(p, coset)).terms == ()
 
 
 def test_unit_square_brion():
@@ -300,6 +356,19 @@ def test_monomial_substitute():
         monomial_substitute(g, ("x", "y"), [(0, 0)])
     with pytest.raises(ValueError):
         monomial_substitute(g, ("x", "y"), [(-1, 2)])
+
+
+def test_int_series_inverse_against_fraction_series():
+    rng = random.Random(4242)
+    for sign in (1, -1):
+        for depth in range(7):
+            for length in range(1, depth + 3):  # shorter and longer
+                r0 = sign * rng.randint(1, 12)
+                r = [r0] + [rng.randint(-30, 30) for _ in range(length - 1)]
+                got = _int_series_inverse(r, depth)
+                assert all(type(c) is int for c in got)
+                assert [Fraction(c, r0 ** (depth + 1)) for c in got] == \
+                    scalar_inverse(r, depth), (r, depth)
 
 
 def test_specialize_keeps_structure():

@@ -207,6 +207,30 @@ def test_tangent_cone_rejects_point_outside():
         tangent_cone(square(), (2, 0))
 
 
+def test_tangent_cone_integer_row_tests():
+    F = Fraction
+    # x + y + z = 1 with x >= 1/2 and y >= 1/3 (as 6y >= 2) tight at
+    # (1/2, 1/3, 1/6); z >= 0 and x <= 5 are slack there
+    p = Polyhedron.of(3, [((2, 0, 0), 1), ((0, 6, 0), 2), ((0, 0, 1), 0),
+                          ((-1, 0, 0), -5)], [((1, 1, 1), 1)])
+    v = (F(1, 2), F(1, 3), F(1, 6))
+    assert v in vertices(p)
+    cone = tangent_cone(p, v)
+    assert cone.apex == v
+    assert cone.generators == tuple(rays_oracle(
+        [(2, 0, 0), (0, 6, 0)], [(1, 1, 1)], 3)) == ((0, 1, -1), (1, 0, -1))
+    # an int tuple is its own common denominator
+    q = Polyhedron.of(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), -4)])
+    cone = tangent_cone(q, (4, 0))
+    assert cone.apex == (4, 0) and all(type(c) is F for c in cone.apex)
+    assert cone.generators == ((-2, 1), (-1, 0))
+    eps = F(1, 6 * 10 ** 6)
+    for w in [(F(1, 2) - eps, F(1, 3), F(1, 6) + eps),  # x below 1/2
+              (F(1, 2), F(1, 3), F(1, 6) + eps)]:       # off the plane
+        with pytest.raises(ValueError, match="not a point"):
+            tangent_cone(p, w)
+
+
 def check_against_oracles(p):
     """All five double-description answers on p against the subset
     enumerations.  Feasibility, implicit equalities and interior are read
