@@ -2,8 +2,12 @@
 
 Terms are integral linear forms.  Atoms are comparisons (kept in the
 normalized shapes ``term >= 0`` and ``term = 0``) and congruences
-``term = r (mod m)``.  Formulas add and/or/not, E (exists) and A (forall);
-all variables range over N.
+``term mod m in R`` for a set R of residues, which parse as
+``term % m = r`` for one r.  A negated congruence is one atom with the
+complementary residue set, and conj/disj merge the congruences on one
+term and modulus into one atom, so a set never falls apart into
+single-residue atoms.  Formulas add and/or/not, E (exists) and A
+(forall); all variables range over N.
 
 Concrete syntax, parsed by :func:`parse`:
 
@@ -149,21 +153,26 @@ class Cmp:
 
 @dataclass(frozen=True)
 class Congruence:
-    """Atom ``term = residue (mod modulus)`` in the form congruence()
-    makes: no constant, residue in [0, modulus), coefficients in
-    [1, modulus)."""
+    """Atom ``term mod modulus in residues`` in the form congruence()
+    makes: no constant, coefficients in [1, modulus), and residues a
+    sorted tuple of distinct ints in [0, modulus) that is neither empty
+    nor all of them."""
 
     term: LinearTerm
     modulus: int
-    residue: int
+    residues: tuple
 
     def __post_init__(self):
-        m = self.modulus
-        if not (m >= 1 and self.term.constant == 0 and 0 <= self.residue < m
-                and all(0 < c < m for _name, c in self.term.coeffs)):
+        m, rs = self.modulus, self.residues
+        if not (m >= 1 and self.term.constant == 0
+                and all(0 < c < m for _name, c in self.term.coeffs)
+                and isinstance(rs, tuple) and 0 < len(rs) < m
+                and 0 <= rs[0] and rs[-1] < m
+                and all(a < b for a, b in zip(rs, rs[1:]))):
             raise ValueError(f"{self} is not reduced (modulus >= 1, no "
-                             f"constant, residue in [0, m), coefficients in "
-                             f"[1, m)); build it with congruence()")
+                             f"constant, coefficients in [1, m), residues "
+                             f"sorted and distinct in [0, m), neither none "
+                             f"nor all); build it with congruence()")
 
 
 @dataclass(frozen=True)
@@ -240,67 +249,73 @@ def cmp_eq(term):
 
 
 def congruence(term, modulus, residue=0):
-    """Formula for term = residue (mod modulus), fully reduced."""
+    """Formula for term mod modulus in residue, fully reduced; residue is
+    one int or a collection of them."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    residue = (residue - term.constant) % modulus
+    wanted = (residue,) if isinstance(residue, int) else residue
+    rs = {(r - term.constant) % modulus for r in wanted}
     coeffs = {n: c % modulus for n, c in term.coeffs}
     coeffs = {n: c for n, c in coeffs.items() if c != 0}
     if not coeffs:
-        return TRUE if residue == 0 else FALSE
+        return TRUE if 0 in rs else FALSE
     g = modulus
     for c in coeffs.values():
         g = gcd(g, c)
     if g > 1:
-        if residue % g != 0:
-            return FALSE
+        # g divides the modulus and every coefficient, so only residues
+        # divisible by g are reached
+        rs = {r // g for r in rs if r % g == 0}
         coeffs = {n: c // g for n, c in coeffs.items()}
         modulus //= g
-        residue //= g
-    if modulus == 1:
+    if not rs:
+        return FALSE
+    if len(rs) == modulus:
         return TRUE
-    coeffs = {n: c % modulus for n, c in coeffs.items() if c % modulus != 0}
-    if not coeffs:
-        return TRUE if residue % modulus == 0 else FALSE
-    return Congruence(LinearTerm.of(coeffs, 0), modulus, residue % modulus)
+    return Congruence(LinearTerm.of(coeffs, 0), modulus, tuple(sorted(rs)))
+
+
+def _join_parts(parts, node, unit, zero, merge):
+    """Flat node over parts: units dropped, repeats dropped, zero absorbing.
+
+    Congruences on one (term, modulus) become one atom at the place of the
+    first, with residue set merge(set, residues); a merge that leaves no
+    residue or all of them is zero (conj intersects, disj unions).
+    """
+    out = []
+    seen = set()
+    at = {}  # (term, modulus) -> index in out of its congruence
+    for p in parts:
+        if p == zero:
+            return zero
+        if p == unit:
+            continue
+        for q in p.parts if isinstance(p, node) else (p,):
+            if isinstance(q, Congruence):
+                i = at.setdefault((q.term, q.modulus), len(out))
+                if i == len(out):
+                    out.append(q)
+                elif out[i].residues != q.residues:
+                    rs = merge(set(out[i].residues), q.residues)
+                    if not rs or len(rs) == q.modulus:
+                        return zero
+                    out[i] = Congruence(q.term, q.modulus, tuple(sorted(rs)))
+            elif q not in seen:
+                seen.add(q)
+                out.append(q)
+    if not out:
+        return unit
+    if len(out) == 1:
+        return out[0]
+    return node(tuple(out))
 
 
 def conj(parts):
-    out = []
-    seen = set()
-    for p in parts:
-        if is_false(p):
-            return FALSE
-        if is_true(p):
-            continue
-        for q in p.parts if isinstance(p, And) else (p,):
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
-    if not out:
-        return TRUE
-    if len(out) == 1:
-        return out[0]
-    return And(tuple(out))
+    return _join_parts(parts, And, TRUE, FALSE, set.intersection)
 
 
 def disj(parts):
-    out = []
-    seen = set()
-    for p in parts:
-        if is_true(p):
-            return TRUE
-        if is_false(p):
-            continue
-        for q in p.parts if isinstance(p, Or) else (p,):
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
-    if not out:
-        return FALSE
-    if len(out) == 1:
-        return out[0]
-    return Or(tuple(out))
+    return _join_parts(parts, Or, FALSE, TRUE, set.union)
 
 
 def neg(f):
@@ -365,7 +380,7 @@ def substitute(f, name, term):
     if isinstance(f, Congruence):
         if f.term.coeff(name) == 0:
             return f
-        return congruence(f.term.subst(name, term), f.modulus, f.residue)
+        return congruence(f.term.subst(name, term), f.modulus, f.residues)
     if isinstance(f, (And, Or)):
         stop = FALSE if isinstance(f, And) else TRUE
         parts = []
@@ -420,7 +435,7 @@ def _eval(f, env, bound, partial):
             if partial:
                 return None
             raise ValueError(f"unassigned free variable in {f!r}")
-        return val % f.modulus == f.residue
+        return val % f.modulus in f.residues
     if isinstance(f, And):
         saw_none = False
         for p in f.parts:
@@ -477,7 +492,7 @@ def nnf(f):
     """Push negations to atoms; the result contains no Not node.
 
     Negated equalities split into two inequalities, negated congruences
-    into the disjunction of the complementary residues.
+    into the complementary residue set.
     """
     return _nnf(f, False)
 
@@ -494,8 +509,9 @@ def _nnf(f, negate):
         if not negate:
             return f
         check_modulus(f.modulus, "negating a congruence")
-        return disj([Congruence(f.term, f.modulus, r)
-                     for r in range(f.modulus) if r != f.residue])
+        rs = set(f.residues)
+        return Congruence(f.term, f.modulus,
+                          tuple(r for r in range(f.modulus) if r not in rs))
     if isinstance(f, And):
         parts = [_nnf(p, negate) for p in f.parts]
         return disj(parts) if negate else conj(parts)
@@ -816,8 +832,11 @@ def _format_cmp(a):
     return f"{_format_term_side(left, lc)} {op} {_format_term_side(right, rc)}"
 
 
-def _format_congruence(a):
-    return f"{_format_term_side(a.term.coeffs, 0)} % {a.modulus} = {a.residue}"
+def _format_congruence(a, prec):
+    # one congruence per residue, joined as an Or would be
+    side = _format_term_side(a.term.coeffs, 0)
+    s = " | ".join(f"{side} % {a.modulus} = {r}" for r in a.residues)
+    return f"({s})" if prec > 2 and len(a.residues) > 1 else s
 
 
 def format_formula(f):
@@ -830,7 +849,7 @@ def _fmt(f, prec):
     if isinstance(f, Cmp):
         return _format_cmp(f)
     if isinstance(f, Congruence):
-        return _format_congruence(f)
+        return _format_congruence(f, prec)
     if isinstance(f, (Exists, ForAll)):
         q = "E" if isinstance(f, Exists) else "A"
         s = f"{q} {f.var}. {_fmt(f.body, 0)}"
@@ -842,13 +861,9 @@ def _fmt(f, prec):
         s = " & ".join(_fmt(p, 3) for p in f.parts)
         return f"({s})" if prec > 2 else s
     if isinstance(f, Not):
-        inner = f.inner
-        if isinstance(inner, (Cmp, Congruence)):
-            body = _fmt(inner, 3)
-            if isinstance(inner, Congruence):
-                body = f"({body})"
-            return f"!{body}"
-        return f"!({_fmt(inner, 0)})"
+        if isinstance(f.inner, Cmp):
+            return f"!{_fmt(f.inner, 3)}"
+        return f"!({_fmt(f.inner, 0)})"
     raise TypeError(f"not a formula: {f!r}")
 
 

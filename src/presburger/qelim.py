@@ -112,7 +112,7 @@ def eliminate_exists(var, body):
         if isinstance(a, Congruence):
             k = l // c  # congruence coefficients are reduced mod m, so c > 0
             t = _replace_scaled_var(a.term.scale(k), var, fresh)
-            return congruence(t, k * a.modulus, k * a.residue)
+            return congruence(t, k * a.modulus, [k * r for r in a.residues])
         k = l // abs(c)
         t = _replace_scaled_var(a.term.scale(k), var, fresh)
         return cmp_ge(t) if a.op == ">=" else cmp_eq(t)

@@ -6,12 +6,14 @@ order.  to_dnf eliminates quantifiers first, then runs a Shannon expansion
 on the residual formula: a branch splits on one atom its formula still
 needs (three ways for an equality (= 0, >= 1, <= -1), two for an
 inequality), folds the decided atoms to TRUE/FALSE in one pass, and stops
-when the formula is decided.  A group of congruences c.x = r (mod m)
-splits by residue: the residues c.x takes on the branch's coset come from
-one lattice split, the residuals of all of them from one fold, and each
-residue whose residual is not FALSE becomes one branch, so x != r (mod m)
-gives m - 1 cells.  Distinct branches disagree on some split, so the
-produced cells are disjoint by construction.
+when the formula is decided.  The congruences c.x mod m in R on one
+(c, m), whatever their residue sets R, form a group that splits by
+residue: the residues c.x takes on the branch's coset come from one
+lattice split, the residuals of all of them from one fold (an atom is
+true on each residue of its set), and each residue whose residual is not
+FALSE becomes one branch, so x != r (mod m), one atom with the m - 1
+other residues, gives m - 1 cells.  Distinct branches disagree on some
+split, so the produced cells are disjoint by construction.
 """
 
 from __future__ import annotations
@@ -95,14 +97,14 @@ def _join(h, parts):
 def _fold(h, key):
     """Fold h for every branch of one split in one pass.
 
-    key(atom) is the branch on which the atom is true, or None if the split
+    key(atom) is the branches on which the atom is true, or None if the split
     leaves it open.  Returns h with every decided atom false, and a dict:
     per branch some atom names, h with just that branch's atoms true.  A
     branch costs only the parts it changes and the parts still open.
     """
     if isinstance(h, (Cmp, Congruence)):
-        k = key(h)
-        return (h, {}) if k is None else (FALSE, {k: TRUE})
+        ks = key(h)
+        return (h, {}) if ks is None else (FALSE, dict.fromkeys(ks, TRUE))
     kids = [_fold(p, key) for p in h.parts]
     touched = {}
     for i, (_, named) in enumerate(kids):
@@ -174,7 +176,7 @@ def to_dnf(f, names=None):
         key, atoms = order[min(map(rank.__getitem__, atoms_of(h)))]
         if key is None:
             atom = atoms[0]
-            base, named = _fold(h, lambda b: True if b == atom else None)
+            base, named = _fold(h, lambda b: (True,) if b == atom else None)
             a, c = _term_row(atom.term, index, d)
             below = (base, [(vneg(a), c + 1)], [])
             if atom.op == "=":
@@ -188,7 +190,7 @@ def to_dnf(f, names=None):
             return
         coeffs, modulus = key
         term = atoms[0].term
-        base, named = _fold(h, lambda b: b.residue if (
+        base, named = _fold(h, lambda b: b.residues if (
             isinstance(b, Congruence) and b.modulus == modulus
             and b.term == term) else None)
         # c.x takes the residues r0 + k g on the coset; one no atom names

@@ -429,6 +429,45 @@ def eval_partial(f, env, bound=0):
     return _eval(f, dict(env), bound, partial=True)
 
 
+def truth_masks(formulas, points):
+    """Per quantifier-free formula, bit i set iff it holds at points[i].
+
+    Reads the nodes directly: a congruence holds when its term's value
+    mod m is one of its residues.  It calls nothing from formulas, so it
+    checks eval_ground and the smart constructors from outside.
+    """
+    full = (1 << len(points)) - 1
+    atoms = {}
+
+    def holds(a, env):
+        v = a.term.constant + sum(c * env[n] for n, c in a.term.coeffs)
+        if isinstance(a, Congruence):
+            return v % a.modulus in a.residues
+        return v >= 0 if a.op == ">=" else v == 0
+
+    def mask(g):
+        if isinstance(g, (Cmp, Congruence)):
+            if g not in atoms:
+                atoms[g] = sum(1 << i for i, env in enumerate(points)
+                               if holds(g, env))
+            return atoms[g]
+        if isinstance(g, Not):
+            return full ^ mask(g.inner)
+        if isinstance(g, And):
+            acc = full
+            for p in g.parts:
+                acc &= mask(p)
+            return acc
+        if isinstance(g, Or):
+            acc = 0
+            for p in g.parts:
+                acc |= mask(p)
+            return acc
+        raise TypeError(f"not a quantifier-free formula: {g!r}")
+
+    return [mask(f) for f in formulas]
+
+
 def monomial_substitute(g, new_names, images):
     """Substitute x_j -> y^images[j] with nonnegative exponent vectors."""
     if len(images) != g.dim or any(len(v) != len(new_names) for v in images):

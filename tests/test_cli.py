@@ -66,18 +66,22 @@ def test_deep_nesting_is_rejected(capsys):
 
 def test_modulus_limit_fails_fast(capsys):
     """Each loop over the residues of a modulus checks MODULUS_LIMIT first:
-    negating a congruence, a cell split and Cooper's offsets."""
-    for argv, what in [(("dnf", "!(x % 10000000 = 3)"),
-                        "negating a congruence"),
-                       (("dnf", "x % 10000000 = 3 | y >= 1"),
-                        "splitting a cell by a congruence"),
-                       (("decide", "E x. x % 10000000 = 3"),
-                        "Cooper elimination")]:
+    negating a congruence (typed, or through the dual of a universal), a
+    cell split and Cooper's offsets."""
+    big = 10000000
+    for argv, what, m in [(("dnf", "!(x % 10000000 = 3)"),
+                           "negating a congruence", big),
+                          (("dnf", "x % 10000000 = 3 | y >= 1"),
+                           "splitting a cell by a congruence", big),
+                          (("decide", "E x. x % 10000000 = 3"),
+                           "Cooper elimination", big),
+                          (("qelim", "A x. x % 100001 = 1 | x >= y"),
+                           "negating a congruence", 100001)]:
         t0 = time.process_time()
         rc, out, err = run(capsys, *argv)
         assert time.process_time() - t0 < 1
         assert rc == 4 and out == ""
-        assert err == (f"error: {what} needs 10000000 residues, above the "
+        assert err == (f"error: {what} needs {m} residues, above the "
                        f"modulus limit {MODULUS_LIMIT}\n")
 
 

@@ -53,7 +53,7 @@ def test_parse_atoms():
     assert parse("x + 2*y >= 5") == Cmp(t({"x": 1, "y": 2}, -5), ">=")
     assert parse("x = y") == Cmp(t({"x": 1, "y": -1}), "=")
     assert parse("p = 2*b + 1") == Cmp(t({"b": 2, "p": -1}, 1), "=")
-    assert parse("x % 3 = 1") == Congruence(t({"x": 1}), 3, 1)
+    assert parse("x % 3 = 1") == Congruence(t({"x": 1}), 3, (1,))
     assert parse("0 = 0") == TRUE
     assert parse("0 = 1") == FALSE
 
@@ -73,30 +73,49 @@ def test_parse_gcd_tightening():
 
 def test_parse_congruence_whole_term():
     # % applies to the full additive term on its left
-    assert parse("x + y % 2 = 1") == Congruence(t({"x": 1, "y": 1}), 2, 1)
-    assert parse("x - y % 2 = 0") == Congruence(t({"x": 1, "y": 1}), 2, 0)
-    assert parse("3*x % 6 = 3") == Congruence(t({"x": 1}), 2, 1)
+    assert parse("x + y % 2 = 1") == Congruence(t({"x": 1, "y": 1}), 2, (1,))
+    assert parse("x - y % 2 = 0") == Congruence(t({"x": 1, "y": 1}), 2, (0,))
+    assert parse("3*x % 6 = 3") == Congruence(t({"x": 1}), 2, (1,))
     assert parse("2*x % 4 = 1") == FALSE
-    assert parse("x + 5 % 3 = 0") == Congruence(t({"x": 1}), 3, 1)
+    assert parse("x + 5 % 3 = 0") == Congruence(t({"x": 1}), 3, (1,))
 
 
 def test_congruence_with_a_residue_out_of_range_is_rejected():
     # eval_ground read x + y = 5 (mod 3) as never true, qelim as always
-    with pytest.raises(ValueError, match="residue=5"):
-        Congruence(t({"x": 1, "y": 1}), 3, 5)
+    with pytest.raises(ValueError, match=r"residues=\(5,\)"):
+        Congruence(t({"x": 1, "y": 1}), 3, (5,))
     assert congruence(t({"x": 1, "y": 1}), 3, 5) == Congruence(
-        t({"x": 1, "y": 1}), 3, 2)
+        t({"x": 1, "y": 1}), 3, (2,))
 
 
 def test_congruence_with_a_negative_coefficient_is_rejected():
     # decide of E x. -x = 1 (mod 3) raised "modulus must be positive"
     with pytest.raises(ValueError, match="'x', -1"):
-        Congruence(t({"x": -1}), 3, 1)
+        Congruence(t({"x": -1}), 3, (1,))
     with pytest.raises(ValueError, match="'x', 3"):
-        Congruence(t({"x": 3}), 3, 0)
+        Congruence(t({"x": 3}), 3, (0,))
     with pytest.raises(ValueError, match="modulus=0"):
-        Congruence(t({"x": 1}), 0, 0)
-    assert congruence(t({"x": -1}), 3, 1) == Congruence(t({"x": 2}), 3, 1)
+        Congruence(t({"x": 1}), 0, (0,))
+    assert congruence(t({"x": -1}), 3, 1) == Congruence(t({"x": 2}), 3, (1,))
+
+
+@pytest.mark.parametrize("residues", [(), (0, 1, 2), (2, 1), (1, 1), (3,),
+                                      (-1,), 1])
+def test_congruence_with_a_malformed_residue_set_is_rejected(residues):
+    # empty, full, unsorted, repeated, out of range, and a bare int
+    with pytest.raises(ValueError, match="not reduced"):
+        Congruence(t({"x": 1}), 3, residues)
+
+
+def test_congruence_of_a_residue_set():
+    # 2x = 1 (mod 4) is never true, 2x = 2 (mod 4) is x odd
+    assert congruence(t({"x": 2}), 4, {1, 2}) == Congruence(
+        t({"x": 1}), 2, (1,))
+    assert congruence(t({"x": 1}), 3, [5, 0, 3]) == Congruence(
+        t({"x": 1}), 3, (0, 2))
+    assert congruence(t({"x": 1}), 3, range(3)) == TRUE
+    assert congruence(t({"x": 1}), 3, ()) == FALSE
+    assert congruence(t({"x": 2}), 4, [1, 3]) == FALSE
 
 
 def test_parse_precedence():
@@ -139,12 +158,24 @@ def test_roundtrip_fixed():
         "A x. E y. 2*y >= x",
         "x >= 1 | y >= 1 & z % 4 = 2",
         "!(x >= 1 | y >= 2)",
+        "!(x % 3 = 1)",
         "0 = 0",
         "0 = 1",
     ]:
         f = parse(text)
         assert format_formula(f) == text
         assert parse(format_formula(f)) == f
+
+
+def test_format_residue_set():
+    # a set prints as the Or of its residues, in parentheses under & and !
+    a = nnf(parse("!(x % 4 = 1)"))
+    text = "x % 4 = 0 | x % 4 = 2 | x % 4 = 3"
+    assert format_formula(a) == text
+    assert format_formula(conj([a, parse("y >= 1")])) == f"({text}) & y >= 1"
+    assert format_formula(disj([a, parse("y >= 1")])) == f"{text} | y >= 1"
+    assert format_formula(neg(a)) == f"!({text})"
+    assert nnf(parse(format_formula(neg(a)))) == parse("x % 4 = 1")
 
 
 def _random_term(rng, names):
@@ -272,7 +303,8 @@ def test_nnf_atoms():
     assert nnf(neg(parse("x >= 3"))) == parse("x <= 2")
     assert nnf(neg(parse("x = y"))) == parse("x >= y + 1 | y >= x + 1")
     assert nnf(neg(parse("x % 3 = 1"))) == disj(
-        [Congruence(t({"x": 1}), 3, 0), Congruence(t({"x": 1}), 3, 2)])
+        [Congruence(t({"x": 1}), 3, (0,)), Congruence(t({"x": 1}), 3, (2,))])
+    assert nnf(neg(parse("x % 3 = 1"))) == Congruence(t({"x": 1}), 3, (0, 2))
     f = nnf(parse("!(x >= 1 & E u. u = x)"))
     assert isinstance(f, Or)
     assert "!" not in format_formula(f)

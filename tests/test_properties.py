@@ -7,12 +7,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from oracles import brute_exists  # noqa: E402
+from oracles import brute_exists, truth_masks  # noqa: E402
 from presburger.formulas import (  # noqa: E402
     FALSE,
     TRUE,
+    And,
     Cmp,
+    Congruence,
     LinearTerm,
+    Not,
+    Or,
     _simplify_atom,
     atoms_of,
     cmp_eq,
@@ -23,6 +27,9 @@ from presburger.formulas import (  # noqa: E402
     eval_ground,
     format_formula,
     neg,
+    nnf,
+    parse,
+    simplify,
     substitute,
 )
 from presburger.qelim import eliminate_exists  # noqa: E402
@@ -124,3 +131,65 @@ def test_eliminate_exists_matches_search(body):
     for y in range(10):
         assert eval_ground(g, {"y": y}) == brute_exists(body, "x", {"y": y}), (
             format_formula(body), y)
+
+
+@st.composite
+def raw_trees(draw):
+    """A tree of And, Or and Not nodes over x, y built without conj, disj
+    or neg, so no residue set is merged on the way in.  Its atoms are
+    single-residue congruences from one or two groups (one term, a
+    modulus in 2..12) and a few bounds."""
+    terms = (LinearTerm.var("x"), LinearTerm.var("y"),
+             LinearTerm.of({"x": 1, "y": 1}))
+    groups = [(draw(st.sampled_from(terms)), draw(st.integers(2, 12)))
+              for _ in range(draw(st.integers(1, 2)))]
+
+    def atom():
+        if draw(st.integers(0, 4)) == 0:
+            term = LinearTerm(((draw(st.sampled_from(NAMES)),
+                                draw(st.sampled_from((1, -1)))),),
+                              draw(st.integers(-9, 3)))
+            return Cmp(term, ">=")
+        term, m = draw(st.sampled_from(groups))
+        return Congruence(term, m, (draw(st.integers(0, m - 1)),))
+
+    def tree(depth):
+        kind = draw(st.integers(0, 3)) if depth else 0
+        if kind == 0:
+            return atom()
+        if kind == 3:
+            return Not(tree(depth - 1))
+        parts = tuple(tree(depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return And(parts) if kind == 1 else Or(parts)
+
+    return tree(3)
+
+
+def _rebuild(f):
+    """f with every node rebuilt by conj, disj and neg."""
+    if isinstance(f, Not):
+        return neg(_rebuild(f.inner))
+    if isinstance(f, (And, Or)):
+        parts = [_rebuild(p) for p in f.parts]
+        return conj(parts) if isinstance(f, And) else disj(parts)
+    return f
+
+
+@hypothesis.given(raw_trees())
+def test_residue_sets_match_an_independent_evaluator(f):
+    box = list(itertools.product(range(BOX), repeat=2))
+    points = [dict(zip(NAMES, pt)) for pt in box]
+    full = (1 << len(points)) - 1
+    gs = [_rebuild(f), nnf(f), simplify(f), nnf(Not(f))]
+    gs += [parse(format_formula(g)) for g in gs]
+    want, *masks = truth_masks([f] + gs, points)
+    text = format_formula(f)
+    assert want == sum(1 << i for i, env in enumerate(points)
+                       if eval_ground(f, env)), text
+    assert masks == [want, want, want, full ^ want] * 2, text
+    union = 0
+    for cell in to_dnf(f, NAMES).cells:
+        mask = sum(1 << i for i, pt in enumerate(box) if cell.contains(pt))
+        assert not union & mask, (text, "cells overlap")
+        union |= mask
+    assert union == want, text

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from presburger.formulas import (
+    FALSE,
+    TRUE,
     And,
     Cmp,
     Exists,
@@ -287,3 +289,28 @@ def test_qelim_semigroup_size():
         member[n] = any(n >= a and member[n - a] for a in (4, 7, 9))
     for x in range(61):
         assert eval_ground(g, {"x": x}) == member[x], x
+
+
+def test_qelim_alternation_merges_negated_congruences():
+    # the universal is eliminated as !E z. !body, which negates the
+    # congruences of the inner elimination; each conjunct's complement
+    # sets merge back into one single-residue atom
+    f = parse("A z. (z >= x | E j. 5*j + z = 4*x + w)")
+    g = qelim(f)
+    assert format_formula(g) == (
+        "(w + 4*x >= 1 & w + 4*x % 5 = 1 | 1 >= x) & "
+        "(w + 4*x >= 2 & w + 4*x % 5 = 2 | 2 >= x) & "
+        "(w + 4*x >= 3 & w + 4*x % 5 = 3 | 3 >= x) & "
+        "(w + 4*x >= 4 & w + 4*x % 5 = 4 | 4 >= x) & "
+        "(0 >= x | w + 4*x % 5 = 0)")
+    body = qelim(f.body)
+    for x in range(8):
+        for w in range(8):
+            env = {"x": x, "w": w}
+            assert eval_ground(g, env) == brute_forall(body, "z", env), env
+
+
+def test_congruences_on_one_term_fold():
+    assert disj([parse("x % 2 = 0"), parse("x % 2 = 1")]) == TRUE
+    assert conj([parse("x % 6 = 1"), parse("x % 6 = 2")]) == FALSE
+    assert qelim(parse("E y. y = x & (x % 2 = 0 | x % 2 = 1)")) == TRUE

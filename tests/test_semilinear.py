@@ -101,7 +101,7 @@ def test_congruence_term_with_a_constant_is_rejected():
     # parse and congruence() fold the constant into the residue; a
     # Congruence built directly with one is refused
     with pytest.raises(ValueError, match="constant=5"):
-        Congruence(LinearTerm.of({"x": 1}, 5), 3, 1)
+        Congruence(LinearTerm.of({"x": 1}, 5), 3, (1,))
     s = to_dnf(congruence(LinearTerm.of({"x": 1}, 5), 3, 1), ["x"])
     assert [x for x in range(9) if s.contains((x,))] == [2, 5, 8]
 
