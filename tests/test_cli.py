@@ -420,6 +420,14 @@ GOLDEN = [  # stdout pinned byte for byte by its sha256
     (("count", "5*x + 7*y + 9*z + 11*w <= 100", "--count-vars", "w,x,y,z",
       "--as", "value"),
      "895bdc2dc0fb3f2681f2eef9cfc27911fae1e29c1aa28a9d7a2db30352ed39be"),
+    # mixed poles in every cone: Laurent depth 2, lex-negative remaining parts
+    (("count", "p <= x + y + z + 3 & x + p <= 3 & x + y + z <= p",
+      "--count-vars", "x,y,z", "--param-vars", "p"),
+     "905009b5ed9f349890061c0ae5c28552f627a5f3df7ffa82061f65e5d58f9f14"),
+    # two parameters, two mixed factors per cone
+    (("count", "x + y + z <= p & x <= q & y + z <= q + 1",
+      "--count-vars", "x,y,z", "--param-vars", "p,q"),
+     "468ca86cb0409b931582fec62915e285a7aa8019dfe68a6d30d772de9aba4a10"),
 ]
 
 
