@@ -22,10 +22,13 @@ its parallelepiped coordinates.  These steps pass plain term lists; the
 terms are mapped back and coalesced once per cell.  Every series
 coefficient is read through one dynamic-programming kernel,
 series_coeffs, in any dimension.  specialize_ones evaluates at 1 by one
-Laurent expansion per distinct denominator (per simplicial cone), leaving
-each term only integer binomial sums, and multiplies pure poles as
-integer series over one denominator.  gf_is_zero tests a GF exactly over
-one common denominator, and gf_euler applies x_i d/dx_i term by term.
+integer Laurent expansion per distinct denominator (per simplicial
+cone): each term keeps integer binomial sums, pure poles multiply as
+integer series over one denominator, and every other factor, y its
+remaining monomial, expands in closed form as 1/(1 - y (1+s)^m) =
+sum_j ((1+s)^m - 1)^j y^j / (1 - y)^(j + 1), so no series has GF
+coefficients.  gf_is_zero tests a GF exactly over one common
+denominator, and gf_euler applies x_i d/dx_i term by term.
 """
 
 from __future__ import annotations
@@ -116,43 +119,6 @@ def rgf(names, terms):
 
 def gf_zero(names):
     return RationalGF(tuple(names), ())
-
-
-def gf_const(names, c):
-    if c == 0:
-        return gf_zero(names)
-    return RationalGF(tuple(names),
-                      (GFTerm(Fraction(c), zero_vec(len(names)), ()),))
-
-
-def gf_monomial(names, coef, exp):
-    return rgf(names, [GFTerm(Fraction(coef), tuple(exp), ())])
-
-
-def gf_add(*gs):
-    names = gs[0].names
-    terms = []
-    for g in gs:
-        if g.names != names:
-            raise ValueError("generating functions over different variables")
-        terms.extend(g.terms)
-    return rgf(names, terms)
-
-
-def gf_scale(g, c):
-    return rgf(g.names, [GFTerm(t.coef * c, t.numer, t.denom) for t in g.terms])
-
-
-def gf_mul(g1, g2):
-    if g1.names != g2.names:
-        raise ValueError("generating functions over different variables")
-    terms = []
-    for t1 in g1.terms:
-        for t2 in g2.terms:
-            terms.append(make_term(t1.coef * t2.coef,
-                                   vadd(t1.numer, t2.numer),
-                                   t1.denom + t2.denom))
-    return rgf(g1.names, terms)
 
 
 def gf_euler(g, i):
@@ -460,27 +426,15 @@ def _scalar_mul(A, B):
             for n in range(len(A))]
 
 
-def _series_mul(A, B, names, depth):
-    out = [gf_zero(names) for _ in range(depth + 1)]
-    for i, a in enumerate(A):
-        if i > depth:
-            break
-        for j, b in enumerate(B):
-            if i + j > depth:
-                break
-            out[i + j] = gf_add(out[i + j], gf_mul(a, b))
-    return out
-
-
-def _series_inv_with(A, a0inv, names, depth):
-    """Inverse of a RationalGF series given the inverse of its 0 term."""
-    out = [a0inv]
-    for n in range(1, depth + 1):
-        s = gf_zero(names)
-        for j in range(1, n + 1):
-            if j < len(A):
-                s = gf_add(s, gf_mul(A[j], out[n - j]))
-        out.append(gf_scale(gf_mul(a0inv, s), -1))
+def _mixed_series(m, depth):
+    """{(n, j): [s^n] u^j} for j <= n <= depth and u = (1+s)^m - 1: the
+    coefficients of the terms s^n y^j / (1 - y)^(j + 1) that make up
+    1/(1 - y (1+s)^m) = 1/((1 - y) - y u), a geometric series in u."""
+    u = [0] + [_binom(m, n) for n in range(1, depth + 1)]
+    power, out = [1] + [0] * depth, {}
+    for j in range(depth + 1):
+        out.update(((n, j), c) for n, c in enumerate(power) if c)
+        power = _scalar_mul(power, u)
     return out
 
 
@@ -516,18 +470,23 @@ def specialize_ones(g, positions):
     infinite and DivergentSpecialization is raised.  Returns the GF in the
     remaining variables.
 
-    Terms sharing a denominator (the terms of one simplicial cone) share
-    its factor series, so these are multiplied out once per denominator.
-    A term coef * x^numer contributes only coef * C(tau . numer_s, n) at
-    order n, so each denominator keeps integer binomial sums keyed by the
-    remaining exponent and coefficient.  The series of a pure pole (a
-    factor with no remaining part) is a list of constants, an integer
-    series over a power of its constant term (_int_series_inverse): the
-    pure poles multiply as integer series over one denominator lp, which
-    fold into each key's binomial row.
-    Only the mixed factors have GF coefficients; they meet the numerator
-    in GF series products, and with none of them (always so for
-    cardinality) no GF product is formed.
+    Every series is an integer series, cut at s^k for k pure poles
+    (factors with no remaining part), and terms sharing a denominator (the
+    terms of one simplicial cone) share its factor series, so these are
+    multiplied out once per denominator.  A term coef * x^numer
+    contributes only coef * C(tau . numer_s, n) at order n, so each
+    denominator keeps integer binomial sums keyed by the remaining
+    exponent and coefficient.  A pure pole is s^-1 times an integer series
+    over a power of its constant term (_int_series_inverse); the pure
+    poles multiply over one denominator lp, folded into each binomial row.
+    Any other factor, y = x^br its remaining part, is 1/(1 - y (1+s)^m) =
+    sum_j u^j y^j / (1 - y)^(j + 1) with u = (1+s)^m - 1, the integers
+    [s^n] u^j (j <= n) on fixed terms (_mixed_series); m = 0 (just 1/(1 - y))
+    unless it is mixed, with a counted part too.  These factors multiply
+    into one integer table keyed by (order, exponent shift, denominators),
+    started at {(0, 0, ()): 1}; q mixed ones give it at most
+    C(k + q + 1, q + 1) entries, one per order and j's summing to at most
+    it (m = 0 has only j = 0).  Each binomial row meets each entry once.
     """
     positions = tuple(sorted(set(positions)))
     keep = tuple(i for i in range(g.dim) if i not in positions)
@@ -559,39 +518,34 @@ def specialize_ones(g, positions):
                 row[n] += c
                 c = c * (a - n) // (n + 1)
         pure, lp = [1] + [0] * k, 1  # the pure poles' series times lp
-        mixed = []
-        pure_remaining = []
+        # (order, shift, denominators) -> the other factors' coefficient
+        table = {(0, zero_vec(len(keep)), ()): 1}
         for b in denom:
             bs, br = proj_s(b), proj_r(b)
+            m = vdot(tau, bs)
             if not any(br):
                 # pure pole: 1/(1 - t^m) = s^-1 * inverse((1-(1+s)^m)/s)
-                m = vdot(tau, bs)
                 r = [-_binom(m, n + 1) for n in range(k + 1)]
                 pure = _scalar_mul(pure, _int_series_inverse(r, k))
                 lp *= r[0] ** (k + 1)
-            elif any(bs):
-                # mixed: 1/(1 - x^br (1+s)^m)
-                m = vdot(tau, bs)
-                a = [gf_add(gf_const(names_r, 1),
-                            gf_monomial(names_r, -1, br))]
-                for n in range(1, k + 1):
-                    a.append(gf_monomial(names_r, -_binom(m, n), br))
-                a0inv = rgf(names_r, [make_term(1, zero_vec(len(keep)), [br])])
-                mixed.append(_series_inv_with(a, a0inv, names_r, k))
-            else:
-                pure_remaining.append(br)
+            else:  # 1/(1 - x^br (1+s)^m), m = 0 when b has no counted part
+                nxt = {}
+                for (n, j), c in _mixed_series(m, k).items():
+                    for (order, shift, dens), cm in table.items():
+                        if order + n <= k:
+                            key = (order + n, vadd(shift, vscale(j, br)),
+                                   tuple(sorted(dens + (br,) * (j + 1))))
+                            nxt[key] = nxt.get(key, 0) + c * cm
+                table = nxt
         rows = [(e, c, _scalar_mul(row, pure)) for (e, c), row in sums.items()]
-        numer = [[make_term(Fraction(c.numerator * row[n],
-                                     c.denominator * lp), e, pure_remaining)
-                  for e, c, row in rows if row[n]] for n in range(k + 1)]
-        if mixed:
-            factors = mixed[0]
-            for fs in mixed[1:]:
-                factors = _series_mul(factors, fs, names_r, k)
-            numer = [part.terms for part in _series_mul(
-                [rgf(names_r, part) for part in numer], factors, names_r, k)]
-        for n, part in enumerate(numer):
-            acc.setdefault(n - k, []).extend(part)
+        for (order, shift, dens), cm in table.items():
+            for e, c, row in rows:
+                numer = vadd(e, shift)
+                for n in range(k + 1 - order):
+                    if row[n]:
+                        acc.setdefault(order + n - k, []).append(make_term(
+                            Fraction(c.numerator * row[n] * cm,
+                                     c.denominator * lp), numer, dens))
 
     acc = {order: rgf(names_r, terms) for order, terms in acc.items()}
     for order in sorted(acc):

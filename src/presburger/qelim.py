@@ -19,8 +19,9 @@ the congruence moduli on x'.  The classic recipe's "minus infinity"
 disjuncts are left out: x' >= 0 is a top-level conjunct, so each of them
 is false over N.  Only live branches are built: substitution folds (see
 formulas.substitute), and an offset is skipped when a top-level
-congruence on x', such as x' = 0 (mod l), becomes FALSE under
-x' := b + j, since that branch would fold to FALSE anyway.
+congruence on x', such as x' = 0 (mod l), that x' := b makes ground
+fails at x' := b + j (one residue test), since that branch would fold
+to FALSE anyway.
 
 Universals go through the negation dual.  Elimination is innermost-first,
 so each step only ever sees a quantifier-free body.
@@ -32,7 +33,6 @@ from math import lcm
 
 from .formulas import (
     FALSE,
-    TRUE,
     And,
     Cmp,
     Congruence,
@@ -145,16 +145,20 @@ def eliminate_exists(var, body):
 
     if candidates:
         check_modulus(modulus, "Cooper elimination")
+    congs = [(a.term, a.term.coeff(fresh), a.modulus, set(a.residues))
+             for a in tops if isinstance(a, Congruence)]
     branches = []
     for b in candidates:
-        # an offset that fails a top-level congruence made ground by
-        # fresh := b would give a FALSE branch
-        ground = [a for a in tops if isinstance(a, Congruence)
-                  and substitute(a, fresh, b) in (TRUE, FALSE)]
+        # a top-level congruence that fresh := b makes ground holds at
+        # offset j iff (c + step * j) % m is a residue, c its constant at
+        # b; an offset that fails one would give a FALSE branch
+        ground = [(t.constant, step, m, rs) for term, step, m, rs in congs
+                  for t in [term.subst(fresh, b)]
+                  if all(c % m == 0 for _, c in t.coeffs)]
         for j in range(modulus):
-            bj = b + LinearTerm.const(j)
-            if all(substitute(a, fresh, bj) == TRUE for a in ground):
-                branches.append(substitute(shifted, fresh, bj))
+            if all((c + step * j) % m in rs for c, step, m, rs in ground):
+                branches.append(
+                    substitute(shifted, fresh, b + LinearTerm.const(j)))
     return simplify(disj(branches))
 
 

@@ -262,6 +262,26 @@ def scalar_inverse(r, depth):
     return out
 
 
+def mixed_pole_oracle(m, ydepth, sdepth):
+    """[y^i s^n] of 1/(1 - y (1+s)^m) for i <= ydepth and n <= sdepth, by
+    Fraction long division of the double series in (y, s): the reference
+    for genfun._mixed_series.  (1+s)^m for m < 0 is the inverse of
+    (1+s)^-m."""
+    power = [Fraction(math.comb(abs(m), n)) for n in range(sdepth + 1)]
+    if m < 0:
+        power = scalar_inverse(power, sdepth)
+    denom = {(0, 0): Fraction(1)}
+    denom.update(((1, n), -c) for n, c in enumerate(power))
+    out = {}
+    for i in range(ydepth + 1):
+        for n in range(sdepth + 1):
+            s = sum(denom.get((i - a, n - b), 0) * out[a, b]
+                    for a in range(i + 1) for b in range(n + 1)
+                    if (a, b) != (i, n))
+            out[i, n] = (((i, n) == (0, 0)) - s) / denom[0, 0]
+    return out
+
+
 def halfopen_simplicial_oracle(names, apex, gens, ginv, excluded):
     """GF of apex + cone(gens) minus the facets in `excluded`, one term per
     coset of the generator lattice: the point is apex + G frac(ginv (rep -

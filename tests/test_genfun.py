@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     fraction_inverse,
     halfopen_simplicial_oracle,
+    mixed_pole_oracle,
     monomial_substitute,
     scalar_inverse,
     series_oracle,
@@ -34,13 +35,10 @@ from presburger.genfun import (
     _gf_halfopen_simplicial,
     _gf_of_cone,
     _int_series_inverse,
+    _mixed_series,
     cardinality,
     counting_gf,
-    gf_add,
-    gf_const,
     gf_euler,
-    gf_monomial,
-    gf_mul,
     gf_of_cell,
     gf_of_formula,
     gf_of_semilinear,
@@ -96,13 +94,14 @@ def test_series_repeated_factor():
 
 
 def test_series_cancellation():
-    one_minus = gf_add(gf_const(("x",), 1), gf_monomial(("x",), -1, (1,)))
-    geom = rgf(("x",), [make_term(1, (0,), [(1,)])])
-    assert series_equal(gf_mul(one_minus, geom), gf_const(("x",), 1), 12)
+    # (1 - x) * 1/(1 - x), multiplied out term by term
+    product = rgf(("x",), [make_term(1, (0,), [(1,)]),
+                           make_term(-1, (1,), [(1,)])])
+    assert series_equal(product, rgf(("x",), [make_term(1, (0,), [])]), 12)
 
 
 def test_series_dim_zero():
-    assert series_coeffs(gf_const((), 5), 3) == {(): 5}
+    assert series_coeffs(rgf((), [make_term(5, (), [])]), 3) == {(): 5}
     assert series_coeffs(rgf((), []), 3) == {}
 
 
@@ -373,6 +372,23 @@ def test_int_series_inverse_against_fraction_series():
                     scalar_inverse(r, depth), (r, depth)
 
 
+def test_mixed_series_against_double_series():
+    """The closed form sum_n sum_j c s^n y^j / (1 - y)^(j + 1) of a mixed
+    factor has the double series of 1/(1 - y (1+s)^m); y^j / (1 - y)^(j + 1)
+    is sum_i C(i, j) y^i, so y^0..y^depth already fix every c.  m = 0 is
+    the factor 1/(1 - y) of a denominator vector with no counted part."""
+    for m in range(-4, 5):
+        want = mixed_pole_oracle(m, 6, 3)
+        for depth in range(4):
+            got = _mixed_series(m, depth)
+            assert all(type(c) is int and j <= n <= depth
+                       for (n, j), c in got.items()), (m, depth)
+            for (i, n), c in want.items():
+                if n <= depth:
+                    assert sum(cj * math.comb(i, j) for (nj, j), cj
+                               in got.items() if nj == n) == c, (m, i, n)
+
+
 def test_specialize_keeps_structure():
     g = rgf(("x", "y"), [make_term(1, (0, 0), [(1, 1), (1, 0)])])
     h = specialize_ones(g, [1])
@@ -485,7 +501,7 @@ def test_specialize_random_unbounded_diverges():
 
 def test_cardinality_rejects_fractional_count():
     with pytest.raises(ValueError):
-        cardinality(gf_const(("x",), Fraction(1, 2)))
+        cardinality(rgf(("x",), [make_term(Fraction(1, 2), (0,), [])]))
 
 
 def test_counting_gf_interval():

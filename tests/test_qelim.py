@@ -137,6 +137,9 @@ def test_eliminate_exists_targeted():
         "3*x = p | 3*x + 1 = p",
         "2*x = p & x % 2 = 1",
         "x + x + 3*x = p",
+        # fresh := p leaves 2*p % 4, not ground: no offset may be skipped
+        "x >= p & x + p % 4 = 1",
+        "x + 1 >= p & x + 3*p % 6 = 2",
     ]
     for text in bodies:
         body = parse(text)

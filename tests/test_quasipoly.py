@@ -13,9 +13,7 @@ from oracles import (
 )
 from presburger import quasipoly
 from presburger.genfun import (
-    gf_add,
     gf_is_zero,
-    gf_scale,
     make_term,
     rgf,
     series_coeffs,
@@ -452,7 +450,8 @@ def check_vpf(gens, bound):
         if min(p) >= 0:
             assert g.eval(p) == table.get(p, F(0)), (gens, p)
     back = pqp_to_rgf(g, names=f.names)
-    assert gf_is_zero(gf_add(back, gf_scale(f, -1))), gens
+    assert gf_is_zero(rgf(f.names, back.terms + tuple(
+        make_term(-t.coef, t.numer, t.denom) for t in f.terms))), gens
     return g
 
 
