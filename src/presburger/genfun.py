@@ -10,17 +10,23 @@ vectors b.  The GF of a cell is computed after one change of coordinates:
 an integer affine map from Z^k onto the points of the cell's coset in its
 affine hull, the coset basis composed with an integer parametrization of
 the hull.  Brion's vertex-cone decomposition then runs on the
-full-dimensional polyhedron in Z^k: each tangent cone is triangulated, the
-pieces are made half-open towards a generic reference vector so facets are
-never counted twice, and each half-open simplicial cone is summed exactly
-by enumerating the integer points of its fundamental parallelepiped.  That
-enumeration is integer-only: one fraction-free elimination gives the
+full-dimensional polyhedron in Z^k: each tangent cone is triangulated, and
+the pieces are made half-open towards a generic reference vector so facets
+are never counted twice.  A piece whose index (|det| of its generators)
+exceeds LIMIT is split by Barvinok's signed decomposition, in the primal
+half-open form of Koeppe and Verdoolaege, into signed half-open cones of
+smaller index, around a short vector from an integral LLL.  Each cone at
+or below LIMIT is summed exactly by enumerating the integer points of its
+fundamental parallelepiped, so a piece that is not split keeps its terms.
+That enumeration is integer-only: one fraction-free elimination gives the
 adjugate and determinant of the generators, and the walk over the coset
-representatives runs along the longest axis of the generator lattice,
-each step moving the point by one of 2^d vectors picked by the carries of
-its parallelepiped coordinates.  These steps pass plain term lists; the
-terms are mapped back and coalesced once per cell.  Every series
-coefficient is read through one dynamic-programming kernel,
+representatives runs along one lattice axis at a time, each step moving
+the point by one of 2^d vectors picked by the carries of its
+parallelepiped coordinates.  LIMIT = 64 is measured: on the knapsack_gf
+benchmark, where vertex cones reach index 1331, 64 gave the lowest time
+of the limits 8, 32, 64, 128 and 256 (see README).  These steps pass
+plain term lists; the terms are mapped back and coalesced once per cell.
+Every series coefficient is read through one dynamic-programming kernel,
 series_coeffs, in any dimension.  specialize_ones evaluates at 1 by one
 integer Laurent expansion per distinct denominator (per simplicial
 cone): each term keeps integer binomial sums, pure poles multiply as
@@ -37,15 +43,16 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattices import (
     Lattice,
     hnf_kernel,
     int_inverse,
     lex_positive,
+    lll,
     mat_mul,
     mat_vec,
-    primitive,
     solve_int,
     vadd,
     vdot,
@@ -63,12 +70,16 @@ from .polyhedra import (
 from .semilinear import to_dnf
 
 
+# Simplicial cones of larger index are split by Barvinok's signed
+# decomposition before their parallelepipeds are listed (see _barvinok).
+LIMIT = 64
+
+
 class DivergentSpecialization(ValueError):
     """The substituted series has a genuine pole at 1 (infinite value)."""
 
 
-@dataclass(frozen=True)
-class GFTerm:
+class GFTerm(NamedTuple):  # a tuple, so the walk builds one cheaply
     coef: Fraction
     numer: tuple   # int exponent vector
     denom: tuple   # sorted tuple of nonzero lex-positive int vectors
@@ -228,8 +239,9 @@ def _substitute_exponents(terms, images, shift):
 # generating function of a cell (Brion decomposition)
 
 
-def _gf_halfopen_simplicial(apex, gens, adj, det, excluded):
-    """GF of apex + cone(gens) with facets in `excluded` removed.
+def _gf_halfopen_simplicial(apex, gens, adj, det, excluded, sign=1):
+    """sign times the GF of apex + cone(gens) with facets in `excluded`
+    removed.
 
     gens are linearly independent and span the ambient space, and (adj,
     det) are the adjugate and determinant of the matrix G with the gens
@@ -241,18 +253,18 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded):
     coordinates u / D with u = adj (q rep - A), and its point is
     rep - G floor(u / D), one lower on an excluded facet where D divides
     u_i.  The representatives form the box prod [0, H_jj) of the HNF H of
-    the generator lattice, walked with the axis of the largest H_jj
-    innermost.  A step along it adds s = D sd + sm (0 <= sm < D) to u, so
-    each entry of u mod D carries at most once and the point moves by
-    e - G (sd + c) for the 0/1 vector c of carries: one of 2^d moves, each
-    formed once per cone.  Only the start of each run divides u by D.
+    the generator lattice, walked one axis j at a time from the single
+    division of u by D at rep = 0.  A step along e_j adds s = D sd + sm
+    (0 <= sm < D) to u, so each entry of u mod D carries at most once and
+    the point moves by e_j - G (sd + c) for the 0/1 vector c of carries:
+    one of 2^d moves per axis, each formed once per cone.
     """
     d = len(gens)
     grows = tuple(tuple(g[i] for g in gens) for i in range(d))
     if not det or mat_mul(grows, adj) != tuple(
             tuple(det * (i == j) for j in range(d)) for i in range(d)):
         raise ValueError("adjugate does not invert the cone generators")
-    unit = make_term(1, zero_vec(d), gens)  # sign and shift of lex flips
+    unit = make_term(sign, zero_vec(d), gens)  # sign and shift of lex flips
     if not d:
         return [unit]
     if det < 0:  # floor(u / D) is unchanged when u and D both change sign
@@ -261,75 +273,97 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded):
     D = det * q
     A = [int(c * q) for c in apex]
     basis = Lattice.from_generators(d, gens).basis
-    sizes = [b[j] for j, b in enumerate(basis)]
-    inner = sizes.index(max(sizes))
-    steps = [[q * row[j] for row in adj] for j in range(d)]
     # floor(u / D) - [D divides u] = floor((u - 1) / D), so u starts lower
-    # by 1 on the excluded facets; entries (rep plus the shift of the lex
-    # flips, u)
-    walk = [(unit.numer, [-sum(map(operator.mul, row, A)) - (i in excluded)
-                          for i, row in enumerate(adj)])]
-    for j in range(d):  # representatives with inner coordinate 0
-        if j == inner:
-            continue
+    # by 1 on the excluded facets; entries (point plus the shift of the lex
+    # flips, u mod D)
+    k, w = zip(*(divmod(-sum(map(operator.mul, row, A)) - (i in excluded), D)
+                 for i, row in enumerate(adj)))
+    walk = [(tuple([x - sum(map(operator.mul, row, k))
+                    for x, row in zip(unit.numer, grows)]), w)]
+    for j, b in enumerate(basis):
+        sd, sm = zip(*(divmod(q * row[j], D) for row in adj))
+        tops = [D - a for a in sm]  # u_i mod D carries from tops_i up
+        base = [(i == j) - sum(map(operator.mul, row, sd))
+                for i, row in enumerate(grows)]
+        moves = {}  # carries c -> (e_j - G (sd + c), sm - D c)
         nxt = []
-        for pt, u in walk:
-            for _ in range(sizes[j]):
-                nxt.append((pt, u))
-                pt = pt[:j] + (pt[j] + 1,) + pt[j + 1:]
-                u = [a + s for a, s in zip(u, steps[j])]
+        for pt, w in walk:
+            nxt.append((pt, w))
+            for _ in range(b[j] - 1):
+                c = tuple(map(operator.ge, w, tops))
+                move = moves.get(c)
+                if move is None:
+                    move = moves[c] = (
+                        tuple([x - sum(map(operator.mul, row, c))
+                               for x, row in zip(base, grows)]),
+                        tuple([a - D * ci for a, ci in zip(sm, c)]))
+                pt = tuple(map(operator.add, pt, move[0]))
+                w = tuple(map(operator.add, w, move[1]))
+                nxt.append((pt, w))
         walk = nxt
-    sd, sm = zip(*(divmod(s, D) for s in steps[inner]))
-    tops = [D - b for b in sm]  # u_i mod D carries from tops_i up
-    base = [(i == inner) - sum(map(operator.mul, row, sd))
-            for i, row in enumerate(grows)]
-    moves = {}  # carries c -> (e - G (sd + c), sm - D c)
     coef, denom = unit.coef, unit.denom
-    terms = []
-    for pt, u in walk:  # the inner coordinate runs here
-        k, w = zip(*(divmod(a, D) for a in u))
-        pt = tuple([x - sum(map(operator.mul, row, k))
-                    for x, row in zip(pt, grows)])
-        terms.append(GFTerm(coef, pt, denom))
-        for _ in range(sizes[inner] - 1):
-            c = tuple(map(operator.ge, w, tops))
-            move = moves.get(c)
-            if move is None:
-                move = moves[c] = (
-                    tuple([x - sum(map(operator.mul, row, c))
-                           for x, row in zip(base, grows)]),
-                    tuple([b - D * ci for b, ci in zip(sm, c)]))
-            pt = tuple(map(operator.add, pt, move[0]))
-            w = tuple(map(operator.add, w, move[1]))
-            terms.append(GFTerm(coef, pt, denom))
-    return terms
+    return [GFTerm(coef, pt, denom) for pt, _ in walk]
 
 
-def _gf_of_cone(cone):
-    """GF of the integer points of a pointed full-dimensional cone."""
+def _barvinok(apex, gens, adj, det, sign, ref, limit, terms):
+    """Append the terms of sign times the GF of apex + cone(gens), made
+    half-open towards ref, to terms.
+
+    A cone of index |det| above limit is split by Barvinok's signed
+    decomposition in its primal half-open form (Koeppe and Verdoolaege,
+    EJC 2008): the LLL-reduced basis of adj Z^d gives the vector a of
+    smallest max-norm, and w = G a / det is an integral primitive
+    generator.  Sub-cone i swaps generator i for w; its adjugate keeps row
+    i and has rows (a_i adj_j - a_j adj_i) / det, its determinant is a_i
+    and its sign sign(a_i det).  The signed sum equals the cone up to
+    lower-dimensional cones and cones with lines, so once every piece is
+    made half-open towards the same ref (Theorem 3 there) it is exact.  A
+    facet normal n of a sub-cone may have n.ref = 0; ref is then perturbed
+    by eps e_1 + eps^2 e_2 + ..., so n counts as facing ref when its first
+    nonzero entry is positive.  The split stops at an index at or below
+    limit, or where some sub-cone would not have a smaller one.
+    """
+    if abs(det) > limit:
+        a = min(lll(tuple(zip(*adj))), key=lambda v: max(map(abs, v)))
+        if max(map(abs, a)) < abs(det):
+            grows = tuple(zip(*gens))
+            w = tuple(vdot(row, a) // det for row in grows)
+            for i, ai in enumerate(a):
+                if ai:
+                    sub = tuple(adj[i] if j == i else tuple(
+                        (ai * x - aj * y) // det
+                        for x, y in zip(adj[j], adj[i]))
+                        for j, aj in enumerate(a))
+                    _barvinok(apex, gens[:i] + (w,) + gens[i + 1:], sub, ai,
+                              sign if (ai > 0) == (det > 0) else -sign, ref,
+                              limit, terms)
+            return
+    s = 1 if det > 0 else -1  # s * adj_i is the inward normal of facet i
+    excluded = {i for i, row in enumerate(adj) if not lex_positive(
+        (s * vdot(row, ref),) + vscale(s, row))}
+    terms.extend(_gf_halfopen_simplicial(apex, gens, adj, det, excluded,
+                                         sign))
+
+
+def _gf_of_cone(cone, limit=LIMIT):
+    """GF of the integer points of a pointed full-dimensional cone: its
+    triangulation, made half-open towards a reference vector on no facet
+    of any piece, with every piece of index above limit decomposed."""
     d = len(cone.apex)
-    pieces = triangulate(cone.generators)
-    data = []
-    for piece in pieces:
-        adj, det = int_inverse(tuple(tuple(g[i] for g in piece)
-                                     for i in range(d)))
-        normals = [primitive(vscale(-1 if det < 0 else 1, row))
-                   for row in adj]
-        data.append((piece, adj, det, normals))
-    first = pieces[0]
+    data = [(piece, *int_inverse(tuple(zip(*piece))))
+            for piece in triangulate(cone.generators)]
+    first = data[0][0]
     M = 1
     while True:
-        w = zero_vec(d)
+        ref = zero_vec(d)
         for i, h in enumerate(first):
-            w = vadd(w, tuple(M ** i * c for c in h))
-        if all(vdot(n, w) != 0 for *_, normals in data for n in normals):
+            ref = vadd(ref, tuple(M ** i * c for c in h))
+        if all(vdot(row, ref) != 0 for _, adj, _ in data for row in adj):
             break
         M *= 2
     terms = []
-    for piece, adj, det, normals in data:
-        excluded = {i for i, n in enumerate(normals) if vdot(n, w) < 0}
-        terms.extend(_gf_halfopen_simplicial(cone.apex, piece, adj, det,
-                                             excluded))
+    for piece, adj, det in data:
+        _barvinok(cone.apex, piece, adj, det, 1, ref, limit, terms)
     return terms
 
 

@@ -162,6 +162,72 @@ def rat_nullspace(M, n=None):
 
 
 # ---------------------------------------------------------------------------
+# lattice basis reduction
+
+
+def lll(vectors):
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
+    independent integer vectors.
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 2.6.7): D[i] is the Gram determinant of the first i
+    vectors and lam[k][j] = D[j + 1] mu_kj, so every Gram-Schmidt
+    quantity stays an integer and each division is exact.
+    """
+    b = [list(v) for v in vectors]
+    n = len(b)
+    D = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, j):  # size-reduce b[k] against b[j]
+        if 2 * abs(lam[k][j]) > D[j + 1]:
+            q = (2 * lam[k][j] + D[j + 1]) // (2 * D[j + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= q * D[j + 1]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
+
+    def swap(k):  # exchange b[k - 1] and b[k]
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        m = lam[k][k - 1]
+        B = (D[k - 1] * D[k + 1] + m * m) // D[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (D[k + 1] * lam[i][k - 1] - m * t) // D[k]
+            lam[i][k - 1] = (B * t + m * lam[i][k]) // D[k + 1]
+        D[k] = B
+
+    k, kmax = 1, 0
+    if n:
+        D[1] = vdot(b[0], b[0])
+    while k < n:
+        if k > kmax:  # one more Gram-Schmidt row
+            kmax = k
+            for j in range(k + 1):
+                u = vdot(b[k], b[j])
+                for i in range(j):
+                    u = (D[i + 1] * u - lam[k][i] * lam[j][i]) // D[i]
+                if j < k:
+                    lam[k][j] = u
+                elif not u:
+                    raise ValueError("LLL input is linearly dependent")
+                else:
+                    D[k + 1] = u
+        red(k, k - 1)
+        # Lovasz: D[k+1] D[k-1] >= (3/4) D[k]^2 - lam[k][k-1]^2
+        if 4 * D[k + 1] * D[k - 1] < 3 * D[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+            continue
+        for j in range(k - 2, -1, -1):
+            red(k, j)
+        k += 1
+    return [tuple(v) for v in b]
+
+
+# ---------------------------------------------------------------------------
 # Hermite normal form (column style)
 
 

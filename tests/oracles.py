@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -111,6 +112,24 @@ def fraction_inverse(M):
     if len(_rref(rows, n)) < n:
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
+
+
+def lll_defects(vectors, delta=Fraction(3, 4)):
+    """Where a basis fails to be LLL-reduced, by a Gram-Schmidt in
+    Fractions: the pairs (i, j), j < i, with |mu_ij| > 1/2, and the k with
+    |b*_k|^2 < (delta - mu_k,k-1^2) |b*_(k-1)|^2 (Lovasz)."""
+    star, mu = [], {}
+    for i, v in enumerate(vectors):
+        w = [Fraction(a) for a in v]
+        for j, s in enumerate(star):
+            mu[i, j] = sum(map(operator.mul, v, s)) / sum(a * a for a in s)
+            w = [a - mu[i, j] * b for a, b in zip(w, s)]
+        star.append(w)
+    norms = [sum(a * a for a in s) for s in star]
+    size = [ij for ij, m in mu.items() if abs(m) > Fraction(1, 2)]
+    lovasz = [k for k in range(1, len(star))
+              if norms[k] < (delta - mu[k, k - 1] ** 2) * norms[k - 1]]
+    return size, lovasz
 
 
 def clear_denominators(v):
@@ -230,6 +249,54 @@ def partition_count(gens, p):
     if any(c < 0 for c in p):
         return 0
     return rec(0, tuple(p))
+
+
+def knapsack_count(coeffs, bound):
+    """#{x in NN^d : sum a_i x_i <= bound} by the coin-change recurrence."""
+    ways = [1] + [0] * bound
+    for a in coeffs:
+        for n in range(a, bound + 1):
+            ways[n] += ways[n - a]
+    return sum(ways)
+
+
+def knapsack_points(coeffs, bound):
+    """The points x in NN^d with sum a_i x_i <= bound, by search."""
+    if not coeffs:
+        return [()] if bound >= 0 else []
+    a, rest = coeffs[0], coeffs[1:]
+    return [(k,) + p for k in range(bound // a + 1)
+            for p in knapsack_points(rest, bound - a * k)]
+
+
+PRIME = 2 ** 61 - 1
+
+
+def _monomial_mod(point, e):
+    out = 1
+    for x, k in zip(point, e):
+        out = out * pow(x, k, PRIME) % PRIME  # k < 0 inverts
+    return out
+
+
+def gf_value_mod(g, point):
+    """g evaluated at an integer point mod PRIME, term by term; None when
+    a denominator vanishes there."""
+    total = 0
+    for t in g.terms:
+        den = t.coef.denominator
+        for b in t.denom:
+            den = den * (1 - _monomial_mod(point, b)) % PRIME
+        if not den:
+            return None
+        total += (t.coef.numerator * _monomial_mod(point, t.numer)
+                  * pow(den, -1, PRIME))
+    return total % PRIME
+
+
+def points_value_mod(points, point):
+    """sum over the points s of point^s, mod PRIME."""
+    return sum(_monomial_mod(point, s) for s in points) % PRIME
 
 
 def series_oracle(g, bound, K):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import presburger
-from oracles import count_solutions, partition_count, step_from_obj
+from oracles import (PRIME, count_solutions, gf_value_mod, knapsack_count,
+                     knapsack_points, partition_count, points_value_mod,
+                     step_from_obj)
 from presburger.cli import _build_parser, main
 from presburger.formulas import MODULUS_LIMIT, eval_ground, parse
-from presburger.genfun import series_coeffs, series_equal
+from presburger.genfun import cardinality, series_coeffs, series_equal
 from presburger.quasipoly import step_eval
 from presburger.serialize import gf_from_obj, pqp_from_obj
 
@@ -405,8 +408,10 @@ GOLDEN = [  # stdout pinned byte for byte by its sha256
      "e0750067294a1b2c6bf522ef1d8644ac10481131a8fbf5471f7e4021f2ee59e7"),
     (("vpf", "2;3;5;7", "--as", "qp"),
      "a07451b5d606b1a164d4cc1406ea0b31221c9d7fd7266fa5e635b422e19ad743"),
+    # cones of index above genfun.LIMIT, decomposed (see
+    # test_decomposed_golden_gfs_list_their_points)
     (("genfun", "13*x + 17*y + 19*z <= 104"),
-     "76df173f6fb18adfa89116bc1f557271b79c303f24c4b72e773939d391c9aa9d"),
+     "8c131882aa00e334bca67c76a6802ab6bfb8388bba83beb13b398b36df1f7af5"),
     (("dnf", "!(x % 200 = 15)"),
      "2f70ca5d8af153f172adfce2e594e717d44f9175333fcb6ddba6748569ba70fe"),
     (("dnf", "!(x + 2*y % 98 = 79)"),
@@ -416,7 +421,7 @@ GOLDEN = [  # stdout pinned byte for byte by its sha256
     (("dnf", "E y. E z. x = 3*y + 5*z"),
      "6876dce49b8f0f636b73329ce5a8cf77d4b63605bd17e1c89500a170564852a6"),
     (("genfun", "4*x + 5*y + 6*z + 7*w <= 26"),
-     "0dfe8cb5cdbfbe577a83a63d2514931a102d38e8975ad22225c173bdb6b661a2"),
+     "4c214a6bb5baa5c38350f2222c863d6ce13d8d9e6e3c3774ba21c4a5ac7b6376"),
     (("count", "5*x + 7*y + 9*z + 11*w <= 100", "--count-vars", "w,x,y,z",
       "--as", "value"),
      "895bdc2dc0fb3f2681f2eef9cfc27911fae1e29c1aa28a9d7a2db30352ed39be"),
@@ -436,6 +441,45 @@ def test_golden_outputs(capsys):
         rc, out, err = run(capsys, *argv, "--format", "json")
         assert rc == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def knapsack_text(coeffs, names, bound):
+    return " + ".join(f"{a}*{v}" for a, v in zip(coeffs, names)) + \
+        f" <= {bound}"
+
+
+def test_decomposed_golden_gfs_list_their_points(capsys):
+    """The two GOLDEN generating functions built from decomposed cones are
+    the GFs of their point sets, as the parallelepiped sums were: equal
+    mod a prime at random points, and in their point counts."""
+    rng = random.Random(104)
+    for coeffs, names, bound in [((13, 17, 19), "xyz", 104),
+                                 ((4, 5, 6, 7), "xyzw", 26)]:
+        g = gf_from_obj(run_json(capsys, "genfun",
+                                 knapsack_text(coeffs, names, bound)))
+        order = [names.index(v) for v in g.names]
+        points = [tuple(p[i] for i in order)
+                  for p in knapsack_points(coeffs, bound)]
+        for _ in range(4):
+            x = tuple(rng.randrange(2, PRIME) for _ in g.names)
+            assert gf_value_mod(g, x) == points_value_mod(points, x)
+        assert cardinality(g) == knapsack_count(coeffs, bound)
+
+
+def test_large_knapsack_probes(capsys):
+    """The 4-d knapsacks whose vertex cones have index up to 331^3: each
+    count matches a DP count, and the GF of the first stays short."""
+    for coeffs, bound in [((31, 37, 41, 43), 5000),
+                          ((101, 103, 107, 109), 20000),
+                          ((311, 313, 317, 331), 60000)]:
+        rc, out, err = run(capsys, "count",
+                           knapsack_text(coeffs, "xyzw", bound),
+                           "--count-vars", "w,x,y,z", "--as", "value")
+        assert rc == 0, err
+        assert int(out) == knapsack_count(coeffs, bound)
+    g = run_json(capsys, "genfun",
+                 knapsack_text((31, 37, 41, 43), "xyzw", 5000))
+    assert len(g["terms"]) <= 2000
 
 
 def test_json_documents_match_the_json_module(capsys, tmp_path):

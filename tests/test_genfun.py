@@ -9,10 +9,15 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    PRIME,
     fraction_inverse,
+    gf_value_mod,
     halfopen_simplicial_oracle,
+    knapsack_count,
+    knapsack_points,
     mixed_pole_oracle,
     monomial_substitute,
+    points_value_mod,
     scalar_inverse,
     series_oracle,
 )
@@ -29,9 +34,11 @@ from presburger.formulas import (
     parse,
 )
 from presburger.genfun import (
+    LIMIT,
     DivergentSpecialization,
     GFTerm,
     RationalGF,
+    _barvinok,
     _gf_halfopen_simplicial,
     _gf_of_cone,
     _int_series_inverse,
@@ -48,8 +55,10 @@ from presburger.genfun import (
     series_equal,
     specialize_ones,
 )
-from presburger.lattices import Lattice, LatticeCoset, full_coset, int_inverse
-from presburger.polyhedra import Cone, Polyhedron
+from presburger.lattices import (Lattice, LatticeCoset, full_coset,
+                                 int_inverse, lex_positive, lll)
+from presburger.polyhedra import (Cone, Polyhedron, tangent_cone,
+                                  triangulate, vertices)
 from presburger.quasipoly import hadamard_univariate, is_zero_univariate
 from presburger.semilinear import SemilinearCell, to_dnf
 
@@ -219,6 +228,7 @@ def test_halfopen_simplicial_carry_walk_cases():
         ((F(1, 3), F(-1, 2)), ((7, 5), (1, 0))),  # det -5
         ((F(1, 2), F(-2, 3), F(5, 7)), ((2, 1, 0), (0, 3, 1), (1, 0, 2))),
         ((F(-3, 4), F(1, 6)), ((5, 2), (0, 1))),  # HNF diagonal (5, 1)
+        ((F(1, 3), F(-1, 2)), ((3, 1), (0, 2))),  # HNF diagonal (3, 2)
         ((F(2, 5), F(0), F(-1, 3)), ((7, 3, 1), (0, 1, 0), (0, 0, 1))),
         ((F(1, 2), F(1, 3), F(1, 5)), ((1, 0, 0), (1, 1, 0), (1, 1, 1))),
         ((F(-7, 2),), ((3,),)),
@@ -231,12 +241,12 @@ def test_halfopen_simplicial_carry_walk_cases():
         adj, det = int_inverse(G)
         sizes = [b[j] for j, b in
                  enumerate(Lattice.from_generators(d, gens).basis)]
-        inner = sizes.index(max(sizes))
         reached |= {kind for kind, hit in [
             ("negative det", det < 0),
-            ("first axis inner", inner == 0 and sizes[-1] < sizes[0]),
-            ("adjugate beyond det",
-             any(abs(row[inner]) > abs(det) for row in adj)),
+            ("two walked axes", sum(s > 1 for s in sizes) > 1),
+            ("adjugate beyond det", any(
+                abs(row[j]) > abs(det) for row in adj
+                for j, s in enumerate(sizes) if s > 1)),
             ("unimodular", abs(det) == 1)] if hit}
         names = tuple(f"x{i}" for i in range(d))
         for r in range(d + 1):
@@ -246,8 +256,87 @@ def test_halfopen_simplicial_carry_walk_cases():
                 got = rgf(names, _gf_halfopen_simplicial(
                     apex, gens, adj, det, set(excluded)))
                 assert got.terms == want.terms, (gens, apex, excluded)
-    assert reached == {"negative det", "first axis inner",
+    assert reached == {"negative det", "two walked axes",
                        "adjugate beyond det", "unimodular"}
+
+
+def knapsack_cones(coeffs, bound):
+    d = len(coeffs)
+    p = Polyhedron.of(d, [(tuple(-a for a in coeffs), -bound)] + [
+        (tuple(int(i == j) for j in range(d)), 0) for i in range(d)])
+    return [tangent_cone(p, v) for v in vertices(p)]
+
+
+def max_index(cones):
+    return max(abs(int_inverse(tuple(zip(*piece)))[1])
+               for cone in cones for piece in triangulate(cone.generators))
+
+
+def test_barvinok_knapsacks_three_ways():
+    """Knapsack polytopes with vertex cones of index above LIMIT, split at
+    LIMIT and down to unimodular leaves: the GF against the points by
+    evaluation mod a prime, cardinality against a DP count and, in 3-d,
+    the series on a box."""
+    rng = random.Random(22)
+    cases = [((13, 17, 19), 104), ((4, 5, 6, 7), 26)]
+    for d, low, top in [(2, 65, 200), (2, 65, 200), (3, 9, 30), (3, 9, 30),
+                        (4, 5, 12)]:
+        coeffs = tuple(rng.sample(range(low, top), d))
+        cases.append((coeffs, rng.randint(2, 3) * max(coeffs)))
+    for coeffs, bound in cases:
+        d = len(coeffs)
+        names = tuple("xyzw"[:d])
+        cones = knapsack_cones(coeffs, bound)
+        assert max_index(cones) > LIMIT, coeffs
+        points = knapsack_points(coeffs, bound)
+        assert len(points) == knapsack_count(coeffs, bound)
+        text = " + ".join(f"{a}*{v}" for a, v in zip(coeffs, names))
+        for limit in (LIMIT, 1):
+            g = rgf(names, [t for c in cones for t in _gf_of_cone(c, limit)])
+            if limit == LIMIT:
+                assert g == gf_of_formula(parse(f"{text} <= {bound}"), names)
+            for _ in range(2):
+                x = tuple(rng.randrange(2, PRIME) for _ in range(d))
+                assert gf_value_mod(g, x) == points_value_mod(points, x)
+            assert cardinality(g) == len(points), (coeffs, limit)
+            if d == 3:
+                got = series_coeffs(g, bound // min(coeffs))
+                assert got == dict.fromkeys(points, 1), (coeffs, limit)
+
+
+def test_barvinok_breaks_ties_by_the_first_nonzero_entry():
+    """With the reference vector at w itself, every facet of a sub-cone
+    through w has n.ref = 0, so only the tie rule makes the sub-cones
+    half-open: the signed sum must still be the half-open cone, whose
+    own facets are decided by the same rule."""
+    rng = random.Random(909)
+    trials = 0
+    while trials < 24:
+        d = 2 + trials % 3
+        gens = tuple(tuple(rng.randint(-6, 6) for _ in range(d))
+                     for _ in range(d))
+        G = tuple(zip(*gens))
+        adj, det = int_inverse(G)
+        if not 1 < abs(det) <= 100:
+            continue
+        a = min(lll(tuple(zip(*adj))), key=lambda v: max(map(abs, v)))
+        w = tuple(dot(row, a) // det for row in G)
+        s = 1 if det > 0 else -1
+        excluded = {i for i, row in enumerate(adj) if not lex_positive(
+            (s * dot(row, w),) + tuple(s * c for c in row))}
+        apex = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(d))
+        names = tuple(f"x{i}" for i in range(d))
+        want = halfopen_simplicial_oracle(names, apex, gens,
+                                          fraction_inverse(G), excluded)
+        terms = []
+        _barvinok(apex, gens, adj, det, 1, w, 1, terms)
+        got = rgf(names, terms)
+        assert got != want  # decomposed, with other denominators
+        for _ in range(3):
+            x = tuple(rng.randrange(2, PRIME) for _ in range(d))
+            assert gf_value_mod(got, x) == gf_value_mod(want, x), gens
+        trials += 1
 
 
 def test_halfopen_simplicial_rejects_a_wrong_adjugate():

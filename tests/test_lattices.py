@@ -5,10 +5,10 @@ from itertools import product
 import pytest
 
 from oracles import (congruence_coset, fraction_inverse, fraction_nullspace,
-                     rat_rank, rat_solve)
+                     lll_defects, rat_rank, rat_solve)
 from presburger.lattices import (Lattice, LatticeCoset, congruences_of_coset,
                                  coset_intersect, full_coset, hnf, hnf_kernel,
-                                 int_inverse, mat_mul, mat_vec, primitive,
+                                 int_inverse, lll, mat_mul, mat_vec, primitive,
                                  rat_inv, rat_nullspace, residue_cosets,
                                  solve_congruences, solve_int, vdot)
 
@@ -296,6 +296,31 @@ def test_int_inverse_against_fraction_gauss_jordan():
         assert rat_inv(M) == want
     assert int_inverse(()) == ((), 1)
     assert singular > 100 and swapped > 50
+
+
+def test_lll_random_bases_against_fraction_gram_schmidt():
+    rng = random.Random(2026)
+    unreduced = 0
+    for trial in range(200):
+        d = 2 + trial % 4
+        basis = [tuple(rng.randint(-40, 40) for _ in range(d))
+                 for _ in range(d)]
+        if trial % 3 == 0:  # skewed: long, nearly parallel vectors
+            basis = [tuple(a + rng.randint(-3, 3) * 97 * basis[0][i]
+                           for i, a in enumerate(v)) for v in basis]
+        try:
+            lattice = Lattice.from_generators(d, basis)
+        except ValueError:  # singular
+            continue
+        reduced = lll(basis)
+        assert len(reduced) == d
+        assert Lattice.from_generators(d, reduced) == lattice, basis
+        assert lll_defects(reduced) == ([], []), basis
+        unreduced += lll_defects(basis) != ([], [])
+    assert unreduced > 130
+    assert lll([]) == [] and lll([(0, 5)]) == [(0, 5)]
+    with pytest.raises(ValueError):
+        lll([(1, 2, 3), (2, 4, 6), (0, 0, 1)])
 
 
 def test_primitive_rejects_zero_vector():
