@@ -26,8 +26,9 @@ parallelepiped coordinates.  LIMIT = 64 is measured: on the knapsack_gf
 benchmark, where vertex cones reach index 1331, 64 gave the lowest time
 of the limits 8, 32, 64, 128 and 256 (see README).  These steps pass
 plain term lists; the terms are mapped back and coalesced once per cell.
-Every series coefficient is read through one dynamic-programming kernel,
-series_coeffs, in any dimension.  specialize_ones evaluates at 1 by one
+Series coefficients on a box come from one integer kernel in any
+dimension, _series_table: pruned running sums per denominator, stored as
+dense rows over the last exponent.  specialize_ones evaluates at 1 by one
 integer Laurent expansion per distinct denominator (per simplicial
 cone): each term keeps integer binomial sums, pure poles multiply as
 integer series over one denominator, and every other factor, y its
@@ -39,6 +40,7 @@ denominator, and gf_euler applies x_i d/dx_i term by term.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -47,6 +49,7 @@ from typing import NamedTuple
 
 from .lattices import (
     Lattice,
+    hnf_diagonal,
     hnf_kernel,
     int_inverse,
     lex_positive,
@@ -163,45 +166,105 @@ def _positive_functional(vectors, d):
         M *= 2
 
 
-def series_coeffs(g, bound):
-    """Power-series coefficients of g on the box [0, bound]^dim.
+def _add_rows(rows, lo, hi):
+    """Sum of the rows (start, values) given, None for an empty one, on
+    the last entries lo..hi (lo None for no lower end); None if empty."""
+    rows = [r for r in rows if r]
+    start = min((s for s, _ in rows), default=hi + 1)
+    start, end = start if lo is None else max(lo, start), min(
+        hi + 1, max((s + len(v) for s, v in rows), default=0))
+    if start >= end:
+        return None
+    out = [0] * (end - start)
+    for s, v in rows:
+        a, b = max(start, s), min(end, s + len(v))
+        if a < b:
+            out[a - start:b - start] = map(
+                operator.add, out[a - start:b - start], v[a - s:b - s])
+    return start, out
 
-    One dynamic-programming table per term: tau is a linear functional
-    with tau.b >= 1 on every denominator vector, so any exponent on the
-    way to a box point has tau.e <= cap = bound * sum(tau).  Starting from
-    the numerator monomial, each factor 1/(1 - x^b) turns the table into
-    running sums along the chains e, e + b, e + 2b, ... below cap.  The
-    sums are integers over the common denominator of the coefficients.
+
+def _series_table(g, bound):
+    """Power-series coefficients of g (dim >= 1) on the box [0, bound]^dim
+    as integers over one denominator: (table, den), table mapping P to the
+    list of c, i = 0..bound, with c / den the coefficient at P + (i,).
+
+    Terms with one denominator share a table of running sums along the
+    chains e, e + b, e + 2b, ... of each factor 1/(1 - x^b), which keeps
+    only states that the factors still to come can bring into the box:
+    tau.e <= cap = bound * sum(tau), tau from _positive_functional; a
+    coordinate that no remaining factor lowers is dead above bound, one
+    that none raises is dead below 0.  Each holds on an initial stretch
+    of a chain.  The table is stored as rows, e[:-1] -> (start, values at
+    e[-1] = start, start + 1, ...).  A factor with b[:-1] = 0 is a running
+    sum row[i] += row[i - b[-1]] in each row; any other adds row P -
+    b[:-1], shifted by b[-1], into row P, in increasing lex order of P.
     """
-    vectors = {b for t in g.terms for b in t.denom}
-    tau = _positive_functional(vectors, g.dim)
-    cap = bound * sum(tau)
+    d = g.dim
     den = math.lcm(*(t.coef.denominator for t in g.terms))
-    levels = {}  # exponent -> tau . exponent
-    out = {}
+    groups = {}  # denominator -> [(numerator, integer coefficient)]
     for t in g.terms:
-        levels[t.numer] = vdot(tau, t.numer)
-        if levels[t.numer] > cap:
-            continue
-        table = {t.numer: t.coef.numerator * (den // t.coef.denominator)}
-        for b in t.denom:
-            step = vdot(tau, b)
-            summed = {}
-            for start in sorted(table, key=levels.__getitem__):
-                if start in summed:
-                    continue  # on the chain of a lower point
-                e, level, run = start, levels[start], 0
-                while level <= cap:
-                    run += table.get(e, 0)
-                    summed[e] = run
-                    levels[e] = level
-                    e = vadd(e, b)
-                    level += step
-            table = summed
-        for e, c in table.items():
-            if all(0 <= x <= bound for x in e):
-                out[e] = out.get(e, 0) + c
-    return {e: Fraction(c, den) for e, c in out.items() if c}
+        groups.setdefault(t.denom, []).append(
+            (t.numer, t.coef.numerator * (den // t.coef.denominator)))
+    out = {}  # e[:-1] -> the integers at e[-1] = 0..bound
+    for denom, group in groups.items():
+        tau = _positive_functional(denom, d)
+        cap, head = bound * sum(tau), tau[:-1]
+        rows = {}
+        for e, c in group:
+            P, hi = e[:-1], cap - vdot(head, e[:-1])
+            if e[-1] <= hi:
+                rows[P] = _add_rows([rows.get(P), (e[-1], [c])], None, hi)
+        for j in range(len(denom) + 1):
+            up = [all(b[i] >= 0 for b in denom[j:]) for i in range(d)]
+            down = [all(b[i] <= 0 for b in denom[j:]) for i in range(d)]
+
+            def window(P):  # (lo, hi) of live e[-1] on row P, or None
+                if any(x > bound and u or x < 0 and w
+                       for x, u, w in zip(P, up, down)):
+                    return None
+                hi = cap - vdot(head, P)
+                return 0 if down[-1] else None, min(hi, bound) if up[-1] else hi
+
+            new, zero = {}, [0] * (bound + 1)
+            if j == len(denom):  # no factor left: the box itself
+                for P, row in rows.items():
+                    if window(P):
+                        out[P] = _add_rows([(0, out.get(P, zero)), row], 0,
+                                           bound)[1]
+                break
+            *bp, bl = denom[j]
+            if not any(bp):
+                for P, row in rows.items():
+                    if (w := window(P)) and (row := _add_rows([row], *w)):
+                        s, vals = row
+                        vals += [0] * (w[1] + 1 - s - len(vals))
+                        for r in range(bl):
+                            vals[r::bl] = itertools.accumulate(vals[r::bl])
+                        new[P] = s, vals
+            else:
+                for P in sorted(rows):
+                    run = None  # row P - bp of the new table
+                    while P not in new and (w := window(P)):
+                        run = _add_rows([rows.get(P), run and (
+                            run[0] + bl, run[1])], *w)
+                        if run is None:
+                            break
+                        new[P] = run
+                        P = tuple(map(operator.add, P, bp))
+            rows = new
+    return out, den
+
+
+def series_coeffs(g, bound):
+    """Power-series coefficients of g on the box [0, bound]^dim, as a
+    dict from exponent to nonzero Fraction (see _series_table)."""
+    if not g.dim:  # a constant
+        c = sum(t.coef for t in g.terms)
+        return {(): c} if c else {}
+    table, den = _series_table(g, bound)
+    return {P + (i,): Fraction(c, den) for P, row in table.items()
+            for i, c in enumerate(row) if c}
 
 
 def series_equal(g1, g2, bound):
@@ -272,7 +335,6 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded, sign=1):
     q = math.lcm(*(c.denominator for c in apex))
     D = det * q
     A = [int(c * q) for c in apex]
-    basis = Lattice.from_generators(d, gens).basis
     # floor(u / D) - [D divides u] = floor((u - 1) / D), so u starts lower
     # by 1 on the excluded facets; entries (point plus the shift of the lex
     # flips, u mod D)
@@ -280,7 +342,7 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded, sign=1):
                  for i, row in enumerate(adj)))
     walk = [(tuple([x - sum(map(operator.mul, row, k))
                     for x, row in zip(unit.numer, grows)]), w)]
-    for j, b in enumerate(basis):
+    for j, h in enumerate(hnf_diagonal(grows)):
         sd, sm = zip(*(divmod(q * row[j], D) for row in adj))
         tops = [D - a for a in sm]  # u_i mod D carries from tops_i up
         base = [(i == j) - sum(map(operator.mul, row, sd))
@@ -289,7 +351,7 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded, sign=1):
         nxt = []
         for pt, w in walk:
             nxt.append((pt, w))
-            for _ in range(b[j] - 1):
+            for _ in range(h - 1):
                 c = tuple(map(operator.ge, w, tops))
                 move = moves.get(c)
                 if move is None:

@@ -231,11 +231,13 @@ def lll(vectors):
 # Hermite normal form (column style)
 
 
-def _hnf_core(M):
+def _hnf_core(M, transform=True):
+    """(H, U, pivots) with H = M U the column HNF and pivots its (row,
+    column) pairs; U is carried below H, or is None if not transform."""
     m = len(M)
     n = len(M[0]) if m else 0
-    cols = columns(M)
-    uc = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cols = [col + ([int(i == j) for i in range(n)] if transform else [])
+            for j, col in enumerate(columns(M))]
     pivots = []
     pc = 0
     for r in range(m):
@@ -252,26 +254,22 @@ def _hnf_core(M):
                 q = cols[j][r] // cols[j0][r]
                 if q:
                     cols[j] = [a - q * b for a, b in zip(cols[j], cols[j0])]
-                    uc[j] = [a - q * b for a, b in zip(uc[j], uc[j0])]
         if not nz:
             continue
         j = nz[0]
         if j != pc:
             cols[pc], cols[j] = cols[j], cols[pc]
-            uc[pc], uc[j] = uc[j], uc[pc]
         if cols[pc][r] < 0:
             cols[pc] = [-a for a in cols[pc]]
-            uc[pc] = [-a for a in uc[pc]]
         p = cols[pc][r]
         for j in range(pc):
             q = cols[j][r] // p
             if q:
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[pc])]
-                uc[j] = [a - q * b for a, b in zip(uc[j], uc[pc])]
         pivots.append((r, pc))
         pc += 1
     H = from_columns(cols, m) if n else tuple(() for _ in range(m))
-    U = from_columns(uc, n) if n else ()
+    U = from_columns([c[m:] for c in cols], n) if transform else None
     return H, U, pivots
 
 
@@ -285,6 +283,13 @@ def hnf(M):
     """
     H, U, _ = _hnf_core(M)
     return H, U
+
+
+def hnf_diagonal(M):
+    """Diagonal of the column HNF of a nonsingular square integer matrix,
+    the sizes of the box of coset representatives of its column lattice."""
+    H, _, pivots = _hnf_core(M, False)
+    return [H[r][c] for r, c in pivots]
 
 
 def hnf_kernel(M):
@@ -352,7 +357,7 @@ class Lattice:
         if dim == 0:
             return Lattice(0, ())
         M = tuple(tuple(g[i] for g in gens) for i in range(dim))
-        H, _U, pivots = _hnf_core(M)
+        H, _U, pivots = _hnf_core(M, False)
         if len(pivots) != dim:
             raise ValueError("generators do not span a full-rank lattice")
         cols = columns(H)
@@ -468,7 +473,7 @@ def residue_cosets(coset, coeffs, modulus):
     basis = coset.lattice.basis
     M = ((*(vdot(coeffs, b) for b in basis), modulus),
          *((*(b[i] for b in basis), 0) for i in range(d)))
-    H = _hnf_core(M)[0]
+    H = _hnf_core(M, False)[0]
     g = H[0][0]
     z = tuple(row[0] for row in H[1:])
     sub = Lattice(d, tuple(tuple(row[j] for row in H[1:])

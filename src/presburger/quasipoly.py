@@ -11,11 +11,11 @@ products of univariate series through both, computes vector partition
 functions (one chamber decomposition in any dimension), rewrites
 quasi-polynomials as step polynomials built from floors, and synthesizes
 counting formulas whose solution count realizes a given quasi-polynomial.
-Constituents are recovered from series coefficients (genfun.series_coeffs)
-one lattice at a time: every coset shares the grid of exponents of bounded
-total degree, the linear part of the affine forms and one common
-denominator, so one integer pass takes the Newton differences and builds
-the binomial bases of all cosets.
+Constituents are recovered from integer series coefficients over one
+denominator (genfun._series_table) one lattice at a time: every coset
+shares the grid of exponents of bounded total degree and the linear part
+of the affine forms, so one integer pass takes the Newton differences and
+builds the binomial bases of all cosets.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .formulas import (
 )
 from .genfun import (
     GFTerm,
+    _series_table,
     gf_euler,
     gf_is_zero,
     gf_of_cell,
@@ -152,10 +153,10 @@ def _newton_plan(r, n, D):
                            for e in monos] for v in range(n)]
 
 
-def _interpolate(r, D, adj, det, cosets):
+def _interpolate(r, D, adj, det, cosets, den):
     """Constituents of degree <= D on the cosets of one lattice, one per
-    (start, samples): samples[j] is the value at the j-th point of
-    _grid(r, D) in t_i = adj_i . (p - start) / det.  Newton's sum_e
+    (start, samples): the integer samples[j] / den is the value at the j-th
+    point of _grid(r, D) in t_i = adj_i . (p - start) / det.  Newton's sum_e
     Delta^e f(0) prod_i C(t_i, e_i) over one denominator: integer forward
     differences, and each basis product prod_i prod_{m < e_i} (adj_i . (p
     - start) - m det) one linear factor times its parent's, as an integer
@@ -163,16 +164,16 @@ def _interpolate(r, D, adj, det, cosets):
     monos = _grid(len(adj[0]), D)
     diffs, steps, shifts = _newton_plan(r, len(adj[0]), D)
     scale = [w * det ** k for *_, w, k in steps]
-    L = lcm(*(s.denominator for _, samples in cosets for s in samples))
-    den = L * math.factorial(D) * det ** D
+    unit = math.factorial(D) * det ** D
+    den *= unit
     one = [1] + [0] * (len(monos) - 1)
     out = []
     for start, samples in cosets:
-        vals = [s.numerator * (L // s.denominator) for s in samples]
+        vals = list(samples)
         for j, k in diffs:
             vals[j] -= vals[k]
         consts = [-vdot(row, start) for row in adj]
-        acc = [vals[0] * (den // L) * c for c in one]
+        acc = [vals[0] * unit * c for c in one]
         basis = [one]
         for v, (parent, i, m, _, _), w in zip(vals[1:], steps, scale):
             prev = basis[parent]
@@ -367,7 +368,7 @@ def rgf_to_pqp(f):
     if k > 0:
         shifted = rgf(f.names, [GFTerm(t.coef, (t.numer[0] + k,), t.denom)
                                 for t in f.terms])
-        if series_coeffs(shifted, k - 1):
+        if any(map(any, _series_table(shifted, k - 1)[0].values())):
             raise ValueError("series has a nonzero coefficient at a "
                              "negative exponent")
     period = 1
@@ -378,13 +379,15 @@ def rgf_to_pqp(f):
             period = lcm(period, e)
         degree = max(degree, len(t.denom) - 1)
         T = max(T, t.numer[0] + 1)
-    table = series_coeffs(f, T + period * (degree + 1))
+    bound = T + period * (degree + 1)
+    table, den = _series_table(f, bound)
+    row = table.get((), [0] * (bound + 1))
     polys = _interpolate(1, degree, ((1,),), period, [
-        ((p0,), [table.get((p0 + period * i,), 0) for i in range(degree + 1)])
-        for p0 in (T + (r - T) % period for r in range(period))])
+        ((p0,), row[p0:p0 + period * (degree + 1):period])
+        for p0 in (T + (r - T) % period for r in range(period))], den)
     q = QuasiPolynomial(1, Lattice(1, ((period,),)),
                         {(r,): poly for r, poly in enumerate(polys)})
-    return eventual_pqp([table.get((p,), 0) for p in range(T)], q)
+    return eventual_pqp([Fraction(c, den) for c in row[:T]], q)
 
 
 # ---------------------------------------------------------------------------
@@ -584,21 +587,21 @@ def _vpf_chambers(gens):
             cosets.append((rho, [vadd(start, mat_vec(step_mat, e))
                                  for e in grid], start))
         chambers.append((cell, lat, adj[:r], det, cosets))
-    table = series_coeffs(vpf_gf(gens), max(
+    table, den = _series_table(vpf_gf(gens), max(
         c for *_, cosets in chambers for _, points, _ in cosets
         for pt in points for c in pt))
     size = len(_grid(r, D))
     pieces = []
     for cell, lat, adj, det, cosets in chambers:
-        values = [[table.get(pt, 0) for pt in points]
-                  for _, points, _ in cosets]
+        values = [[table[pt[:-1]][pt[-1]] if pt[:-1] in table else 0
+                   for pt in points] for _, points, _ in cosets]
         polys = iter(_interpolate(r, D, adj, det, [
-            (start, vals[:size])
-            for (_, points, start), vals in zip(cosets, values) if points]))
+            (start, vals[:size]) for (_, points, start), vals
+            in zip(cosets, values) if points], den))
         constituents = {}
         for (rho, points, _), vals in zip(cosets, values):
             q = next(polys) if points else {}
-            if any(poly_eval(q, pt) != val
+            if any(poly_eval(q, pt) * den != val
                    for pt, val in zip(points[size:], vals[size:])):
                 raise RuntimeError("chamber period too small")
             constituents[rho] = q

@@ -19,7 +19,12 @@ from presburger.formulas import (
     atoms_of,
     eval_ground,
 )
-from presburger.genfun import _substitute_exponents, make_term, rgf
+from presburger.genfun import (
+    _positive_functional,
+    _substitute_exponents,
+    make_term,
+    rgf,
+)
 from presburger.lattices import (
     Lattice,
     LatticeCoset,
@@ -315,6 +320,44 @@ def series_oracle(g, bound, K):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def series_coeffs_oracle(g, bound):
+    """genfun.series_coeffs by one dictionary table per term over one
+    tau-slab: tau is a linear functional with tau.b >= 1 on every
+    denominator vector of g, so any exponent on the way to a box point has
+    tau.e <= cap = bound * sum(tau).  Starting from the numerator
+    monomial, each factor 1/(1 - x^b) turns the table into running sums
+    along the chains e, e + b, e + 2b, ... below cap, with no pruning."""
+    vectors = {b for t in g.terms for b in t.denom}
+    tau = _positive_functional(vectors, g.dim)
+    cap = bound * sum(tau)
+    den = math.lcm(*(t.coef.denominator for t in g.terms))
+    levels = {}  # exponent -> tau . exponent
+    out = {}
+    for t in g.terms:
+        levels[t.numer] = vdot(tau, t.numer)
+        if levels[t.numer] > cap:
+            continue
+        table = {t.numer: t.coef.numerator * (den // t.coef.denominator)}
+        for b in t.denom:
+            step = vdot(tau, b)
+            summed = {}
+            for start in sorted(table, key=levels.__getitem__):
+                if start in summed:
+                    continue  # on the chain of a lower point
+                e, level, run = start, levels[start], 0
+                while level <= cap:
+                    run += table.get(e, 0)
+                    summed[e] = run
+                    levels[e] = level
+                    e = vadd(e, b)
+                    level += step
+            table = summed
+        for e, c in table.items():
+            if all(0 <= x <= bound for x in e):
+                out[e] = out.get(e, 0) + c
+    return {e: Fraction(c, den) for e, c in out.items() if c}
+
+
 def scalar_inverse(r, depth):
     """Inverse of a series with r[0] != 0 to the given depth, in Fraction
     arithmetic: the reference for genfun._int_series_inverse."""
@@ -471,10 +514,11 @@ def interpolate_oracle(n, D, samples, forms):
         {e: c for e, c in zip(grid, coeffs) if c}, forms)
 
 
-def interpolate_cosets_oracle(r, D, adj, det, cosets):
+def interpolate_cosets_oracle(r, D, adj, det, cosets, den):
     """quasipoly._interpolate coset by coset through interpolate_oracle,
-    with the affine forms t_i = adj_i . (p - start) / det."""
-    return [interpolate_oracle(r, D, samples, [
+    on the values samples[j] / den, with the affine forms t_i = adj_i .
+    (p - start) / det."""
+    return [interpolate_oracle(r, D, [Fraction(s, den) for s in samples], [
         (tuple(Fraction(a, det) for a in row),
          Fraction(-vdot(row, start), det)) for row in adj])
         for start, samples in cosets]

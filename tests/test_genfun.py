@@ -19,6 +19,7 @@ from oracles import (
     monomial_substitute,
     points_value_mod,
     scalar_inverse,
+    series_coeffs_oracle,
     series_oracle,
 )
 from presburger.formulas import (
@@ -140,6 +141,35 @@ def test_series_coeffs_random_against_enumeration():
         K = max([0] + [(cap - dot(tau, t.numer)) // dot(tau, b)
                        for t in g.terms for b in t.denom])
         assert series_coeffs(g, bound) == series_oracle(g, bound, K)
+
+
+def test_series_coeffs_random_mixed_signs_against_dict_kernel():
+    """The row kernel against the unpruned dictionary kernel on random GFs
+    whose denominators mix signs, in 2 to 4 variables, with numerators of
+    either sign and several terms on one denominator."""
+    rng = random.Random(2323)
+    mixed = points = 0
+    for trial in range(60):
+        d = 2 + trial % 3
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            denoms = []
+            for _ in range(rng.randint(d - 1, d + 1)):
+                b, low = (0,) * d, rng.choice((-1, -1, 0))
+                while not any(b):
+                    b = tuple(rng.randint(low, 1 - low) for _ in range(d))
+                denoms.append(b)
+            for _ in range(rng.randint(1, 3)):
+                numer = tuple(rng.randint(-2, 3) for _ in range(d))
+                coef = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                terms.append(make_term(coef, numer, denoms))
+        g = rgf(tuple(f"x{i}" for i in range(d)), terms)
+        mixed += any(min(b) < 0 < max(b) for t in g.terms for b in t.denom)
+        bound = rng.randint(2, 8 - d)
+        got = series_coeffs(g, bound)
+        assert got == series_coeffs_oracle(g, bound), g
+        points += len(got)
+    assert mixed >= 40 and points >= 1000
 
 
 def test_gf_euler_random_against_series():
@@ -299,9 +329,20 @@ def test_barvinok_knapsacks_three_ways():
                 x = tuple(rng.randrange(2, PRIME) for _ in range(d))
                 assert gf_value_mod(g, x) == points_value_mod(points, x)
             assert cardinality(g) == len(points), (coeffs, limit)
-            if d == 3:
+            if d >= 3:
                 got = series_coeffs(g, bound // min(coeffs))
                 assert got == dict.fromkeys(points, 1), (coeffs, limit)
+
+
+def test_series_of_a_4d_knapsack_gf():
+    """The Brion GF of 2*w + 5*x + 5*y + 2*z <= 8 has mixed-sign
+    denominators in 4 variables; its series on [0, 8]^4 is the indicator
+    of its 21 points."""
+    g = gf_of_formula(parse("2*w + 5*x + 5*y + 2*z <= 8"), ("w", "x", "y", "z"))
+    assert any(min(b) < 0 for t in g.terms for b in t.denom)
+    points = knapsack_points((2, 5, 5, 2), 8)
+    assert len(points) == 21
+    assert series_coeffs(g, 8) == dict.fromkeys(points, 1)
 
 
 def test_barvinok_breaks_ties_by_the_first_nonzero_entry():

@@ -76,12 +76,12 @@ def random_forms(rng, n, k):
 
 
 def random_cosets(rng, r, D, k, count, zero=0.0):
-    """count (start, samples) pairs for _interpolate over k variables, each
-    coset's samples all zero with probability zero."""
+    """count (start, samples) pairs for _interpolate over k variables, with
+    integer samples, each coset's all zero with probability zero."""
     size = math.comb(r + D, D)
     return [(tuple(rng.randint(-20, 20) for _ in range(k)),
-             [F(0)] * size if rng.random() < zero else
-             [random_frac(rng, 50) for _ in range(size)])
+             [0] * size if rng.random() < zero else
+             [rng.randint(-50, 50) for _ in range(size)])
             for _ in range(count)]
 
 
@@ -95,12 +95,15 @@ def test_interpolate_matches_vandermonde_oracle():
                             for _ in range(r))
                 det = rng.choice([-1, 1]) * rng.randint(1, 9)
                 cosets = random_cosets(rng, r, D, k, rng.randint(1, 3))
-                assert _interpolate(r, D, adj, det, cosets) == \
-                    interpolate_cosets_oracle(r, D, adj, det, cosets), \
-                    (r, D, adj, det)
+                den = rng.randint(1, 50)
+                assert _interpolate(r, D, adj, det, cosets, den) == \
+                    interpolate_cosets_oracle(r, D, adj, det, cosets, den), \
+                    (r, D, adj, det, den)
     # samples of a polynomial give it back
-    assert _interpolate(1, 2, ((1,),), 1, [((0,), [F(0), F(1), F(4)])]) == \
+    assert _interpolate(1, 2, ((1,),), 1, [((0,), [0, 1, 4])], 1) == \
         [{(2,): F(1)}]
+    assert _interpolate(1, 2, ((1,),), 1, [((0,), [0, 1, 4])], 3) == \
+        [{(2,): F(1, 3)}]
 
 
 def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
@@ -113,8 +116,10 @@ def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
         T = rng.randint(1, 9)
         cosets = [((T + (r - T) % period,), samples) for r, (_, samples)
                   in enumerate(random_cosets(rng, 1, D, 1, period, 0.3))]
-        assert _interpolate(1, D, ((1,),), period, cosets) == \
-            interpolate_cosets_oracle(1, D, ((1,),), period, cosets), period
+        den = rng.randint(1, 9)
+        assert _interpolate(1, D, ((1,),), period, cosets, den) == \
+            interpolate_cosets_oracle(1, D, ((1,),), period, cosets, den), \
+            period
     calls = []
 
     def record(*args):
@@ -126,8 +131,8 @@ def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
                  [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
                  [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]):
         vpf_pqp(gens)
-    assert {len(adj[0]) for _, _, adj, _, _ in calls} == {2, 3}
-    assert any(len(cosets) > 1 for *_, cosets in calls)
+    assert {len(adj[0]) for _, _, adj, _, _, _ in calls} == {2, 3}
+    assert any(len(cosets) > 1 for *_, cosets, _ in calls)
     for args in calls:
         assert _interpolate(*args) == interpolate_cosets_oracle(*args), args
 
@@ -458,10 +463,10 @@ def check_vpf(gens, bound):
 def test_vpf_pqp_2d_checks_survive_optimization(monkeypatch):
     """The chamber check points catch a wrong sample with an explicit
     error, not an assert that python -O strips."""
-    def wrong_sample(r, D, adj, det, cosets):
+    def wrong_sample(r, D, adj, det, cosets, den):
         (start, samples), *rest = cosets
         wrong = (start, [samples[0] + 1] + samples[1:])
-        return interpolate_cosets_oracle(r, D, adj, det, [wrong, *rest])
+        return interpolate_cosets_oracle(r, D, adj, det, [wrong, *rest], den)
     monkeypatch.setattr(quasipoly, "_interpolate", wrong_sample)
     with pytest.raises(RuntimeError, match="chamber period too small"):
         vpf_pqp([(1, 0), (0, 1), (1, 1)])
