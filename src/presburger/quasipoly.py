@@ -15,7 +15,12 @@ Constituents are recovered from integer series coefficients over one
 denominator (genfun._series_table) one lattice at a time: every coset
 shares the grid of exponents of bounded total degree and the linear part
 of the affine forms, so one integer pass takes the Newton differences and
-builds the binomial bases of all cosets.
+builds the binomial bases of all cosets.  This kernel (_interpolate) is
+the only place that builds or checks a quasi-polynomial.  Each coset
+brings one more layer of samples, of total degree D + 1, whose Newton
+differences must vanish, else RuntimeError.  A Hadamard product reads the
+products of the two integer coefficient rows through it, and synthesis
+interpolates q(m t + r) in t for its change of variable p = m t + r.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, count, product
 from math import lcm
-from operator import add
 
 from .formulas import (
     FALSE,
@@ -69,20 +73,7 @@ from .semilinear import SemilinearCell
 
 
 # ---------------------------------------------------------------------------
-# small exact polynomial arithmetic: dict exponent-tuple -> Fraction
-
-
-def poly_norm(p):
-    return {e: c for e, c in p.items() if c != 0}
-
-
-def poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return poly_norm(out)
+# polynomials (dict exponent-tuple -> Fraction) and the integer Newton kernel
 
 
 def poly_eval(p, pt):
@@ -101,52 +92,36 @@ def poly_const(n, c):
     return {(0,) * n: c} if c else {}
 
 
-def poly_compose_affine(p, forms):
-    """Substitute variable i of p by the affine form forms[i] = (coeffs,
-    const) over a new tuple of variables."""
-    k = len(forms[0][0])
-    zero = (0,) * k
-    d = lcm(*(x.denominator for form in forms for x in (*form[0], form[1])))
-    lins = [poly_norm({**{tuple(int(j == v) for j in range(k)): int(c * d)
-                          for v, c in enumerate(coeffs)}, zero: int(b * d)})
-            for coeffs, b in forms]
-    L = lcm(*(c.denominator for c in p.values()))
-    top = max(map(sum, p), default=0)
-    powers = [[{zero: 1}] for _ in forms]
-    acc = {}
-    for e, c in p.items():
-        for pw, lin, m in zip(powers, lins, e):
-            while len(pw) <= m:
-                pw.append(poly_mul(pw[-1], lin))
-        w = c.numerator * (L // c.denominator) * d ** (top - sum(e))
-        factors = [pw[m] for pw, m in zip(powers, e)]
-        for f, x in reduce(poly_mul, factors).items():
-            acc[f] = acc.get(f, 0) + w * x
-    return {f: Fraction(x, L * d ** top) for f, x in sorted(acc.items()) if x}
+@lru_cache(maxsize=None)
+def _grid(n, D):
+    """Exponents of total degree <= D in n variables."""
+    return [e for e in product(range(D + 1), repeat=n) if sum(e) <= D]
 
 
 @lru_cache(maxsize=None)
-def _grid(n, D):
-    """Exponents of total degree <= D in n variables, the sample points."""
-    return [e for e in product(range(D + 1), repeat=n) if sum(e) <= D]
+def _samples(r, D):
+    """The sample points of _interpolate: _grid(r, D), then the layer of
+    total degree D + 1 that checks the interpolant."""
+    return _grid(r, D) + [e for e in _grid(r, D + 1) if sum(e) == D + 1]
 
 
 @lru_cache(maxsize=None)
 def _newton_plan(r, n, D):
     """Index plan of _interpolate: the forward differences (j, k), vals[j]
-    -= vals[k] in order on _grid(r, D); per later grid point e, (parent e
+    -= vals[k] in order on _samples(r, D) (backwards, so each point goes
+    before the one below it); per later point e of _grid(r, D), (parent e
     - u_i, i, e_i - 1, D! / prod e_i!, D - |e|) for its first nonzero i;
     per variable v, the index of x_v times each monomial of _grid(n, D)."""
-    grid = _grid(r, D)
-    at = {e: j for j, e in enumerate(grid)}
+    pts = _samples(r, D)
+    at = {e: j for j, e in enumerate(pts)}
     down = [[at.get(e[:i] + (e[i] - 1,) + e[i + 1:]) for i in range(r)]
-            for e in grid]
-    diffs = [(j, down[j][i]) for i in range(r) for level in range(1, D + 1)
-             for j in reversed(range(len(grid))) if grid[j][i] >= level]
+            for e in pts]
+    diffs = [(j, down[j][i]) for i in range(r) for level in range(1, D + 2)
+             for j in reversed(range(len(pts))) if pts[j][i] >= level]
     fact = math.factorial(D)
     steps = [(down[j][i], i, e[i] - 1,
               fact // math.prod(map(math.factorial, e)), D - sum(e))
-             for j, e in enumerate(grid[1:], 1)
+             for j, e in enumerate(_grid(r, D)[1:], 1)
              for i in [next(i for i, x in enumerate(e) if x)]]
     monos = {e: k for k, e in enumerate(_grid(n, D))}
     return diffs, steps, [[monos.get(e[:v] + (e[v] + 1,) + e[v + 1:])
@@ -156,11 +131,13 @@ def _newton_plan(r, n, D):
 def _interpolate(r, D, adj, det, cosets, den):
     """Constituents of degree <= D on the cosets of one lattice, one per
     (start, samples): the integer samples[j] / den is the value at the j-th
-    point of _grid(r, D) in t_i = adj_i . (p - start) / det.  Newton's sum_e
-    Delta^e f(0) prod_i C(t_i, e_i) over one denominator: integer forward
-    differences, and each basis product prod_i prod_{m < e_i} (adj_i . (p
-    - start) - m det) one linear factor times its parent's, as an integer
-    list over the monomials _grid(n, D)."""
+    point of _samples(r, D) in t_i = adj_i . (p - start) / det.  Newton's
+    sum_e Delta^e f(0) prod_i C(t_i, e_i) over one denominator: integer
+    forward differences, and each basis product prod_i prod_{m < e_i}
+    (adj_i . (p - start) - m det) one linear factor times its parent's, as
+    an integer list over the monomials _grid(n, D).  A nonzero difference
+    on the layer of degree D + 1 means the samples are not one polynomial
+    of degree <= D: RuntimeError, as the period or degree was too small."""
     monos = _grid(len(adj[0]), D)
     diffs, steps, shifts = _newton_plan(r, len(adj[0]), D)
     scale = [w * det ** k for *_, w, k in steps]
@@ -172,19 +149,23 @@ def _interpolate(r, D, adj, det, cosets, den):
         vals = list(samples)
         for j, k in diffs:
             vals[j] -= vals[k]
+        if any(vals[len(steps) + 1:]):
+            raise RuntimeError("samples are not one quasi-polynomial: "
+                               "period or degree too small")
         consts = [-vdot(row, start) for row in adj]
         acc = [vals[0] * unit * c for c in one]
         basis = [one]
         for v, (parent, i, m, _, _), w in zip(vals[1:], steps, scale):
-            prev = basis[parent]
-            cur = [(consts[i] - m * det) * c for c in prev]
+            prev, lead = basis[parent], consts[i] - m * det
+            cur = [lead * c for c in prev]
             for a, shift in zip(adj[i], shifts):
                 for k, c in zip(shift, prev):
                     if a and c:
                         cur[k] += a * c
             basis.append(cur)
             if v:
-                acc = [x + v * w * c for x, c in zip(acc, cur)]
+                vw = v * w
+                acc = [x + vw * c for x, c in zip(acc, cur)]
         out.append({e: Fraction(c, den) for e, c in zip(monos, acc) if c})
     return out
 
@@ -275,20 +256,12 @@ def _interval_of(cell):
 
 def _reduce_period(q):
     """Smallest divisor period with identical constituent pattern."""
-    if q.n != 1:
-        return q
     m = q.lattice.basis[0][0]
-    for m2 in range(1, m + 1):
-        if m % m2:
-            continue
-        if all(q.constituents[(r,)] == q.constituents[(r % m2,)]
-               for r in range(m)):
-            if m2 == m:
-                return q
-            return QuasiPolynomial(
-                1, Lattice(1, ((m2,),)),
-                {(r,): q.constituents[(r,)] for r in range(m2)})
-    return q
+    m2 = next(d for d in range(1, m + 1) if m % d == 0 and all(
+        q.constituents[(r,)] == q.constituents[(r % d,)] for r in range(m)))
+    return q if m2 == m else QuasiPolynomial(
+        1, Lattice(1, ((m2,),)), {(r,): q.constituents[(r,)]
+                                  for r in range(m2)})
 
 
 def eventual_form(g):
@@ -349,45 +322,56 @@ def eventual_pqp(initial, q):
 # rational generating function -> piecewise quasi-polynomial
 
 
-def rgf_to_pqp(f):
-    """Eventual quasi-polynomial of a univariate series.
-
-    Each term c x^a / prod(1 - x^e_i) has a coefficient sequence that is
-    quasi-polynomial with period lcm(e_i) and degree < #factors from p = a
-    on, so sampling past every shift and interpolating is exact; one
-    _interpolate call gives the constituents of all residues of the
-    lattice period * ZZ.  The series must vanish at negative exponents:
-    with -k the lowest numerator exponent, x^k f is read on [0, k - 1],
-    and ValueError is raised if any of those coefficients is nonzero.
-    """
+def _shape(f):
+    """(T, period, degree) of a univariate series: from p = T on, each term
+    c x^a / prod(1 - x^e_i) has a coefficient sequence that is
+    quasi-polynomial with period lcm(e_i) and degree < #factors (a term
+    with no factor counts as degree 0).  The series must vanish at negative
+    exponents: with -k the lowest numerator exponent, x^k f is read on [0,
+    k - 1], and ValueError is raised if any of those coefficients is
+    nonzero."""
     if f.dim != 1:
         raise ValueError("rgf_to_pqp is univariate only")
-    if not f.terms:
-        return PiecewiseQuasiPolynomial(1, ())
-    k = -min(t.numer[0] for t in f.terms)
+    k = -min((t.numer[0] for t in f.terms), default=0)
     if k > 0:
         shifted = rgf(f.names, [GFTerm(t.coef, (t.numer[0] + k,), t.denom)
                                 for t in f.terms])
         if any(map(any, _series_table(shifted, k - 1)[0].values())):
             raise ValueError("series has a nonzero coefficient at a "
                              "negative exponent")
-    period = 1
-    degree = 0
-    T = 0
+    T, period, degree = 0, 1, 0
     for t in f.terms:
-        for (e,) in t.denom:
-            period = lcm(period, e)
-        degree = max(degree, len(t.denom) - 1)
         T = max(T, t.numer[0] + 1)
-    bound = T + period * (degree + 1)
-    table, den = _series_table(f, bound)
-    row = table.get((), [0] * (bound + 1))
+        period = lcm(period, *(e for (e,) in t.denom))
+        degree = max(degree, len(t.denom) - 1)
+    return T, period, degree
+
+
+def _pqp_of_series(gfs, T, period, degree):
+    """Univariate pqp of the coefficientwise product of the series gfs,
+    quasi-polynomial of that period and degree from p = T on: the product
+    of their integer coefficient rows over the product of their
+    denominators, then one _interpolate call for all residues of the
+    lattice period * ZZ, each checked on one more sample."""
+    bound = T + period * (degree + 2)
+    tables = [_series_table(f, bound) for f in gfs]
+    row = reduce(lambda x, y: [a * b for a, b in zip(x, y)],
+                 [table.get((), [0] * (bound + 1)) for table, _ in tables])
+    den = math.prod(d for _, d in tables)
     polys = _interpolate(1, degree, ((1,),), period, [
-        ((p0,), row[p0:p0 + period * (degree + 1):period])
+        ((p0,), row[p0:p0 + period * (degree + 2):period])
         for p0 in (T + (r - T) % period for r in range(period))], den)
     q = QuasiPolynomial(1, Lattice(1, ((period,),)),
                         {(r,): poly for r, poly in enumerate(polys)})
     return eventual_pqp([Fraction(c, den) for c in row[:T]], q)
+
+
+def rgf_to_pqp(f):
+    """Eventual quasi-polynomial of a univariate series, read from its
+    integer coefficients past every shift (_shape), so interpolation is
+    exact.  Raises ValueError if the series has a nonzero coefficient at a
+    negative exponent."""
+    return _pqp_of_series([f], *_shape(f))
 
 
 # ---------------------------------------------------------------------------
@@ -438,27 +422,16 @@ def pqp_to_rgf(g, names=None):
 def hadamard_univariate(f, g):
     """Coefficientwise product of two univariate series, exactly.
 
-    Both series are brought to eventual quasi-polynomial form, multiplied
-    pointwise, and converted back to a rational function.  Raises
-    ValueError if a series has a nonzero coefficient at a negative
-    exponent.
+    From T = max(T_f, T_g) on, the product of the two coefficient sequences
+    is quasi-polynomial with period lcm(period_f, period_g) and degree
+    degree_f + degree_g (_shape), so it is read as one pqp from the product
+    of the two integer coefficient rows (_pqp_of_series) and converted back
+    to a rational function.  Raises ValueError if a series has a nonzero
+    coefficient at a negative exponent.
     """
-    ia, qa = eventual_form(rgf_to_pqp(f))
-    ib, qb = eventual_form(rgf_to_pqp(g))
-    ma = qa.lattice.basis[0][0]
-    mb = qb.lattice.basis[0][0]
-    m = lcm(ma, mb)
-    cons = {(r,): poly_mul(qa.constituents[(r % ma,)],
-                           qb.constituents[(r % mb,)])
-            for r in range(m)}
-    prod = QuasiPolynomial(1, Lattice(1, ((m,),)), cons)
-
-    def val(init, q, p):
-        return init[p] if p < len(init) else q.eval((p,))
-
-    T = max(len(ia), len(ib))
-    initial = [val(ia, qa, p) * val(ib, qb, p) for p in range(T)]
-    return pqp_to_rgf(eventual_pqp(initial, prod), names=f.names)
+    (Tf, mf, df), (Tg, mg, dg) = _shape(f), _shape(g)
+    h = _pqp_of_series([f, g], max(Tf, Tg), lcm(mf, mg), df + dg)
+    return pqp_to_rgf(h, names=f.names)
 
 
 def is_zero_univariate(f):
@@ -518,8 +491,9 @@ def _vpf_chambers(gens):
     sigma whose open cone contains it (Sturmfels 1995; Brion and Vergne
     1997).  On each coset that meets span(B), the constituent is
     interpolated from a triangular grid along r rays of the region, each
-    scaled into the lattice, from a start in the closed region; all
-    samples come from one series table of vpf_gf.
+    scaled into the lattice, from a start in the closed region, and checked
+    on the grid's next layer; all samples come from one series table of
+    vpf_gf.
     """
     n = len(gens[0])
     E = hnf_kernel(gens)
@@ -555,7 +529,6 @@ def _vpf_chambers(gens):
             lat = Lattice.from_generators(n, [*sigma, *E])
             bases.append((adj, det, LatticeCoset(lat, (0,) * n)))
     D = len(gens) - r
-    grid = _grid(r, D) + [e for e in _grid(r, D + 1) if sum(e) == D + 1]
     chambers = []
     for rows in regions:
         rays = tangent_cone(cone(rows), (0,) * n).generators
@@ -585,26 +558,19 @@ def _vpf_chambers(gens):
             start = vsub(p0, mat_vec(step_mat, [c // det for c in
                                                 mat_vec(adj[:r], p0)]))
             cosets.append((rho, [vadd(start, mat_vec(step_mat, e))
-                                 for e in grid], start))
+                                 for e in _samples(r, D)], start))
         chambers.append((cell, lat, adj[:r], det, cosets))
     table, den = _series_table(vpf_gf(gens), max(
         c for *_, cosets in chambers for _, points, _ in cosets
         for pt in points for c in pt))
-    size = len(_grid(r, D))
     pieces = []
     for cell, lat, adj, det, cosets in chambers:
-        values = [[table[pt[:-1]][pt[-1]] if pt[:-1] in table else 0
-                   for pt in points] for _, points, _ in cosets]
         polys = iter(_interpolate(r, D, adj, det, [
-            (start, vals[:size]) for (_, points, start), vals
-            in zip(cosets, values) if points], den))
-        constituents = {}
-        for (rho, points, _), vals in zip(cosets, values):
-            q = next(polys) if points else {}
-            if any(poly_eval(q, pt) * den != val
-                   for pt, val in zip(points[size:], vals[size:])):
-                raise RuntimeError("chamber period too small")
-            constituents[rho] = q
+            (start, [table[pt[:-1]][pt[-1]] if pt[:-1] in table else 0
+                     for pt in points])
+            for _, points, start in cosets if points], den))
+        constituents = {rho: next(polys) if points else {}
+                        for rho, points, _ in cosets}
         pieces.append((cell, QuasiPolynomial(n, lat, constituents)))
     return PiecewiseQuasiPolynomial(n, tuple(pieces))
 
@@ -681,15 +647,18 @@ def synth_formula(g, param="p"):
     B_p = len(initial)
     for r in range(m):
         poly = q.constituents[(r % m0,)]
-        qt = poly_compose_affine(poly, [((Fraction(m),), Fraction(r))])
-        by_deg = {e[0]: c for e, c in qt.items()}
-        deg = max(by_deg, default=0)
-        coeffs = [by_deg.get(j, Fraction(0)) for j in range(deg + 1)]
-        for c in coeffs:
-            if c.denominator != 1:
-                w = len(initial) + (r - len(initial)) % m
-                raise ValueError(
-                    f"value {q.eval((w,))} at p={w} is not an integer")
+        L = lcm(*(c.denominator for c in poly.values()))
+        ints = [(e, c.numerator * (L // c.denominator))
+                for (e,), c in poly.items()]
+        deg = max((e for e, _ in ints), default=0)
+        qt, = _interpolate(1, deg, ((1,),), 1, [((0,), [
+            sum(c * (m * t + r) ** e for e, c in ints)
+            for t in range(deg + 2)])], L)
+        coeffs = [qt.get((j,), 0) for j in range(deg + 1)]
+        if any(c.denominator != 1 for c in coeffs):
+            w = len(initial) + (r - len(initial)) % m
+            raise ValueError(
+                f"value {q.eval((w,))} at p={w} is not an integer")
         coeffs = [int(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()

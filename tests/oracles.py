@@ -39,7 +39,7 @@ from presburger.lattices import (
     zero_vec,
 )
 from presburger.polyhedra import NonPointedError
-from presburger.quasipoly import StepPolynomial, poly_mul, poly_norm
+from presburger.quasipoly import StepPolynomial
 from presburger.semilinear import SemilinearCell, SemilinearSet
 from presburger.serialize import parse_frac, polyhedron_from_obj
 
@@ -457,6 +457,19 @@ def rays_oracle(ge_normals, eq_normals, dim):
     return sorted(rays)
 
 
+def poly_norm(p):
+    return {e: c for e, c in p.items() if c != 0}
+
+
+def poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return poly_norm(out)
+
+
 def poly_add(p, q):
     out = dict(p)
     for e, c in q.items():
@@ -472,8 +485,9 @@ def poly_scale(p, k):
 
 
 def compose_affine_oracle(p, forms):
-    """quasipoly.poly_compose_affine by repeated poly_mul of Fraction
-    polynomials: each monomial of p is multiplied out form by form."""
+    """p with variable i replaced by the affine form forms[i] = (coeffs,
+    const), by repeated poly_mul of Fraction polynomials: each monomial of
+    p is multiplied out form by form."""
     k = len(forms[0][0])
     form_polys = []
     for coeffs, const in forms:
@@ -516,9 +530,12 @@ def interpolate_oracle(n, D, samples, forms):
 
 def interpolate_cosets_oracle(r, D, adj, det, cosets, den):
     """quasipoly._interpolate coset by coset through interpolate_oracle,
-    on the values samples[j] / den, with the affine forms t_i = adj_i .
-    (p - start) / det."""
-    return [interpolate_oracle(r, D, [Fraction(s, den) for s in samples], [
+    on the values samples[j] / den at the first C(r + D, D) samples, the
+    grid points (the kernel's check layer follows them), with the affine
+    forms t_i = adj_i . (p - start) / det."""
+    size = math.comb(r + D, D)
+    return [interpolate_oracle(r, D, [Fraction(s, den)
+                                      for s in samples[:size]], [
         (tuple(Fraction(a, det) for a in row),
          Fraction(-vdot(row, start), det)) for row in adj])
         for start, samples in cosets]

@@ -443,6 +443,32 @@ def test_golden_outputs(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_golden_hadamard_and_synth(capsys, tmp_path):
+    """hadamard of a periodic GF with terms that have no denominator, and
+    synth of the count of 2*x + 3*y <= p, pinned byte for byte."""
+    fa, fb, fq = (tmp_path / name for name in ("a.json", "b.json", "q.json"))
+    fa.write_text(json.dumps({"names": ["x"], "terms": [
+        {"coef": "1", "numer_exp": [1], "denom": [[2], [3]]},
+        {"coef": "1/2", "numer_exp": [0], "denom": [[1]]},
+        {"coef": "2", "numer_exp": [4], "denom": []}]}))
+    fb.write_text(json.dumps({"names": ["x"], "terms": [
+        {"coef": "3", "numer_exp": [2], "denom": [[1], [1]]},
+        {"coef": "-1", "numer_exp": [0], "denom": [[2]]},
+        {"coef": "5", "numer_exp": [0], "denom": []}]}))
+    fq.write_text(json.dumps(run_json(
+        capsys, "count", "2*x + 3*y <= p", "--count-vars", "x,y",
+        "--param-vars", "p", "--as", "qp")))
+    digests = {
+        "hadamard":
+        "512313d9bbdf38576a344ba7366eb63dd158b2a6d341070bd51eabfa31676555",
+        "synth":
+        "435b0e25d82edcd66d57f73ebff1927ffeab7e9881bd00c979f280e99aa24502"}
+    for argv in (("hadamard", str(fa), str(fb)), ("synth", str(fq))):
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[argv[0]]
+
+
 def knapsack_text(coeffs, names, bound):
     return " + ".join(f"{a}*{v}" for a, v in zip(coeffs, names)) + \
         f" <= {bound}"

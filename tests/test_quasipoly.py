@@ -5,7 +5,6 @@ from itertools import product
 
 import pytest
 from oracles import (
-    compose_affine_oracle,
     count_solutions,
     interpolate_cosets_oracle,
     partition_count,
@@ -13,6 +12,7 @@ from oracles import (
 )
 from presburger import quasipoly
 from presburger.genfun import (
+    _series_table,
     gf_is_zero,
     make_term,
     rgf,
@@ -28,9 +28,8 @@ from presburger.quasipoly import (
     _interpolate,
     eventual_form,
     eventual_pqp,
-    poly_compose_affine,
+    hadamard_univariate,
     poly_eval,
-    poly_mul,
     pqp_to_rgf,
     qp_to_step,
     qp_zero,
@@ -57,31 +56,38 @@ def triangle_qp():
 
 
 def test_poly_basics():
-    p = {(1,): F(2), (0,): F(1)}          # 2x + 1
-    q = {(1,): F(1), (0,): F(-1)}         # x - 1
-    assert poly_mul(p, q) == {(2,): F(2), (1,): F(-1), (0,): F(-1)}
-    assert poly_eval(poly_mul(p, q), (3,)) == 7 * 2
-    # substitute x := 2y + z - 1 into x^2
-    comp = poly_compose_affine({(2,): F(1)}, [((F(2), F(1)), F(-1))])
-    assert poly_eval(comp, (3, 4)) == (2 * 3 + 4 - 1) ** 2
+    p = {(2,): F(2), (1,): F(-1), (0,): F(-1)}   # (2x + 1)(x - 1)
+    assert poly_eval(p, (3,)) == 7 * 2
+    assert poly_eval({(1, 2): F(1, 2)}, (3, 4)) == 24
 
 
 def random_frac(rng, size=9):
     return F(rng.randint(-size, size), rng.randint(1, size))
 
 
-def random_forms(rng, n, k):
-    return [(tuple(random_frac(rng) for _ in range(k)), random_frac(rng))
-            for _ in range(n)]
+def newton_extend(r, D, samples):
+    """samples on the grid of exponents of total degree <= D in r variables,
+    followed by the values at the layer of total degree D + 1 of the
+    polynomial of degree <= D through them: Newton's sum_e Delta^e f(0)
+    prod_i C(t_i, e_i), integers at integer points."""
+    grid = [e for e in product(range(D + 1), repeat=r) if sum(e) <= D]
+    f = dict(zip(grid, samples))
+    delta = {e: sum((-1) ** (sum(e) - sum(k)) * math.prod(map(math.comb, e, k))
+                    * f[k] for k in grid if all(a <= b for a, b in zip(k, e)))
+             for e in grid}
+    layer = [x for x in product(range(D + 2), repeat=r) if sum(x) == D + 1]
+    return samples + [sum(d * math.prod(map(math.comb, x, e))
+                          for e, d in delta.items()) for x in layer]
 
 
 def random_cosets(rng, r, D, k, count, zero=0.0):
     """count (start, samples) pairs for _interpolate over k variables, with
-    integer samples, each coset's all zero with probability zero."""
+    integer samples at random on the grid and Newton-extended to its check
+    layer, each coset's all zero with probability zero."""
     size = math.comb(r + D, D)
     return [(tuple(rng.randint(-20, 20) for _ in range(k)),
-             [0] * size if rng.random() < zero else
-             [rng.randint(-50, 50) for _ in range(size)])
+             newton_extend(r, D, [0] * size if rng.random() < zero else
+                           [rng.randint(-50, 50) for _ in range(size)]))
             for _ in range(count)]
 
 
@@ -100,10 +106,28 @@ def test_interpolate_matches_vandermonde_oracle():
                     interpolate_cosets_oracle(r, D, adj, det, cosets, den), \
                     (r, D, adj, det, den)
     # samples of a polynomial give it back
-    assert _interpolate(1, 2, ((1,),), 1, [((0,), [0, 1, 4])], 1) == \
+    assert _interpolate(1, 2, ((1,),), 1, [((0,), [0, 1, 4, 9])], 1) == \
         [{(2,): F(1)}]
-    assert _interpolate(1, 2, ((1,),), 1, [((0,), [0, 1, 4])], 3) == \
+    assert _interpolate(1, 2, ((1,),), 1, [((0,), [0, 1, 4, 9])], 3) == \
         [{(2,): F(1, 3)}]
+
+
+def test_interpolate_rejects_a_wrong_check_sample():
+    """One perturbed sample on the layer of degree D + 1 raises, for any
+    layer point and any coset of the call."""
+    rng = random.Random(1357)
+    for r, D in [(1, 0), (1, 3), (2, 1), (2, 2), (3, 2)]:
+        cosets = random_cosets(rng, r, D, r, 3)
+        size = math.comb(r + D, D)
+        unit = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        for i, (start, samples) in enumerate(cosets):
+            for j in range(size, len(samples)):
+                bad = list(cosets)
+                bad[i] = (start, samples[:j] + [samples[j] + 1]
+                          + samples[j + 1:])
+                with pytest.raises(RuntimeError, match="too small"):
+                    _interpolate(r, D, unit, 1, bad, 1)
+        _interpolate(r, D, unit, 1, cosets, 1)
 
 
 def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
@@ -135,17 +159,6 @@ def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
     assert any(len(cosets) > 1 for *_, cosets, _ in calls)
     for args in calls:
         assert _interpolate(*args) == interpolate_cosets_oracle(*args), args
-
-
-def test_poly_compose_affine_matches_oracle():
-    rng = random.Random(9753)
-    for _ in range(40):
-        n, k = rng.randint(1, 3), rng.randint(1, 3)
-        p = {tuple(rng.randint(0, 4) for _ in range(n)): random_frac(rng)
-             for _ in range(rng.randint(0, 5))}
-        forms = random_forms(rng, n, k)
-        assert poly_compose_affine(p, forms) == \
-            compose_affine_oracle(p, forms), (p, forms)
 
 
 def random_univariate_gf(rng):
@@ -184,7 +197,55 @@ def test_rgf_to_pqp_matches_oracle_path(monkeypatch):
         table = series_coeffs(f, 30)
         for p in range(31):
             assert g.eval((p,)) == table.get((p,), 0), (f, p)
-    assert len(calls) == sum(1 for f in gfs if f.terms)
+    assert len(calls) == len(gfs)
+
+
+def random_hadamard_gf(rng):
+    """The zero GF, an all-polynomial GF, or terms c x^a / prod(1 - x^e)
+    with a in [-2, 8], e in [1, 6] and some without a denominator; a term
+    may come with its copy less one factor, negated, which cancels the
+    negative exponents when a + e >= 0."""
+    kind = rng.random()
+    terms = []
+    for _ in range(0 if kind < 0.05 else rng.randint(1, 3)):
+        c, a = random_frac(rng, 4), rng.randint(-2, 8)
+        dens = () if kind < 0.15 or rng.random() < 0.2 else tuple(
+            (rng.randint(1, 6),) for _ in range(rng.randint(1, 2)))
+        if dens and rng.random() < 0.5:
+            terms.append(make_term(-c, (a,), dens[1:]))
+        terms.append(make_term(c, (a,), dens))
+    return rgf(("x",), terms)
+
+
+def has_negative_coefficient(f):
+    """Whether the series of f is nonzero somewhere below exponent 0."""
+    k = -min((t.numer[0] for t in f.terms), default=0)
+    return k > 0 and any(series_coeffs(rgf(f.names, [
+        make_term(t.coef, (t.numer[0] + k,), t.denom) for t in f.terms]),
+        k - 1).values())
+
+
+def test_hadamard_is_the_product_of_the_series():
+    rng = random.Random(97531)
+    raised = polynomial = 0
+    for _ in range(200):
+        f, g = random_hadamard_gf(rng), random_hadamard_gf(rng)
+        polynomial += all(not t.denom for t in f.terms)
+        try:
+            h = hadamard_univariate(f, g)
+        except ValueError as e:
+            assert "negative exponent" in str(e)
+            assert has_negative_coefficient(f) or \
+                has_negative_coefficient(g), (f, g)
+            raised += 1
+            continue
+        assert not has_negative_coefficient(f), f
+        assert not has_negative_coefficient(g), g
+        a, b, c = (series_coeffs(x, 40) for x in (f, g, h))
+        for p in range(41):
+            assert c.get((p,), 0) == a.get((p,), 0) * b.get((p,), 0), \
+                (f, g, p)
+    assert 10 < raised < 100 and polynomial > 10
 
 
 def test_qp_to_step_matches_oracle():
@@ -461,14 +522,14 @@ def check_vpf(gens, bound):
 
 
 def test_vpf_pqp_2d_checks_survive_optimization(monkeypatch):
-    """The chamber check points catch a wrong sample with an explicit
-    error, not an assert that python -O strips."""
-    def wrong_sample(r, D, adj, det, cosets, den):
-        (start, samples), *rest = cosets
-        wrong = (start, [samples[0] + 1] + samples[1:])
-        return interpolate_cosets_oracle(r, D, adj, det, [wrong, *rest], den)
-    monkeypatch.setattr(quasipoly, "_interpolate", wrong_sample)
-    with pytest.raises(RuntimeError, match="chamber period too small"):
+    """A wrong value in the series table is caught by the kernel's check
+    layer with an explicit error, not an assert that python -O strips."""
+    def wrong_table(g, bound):
+        table, den = _series_table(g, bound)
+        table[(0,)][0] += 1  # the start of every chamber's zero coset
+        return table, den
+    monkeypatch.setattr(quasipoly, "_series_table", wrong_table)
+    with pytest.raises(RuntimeError, match="period or degree too small"):
         vpf_pqp([(1, 0), (0, 1), (1, 1)])
 
 
