@@ -14,13 +14,15 @@ counting formulas whose solution count realizes a given quasi-polynomial.
 Constituents are recovered from integer series coefficients over one
 denominator (genfun._series_table) one lattice at a time: every coset
 shares the grid of exponents of bounded total degree and the linear part
-of the affine forms, so one integer pass takes the Newton differences and
-builds the binomial bases of all cosets.  This kernel (_interpolate) is
-the only place that builds or checks a quasi-polynomial.  Each coset
-brings one more layer of samples, of total degree D + 1, whose Newton
-differences must vanish, else RuntimeError.  A Hadamard product reads the
-products of the two integer coefficient rows through it, and synthesis
-interpolates q(m t + r) in t for its change of variable p = m t + r.
+of the affine forms, so the kernel (_interpolate) runs sample-major: each
+Newton difference and each monomial column of a basis product is one
+integer list over the cosets, and constituent dicts share one Fraction
+per distinct coefficient.  This kernel is the only place that builds or
+checks a quasi-polynomial.  Each coset brings one more layer of samples,
+of total degree D + 1, whose Newton differences must vanish, else
+RuntimeError.  A Hadamard product reads the products of the two integer
+coefficient rows through it, and synthesis interpolates q(m t + r) in t
+for its change of variable p = m t + r, every residue r in one call.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, count, product
+from itertools import combinations, count, product, repeat
 from math import lcm
+from operator import add, mul, sub
 
 from .formulas import (
     FALSE,
@@ -82,7 +85,7 @@ def poly_eval(p, pt):
         v = c
         for x, k in zip(pt, e):
             if k:
-                v *= Fraction(x) ** k
+                v *= x ** k
         total += v
     return total
 
@@ -128,46 +131,58 @@ def _newton_plan(r, n, D):
                            for e in monos] for v in range(n)]
 
 
+def _axpy(y, t, a, x):
+    """y[t] += a x elementwise over the cosets, an absent y[t] being zero."""
+    u = y.get(t)
+    y[t] = list(map(mul, a, x)) if u is None else list(
+        map(add, u, map(mul, a, x)))
+
+
 def _interpolate(r, D, adj, det, cosets, den):
     """Constituents of degree <= D on the cosets of one lattice, one per
-    (start, samples): the integer samples[j] / den is the value at the j-th
-    point of _samples(r, D) in t_i = adj_i . (p - start) / det.  Newton's
-    sum_e Delta^e f(0) prod_i C(t_i, e_i) over one denominator: integer
-    forward differences, and each basis product prod_i prod_{m < e_i}
-    (adj_i . (p - start) - m det) one linear factor times its parent's, as
-    an integer list over the monomials _grid(n, D).  A nonzero difference
-    on the layer of degree D + 1 means the samples are not one polynomial
-    of degree <= D: RuntimeError, as the period or degree was too small."""
+    (start, samples) in order: the integer samples[j] / den is the value at
+    the j-th point of _samples(r, D) in t_i = adj_i . (p - start) / det.
+    Newton's sum_e Delta^e f(0) prod_i C(t_i, e_i) over one denominator:
+    integer forward differences, and each basis product prod_i prod_{m <
+    e_i} (adj_i . (p - start) - m det) one linear factor times its
+    parent's; vals[j] and each monomial column are integer lists over the
+    cosets, and a monomial no term has reached has no column.  A nonzero
+    difference on the layer of degree D + 1 means the samples are not one
+    polynomial of degree <= D: RuntimeError, as the period or degree was
+    too small.  Equal coefficients share one Fraction across the cosets."""
+    if not cosets:
+        return []
     monos = _grid(len(adj[0]), D)
     diffs, steps, shifts = _newton_plan(r, len(adj[0]), D)
-    scale = [w * det ** k for *_, w, k in steps]
     unit = math.factorial(D) * det ** D
-    den *= unit
-    one = [1] + [0] * (len(monos) - 1)
-    out = []
-    for start, samples in cosets:
-        vals = list(samples)
-        for j, k in diffs:
-            vals[j] -= vals[k]
-        if any(vals[len(steps) + 1:]):
-            raise RuntimeError("samples are not one quasi-polynomial: "
-                               "period or degree too small")
-        consts = [-vdot(row, start) for row in adj]
-        acc = [vals[0] * unit * c for c in one]
-        basis = [one]
-        for v, (parent, i, m, _, _), w in zip(vals[1:], steps, scale):
-            prev, lead = basis[parent], consts[i] - m * det
-            cur = [lead * c for c in prev]
+    starts, samples = zip(*cosets)
+    vals = list(zip(*samples))
+    for j, k in diffs:
+        vals[j] = list(map(sub, vals[j], vals[k]))
+    if any(map(any, vals[len(steps) + 1:])):
+        raise RuntimeError("samples are not one quasi-polynomial: "
+                           "period or degree too small")
+    consts = [[-vdot(row, start) for start in starts] for row in adj]
+    acc = {0: [v * unit for v in vals[0]]}
+    basis = [{0: [1] * len(starts)}]
+    for v, (parent, i, m, w, k) in zip(vals[1:], steps):
+        lead = [c - m * det for c in consts[i]]
+        cur = {}
+        for t, col in basis[parent].items():
+            _axpy(cur, t, lead, col)
             for a, shift in zip(adj[i], shifts):
-                for k, c in zip(shift, prev):
-                    if a and c:
-                        cur[k] += a * c
-            basis.append(cur)
-            if v:
-                vw = v * w
-                acc = [x + vw * c for x, c in zip(acc, cur)]
-        out.append({e: Fraction(c, den) for e, c in zip(monos, acc) if c})
-    return out
+                if a:
+                    _axpy(cur, shift[t], repeat(a), col)
+        basis.append(cur)
+        if any(v):
+            w *= det ** k
+            vw = [x * w for x in v]
+            for t, col in cur.items():
+                _axpy(acc, t, vw, col)
+    den *= unit
+    es, cols = zip(*((monos[t], col) for t, col in sorted(acc.items())))
+    fracs = {c: Fraction(c, den) for c in set().union(*cols)}
+    return [{e: fracs[c] for e, c in zip(es, row) if c} for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +652,19 @@ def synth_formula(g, param="p"):
     """
     initial, q = eventual_form(g)
     m0 = q.lattice.basis[0][0]
-    m = m0
-    for poly in q.constituents.values():
-        for c in poly.values():
-            m = lcm(m, c.denominator)
+    polys = q.constituents.values()
+    L = lcm(*(c.denominator for poly in polys for c in poly.values()))
+    m = lcm(m0, L)
+    deg = max((e for poly in polys for (e,) in poly), default=0)
+    qts = _interpolate(1, deg, ((1,),), 1, [((0,), [
+        sum(c.numerator * (L // c.denominator) * (m * t + r) ** e
+            for (e,), c in q.constituents[(r % m0,)].items())
+        for t in range(deg + 2)]) for r in range(m)], L)
 
     classes = {}
     D = 0
     B_p = len(initial)
-    for r in range(m):
-        poly = q.constituents[(r % m0,)]
-        L = lcm(*(c.denominator for c in poly.values()))
-        ints = [(e, c.numerator * (L // c.denominator))
-                for (e,), c in poly.items()]
-        deg = max((e for e, _ in ints), default=0)
-        qt, = _interpolate(1, deg, ((1,),), 1, [((0,), [
-            sum(c * (m * t + r) ** e for e, c in ints)
-            for t in range(deg + 2)])], L)
+    for r, qt in enumerate(qts):
         coeffs = [qt.get((j,), 0) for j in range(deg + 1)]
         if any(c.denominator != 1 for c in coeffs):
             w = len(initial) + (r - len(initial)) % m

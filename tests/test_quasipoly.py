@@ -59,6 +59,10 @@ def test_poly_basics():
     p = {(2,): F(2), (1,): F(-1), (0,): F(-1)}   # (2x + 1)(x - 1)
     assert poly_eval(p, (3,)) == 7 * 2
     assert poly_eval({(1, 2): F(1, 2)}, (3, 4)) == 24
+    # a Fraction point gives the same value as the integer formula
+    assert poly_eval(p, (F(3, 2),)) == (2 * F(3, 2) + 1) * (F(3, 2) - 1)
+    assert poly_eval({(1, 2): F(1, 2)}, (F(-1, 3), F(3, 2))) == F(-3, 8)
+    assert poly_eval({}, (F(1, 2),)) == 0
 
 
 def random_frac(rng, size=9):
@@ -128,6 +132,19 @@ def test_interpolate_rejects_a_wrong_check_sample():
                 with pytest.raises(RuntimeError, match="too small"):
                     _interpolate(r, D, unit, 1, bad, 1)
         _interpolate(r, D, unit, 1, cosets, 1)
+    # a lattice of many cosets whose last coset alone has a wrong check
+    # sample, and the empty coset list
+    for r, D in [(1, 2), (2, 2)]:
+        unit = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        cosets = random_cosets(rng, r, D, r, 120, 0.3)
+        start, samples = cosets[-1]
+        for j in range(math.comb(r + D, D), len(samples)):
+            bad = cosets[:-1] + [(start, samples[:j] + [samples[j] - 1]
+                                  + samples[j + 1:])]
+            with pytest.raises(RuntimeError, match="too small"):
+                _interpolate(r, D, unit, 1, bad, 1)
+        assert len(_interpolate(r, D, unit, 1, cosets, 1)) == 120
+        assert _interpolate(r, D, unit, 1, [], 1) == []
 
 
 def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
@@ -144,6 +161,23 @@ def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
         assert _interpolate(1, D, ((1,),), period, cosets, den) == \
             interpolate_cosets_oracle(1, D, ((1,),), period, cosets, den), \
             period
+    # bench-sized lattices, a third of the cosets all zero
+    for period, D in product((60, 140, 168, 210), range(7)):
+        T = rng.randint(1, 9)
+        cosets = [((T + (r - T) % period,), samples) for r, (_, samples)
+                  in enumerate(random_cosets(rng, 1, D, 1, period, 0.3))]
+        assert _interpolate(1, D, ((1,),), period, cosets, 7) == \
+            interpolate_cosets_oracle(1, D, ((1,),), period, cosets, 7), \
+            (period, D)
+    # the top-degree coefficient vanishes on some cosets only
+    D, period = 4, 168
+    cosets = [((r,), newton_extend(1, D, newton_extend(1, D - 1, [
+        rng.randint(-50, 50) for _ in range(D)]) if r % 3 else [
+        rng.randint(-50, 50) for _ in range(D + 1)])) for r in range(period)]
+    got = _interpolate(1, D, ((1,),), period, cosets, 5)
+    assert got == interpolate_cosets_oracle(1, D, ((1,),), period, cosets, 5)
+    assert [(D,) in poly for poly in got] == [r % 3 == 0
+                                              for r in range(period)]
     calls = []
 
     def record(*args):
@@ -158,7 +192,13 @@ def test_interpolate_lattices_match_oracle_coset_by_coset(monkeypatch):
     assert {len(adj[0]) for _, _, adj, _, _, _ in calls} == {2, 3}
     assert any(len(cosets) > 1 for *_, cosets, _ in calls)
     for args in calls:
-        assert _interpolate(*args) == interpolate_cosets_oracle(*args), args
+        got = _interpolate(*args)
+        assert got == interpolate_cosets_oracle(*args), args
+        # monomials come in the order of the grid, as written out
+        order = [e for e in product(range(args[1] + 1), repeat=len(args[2][0]))
+                 if sum(e) <= args[1]]
+        assert all(list(poly) == sorted(poly, key=order.index)
+                   for poly in got), args
 
 
 def random_univariate_gf(rng):
@@ -600,6 +640,20 @@ def test_synth_initial_values():
     g = eventual_pqp([0, 9], QuasiPolynomial(
         1, Lattice.standard(1), {(0,): {(1,): F(1)}}))
     check_synth(g, lambda p: 9 if p == 1 else p, 15)
+
+
+def test_synth_interpolates_every_residue_class_in_one_call(monkeypatch):
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _interpolate(*args)
+
+    monkeypatch.setattr(quasipoly, "_interpolate", record)
+    synth_formula(ray_pqp(triangle_qp()))
+    # one call over the m = lcm(2, 8) residue classes of p = m t + r
+    assert len(calls) == 1
+    assert len(calls[0][4]) == 8
 
 
 def test_synth_rejects_non_natural():
