@@ -19,9 +19,12 @@ from .genfun import (
     RationalGF,
     cardinality,
     counting_gf,
+    gf_is_zero as is_zero_univariate,  # the older name
     gf_of_cell,
     gf_of_formula,
     gf_of_semilinear,
+    hadamard,
+    hadamard as hadamard_univariate,  # the older, univariate-only name
     make_term,
     rgf,
     series_coeffs,
@@ -43,8 +46,6 @@ from .quasipoly import (
     QuasiPolynomial,
     StepPolynomial,
     eventual_form,
-    hadamard_univariate,
-    is_zero_univariate,
     pqp_to_rgf,
     qp_to_step,
     rgf_to_pqp,
@@ -81,6 +82,7 @@ __all__ = [
     "gf_of_cell",
     "gf_of_formula",
     "gf_of_semilinear",
+    "hadamard",
     "hadamard_univariate",
     "hnf",
     "is_zero_univariate",

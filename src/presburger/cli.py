@@ -34,13 +34,15 @@ from .genfun import (
     DivergentSpecialization,
     cardinality,
     counting_gf,
+    gf_is_zero,
     gf_of_formula,
+    hadamard,
     series_coeffs,
 )
 from .lattices import congruences_of_coset
 from .qelim import decide, qelim
 from .quasipoly import eventual_form, qp_to_step, rgf_to_pqp, synth_formula
-from .quasipoly import hadamard_univariate, is_zero_univariate, vpf_gf, vpf_pqp
+from .quasipoly import vpf_gf, vpf_pqp
 from .semilinear import to_dnf
 
 PARSE, SEMANTIC, UNSUPPORTED = 2, 3, 4
@@ -444,12 +446,8 @@ def cmd_series(args):
 
 
 def cmd_hadamard(args):
-    f = _load_gf(args.gf)
-    g = _load_gf(args.gf2)
-    if f.dim != 1 or g.dim != 1:
-        raise CliError(UNSUPPORTED, "hadamard product is univariate only")
     try:
-        h = hadamard_univariate(f, g)
+        h = hadamard(_load_gf(args.gf), _load_gf(args.gf2))
     except ValueError as e:
         raise CliError(SEMANTIC, str(e))
     _emit_gf(args, h)
@@ -457,7 +455,7 @@ def cmd_hadamard(args):
 
 
 def cmd_zero(args):
-    val = is_zero_univariate(_load_gf(args.gf))
+    val = gf_is_zero(_load_gf(args.gf))
     _emit(args, lambda: {"result": val}, lambda: "true" if val else "false")
     return 0
 
@@ -534,7 +532,7 @@ def _build_parser():
     se.set_defaults(func=cmd_series)
 
     h = sub.add_parser("hadamard", parents=[common],
-                       help="coefficientwise product of two univariate GFs")
+                       help="coefficientwise product of two GFs")
     h.add_argument("gf")
     h.add_argument("gf2")
     h.set_defaults(func=cmd_hadamard)

@@ -35,7 +35,8 @@ integer series over one denominator, and every other factor, y its
 remaining monomial, expands in closed form as 1/(1 - y (1+s)^m) =
 sum_j ((1+s)^m - 1)^j y^j / (1 - y)^(j + 1), so no series has GF
 coefficients.  gf_is_zero tests a GF exactly over one common
-denominator, and gf_euler applies x_i d/dx_i term by term.
+denominator, gf_euler applies x_i d/dx_i term by term, and hadamard
+multiplies two series coefficientwise, one cell per pair of terms.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import NamedTuple
 
 from .lattices import (
     Lattice,
+    full_coset,
     hnf_diagonal,
     hnf_kernel,
     int_inverse,
@@ -70,7 +72,7 @@ from .polyhedra import (
     triangulate,
     vertices,
 )
-from .semilinear import to_dnf
+from .semilinear import SemilinearCell, to_dnf
 
 
 # Simplicial cones of larger index are split by Barvinok's signed
@@ -536,16 +538,20 @@ def _mixed_series(m, depth):
 
 def gf_is_zero(g):
     """Exact zero test in any dimension: clear to one denominator and
-    expand the numerator."""
-    common = {}  # denominator vector -> its largest multiplicity
+    expand the numerator, in integers over the lcm of the coefficient
+    denominators, one numerator per distinct denominator."""
+    common, den = {}, math.lcm(*(t.coef.denominator for t in g.terms))
+    groups = {}  # denominator -> its numerator, exponent -> integer
     for t in g.terms:
         for b in t.denom:
             common[b] = max(common.get(b, 0), t.denom.count(b))
+        part = groups.setdefault(t.denom, {})
+        part[t.numer] = part.get(t.numer, 0) + t.coef.numerator * (
+            den // t.coef.denominator)
     poly = {}
-    for t in g.terms:
-        part = {t.numer: t.coef}
+    for denom, part in groups.items():
         for b, k in common.items():
-            for _ in range(k - t.denom.count(b)):  # times (1 - x^b)
+            for _ in range(k - denom.count(b)):  # times (1 - x^b)
                 nxt = dict(part)
                 for e, c in part.items():
                     eb = vadd(e, b)
@@ -658,6 +664,38 @@ def cardinality(g):
     if val.denominator != 1:
         raise ValueError(f"point count {val} is not an integer")
     return int(val)
+
+
+def hadamard(f, g):
+    """Coefficientwise product of the series of f and g, in any number of
+    variables, named as f (Barvinok and Woods, JAMS 2003).
+
+    A term c x^a / prod_i (1 - x^b_i) of f times a term c' x^a' /
+    prod_j (1 - x^b'_j) of g is c c' times the GF of the cell of points
+    (e, lam, mu) with e = a + B lam = a' + B' mu and lam, mu >= 0, with
+    lam and mu then set to 1.  Every denominator is lex-positive, so each
+    fibre over e is finite; the pairs are summed with one rgf.
+    """
+    if f.dim != g.dim:
+        raise ValueError(f"hadamard product of GFs in {f.dim} and {g.dim} "
+                         "variables")
+    d, terms = f.dim, []
+    for s, t in itertools.product(f.terms, g.terms):
+        k = len(s.denom)
+        n = d + k + len(t.denom)
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        eqs = []  # e - B lam = a and e - B' mu = a'
+        for i in range(d):
+            lam, mu = (tuple(-b[i] for b in bs) for bs in (s.denom, t.denom))
+            eqs += [(unit[i][:d] + lam + (0,) * len(mu), s.numer[i]),
+                    (unit[i][:d] + (0,) * k + mu, t.numer[i])]
+        cell = SemilinearCell(Polyhedron.of(n, [(r, 0) for r in unit[d:]],
+                                            eqs), full_coset(n))
+        h = specialize_ones(gf_of_cell(f.names + ("",) * (n - d), cell),
+                            range(d, n))
+        c = s.coef * t.coef
+        terms += [GFTerm(c * u.coef, u.numer, u.denom) for u in h.terms]
+    return rgf(f.names, terms)
 
 
 def counting_gf(f, count_names, param_names):

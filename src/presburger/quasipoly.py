@@ -6,9 +6,8 @@ PiecewiseQuasiPolynomial attaches quasi-polynomials to disjoint polyhedral
 cells, with everything off the cells counting as zero.  This module reads
 the eventual form of a univariate rational generating function, turns a
 piecewise quasi-polynomial in any dimension back into one (the GF of each
-coset of each cell, then Euler operators x_i d/dx_i), takes Hadamard
-products of univariate series through both, computes vector partition
-functions (one chamber decomposition in any dimension), rewrites
+coset of each cell, then Euler operators x_i d/dx_i), computes vector
+partition functions (one chamber decomposition in any dimension), rewrites
 quasi-polynomials as step polynomials built from floors, and synthesizes
 counting formulas whose solution count realizes a given quasi-polynomial.
 Constituents are recovered from integer series coefficients over one
@@ -20,9 +19,8 @@ integer list over the cosets, and constituent dicts share one Fraction
 per distinct coefficient.  This kernel is the only place that builds or
 checks a quasi-polynomial.  Each coset brings one more layer of samples,
 of total degree D + 1, whose Newton differences must vanish, else
-RuntimeError.  A Hadamard product reads the products of the two integer
-coefficient rows through it, and synthesis interpolates q(m t + r) in t
-for its change of variable p = m t + r, every residue r in one call.
+RuntimeError.  Synthesis interpolates q(m t + r) in t for its change of
+variable p = m t + r, every residue r in one call.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from .genfun import (
     GFTerm,
     _series_table,
     gf_euler,
-    gf_is_zero,
     gf_of_cell,
     make_term,
     rgf,
@@ -337,14 +334,19 @@ def eventual_pqp(initial, q):
 # rational generating function -> piecewise quasi-polynomial
 
 
-def _shape(f):
-    """(T, period, degree) of a univariate series: from p = T on, each term
-    c x^a / prod(1 - x^e_i) has a coefficient sequence that is
-    quasi-polynomial with period lcm(e_i) and degree < #factors (a term
-    with no factor counts as degree 0).  The series must vanish at negative
-    exponents: with -k the lowest numerator exponent, x^k f is read on [0,
-    k - 1], and ValueError is raised if any of those coefficients is
-    nonzero."""
+def rgf_to_pqp(f):
+    """Eventual quasi-polynomial of a univariate series, read from its
+    integer coefficients past every shift, so interpolation is exact.
+
+    From p = T on, each term c x^a / prod(1 - x^e_i) has a coefficient
+    sequence that is quasi-polynomial with period lcm(e_i) and degree <
+    #factors (a term with no factor counts as degree 0), so one
+    _interpolate call reads every residue of the lattice period * ZZ,
+    each checked on one more sample.  The series must vanish at negative
+    exponents: with -k the lowest numerator exponent, x^k f is read on
+    [0, k - 1], and ValueError is raised if any of those coefficients is
+    nonzero.
+    """
     if f.dim != 1:
         raise ValueError("rgf_to_pqp is univariate only")
     k = -min((t.numer[0] for t in f.terms), default=0)
@@ -354,39 +356,18 @@ def _shape(f):
         if any(map(any, _series_table(shifted, k - 1)[0].values())):
             raise ValueError("series has a nonzero coefficient at a "
                              "negative exponent")
-    T, period, degree = 0, 1, 0
-    for t in f.terms:
-        T = max(T, t.numer[0] + 1)
-        period = lcm(period, *(e for (e,) in t.denom))
-        degree = max(degree, len(t.denom) - 1)
-    return T, period, degree
-
-
-def _pqp_of_series(gfs, T, period, degree):
-    """Univariate pqp of the coefficientwise product of the series gfs,
-    quasi-polynomial of that period and degree from p = T on: the product
-    of their integer coefficient rows over the product of their
-    denominators, then one _interpolate call for all residues of the
-    lattice period * ZZ, each checked on one more sample."""
+    T = max([0, *(t.numer[0] + 1 for t in f.terms)])
+    period = lcm(*(e for t in f.terms for (e,) in t.denom))
+    degree = max([1, *(len(t.denom) for t in f.terms)]) - 1
     bound = T + period * (degree + 2)
-    tables = [_series_table(f, bound) for f in gfs]
-    row = reduce(lambda x, y: [a * b for a, b in zip(x, y)],
-                 [table.get((), [0] * (bound + 1)) for table, _ in tables])
-    den = math.prod(d for _, d in tables)
+    table, den = _series_table(f, bound)
+    row = table.get((), [0] * (bound + 1))
     polys = _interpolate(1, degree, ((1,),), period, [
         ((p0,), row[p0:p0 + period * (degree + 2):period])
         for p0 in (T + (r - T) % period for r in range(period))], den)
     q = QuasiPolynomial(1, Lattice(1, ((period,),)),
                         {(r,): poly for r, poly in enumerate(polys)})
     return eventual_pqp([Fraction(c, den) for c in row[:T]], q)
-
-
-def rgf_to_pqp(f):
-    """Eventual quasi-polynomial of a univariate series, read from its
-    integer coefficients past every shift (_shape), so interpolation is
-    exact.  Raises ValueError if the series has a nonzero coefficient at a
-    negative exponent."""
-    return _pqp_of_series([f], *_shape(f))
 
 
 # ---------------------------------------------------------------------------
@@ -428,30 +409,6 @@ def pqp_to_rgf(g, names=None):
                 f = gf_euler(f, i)
         out.extend(f.terms)
     return rgf(names, out)
-
-
-# ---------------------------------------------------------------------------
-# Hadamard product and zero test
-
-
-def hadamard_univariate(f, g):
-    """Coefficientwise product of two univariate series, exactly.
-
-    From T = max(T_f, T_g) on, the product of the two coefficient sequences
-    is quasi-polynomial with period lcm(period_f, period_g) and degree
-    degree_f + degree_g (_shape), so it is read as one pqp from the product
-    of the two integer coefficient rows (_pqp_of_series) and converted back
-    to a rational function.  Raises ValueError if a series has a nonzero
-    coefficient at a negative exponent.
-    """
-    (Tf, mf, df), (Tg, mg, dg) = _shape(f), _shape(g)
-    h = _pqp_of_series([f, g], max(Tf, Tg), lcm(mf, mg), df + dg)
-    return pqp_to_rgf(h, names=f.names)
-
-
-def is_zero_univariate(f):
-    """Exact zero test of a series, in any dimension (see gf_is_zero)."""
-    return gf_is_zero(f)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ from presburger.formulas import (
 )
 from presburger.genfun import (
     _positive_functional,
+    _series_table,
     _substitute_exponents,
     make_term,
     rgf,
+    series_coeffs,
 )
 from presburger.lattices import (
     Lattice,
@@ -39,7 +41,13 @@ from presburger.lattices import (
     zero_vec,
 )
 from presburger.polyhedra import NonPointedError
-from presburger.quasipoly import StepPolynomial
+from presburger.quasipoly import (
+    QuasiPolynomial,
+    _interpolate,
+    StepPolynomial,
+    eventual_pqp,
+    pqp_to_rgf,
+)
 from presburger.semilinear import SemilinearCell, SemilinearSet
 from presburger.serialize import parse_frac, polyhedron_from_obj
 
@@ -539,6 +547,44 @@ def interpolate_cosets_oracle(r, D, adj, det, cosets, den):
         (tuple(Fraction(a, det) for a in row),
          Fraction(-vdot(row, start), det)) for row in adj])
         for start, samples in cosets]
+
+
+def hadamard_pqp_oracle(f, g):
+    """Coefficientwise product of two univariate series that vanish at
+    negative exponents, through a quasi-polynomial: from T, past every
+    numerator exponent, on, the product of the coefficient sequences is
+    quasi-polynomial with period m, the lcm of every denominator exponent,
+    and degree D, the sum of the degrees of f and g (the most factors of a
+    term, less one).  Every residue class is interpolated from the
+    product of the two integer coefficient rows (quasipoly._interpolate),
+    and the eventual form goes back to a GF by pqp_to_rgf."""
+    terms = f.terms + g.terms
+    T = max([0, *(t.numer[0] + 1 for t in terms)])
+    m = math.lcm(*(e for t in terms for (e,) in t.denom))
+    D = sum(max([1, *(len(t.denom) for t in x.terms)]) - 1 for x in (f, g))
+    bound = T + m * (D + 2)
+    (ta, da), (tb, db) = (_series_table(x, bound) for x in (f, g))
+    zero = [0] * (bound + 1)
+    row = list(map(operator.mul, ta.get((), zero), tb.get((), zero)))
+    polys = _interpolate(1, D, ((1,),), m, [
+        ((p0,), row[p0:p0 + m * (D + 2):m])
+        for p0 in (T + (r - T) % m for r in range(m))], da * db)
+    q = QuasiPolynomial(1, Lattice(1, ((m,),)), {
+        (r,): poly for r, poly in enumerate(polys)})
+    return pqp_to_rgf(eventual_pqp([Fraction(c, da * db) for c in row[:T]],
+                                   q), names=f.names)
+
+
+def product_on_box(f, g, h, bound):
+    """(series of h, product of the series of f and g) on the box lo +
+    [0, bound]^dim, lo the lowest numerator exponent of the three GFs in
+    each coordinate (at most 0), as dicts of nonzero coefficients."""
+    lo = tuple(min([0, *(t.numer[i] for x in (f, g, h) for t in x.terms)])
+               for i in range(f.dim))
+    a, b, c = ({vadd(e, lo): v for e, v in series_coeffs(rgf(x.names, [
+        t._replace(numer=vsub(t.numer, lo)) for t in x.terms]),
+        bound).items()} for x in (f, g, h))
+    return c, {e: v * b[e] for e, v in a.items() if e in b}
 
 
 def qp_to_step_oracle(q):

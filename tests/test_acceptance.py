@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from oracles import count_solutions, partition_count
+from presburger import hadamard_univariate, is_zero_univariate
 from presburger.cli import main
 from presburger.formulas import (
     LinearTerm,
@@ -38,8 +39,6 @@ from presburger.quasipoly import (
     QuasiPolynomial,
     PiecewiseQuasiPolynomial,
     eventual_pqp,
-    hadamard_univariate,
-    is_zero_univariate,
     pqp_to_rgf,
     rgf_to_pqp,
     synth_formula,

@@ -336,14 +336,27 @@ def test_zero_is_exact_at_negative_exponents_and_in_2d(capsys, tmp_path):
     assert rc == 0 and out.strip() == "false"
 
 
-def test_hadamard_rejects_negative_exponents(capsys, tmp_path):
+def test_hadamard_at_negative_exponents(capsys, tmp_path):
     inv = tmp_path / "inv.json"
     inv.write_text(json.dumps({"names": ["x"], "terms": [
         {"coef": "1", "numer_exp": [-1], "denom": []}]}))
     rc, out, err = run(capsys, "hadamard", str(inv), str(inv))
-    assert rc == 3 and out == ""
-    assert err == ("error: series has a nonzero coefficient at a negative "
-                   "exponent\n")
+    assert (rc, out, err) == (0, "x^-1\n", "")  # 1 * 1 at exponent -1
+
+
+def test_hadamard_in_two_variables(capsys, tmp_path):
+    """GF(A) times GF(A) coefficientwise lists A again; GFs in different
+    numbers of variables are refused with one line and exit 3."""
+    g2, g1 = tmp_path / "g2.json", tmp_path / "g1.json"
+    g2.write_text(json.dumps(run_json(capsys, "genfun", "x + y <= 3")))
+    g1.write_text(json.dumps(run_json(capsys, "genfun", "x <= 3")))
+    h = gf_from_obj(run_json(capsys, "hadamard", str(g2), str(g2)))
+    assert h.names == ("x", "y")
+    assert series_coeffs(h, 6) == {(x, y): 1 for x in range(4)
+                                   for y in range(4 - x)}
+    rc, out, err = run(capsys, "hadamard", str(g2), str(g1))
+    assert (rc, out) == (3, "")
+    assert err == "error: hadamard product of GFs in 2 and 1 variables\n"
 
 
 def test_synth_pipeline_roundtrip(capsys, tmp_path):
@@ -460,7 +473,7 @@ def test_golden_hadamard_and_synth(capsys, tmp_path):
         "--param-vars", "p", "--as", "qp")))
     digests = {
         "hadamard":
-        "512313d9bbdf38576a344ba7366eb63dd158b2a6d341070bd51eabfa31676555",
+        "9d5b42af7a37bbe238808df1d5e522a13f22efd3e4ad456f7f27163861f8276c",
         "synth":
         "435b0e25d82edcd66d57f73ebff1927ffeab7e9881bd00c979f280e99aa24502"}
     for argv in (("hadamard", str(fa), str(fb)), ("synth", str(fq))):

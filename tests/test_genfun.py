@@ -18,6 +18,7 @@ from oracles import (
     mixed_pole_oracle,
     monomial_substitute,
     points_value_mod,
+    product_on_box,
     scalar_inverse,
     series_coeffs_oracle,
     series_oracle,
@@ -50,6 +51,7 @@ from presburger.genfun import (
     gf_of_cell,
     gf_of_formula,
     gf_of_semilinear,
+    hadamard,
     make_term,
     rgf,
     series_coeffs,
@@ -60,7 +62,8 @@ from presburger.lattices import (Lattice, LatticeCoset, full_coset,
                                  int_inverse, lex_positive, lll)
 from presburger.polyhedra import (Cone, Polyhedron, tangent_cone,
                                   triangulate, vertices)
-from presburger.quasipoly import hadamard_univariate, is_zero_univariate
+from presburger import is_zero_univariate
+from presburger.quasipoly import vpf_gf
 from presburger.semilinear import SemilinearCell, to_dnf
 
 
@@ -685,14 +688,14 @@ def test_hadamard_indicator_intersection():
     # 1/(1-x) * 1/(1-x^2) pointwise = indicator of even numbers
     f = rgf(("x",), [make_term(1, (0,), ((1,),))])
     g = rgf(("x",), [make_term(1, (0,), ((2,),))])
-    h = hadamard_univariate(f, g)
+    h = hadamard(f, g)
     assert series_equal(h, g, 30)
 
 
 def test_hadamard_squares_sequence():
     # (p+1) * (p+1) = (p+1)^2
     f = rgf(("x",), [make_term(1, (0,), ((1,), (1,)))])
-    h = hadamard_univariate(f, f)
+    h = hadamard(f, f)
     table = series_coeffs(h, 25)
     for p in range(26):
         assert table.get((p,), Fraction(0)) == (p + 1) ** 2
@@ -701,19 +704,73 @@ def test_hadamard_squares_sequence():
 def test_hadamard_with_zero():
     f = rgf(("x",), [make_term(1, (0,), ((1,), (2,)))])
     z = rgf(("x",), [])
-    assert not hadamard_univariate(f, z).terms
+    assert not hadamard(f, z).terms
 
 
 def test_hadamard_periodic_pair():
     f = rgf(("x",), [make_term(1, (0,), ((2,), (3,)))])
     g = rgf(("x",), [make_term(1, (1,), ((2,),))])
-    h = hadamard_univariate(f, g)
+    h = hadamard(f, g)
     tf = series_coeffs(f, 40)
     tg = series_coeffs(g, 40)
     th = series_coeffs(h, 40)
     for p in range(41):
         want = tf.get((p,), Fraction(0)) * tg.get((p,), Fraction(0))
         assert th.get((p,), Fraction(0)) == want, p
+
+
+def test_hadamard_of_a_negative_exponent():
+    # x^-1/(1 - x) lists -1, 0, 1, ...; the product keeps the even ones
+    f = rgf(("x",), [make_term(1, (-1,), ((1,),))])
+    g = rgf(("x",), [make_term(1, (0,), ((2,),))])
+    assert hadamard(f, g) == g
+
+
+def test_hadamard_101_103():
+    # a period lcm(101, 103) = 10403 no longer shows in the answer
+    f = rgf(("x",), [make_term(1, (0,), ((1,), (101,)))])
+    g = rgf(("x",), [make_term(1, (0,), ((1,), (103,)))])
+    h = hadamard(f, g)
+    assert len(h.terms) <= 10
+    got, want = product_on_box(f, g, h, 600)
+    assert got == want
+
+
+def random_lex_gf(rng, d, pool):
+    """One or two terms c x^a / prod (1 - x^b) in d variables, a in
+    [-2, 1]^d and d - 1 to d + 1 denominators b drawn from pool, a
+    repeat allowed."""
+    return rgf(("x", "y", "z", "w")[:d], [make_term(
+        Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2)),
+        [rng.randint(-2, 1) for _ in range(d)],
+        rng.choices(pool, k=rng.randint(d - 1, d + 1)))
+        for _ in range(rng.randint(1, 2))])
+
+
+def test_hadamard_multivariate_against_the_series():
+    """Seeded pairs in 2-4 variables, with negative exponents, mixed-sign
+    and repeated denominators: the series of the product is the product
+    of the series on a box from the lowest exponent."""
+    rng = random.Random(2468)
+    for d, count, bound in ((2, 24, 8), (3, 16, 5), (4, 10, 3)):
+        for _ in range(count):
+            # unit vectors and two with entries in [-1, 2], made
+            # lex-positive by make_term, so mixed signs such as (1, -1)
+            pool = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+            while len(pool) < d + 2:
+                b = tuple(rng.randint(-1, 2) for _ in range(d))
+                if any(b):
+                    pool.append(b)
+            f, g = (random_lex_gf(rng, d, pool) for _ in "fg")
+            got, want = product_on_box(f, g, hadamard(f, g), bound)
+            assert got == want, (f, g)
+    # dependent denominators: partitions into (1,0), (0,1), (1,1), squared
+    vpf = vpf_gf([(1, 0), (0, 1), (1, 1)])
+    square = rgf(vpf.names, [make_term(1, (0, 0), vpf.terms[0].denom * 2)])
+    got, want = product_on_box(square, vpf, hadamard(square, vpf), 6)
+    assert got == want
+    with pytest.raises(ValueError, match="1 and 2 variables"):
+        hadamard(rgf(("x",), []), vpf)
 
 
 def test_is_zero_univariate():

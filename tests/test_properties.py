@@ -32,6 +32,7 @@ from presburger.formulas import (  # noqa: E402
     simplify,
     substitute,
 )
+from presburger.genfun import gf_of_formula, hadamard, series_equal  # noqa: E402
 from presburger.qelim import eliminate_exists  # noqa: E402
 from presburger.semilinear import to_dnf  # noqa: E402
 
@@ -131,6 +132,16 @@ def test_eliminate_exists_matches_search(body):
     for y in range(10):
         assert eval_ground(g, {"y": y}) == brute_exists(body, "x", {"y": y}), (
             format_formula(body), y)
+
+
+@hypothesis.settings(max_examples=20)  # the profile's other settings hold
+@hypothesis.given(qf_formulas({"x": 2, "y": 2}, 4),
+                  qf_formulas({"x": 2, "y": 2}, 4))
+def test_hadamard_of_two_sets_is_their_intersection(f, g):
+    """GF(A) times GF(B) coefficientwise is GF(A & B), on a box."""
+    h = hadamard(gf_of_formula(f, NAMES), gf_of_formula(g, NAMES))
+    assert series_equal(h, gf_of_formula(conj([f, g]), NAMES), BOX), (
+        format_formula(f), format_formula(g))
 
 
 @st.composite

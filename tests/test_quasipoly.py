@@ -6,14 +6,17 @@ from itertools import product
 import pytest
 from oracles import (
     count_solutions,
+    hadamard_pqp_oracle,
     interpolate_cosets_oracle,
     partition_count,
+    product_on_box,
     qp_to_step_oracle,
 )
 from presburger import quasipoly
 from presburger.genfun import (
     _series_table,
     gf_is_zero,
+    hadamard,
     make_term,
     rgf,
     series_coeffs,
@@ -28,7 +31,6 @@ from presburger.quasipoly import (
     _interpolate,
     eventual_form,
     eventual_pqp,
-    hadamard_univariate,
     poly_eval,
     pqp_to_rgf,
     qp_to_step,
@@ -266,26 +268,25 @@ def has_negative_coefficient(f):
 
 
 def test_hadamard_is_the_product_of_the_series():
+    """On seeded univariate pairs, negative exponents included, the series
+    of hadamard is the product of the series on a box from the lowest
+    exponent; where neither series reaches below exponent 0 it is also
+    the GF of the quasi-polynomial route."""
     rng = random.Random(97531)
-    raised = polynomial = 0
+    negative = polynomial = 0
     for _ in range(200):
         f, g = random_hadamard_gf(rng), random_hadamard_gf(rng)
         polynomial += all(not t.denom for t in f.terms)
-        try:
-            h = hadamard_univariate(f, g)
-        except ValueError as e:
-            assert "negative exponent" in str(e)
-            assert has_negative_coefficient(f) or \
-                has_negative_coefficient(g), (f, g)
-            raised += 1
+        h = hadamard(f, g)
+        got, want = product_on_box(f, g, h, 40)
+        assert got == want, (f, g)
+        if has_negative_coefficient(f) or has_negative_coefficient(g):
+            negative += 1
             continue
-        assert not has_negative_coefficient(f), f
-        assert not has_negative_coefficient(g), g
-        a, b, c = (series_coeffs(x, 40) for x in (f, g, h))
-        for p in range(41):
-            assert c.get((p,), 0) == a.get((p,), 0) * b.get((p,), 0), \
-                (f, g, p)
-    assert 10 < raised < 100 and polynomial > 10
+        old = hadamard_pqp_oracle(f, g)
+        assert gf_is_zero(rgf(h.names, h.terms + tuple(
+            t._replace(coef=-t.coef) for t in old.terms))), (f, g)
+    assert 10 < negative < 100 and polynomial > 10
 
 
 def test_qp_to_step_matches_oracle():
