@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from operator import mul
 
@@ -93,63 +94,79 @@ def _project(v, a, u, s):
     return primitive([s * x - c * y for x, y in zip(v, u)]) if c else v
 
 
-def _dd(rows, n):
-    """Lines and extreme rays of the cone {y in Q^n : a.y >= 0 for a in rows}.
-
-    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
-    and Prodon 1996), from the n unit lines, one row at a time.  A row
-    that is nonzero on some line turns it into a ray, tight on every
-    earlier row, and projects the other lines and rays along it onto the
-    row's hyperplane.  Otherwise the rays on the row's positive side and
-    hyperplane stay, and each adjacent pair of a positive and a negative
-    ray gives a new ray on the hyperplane.  Rays carry bit masks of their
-    tight rows; two are adjacent when no third ray is tight on every row
-    they share.  The cone is span(lines) + cone(rays); vectors are
-    primitive integer tuples and the rays are distinct.
-    """
-    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays = []  # (vector, mask of the rows it is tight on)
-    for k, a in enumerate(rows):
-        bit = 1 << k
-        for i, line in enumerate(lines):
-            s = sum(map(mul, a, line))
-            if s:
-                del lines[i]
-                if s < 0:
-                    line, s = tuple(-c for c in line), -s
-                lines = [_project(m, a, line, s) for m in lines]
-                rays = [(_project(r, a, line, s), mask | bit)
-                        for r, mask in rays]
-                rays.append((line, bit - 1))
-                break
+def dd_cut(dd, a):
+    """The double description dd = (lines, rays, k) of a cone cut by one
+    more row a.y >= 0, leaving dd intact (Motzkin, Raiffa, Thompson and
+    Thrall 1953; Fukuda and Prodon 1996).  A row that is nonzero on some
+    line turns it into a ray, tight on every earlier row, and projects the
+    other lines and rays along it onto the row's hyperplane.  Otherwise
+    the rays on the row's positive side and hyperplane stay, and each
+    adjacent pair of a positive and a negative ray gives a new ray on the
+    hyperplane.  Rays are (vector, mask) pairs, bit i of the mask set when
+    the ray is tight on row i of the k so far; two are adjacent when no
+    third ray is tight on every row they share.  The cone is span(lines) +
+    cone(rays); vectors are primitive integer tuples, rays distinct."""
+    lines, rays, k = dd
+    bit = 1 << k
+    for i, line in enumerate(lines):
+        s = sum(map(mul, a, line))
+        if s:
+            if s < 0:
+                line, s = tuple(-c for c in line), -s
+            lines = [_project(m, a, line, s)
+                     for m in lines[:i] + lines[i + 1:]]
+            rays = [(_project(r, a, line, s), mask | bit) for r, mask in rays]
+            return lines, rays + [(line, bit - 1)], k + 1
+    pos, neg, kept = [], [], []
+    for r, mask in rays:
+        c = sum(map(mul, a, r))
+        if c > 0:
+            pos.append((r, mask, c))
+            kept.append((r, mask))
+        elif c < 0:
+            neg.append((r, mask, c))
         else:
-            pos, neg, kept = [], [], []
-            for r, mask in rays:
-                c = sum(map(mul, a, r))
-                if c > 0:
-                    pos.append((r, mask, c))
-                    kept.append((r, mask))
-                elif c < 0:
-                    neg.append((r, mask, c))
+            kept.append((r, mask | bit))
+    if pos and neg:
+        # an edge of the cone has n - len(lines) - 2 independent tight rows
+        need = len(a) - len(lines) - 2
+        masks = [mask for _, mask in rays]
+        for p, mp, cp in pos:
+            for q, mq, cq in neg:
+                common = mp & mq
+                if common.bit_count() < need:
+                    continue
+                for m in masks:
+                    if m & common == common and m != mp and m != mq:
+                        break
                 else:
-                    kept.append((r, mask | bit))
-            if pos and neg:
-                # an edge of the cone has n - len(lines) - 2 independent
-                # tight rows
-                need = n - len(lines) - 2
-                masks = [mask for _, mask in rays]
-                for p, mp, cp in pos:
-                    for q, mq, cq in neg:
-                        common = mp & mq
-                        if common.bit_count() < need:
-                            continue
-                        for m in masks:
-                            if m & common == common and m != mp and m != mq:
-                                break
-                        else:
-                            kept.append((_project(q, a, p, cp), common | bit))
-            rays = kept
+                    kept.append((_project(q, a, p, cp), common | bit))
+    return lines, kept, k + 1
+
+
+def dd_space(n):
+    """The double description of all of Q^n: the n unit lines."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)], [], 0
+
+
+def _dd(rows, n):
+    """Lines and extreme rays of {y in Q^n : a.y >= 0 for a in rows}."""
+    lines, rays, _ = reduce(dd_cut, rows, dd_space(n))
     return lines, [r for r, _ in rays]
+
+
+def dd_positive(dd, a):
+    """True when a.y > 0 somewhere on the cone of dd."""
+    return (any(sum(map(mul, a, line)) for line in dd[0])
+            or any(sum(map(mul, a, r)) > 0 for r, _ in dd[1]))
+
+
+def dd_feasible(dd, a):
+    """is_feasible of a nonempty polyhedron cut by one more row a on (x, t),
+    given the double description dd of its homogenized cone: a is positive
+    on a line or ray, or tight on a ray with t > 0."""
+    return dd_positive(dd, a) or any(
+        r[-1] and not sum(map(mul, a, r)) for r, _ in dd[1])
 
 
 def _homogenized(p):

@@ -68,7 +68,7 @@ from .lattices import (
     vscale,
     vsub,
 )
-from .polyhedra import Polyhedron, implicit_equalities, tangent_cone
+from .polyhedra import Polyhedron, dd_cut, dd_positive, dd_space
 from .semilinear import SemilinearCell
 
 
@@ -455,17 +455,20 @@ def _vpf_chambers(gens):
     wall is the primitive normal of r - 1 generators together with E; the
     walls with every generator on one side are the facets of cone(B), and
     the regions are the sign cells of the others inside it whose relative
-    interior is not empty.  A region's cell keeps its facet rows only, each
-    made half-open by one generic w inside cone(B), so every lattice point
-    of cone(B) lies in exactly one cell.  Each region lies in a chamber,
-    whose quasi-polynomial holds on its closure and is periodic modulo the
-    intersection of the lattices spanned by sigma and E over the bases
-    sigma whose open cone contains it (Sturmfels 1995; Brion and Vergne
-    1997).  On each coset that meets span(B), the constituent is
-    interpolated from a triangular grid along r rays of the region, each
-    scaled into the lattice, from a start in the closed region, and checked
-    on the grid's next layer; all samples come from one series table of
-    vpf_gf.
+    interior is not empty.  Each region carries the double description of
+    its cone, cut one wall side at a time from that of cone(B): a side s
+    keeps a relative interior iff some line has s.l != 0 or some ray has
+    s.y > 0, and the region's rays are its sorted extreme rays.  A region's
+    cell keeps its facet rows only, each made half-open by one generic w
+    inside cone(B), so every lattice point of cone(B) lies in exactly one
+    cell.  Each region lies in a chamber, whose quasi-polynomial holds on
+    its closure and is periodic modulo the intersection of the lattices
+    spanned by sigma and E over the bases sigma whose open cone contains it
+    (Sturmfels 1995; Brion and Vergne 1997).  On each coset that meets
+    span(B), the constituent is interpolated from a triangular grid along r
+    rays of the region, each scaled into the lattice, from a start in the
+    closed region, and checked on the grid's next layer; all samples come
+    from one series table of vpf_gf.
     """
     n = len(gens[0])
     E = hnf_kernel(gens)
@@ -482,14 +485,11 @@ def _vpf_chambers(gens):
             else:
                 facets.add(a if signs == {True} else vneg(a))
     eqs = [(e, 0) for e in E]
-
-    def cone(rows):
-        return Polyhedron.of(n, [(a, 0) for a in rows], eqs)
-
-    regions = [sorted(facets)]
+    regions = [(sorted(facets), reduce(dd_cut, [*facets, *E, *map(vneg, E)],
+                                       dd_space(n)))]
     for a in sorted(walls):
-        regions = [rows + [s] for rows in regions for s in (a, vneg(a))
-                   if not implicit_equalities(cone(rows + [s]))]
+        regions = [(rows + [s], dd_cut(dd, s)) for rows, dd in regions
+                   for s in (a, vneg(a)) if dd_positive(dd, s)]
     # a.w is a base-M number whose digits a.g are not all 0, so no wall
     # holds w
     M = 1 + max((abs(vdot(a, g)) for a in walls for g in uniq), default=0)
@@ -502,8 +502,8 @@ def _vpf_chambers(gens):
             bases.append((adj, det, LatticeCoset(lat, (0,) * n)))
     D = len(gens) - r
     chambers = []
-    for rows in regions:
-        rays = tangent_cone(cone(rows), (0,) * n).generators
+    for rows, (_, rays, _) in regions:
+        rays = sorted(u for u, _ in rays)
         cell = Polyhedron.of(n, [
             (a, 0 if vdot(a, w) > 0 else 1) for a in rows
             if len(int_rref([u for u in rays if not vdot(a, u)], n)) == r - 1

@@ -13,12 +13,16 @@ lattice split, the residuals of all of them from one fold (an atom is
 true on each residue of its set), and each residue whose residual is not
 FALSE becomes one branch, so x != r (mod m), one atom with the m - 1
 other residues, gives m - 1 cells.  Distinct branches disagree on some
-split, so the produced cells are disjoint by construction.
+split, so the produced cells are disjoint by construction.  A branch is
+tested against the double description of its parent's homogenized cone
+(polyhedra.dd_feasible), an equality by both half-spaces as the parent is
+convex, and only a branch that splits further is cut by its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .formulas import (
     FALSE,
@@ -47,7 +51,13 @@ from .lattices import (
     vneg,
     vsub,
 )
-from .polyhedra import Polyhedron, is_feasible, nonneg_orthant
+from .polyhedra import (
+    Polyhedron,
+    dd_cut,
+    dd_feasible,
+    dd_space,
+    nonneg_orthant,
+)
 from .qelim import qelim
 
 
@@ -150,9 +160,6 @@ def to_dnf(f, names=None):
     rank = {a: i for i, (_, atoms) in enumerate(order) for a in atoms}
     cells = []
 
-    def feasible(ineqs, eqs):
-        return is_feasible(Polyhedron.of(d, ineqs + orthant, eqs))
-
     def eqs_solvable_on_coset(poly, coset):
         # equality rows restricted to x = rep + B z must have an integer z
         if not poly.eqs:
@@ -164,8 +171,8 @@ def to_dnf(f, names=None):
         rhs = vsub(tuple(b for _, b in poly.eqs), mat_vec(rows, coset.rep))
         return solve_int(M, rhs) is not None
 
-    def split(h, ineqs, eqs, coset):
-        # h: g with the atoms decided on this branch folded away
+    def split(h, ineqs, eqs, coset, dd):
+        # h: g with this branch's decided atoms folded away; dd: its cone
         if h is FALSE:
             return
         if h is TRUE:
@@ -185,8 +192,12 @@ def to_dnf(f, names=None):
             else:
                 choices = ((named[True], [(a, -c)], []), below)
             for branch, add_ineq, add_eq in choices:
-                if feasible(ineqs + add_ineq, eqs + add_eq):
-                    split(branch, ineqs + add_ineq, eqs + add_eq, coset)
+                rows = [(*e, -b) for e, b in add_ineq + add_eq] + [
+                    (*vneg(e), b) for e, b in add_eq]
+                if branch is not FALSE and all(
+                        dd_feasible(dd, row) for row in rows):
+                    split(branch, ineqs + add_ineq, eqs + add_eq, coset,
+                          dd if branch is TRUE else reduce(dd_cut, rows, dd))
             return
         coeffs, modulus = key
         term = atoms[0].term
@@ -205,9 +216,10 @@ def to_dnf(f, names=None):
             branch = named.get(r, base)
             refined = None if branch is FALSE else cell(r)
             if refined is not None:
-                split(branch, ineqs, eqs, refined)
+                split(branch, ineqs, eqs, refined, dd)
 
-    split(g, [], [], full_coset(d))
+    space = dd_space(d + 1)  # cut by the unit rows to {x >= 0, t >= 0}
+    split(g, [], [], full_coset(d), reduce(dd_cut, space[0], space))
     return SemilinearSet(names, tuple(cells))
 
 

@@ -482,6 +482,28 @@ def test_golden_hadamard_and_synth(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digests[argv[0]]
 
 
+def test_split_trees_carry_one_double_description(capsys, monkeypatch):
+    """dnf and vpf cut one double description down each split tree: no
+    branch calls is_feasible or builds its cone from scratch, and stdout
+    stays pinned byte for byte by its sha256."""
+    import presburger.polyhedra as polyhedra
+
+    def from_scratch(*args):
+        raise AssertionError("a branch rebuilt its cone from scratch")
+
+    monkeypatch.setattr(polyhedra, "_dd", from_scratch)
+    monkeypatch.setattr(polyhedra, "is_feasible", from_scratch)
+    cases = [
+        (("dnf", "A h. (h >= x | E y. 5*y + h = 2*x + w)"),
+         "e9c9b3ab25c0dbd68aeb8eb19e28874b6d96255f44c97fcac61a40fe601211ab"),
+        (("vpf", "1,2;2,3;3,1;1,1;1,0", "--as", "qp"),
+         "20fe247ee8c59fa1c7b54538683f3b2cccb4ec753351f8394464480c067dfd7c")]
+    for argv, digest in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def knapsack_text(coeffs, names, bound):
     return " + ".join(f"{a}*{v}" for a, v in zip(coeffs, names)) + \
         f" <= {bound}"

@@ -101,6 +101,9 @@ UNCALLED_PUBLIC = {
         "object form of a step polynomial: the reference the term-by-term "
         "writer in dumps is tested against, and a benchmark trace target",
     ("quasipoly.py", "partition_count"): "a benchmark trace target",
+    ("polyhedra.py", "is_feasible"):
+        "a benchmark trace target; to_dnf tests its branches against the "
+        "parent's double description instead",
     ("polyhedra.py", "has_interior"):
         "the planned refinement of piecewise quasi-polynomial cells uses it",
     ("semilinear.py", "formula_from_semilinear"):

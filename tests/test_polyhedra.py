@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from oracles import rat_rank, rays_oracle, vertices_oracle
-from presburger.lattices import vadd, vdot, vsub
+from presburger.lattices import vadd, vdot, vneg, vsub
 from presburger.polyhedra import (
     Cone,
     NonPointedError,
     Polyhedron,
+    dd_cut,
+    dd_feasible,
+    dd_space,
     has_interior,
     implicit_equalities,
     is_feasible,
@@ -309,3 +313,95 @@ def test_degenerate_vertices_against_subset_enumeration():
     assert check_against_oracles(wedge) == "non-pointed"
     slab = Polyhedron.of(2, [((1, 1), 3), ((-1, -1), -2)])
     assert check_against_oracles(slab) == "empty"
+
+
+def test_cone_cut_row_by_row_against_subset_enumeration():
+    """Every prefix of a random row sequence, equality pairs included, cut
+    into all of Q^n one row at a time: the lines span the kernel of the
+    prefix, the rays are the oracle's, each mask holds exactly the rows
+    its ray is tight on, and the cut leaves its input intact."""
+    rng = random.Random(1953)
+    pointed = 0
+    for _ in range(120):
+        n = rng.randint(2, 4)
+        rows = []
+        for _ in range(rng.randint(1, n + 3)):
+            a = tuple(rng.randint(-2, 2) for _ in range(n))
+            rows.append(a)
+            if rng.random() < 0.25:
+                rows.append(vneg(a))
+        dd = dd_space(n)
+        for k, a in enumerate(rows):
+            parent = (list(dd[0]), list(dd[1]), dd[2])
+            cut = dd_cut(dd, a)
+            assert (list(dd[0]), list(dd[1]), dd[2]) == parent
+            dd = cut
+            lines, rays, count = dd
+            prefix = rows[:k + 1]
+            assert count == k + 1
+            assert len(lines) == n - rat_rank(prefix), prefix
+            assert all(vdot(b, y) == 0 for b in prefix for y in lines)
+            for y, mask in rays:
+                assert mask == sum(1 << i for i, b in enumerate(prefix)
+                                   if vdot(b, y) == 0), (prefix, y)
+            if lines:
+                with pytest.raises(NonPointedError):
+                    rays_oracle(prefix, [], n)
+            else:
+                pointed += 1
+                assert sorted(y for y, _ in rays) == \
+                    rays_oracle(prefix, [], n), prefix
+    assert pointed > 100
+
+
+def homogenized_dd(p):
+    """The double description of the homogenized cone of p, cut row by row
+    in the order _homogenized uses."""
+    rows = []
+    for a, b in p.eqs:
+        rows += [(*a, -b), (*vneg(a), b)]
+    rows += [(*a, -b) for a, b in p.ineqs]
+    return reduce(dd_cut, rows + [(0,) * p.dim + (1,)], dd_space(p.dim + 1))
+
+
+def test_branch_test_against_is_feasible():
+    """Cutting a nonempty polyhedron by one more inequality or equality
+    row, tested against its parent's lines and rays, gives is_feasible of
+    the polyhedron with that row added: on empty branches, on branches
+    that keep only a face (row tight at a vertex), and on parents with
+    equalities or no vertex."""
+    rng = random.Random(1996)
+    kinds = set()
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        rows = [(tuple(rng.randint(-3, 3) for _ in range(d)),
+                 rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))]
+        eqs = [(tuple(rng.randint(-2, 2) for _ in range(d)),
+                rng.randint(-2, 2)) for _ in range(rng.choice([0, 0, 1]))]
+        p = Polyhedron.of(d, rows, eqs)
+        if rng.random() < 0.6:
+            p = p.intersect(box(d, 4))
+        if not is_feasible(p):
+            continue
+        dd = homogenized_dd(p)
+        for _ in range(6):
+            a = tuple(rng.randint(-3, 3) for _ in range(d))
+            if rng.random() < 0.5 and not dd[0]:
+                # a row tight at a vertex: the branch keeps a face of p,
+                # and one unit further it is empty
+                b = max(vdot(a, v) for v in vertices(p))
+                b = b.numerator // b.denominator + rng.randint(0, 1)
+            else:
+                b = rng.randint(-6, 6)
+            ge = Polyhedron.of(d, p.ineqs + ((a, b),), p.eqs)
+            eq = Polyhedron.of(d, p.ineqs, p.eqs + ((a, b),))
+            assert dd_feasible(dd, (*a, -b)) == is_feasible(ge), (p, a, b)
+            assert (dd_feasible(dd, (*a, -b))
+                    and dd_feasible(dd, (*vneg(a), b))) == \
+                is_feasible(eq), (p, a, b)
+            for q in (ge, eq):
+                kinds.add("empty" if not is_feasible(q) else
+                          "full" if has_interior(q) else "lower")
+        kinds.add("parent " + ("with line" if dd[0] else "pointed"))
+    assert kinds == {"empty", "full", "lower", "parent with line",
+                     "parent pointed"}

@@ -7,13 +7,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from oracles import brute_exists, truth_masks  # noqa: E402
+from oracles import brute_exists, truth_masks, witness_bound  # noqa: E402
 from presburger.formulas import (  # noqa: E402
     FALSE,
     TRUE,
     And,
     Cmp,
     Congruence,
+    Exists,
     LinearTerm,
     Not,
     Or,
@@ -88,9 +89,9 @@ def linear_terms(draw, cmax):
 
 
 @st.composite
-def qf_formulas(draw, cmax, mmax):
-    """A quantifier-free formula of depth at most 2 with comparison and
-    congruence atoms (moduli 2..mmax), and, or and not."""
+def qf_formulas(draw, cmax, mmax, depth=2):
+    """A quantifier-free formula of the given depth at most with comparison
+    and congruence atoms (moduli 2..mmax), and, or and not."""
 
     def formula(depth):
         kind = draw(st.integers(0, 3)) if depth else 0
@@ -106,7 +107,7 @@ def qf_formulas(draw, cmax, mmax):
         parts = [formula(depth - 1) for _ in range(draw(st.integers(2, 3)))]
         return conj(parts) if kind == 1 else disj(parts)
 
-    return formula(2)
+    return formula(depth)
 
 
 XYZ = {"x": 3, "y": 3, "z": 3}
@@ -142,6 +143,24 @@ def test_hadamard_of_two_sets_is_their_intersection(f, g):
     h = hadamard(gf_of_formula(f, NAMES), gf_of_formula(g, NAMES))
     assert series_equal(h, gf_of_formula(conj([f, g]), NAMES), BOX), (
         format_formula(f), format_formula(g))
+
+
+@hypothesis.given(qf_formulas({"x": 3, "y": 3}, 6),
+                  qf_formulas({"x": 2, "y": 2, "z": 2}, 4, depth=1))
+def test_general_dnf_cells_exact_and_disjoint(f, body):
+    """The to_dnf cells of a formula with equalities, inequalities and
+    congruences, and of one E over such a body, are pairwise disjoint and
+    hold exactly the formula's solutions on a box."""
+    g = Exists("z", body)
+    for h in (f, g):
+        cells = to_dnf(h, NAMES).cells
+        for pt in itertools.product(range(BOX), repeat=2):
+            env = dict(zip(NAMES, pt))
+            hits = sum(1 for cell in cells if cell.contains(pt))
+            assert hits <= 1, (format_formula(h), pt, "cells overlap")
+            bound = witness_bound(body, "z", env) if h is g else 0
+            assert (hits == 1) == eval_ground(h, env, bound), (
+                format_formula(h), pt)
 
 
 @st.composite
