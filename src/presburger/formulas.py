@@ -28,7 +28,7 @@ applies to the whole additive term to its left.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 
@@ -59,20 +59,32 @@ def check_modulus(modulus, what):
             f"{MODULUS_LIMIT}")
 
 
+def record(name, fields, defaults=None):
+    """Base of an immutable record class, ``class Cmp(record("Cmp", "term
+    op")):`` with ``__slots__ = ()`` so that no instance has a __dict__: a
+    named tuple equal only to a record of its own class with equal fields.
+    A class that checks its fields does so in ``__new__``, which ``_make``
+    and ``_replace`` skip."""
+    base = namedtuple(name, fields, defaults=defaults)
+    eq, ne = tuple.__eq__, tuple.__ne__
+    base.__eq__ = lambda a, b: type(a) is type(b) and eq(a, b)
+    base.__ne__ = lambda a, b: type(a) is not type(b) or ne(a, b)
+    base.__hash__ = tuple.__hash__
+    return base
+
+
 # ---------------------------------------------------------------------------
 # linear terms
 
 
-@dataclass(frozen=True)
-class LinearTerm:
+class LinearTerm(record("LinearTerm", "coeffs constant", defaults=(0,))):
     """Integral linear form sum(coeff * var) + constant.
 
     coeffs is a tuple of (name, coeff) pairs sorted by name with no zero
     coefficients, which makes equal terms structurally equal.
     """
 
-    coeffs: tuple
-    constant: int = 0
+    __slots__ = ()
 
     @staticmethod
     def of(coeffs=None, constant=0):
@@ -143,29 +155,25 @@ class LinearTerm:
 # formula nodes
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(record("Cmp", "term op")):
     """Atom ``term >= 0`` (op ">=") or ``term = 0`` (op "=")."""
 
-    term: LinearTerm
-    op: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(record("Congruence", "term modulus residues")):
     """Atom ``term mod modulus in residues`` in the form congruence()
     makes: no constant, coefficients in [1, modulus), and residues a
     sorted tuple of distinct ints in [0, modulus) that is neither empty
     nor all of them."""
 
-    term: LinearTerm
-    modulus: int
-    residues: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        m, rs = self.modulus, self.residues
-        if not (m >= 1 and self.term.constant == 0
-                and all(0 < c < m for _name, c in self.term.coeffs)
+    def __new__(cls, term, modulus, residues):
+        self = super().__new__(cls, term, modulus, residues)
+        m, rs = modulus, residues
+        if not (m >= 1 and term.constant == 0
+                and all(0 < c < m for _name, c in term.coeffs)
                 and isinstance(rs, tuple) and 0 < len(rs) < m
                 and 0 <= rs[0] and rs[-1] < m
                 and all(a < b for a, b in zip(rs, rs[1:]))):
@@ -173,33 +181,27 @@ class Congruence:
                              f"constant, coefficients in [1, m), residues "
                              f"sorted and distinct in [0, m), neither none "
                              f"nor all); build it with congruence()")
+        return self
 
 
-@dataclass(frozen=True)
-class And:
-    parts: tuple
+class And(record("And", "parts")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple
+class Or(record("Or", "parts")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: object
+class Not(record("Not", "inner")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: object
+class Exists(record("Exists", "var body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ForAll:
-    var: str
-    body: object
+class ForAll(record("ForAll", "var body")):
+    __slots__ = ()
 
 
 TRUE = Cmp(LinearTerm((), 0), "=")

@@ -44,10 +44,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
+from .formulas import record
 from .lattices import (
     Lattice,
     full_coset,
@@ -84,16 +84,13 @@ class DivergentSpecialization(ValueError):
     """The substituted series has a genuine pole at 1 (infinite value)."""
 
 
-class GFTerm(NamedTuple):  # a tuple, so the walk builds one cheaply
-    coef: Fraction
-    numer: tuple   # int exponent vector
-    denom: tuple   # sorted tuple of nonzero lex-positive int vectors
+# coef x^numer / prod(1 - x^b for b in denom), numer an int vector, denom a
+# sorted tuple of nonzero lex-positive ones; a tuple the walk builds cheaply
+GFTerm = namedtuple("GFTerm", "coef numer denom")
 
 
-@dataclass(frozen=True)
-class RationalGF:
-    names: tuple
-    terms: tuple
+class RationalGF(record("RationalGF", "names terms")):
+    __slots__ = ()
 
     @property
     def dim(self):

@@ -11,11 +11,12 @@ is plain structural equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import add, mul, sub
+
+from .formulas import record
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +326,7 @@ def _back_substitute(H, U, pivots, rhs):
 # lattices and cosets
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(record("Lattice", "dim basis")):
     """Full-rank sublattice of Z^dim with a canonical HNF basis.
 
     basis[j] is the j-th basis vector; as the columns of a matrix they are
@@ -334,13 +334,13 @@ class Lattice:
     0 <= basis[j][i] < basis[i][i] for i > j).
     """
 
-    dim: int
-    basis: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.basis) != self.dim or any(
-                len(b) != self.dim or b[j] <= 0 for j, b in enumerate(self.basis)):
+    def __new__(cls, dim, basis):
+        if len(basis) != dim or any(
+                len(b) != dim or b[j] <= 0 for j, b in enumerate(basis)):
             raise ValueError("lattice basis is not a full-rank HNF")
+        return super().__new__(cls, dim, basis)
 
     @staticmethod
     def standard(dim):
@@ -406,15 +406,13 @@ class Lattice:
         return [tuple(t) for t in product(*ranges)]
 
 
-@dataclass(frozen=True)
-class LatticeCoset:
+class LatticeCoset(record("LatticeCoset", "lattice rep")):
     """Coset rep + L of a full-rank lattice; rep is stored reduced."""
 
-    lattice: Lattice
-    rep: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rep", self.lattice.reduce(self.rep))
+    def __new__(cls, lattice, rep):
+        return super().__new__(cls, lattice, lattice.reduce(rep))
 
     @property
     def dim(self):

@@ -11,12 +11,12 @@ polyhedron and raise NonPointedError otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import mul
 
+from .formulas import record
 from .lattices import int_rref, primitive, rat_nullspace, vdot, vneg
 
 
@@ -24,11 +24,11 @@ class NonPointedError(ValueError):
     """The polyhedron contains a line, so it has no vertices."""
 
 
-@dataclass(frozen=True)
-class Polyhedron:
-    dim: int
-    ineqs: tuple  # rows (a, b): a.x >= b
-    eqs: tuple    # rows (a, b): a.x = b
+class Polyhedron(record("Polyhedron", "dim ineqs eqs")):
+    """{x in Q^dim : a.x >= b for each row (a, b) of ineqs, a.x = b for
+    each row (a, b) of eqs}."""
+
+    __slots__ = ()
 
     @staticmethod
     def of(dim, ineqs=(), eqs=()):
@@ -76,12 +76,11 @@ def nonneg_orthant(dim):
     return Polyhedron.of(dim, rows)
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Pointed simplicial-or-not cone: apex + primitive ray generators."""
+class Cone(record("Cone", "apex generators")):
+    """Pointed simplicial-or-not cone: apex (a tuple of Fractions) +
+    primitive ray generators (int tuples)."""
 
-    apex: tuple        # Fractions
-    generators: tuple  # primitive int tuples
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

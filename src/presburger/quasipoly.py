@@ -26,7 +26,6 @@ variable p = m t + r, every residue r in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, count, product, repeat
@@ -42,6 +41,7 @@ from .formulas import (
     conj,
     disj,
     neg,
+    record,
 )
 from .genfun import (
     GFTerm,
@@ -186,13 +186,13 @@ def _interpolate(r, D, adj, det, cosets, den):
 # domain types
 
 
-@dataclass(eq=True)
-class QuasiPolynomial:
-    """One polynomial per coset of a full-rank lattice in ZZ^n."""
+class QuasiPolynomial(record("QuasiPolynomial", "n lattice constituents")):
+    """One polynomial per coset of a full-rank lattice in ZZ^n:
+    constituents maps each coset representative tuple to a polynomial
+    dict.  It holds a dict, so it is not hashable."""
 
-    n: int
-    lattice: Lattice
-    constituents: dict  # coset representative tuple -> polynomial dict
+    __slots__ = ()
+    __hash__ = None
 
     def eval(self, p):
         rep = self.lattice.reduce(tuple(p))
@@ -206,12 +206,13 @@ def qp_zero(n):
     return QuasiPolynomial(n, Lattice.standard(n), {(0,) * n: {}})
 
 
-@dataclass(eq=True)
-class PiecewiseQuasiPolynomial:
-    """Quasi-polynomials on disjoint polyhedral cells; zero elsewhere."""
+class PiecewiseQuasiPolynomial(record("PiecewiseQuasiPolynomial", "n pieces")):
+    """Quasi-polynomials on disjoint polyhedral cells; zero elsewhere.
+    pieces is a tuple of (cell: Polyhedron, qp: QuasiPolynomial) pairs;
+    like its quasi-polynomials it is not hashable."""
 
-    n: int
-    pieces: tuple  # (cell: Polyhedron, qp: QuasiPolynomial) pairs
+    __slots__ = ()
+    __hash__ = None
 
     def eval(self, p):
         p = tuple(p)
@@ -221,12 +222,12 @@ class PiecewiseQuasiPolynomial:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class StepPolynomial:
-    """Sum of coef * prod floor(affine form); exact at integer points."""
+class StepPolynomial(record("StepPolynomial", "n terms")):
+    """Sum of coef * prod floor(affine form); exact at integer points.
+    terms is a tuple of (coef, factors), each factor a (coeff tuple,
+    const Fraction) pair."""
 
-    n: int
-    terms: tuple  # (coef, factors); factor = (coeff tuple, const Fraction)
+    __slots__ = ()
 
 
 def step_eval(s, p):

@@ -21,7 +21,6 @@ convex, and only a branch that splits further is cut by its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .formulas import (
@@ -40,6 +39,7 @@ from .formulas import (
     disj,
     free_vars,
     nnf,
+    record,
     simplify,
 )
 from .lattices import (
@@ -61,19 +61,17 @@ from .polyhedra import (
 from .qelim import qelim
 
 
-@dataclass(frozen=True)
-class SemilinearCell:
-    polyhedron: Polyhedron
-    coset: object  # LatticeCoset
+class SemilinearCell(record("SemilinearCell", "polyhedron coset")):
+    """The points of a Polyhedron in a LatticeCoset."""
+
+    __slots__ = ()
 
     def contains(self, point):
         return self.polyhedron.contains(point) and self.coset.contains(point)
 
 
-@dataclass(frozen=True)
-class SemilinearSet:
-    names: tuple
-    cells: tuple
+class SemilinearSet(record("SemilinearSet", "names cells")):
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -159,6 +157,7 @@ def to_dnf(f, names=None):
     order = sorted(groups.items()) + [(None, [a]) for a in cmps]
     rank = {a: i for i, (_, atoms) in enumerate(order) for a in atoms}
     cells = []
+    polys = {}  # (ineqs, eqs) -> Polyhedron; residue branches share rows
 
     def eqs_solvable_on_coset(poly, coset):
         # equality rows restricted to x = rep + B z must have an integer z
@@ -176,7 +175,10 @@ def to_dnf(f, names=None):
         if h is FALSE:
             return
         if h is TRUE:
-            poly = Polyhedron.of(d, ineqs + orthant, eqs)
+            rows = (tuple(ineqs), tuple(eqs))
+            poly = polys.get(rows)
+            if poly is None:
+                poly = polys[rows] = Polyhedron.of(d, ineqs + orthant, eqs)
             if eqs_solvable_on_coset(poly, coset):
                 cells.append(SemilinearCell(poly, coset))
             return

@@ -34,6 +34,8 @@ from presburger.formulas import (
     simplify,
     substitute,
 )
+from presburger.lattices import Lattice, LatticeCoset
+from presburger.quasipoly import qp_zero
 
 
 def box_envs(names, hi):
@@ -408,3 +410,50 @@ def test_smart_constructor_folding():
     assert neg(neg(parse("x >= 1"))) == parse("x >= 1")
     assert congruence(t({"x": 4}, 0), 2, 1) == FALSE
     assert congruence(t({"x": 2}, 1), 2, 1) == TRUE
+
+
+def test_records_are_equal_only_within_one_class():
+    p = (parse("x >= 1"), parse("y = 2"))
+    pairs = [(And(p), Or(p)), (Exists("x", p[0]), ForAll("x", p[0]))]
+    # a record is a tuple, but never equal to the tuple of its fields
+    pairs += [(r, tuple(r)) for r in (And(p), Not(p[0]), p[0], p[0].term)]
+    for a, b in pairs:
+        assert a != b and b != a
+        assert not a == b and not b == a
+    assert conj(p) == And(p) and not conj(p) != And(p)
+    assert hash(conj(p)) == hash(And(p))
+    assert hash(parse("x >= 1")) == hash(cmp_ge(t({"x": 1}, -1)))
+    assert {And(p): 1}[conj(p)] == 1
+
+
+def test_record_fields_cannot_be_assigned():
+    for r, field in ((parse("x >= 1"), "op"), (LinearTerm(()), "constant"),
+                     (Lattice.standard(1), "basis"), (qp_zero(1), "n")):
+        with pytest.raises(AttributeError):
+            setattr(r, field, None)
+    with pytest.raises(TypeError):
+        hash(qp_zero(1))  # it holds a dict of constituents
+
+
+def test_records_keep_their_construction_and_checks():
+    assert LinearTerm(coeffs=()) == LinearTerm((), 0)
+    assert Cmp(term=t({"x": 1}), op="=") == Cmp(t({"x": 1}), "=")
+    with pytest.raises(ValueError, match="not reduced"):
+        Congruence(term=t({"x": 1}, 1), modulus=3, residues=(0,))
+    for basis in [((2, 1), (0, 0)), ((1, 0),), ((1,), (0, 1))]:
+        with pytest.raises(ValueError, match="full-rank HNF"):
+            Lattice(2, basis)
+    lat = Lattice(dim=2, basis=((2, 1), (0, 3)))
+    assert LatticeCoset(lat, (5, -1)).rep == (1, 0)
+    assert LatticeCoset(lattice=lat, rep=(1, 1)) == LatticeCoset(lat, (3, 5))
+
+
+def test_record_reprs_are_the_dataclass_reprs():
+    # _prune_conj and _prune_disj sort by repr, so printed output rests on it
+    assert repr(LinearTerm((("x", 2), ("y", -1)), 3)) == (
+        "LinearTerm(coeffs=(('x', 2), ('y', -1)), constant=3)")
+    assert repr(parse("x >= 2")) == (
+        "Cmp(term=LinearTerm(coeffs=(('x', 1),), constant=-2), op='>=')")
+    assert repr(congruence(t({"x": 4}), 6, [0, 4])) == (
+        "Congruence(term=LinearTerm(coeffs=(('x', 2),), constant=0), "
+        "modulus=3, residues=(0, 2))")

@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module,
+and the package starts without the standard library's heavy modules."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import presburger
@@ -33,6 +36,18 @@ def unused_imports(source):
                         if isinstance(elt, ast.Constant))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
+
+
+def test_cold_start_imports_no_heavy_modules():
+    # dataclasses alone pulls in inspect, ast, dis, tokenize and copy, and
+    # a CLI run pays for every import before it answers its one query
+    heavy = {"dataclasses", "inspect", "typing", "ast", "copy"}
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "import presburger, presburger.cli, presburger.quasipoly; "
+            f"print(sorted({heavy!r} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_unused_imports_are_found():
