@@ -204,16 +204,10 @@ class ForAll(record("ForAll", "var body")):
     __slots__ = ()
 
 
+# Every constructor below returns these two objects for a constant atom, so
+# code tests for them by identity.
 TRUE = Cmp(LinearTerm((), 0), "=")
 FALSE = Cmp(LinearTerm((), -1), "=")
-
-
-def is_true(f):
-    return f == TRUE
-
-
-def is_false(f):
-    return f == FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +282,9 @@ def _join_parts(parts, node, unit, zero, merge):
     seen = set()
     at = {}  # (term, modulus) -> index in out of its congruence
     for p in parts:
-        if p == zero:
+        if p is zero:
             return zero
-        if p == unit:
+        if p is unit:
             continue
         for q in p.parts if isinstance(p, node) else (p,):
             if isinstance(q, Congruence):
@@ -321,9 +315,9 @@ def disj(parts):
 
 
 def neg(f):
-    if is_true(f):
+    if f is TRUE:
         return FALSE
-    if is_false(f):
+    if f is FALSE:
         return TRUE
     if isinstance(f, Not):
         return f.inner
@@ -388,7 +382,7 @@ def substitute(f, name, term):
         parts = []
         for p in f.parts:
             q = substitute(p, name, term)
-            if q == stop:
+            if q is stop:
                 return stop
             parts.append(q)
         return conj(parts) if isinstance(f, And) else disj(parts)
@@ -554,7 +548,7 @@ def simplify(f):
         return neg(inner)
     if isinstance(f, (Exists, ForAll)):
         body = simplify(f.body)
-        if is_true(body) or is_false(body) or f.var not in free_vars(body):
+        if f.var not in free_vars(body):
             return body
         return Exists(f.var, body) if isinstance(f, Exists) else ForAll(f.var, body)
     raise TypeError(f"not a formula: {f!r}")
@@ -821,10 +815,6 @@ def _format_term_side(items, const):
 
 
 def _format_cmp(a):
-    if a == TRUE:
-        return "0 = 0"
-    if a == FALSE:
-        return "0 = 1"
     t = a.term
     left = [(n, c) for n, c in t.coeffs if c > 0]
     right = [(n, -c) for n, c in t.coeffs if c < 0]

@@ -376,15 +376,8 @@ class Lattice(record("Lattice", "dim basis")):
         return out
 
     def contains(self, v):
-        v = list(v)
-        for j in range(self.dim):
-            if v[j] % self.basis[j][j] != 0:
-                return False
-            q = v[j] // self.basis[j][j]
-            if q:
-                for i in range(j, self.dim):
-                    v[i] -= q * self.basis[j][i]
-        return all(a == 0 for a in v)
+        """v lies in the lattice iff its canonical representative is 0."""
+        return not any(self.reduce(v))
 
     def reduce(self, v):
         """Canonical coset representative of v modulo the lattice.
@@ -392,12 +385,14 @@ class Lattice(record("Lattice", "dim basis")):
         Successive division against the HNF diagonal, so every coordinate
         of the result lies in [0, basis[j][j]).
         """
+        dim, basis = self
         v = list(v)
-        for j in range(self.dim):
-            q = v[j] // self.basis[j][j]
+        for j in range(dim):
+            b = basis[j]
+            q = v[j] // b[j]
             if q:
-                for i in range(j, self.dim):
-                    v[i] -= q * self.basis[j][i]
+                for i in range(j, dim):
+                    v[i] -= q * b[i]
         return tuple(v)
 
     def coset_representatives(self):

@@ -119,7 +119,7 @@ def eliminate_exists(var, body):
 
     shifted = conj([_map_atoms(work, rescale),
                     congruence(LinearTerm.var(fresh), l, 0)])
-    if shifted == FALSE:
+    if shifted is FALSE:
         return FALSE
 
     tops = shifted.parts if isinstance(shifted, And) else (shifted,)

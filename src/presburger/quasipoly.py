@@ -19,8 +19,9 @@ integer list over the cosets, and constituent dicts share one Fraction
 per distinct coefficient.  This kernel is the only place that builds or
 checks a quasi-polynomial.  Each coset brings one more layer of samples,
 of total degree D + 1, whose Newton differences must vanish, else
-RuntimeError.  Synthesis interpolates q(m t + r) in t for its change of
-variable p = m t + r, every residue r in one call.
+RuntimeError.  Synthesis needs no kernel: it takes the forward
+differences of each residue class q(m t + r) in t straight from q's
+values, with m the period of q.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from math import lcm
 from operator import add, mul, sub
 
 from .formulas import (
-    FALSE,
     LinearTerm,
     cmp_eq,
     cmp_ge,
     congruence,
     conj,
     disj,
-    neg,
     record,
 )
 from .genfun import (
@@ -599,109 +598,77 @@ def _units(name, k):
 def synth_formula(g, param="p"):
     """Formula whose solution count over the counted variables equals g.
 
-    Returns (formula, counted_names).  For each residue class the eventual
-    polynomial is rewritten in p = m t + r with integer coefficients; a
-    positive coefficient b at degree j becomes a tagged box with b choices
-    of a multiplicity variable and j coordinates in [1, t]; negative
-    coefficients are removed from the top-degree box by negating disjoint
-    marked patterns inside it.  Values below the threshold become explicit
-    one-point clauses.  Raises ValueError with a witness parameter when g
-    takes a value outside NN.
+    Returns (formula, counted_names).  With m the period of g's eventual
+    quasi-polynomial q, each residue class q_r(t) = q(m t + r) is written
+    in Newton's form q(m (T + t) + r) = sum_j b_rj C(t, j), b_rj = Delta^j
+    q_r(T), where T is the first t >= len(initial) / m at which every b_rj
+    is a natural number.  C(t, j) counts the chains 1 <= c1 < ... < cj <=
+    t, so each b_rj > 0 becomes one clause tagged s = j + 1 with b_rj
+    choices of u, and each p < m T with g(p) > 0 a one-point clause tagged
+    s = 0.  Raises ValueError with a witness parameter when g takes a
+    value outside NN.
     """
     initial, q = eventual_form(g)
-    m0 = q.lattice.basis[0][0]
-    polys = q.constituents.values()
-    L = lcm(*(c.denominator for poly in polys for c in poly.values()))
-    m = lcm(m0, L)
-    deg = max((e for poly in polys for (e,) in poly), default=0)
-    qts = _interpolate(1, deg, ((1,),), 1, [((0,), [
-        sum(c.numerator * (L // c.denominator) * (m * t + r) ** e
-            for (e,), c in q.constituents[(r % m0,)].items())
-        for t in range(deg + 2)]) for r in range(m)], L)
-
-    classes = {}
-    D = 0
-    B_p = len(initial)
-    for r, qt in enumerate(qts):
-        coeffs = [qt.get((j,), 0) for j in range(deg + 1)]
-        if any(c.denominator != 1 for c in coeffs):
-            w = len(initial) + (r - len(initial)) % m
-            raise ValueError(
-                f"value {q.eval((w,))} at p={w} is not an integer")
-        coeffs = [int(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            continue
-        if coeffs[-1] < 0:
-            t = 1
-            while poly_eval(qt, (t,)) >= 0:
-                t *= 2
+    m = q.lattice.basis[0][0]
+    D = max((e for poly in q.constituents.values() for (e,) in poly),
+            default=0)
+    T = -(-len(initial) // m)
+    diffs = []  # per residue r, [Delta^j q_r(T) for j in 0..D]
+    for r in range(m):
+        b = []
+        for w in range(m * T + r, m * (T + D + 1), m):
+            v = q.eval((w,))
+            if v.denominator != 1:
+                raise ValueError(f"value {v} at p={w} is not an integer")
+            b.append(int(v))
+        for k in range(D):
+            for j in range(D, k, -1):
+                b[j] -= b[j - 1]
+        if next((x for x in reversed(b) if x), 0) < 0:
+            t = T
+            while q.eval((m * t + r,)) >= 0:
+                t = 2 * t + 1
             raise ValueError(f"negative value at p={m * t + r}")
-        negs = {j: -c for j, c in enumerate(coeffs[:-1]) if c < 0}
-        B_t = 3
-        if negs:
-            B_t = max(B_t, 2 + max(negs.values()),
-                      -(-sum(negs.values()) // coeffs[-1]))
-        classes[r] = (coeffs, negs, B_t)
-        D = max(D, len(coeffs) - 1)
-        B_p = max(B_p, m * B_t + r)
+        diffs.append(b)
+    # every top difference is positive, so each b_rj is eventually too
+    while any(x < 0 for b in diffs for x in b):
+        T += 1
+        for b in diffs:
+            for j in range(D):
+                b[j] += b[j + 1]
 
     counted = ["s", "u"] + [f"c{i}" for i in range(1, D + 1)]
     if param in counted:
         raise ValueError(f"parameter name {param!r} collides with a "
                          "counted variable")
 
-    def value_at(p):
-        return initial[p] if p < len(initial) else q.eval((p,))
+    def clause(guard, tag, b, j=0, low=0):
+        """guard, s = tag, 1 <= u <= b, the chain 1 <= c1 < ... < cj with
+        p >= m ci + low for each i, and ci = 0 for i > j."""
+        parts = [*guard, _units("s", tag),
+                 cmp_ge(LinearTerm.of({"u": 1}, -1)),
+                 cmp_ge(LinearTerm.of({"u": -1}, b))]
+        least = LinearTerm.const(1)
+        for i in range(1, j + 1):
+            c = LinearTerm.var(f"c{i}")
+            parts += [cmp_ge(c - least),
+                      cmp_ge(LinearTerm.of({param: 1, f"c{i}": -m}, -low))]
+            least = c + LinearTerm.const(1)
+        parts.extend(_units(f"c{i}", 0) for i in range(j + 1, D + 1))
+        return conj(parts)
 
     disjuncts = []
-    for p0 in range(B_p):
-        val = value_at(p0)
+    for p0 in range(m * T):
+        val = initial[p0] if p0 < len(initial) else q.eval((p0,))
         if val.denominator != 1 or val < 0:
             raise ValueError(f"value {val} at p={p0} is outside NN")
-        val = int(val)
-        if val == 0:
-            continue
-        parts = [cmp_eq(LinearTerm.of({param: 1}, -p0)), _units("s", 0),
-                 cmp_ge(LinearTerm.of({"u": 1}, -1)),
-                 cmp_ge(LinearTerm.of({"u": -1}, val))]
-        parts.extend(_units(c, 0) for c in counted[2:])
-        disjuncts.append(conj(parts))
-
-    for r in sorted(classes):
-        coeffs, negs, _ = classes[r]
-        top = len(coeffs) - 1
-        guard = [cmp_ge(LinearTerm.of({param: 1}, -B_p))]
-        if m > 1:
-            guard.append(congruence(LinearTerm.var(param), m, r))
-        for j, bj in enumerate(coeffs):
-            if bj <= 0:
-                continue
-            parts = list(guard)
-            parts.append(_units("s", j + 1))
-            parts.append(cmp_ge(LinearTerm.of({"u": 1}, -1)))
-            parts.append(cmp_ge(LinearTerm.of({"u": -1}, bj)))
-            for i in range(1, j + 1):
-                # c_i in [1, t] where p = m t + r
-                parts.append(cmp_ge(LinearTerm.of({f"c{i}": 1}, -1)))
-                parts.append(cmp_ge(LinearTerm.of({param: 1, f"c{i}": -m},
-                                                  -r)))
-            for i in range(j + 1, D + 1):
-                parts.append(_units(f"c{i}", 0))
-            if j == top:
-                for jp in sorted(negs):
-                    pat = [_units("u", 1),
-                           cmp_ge(LinearTerm.of({f"c{jp + 1}": 1}, -3)),
-                           cmp_ge(LinearTerm.of({f"c{jp + 1}": -1},
-                                                negs[jp] + 2))]
-                    if jp <= top - 2:
-                        pat.append(_units(f"c{jp + 2}", 2))
-                        pat.extend(_units(f"c{i}", 1)
-                                   for i in range(jp + 3, top + 1))
-                    parts.append(neg(conj(pat)))
-            disjuncts.append(conj(parts))
-
-    if not disjuncts:
-        return FALSE, tuple(counted)
+        if val:
+            disjuncts.append(clause(
+                [cmp_eq(LinearTerm.of({param: 1}, -p0))], 0, int(val)))
+    guard = [cmp_ge(LinearTerm.of({param: 1}, -m * T))] if T else []
+    for r, b in enumerate(diffs):
+        # congruence() is TRUE when m = 1, and conj drops it
+        congr = congruence(LinearTerm.var(param), m, r)
+        disjuncts.extend(clause([*guard, congr], j + 1, bj, j, r + m * T)
+                         for j, bj in enumerate(b) if bj)
     return disj(disjuncts), tuple(counted)

@@ -10,8 +10,6 @@ from presburger.formulas import (
     And,
     Cmp,
     Congruence,
-    Exists,
-    ForAll,
     LinearTerm,
     Not,
     Or,
@@ -155,37 +153,42 @@ def clear_denominators(v):
 def count_solutions(formula, param, p0, counted):
     """Enumerate satisfying assignments of the counted variables directly.
 
-    Bounds for each counted variable are read off the atoms that, with the
-    parameter set to p0, mention that variable alone, skipping every
-    subformula that p0 already decides, so the search space stays small;
-    eval_partial prunes dead branches early.  Nothing is substituted or
-    simplified: the formula is only evaluated.
+    Each counted variable v ranges over [0, cap(formula)], where cap is a
+    bound on v in every solution with the parameter set to p0: an atom
+    that mentions v alone among the counted variables bounds it from
+    above, an And takes the least bound of its parts and an Or the
+    greatest, a subformula that p0 alone decides is -1 when false and
+    unbounded when true, and negations and quantifiers bound nothing.
+    ValueError when some counted variable has no bound.  eval_partial
+    prunes dead branches early.  Nothing is substituted or simplified: the
+    formula is only evaluated.
     """
     env = {param: p0}
-    caps = {v: 0 for v in counted}
 
-    def read_caps(f):
-        if eval_partial(f, env) is not None:
-            return  # decided by p0 alone, so it bounds nothing
+    def cap(f, v):
+        decided = eval_partial(f, env)
+        if decided is not None:
+            return None if decided else -1
         if isinstance(f, (And, Or)):
-            for g in f.parts:
-                read_caps(g)
-        elif isinstance(f, Not):
-            read_caps(f.inner)
-        elif isinstance(f, (Exists, ForAll)):
-            read_caps(f.body)
-        elif isinstance(f, Cmp):
-            coeffs = [(n, c) for n, c in f.term.coeffs if n != param]
-            if len(coeffs) != 1 or coeffs[0][0] not in caps:
-                return
-            name, c = coeffs[0]
-            const = f.term.constant + f.term.coeff(param) * p0
-            if f.op == ">=" and c < 0:
-                caps[name] = max(caps[name], const // -c)
-            elif f.op != ">=" and -const % c == 0 and -const // c >= 0:
-                caps[name] = max(caps[name], -const // c)
+            caps = [cap(g, v) for g in f.parts]
+            if isinstance(f, And):
+                return min((c for c in caps if c is not None), default=None)
+            return None if None in caps else max(caps)
+        if not isinstance(f, Cmp):
+            return None
+        coeffs = [(n, c) for n, c in f.term.coeffs if n != param]
+        if [n for n, _ in coeffs] != [v]:
+            return None
+        c = coeffs[0][1]
+        const = f.term.constant + f.term.coeff(param) * p0
+        if f.op == ">=":
+            return const // -c if c < 0 else None
+        return -const // c if -const % c == 0 and -const // c >= 0 else -1
 
-    read_caps(formula)
+    caps = {v: cap(formula, v) for v in counted}
+    unbounded = [v for v, c in caps.items() if c is None]
+    if unbounded:
+        raise ValueError(f"no bound on {unbounded} at {param} = {p0}")
     total = 0
 
     def rec(i):

@@ -475,7 +475,7 @@ def test_golden_hadamard_and_synth(capsys, tmp_path):
         "hadamard":
         "9d5b42af7a37bbe238808df1d5e522a13f22efd3e4ad456f7f27163861f8276c",
         "synth":
-        "435b0e25d82edcd66d57f73ebff1927ffeab7e9881bd00c979f280e99aa24502"}
+        "9cfa3fa79ce37a92d933e1e200980fc61bc0052b8e4a235cce5dbe0c53100364"}
     for argv in (("hadamard", str(fa), str(fb)), ("synth", str(fq))):
         rc, out, err = run(capsys, *argv, "--format", "json")
         assert rc == 0, err

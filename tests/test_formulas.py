@@ -412,6 +412,27 @@ def test_smart_constructor_folding():
     assert congruence(t({"x": 2}, 1), 2, 1) == TRUE
 
 
+def test_constant_atoms_are_the_true_and_false_objects():
+    # code compares with TRUE and FALSE by identity, so every path that
+    # folds an atom to a constant must return the objects themselves
+    x5 = LinearTerm.const(5)
+    for got, want in [
+            (parse("0 = 0"), TRUE), (parse("3 >= 7"), FALSE),
+            (parse("2*x = 3"), FALSE), (parse("2*x % 4 = 1"), FALSE),
+            (parse("2 % 1 = 0"), TRUE), (parse("!(1 >= 0)"), FALSE),
+            (substitute(parse("x >= 3"), "x", x5), TRUE),
+            (substitute(parse("x = 2*y + 1"), "x", t({"y": 2})), FALSE),
+            (substitute(parse("x % 3 = 2"), "x", x5), TRUE),
+            (substitute(parse("!(x = 5)"), "x", x5), FALSE),
+            (substitute(parse("x >= 9 & y >= 0"), "x", x5), FALSE),
+            (simplify(parse("x + 1 >= 0")), TRUE),
+            (simplify(parse("x = x + 1")), FALSE),
+            (simplify(parse("E y. x + 1 >= 0")), TRUE),
+            (simplify(parse("x = 2 & x >= 5")), FALSE),
+            (neg(TRUE), FALSE), (neg(FALSE), TRUE)]:
+        assert got is want, (got, want)
+
+
 def test_records_are_equal_only_within_one_class():
     p = (parse("x >= 1"), parse("y = 2"))
     pairs = [(And(p), Or(p)), (Exists("x", p[0]), ForAll("x", p[0]))]

@@ -13,6 +13,7 @@ from oracles import (
     qp_to_step_oracle,
 )
 from presburger import quasipoly
+from presburger.formulas import Congruence, atoms_of, format_formula, parse
 from presburger.genfun import (
     _series_table,
     gf_is_zero,
@@ -637,24 +638,27 @@ def test_synth_triangle():
     check_synth(ray_pqp(tri), lambda p: int(tri.eval((p,))), 40)
 
 
+def test_synth_binomial():
+    # C(p, 2): the forward differences at 0 are 0, 0, 1
+    q = QuasiPolynomial(1, Lattice.standard(1),
+                        {(0,): {(2,): F(1, 2), (1,): F(-1, 2)}})
+    check_synth(ray_pqp(q), lambda p: math.comb(p, 2), 30)
+
+
 def test_synth_initial_values():
     g = eventual_pqp([0, 9], QuasiPolynomial(
         1, Lattice.standard(1), {(0,): {(1,): F(1)}}))
     check_synth(g, lambda p: 9 if p == 1 else p, 15)
 
 
-def test_synth_interpolates_every_residue_class_in_one_call(monkeypatch):
-    calls = []
-
-    def record(*args):
-        calls.append(args)
-        return _interpolate(*args)
-
-    monkeypatch.setattr(quasipoly, "_interpolate", record)
-    synth_formula(ray_pqp(triangle_qp()))
-    # one call over the m = lcm(2, 8) residue classes of p = m t + r
-    assert len(calls) == 1
-    assert len(calls[0][4]) == 8
+def test_synth_keeps_the_period():
+    # triangle_qp has period 2 and coefficient denominators 8: the formula
+    # keeps p % 2 and negates nothing
+    formula, _ = synth_formula(ray_pqp(triangle_qp()))
+    text = format_formula(formula)
+    assert "!" not in text
+    assert {a.modulus for a in atoms_of(formula)
+            if isinstance(a, Congruence)} == {2}
 
 
 def test_synth_rejects_non_natural():
@@ -671,6 +675,28 @@ def test_synth_rejects_non_natural():
         assert False
     except ValueError as e:
         assert "outside" in str(e) or "negative" in str(e)
+
+
+def test_synth_negative_witness_is_negative():
+    # 100 on [0, 99], then 50 - p: the witness lies past the initial values
+    g = eventual_pqp([100] * 100, QuasiPolynomial(
+        1, Lattice.standard(1), {(0,): {(1,): F(-1), (0,): F(50)}}))
+    with pytest.raises(ValueError, match="negative value at p=") as err:
+        synth_formula(g)
+    w = int(str(err.value).rsplit("=", 1)[1])
+    assert g.eval((w,)) < 0
+
+
+def test_count_solutions_needs_a_bound_on_every_counted_variable():
+    counted = ("s", "u", "c1", "c2")
+    chain = "s = 3 & u = 1 & c1 >= 1 & c2 >= c1 + 1 & p >= c2"
+    with pytest.raises(ValueError, match="no bound"):
+        count_solutions(parse(chain), "p", 5, counted)
+    bounded = parse(chain + " & p >= c1")
+    assert count_solutions(bounded, "p", 5, counted) == math.comb(5, 2)
+    # an Or bounds a variable only when every live disjunct does
+    with pytest.raises(ValueError, match="no bound"):
+        count_solutions(parse("u <= 3 | u >= p"), "p", 5, ("u",))
 
 
 def test_synth_counted_solutions_are_ground():
