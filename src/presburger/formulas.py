@@ -363,38 +363,81 @@ def substitute(f, name, term):
     part that folds to FALSE and an Or at its first TRUE, and connectives
     are rebuilt with conj/disj/neg.  The result is equivalent to the plain
     substitution over N, not over Z: the atom fold uses that the remaining
-    variables are >= 0.
+    variables are >= 0.  Below the quantifiers this is the substitution
+    plan of :func:`substitution_plan` at offset 0.
 
     Rejects formulas that quantify over the substituted variable or over a
     variable of the replacement term (no capture at this scale).
     """
-    if isinstance(f, Cmp):
-        if f.term.coeff(name) != 0:
-            new = f.term.subst(name, term)
-            f = cmp_ge(new) if f.op == ">=" else cmp_eq(new)
-        return _simplify_atom(f)
-    if isinstance(f, Congruence):
-        if f.term.coeff(name) == 0:
-            return f
-        return congruence(f.term.subst(name, term), f.modulus, f.residues)
-    if isinstance(f, (And, Or)):
-        stop = FALSE if isinstance(f, And) else TRUE
-        parts = []
-        for p in f.parts:
-            q = substitute(p, name, term)
-            if q is stop:
-                return stop
-            parts.append(q)
-        return conj(parts) if isinstance(f, And) else disj(parts)
-    if isinstance(f, Not):
-        return neg(substitute(f.inner, name, term))
     if isinstance(f, (Exists, ForAll)):
         if f.var == name:
             raise ValueError(f"cannot substitute bound variable {name!r}")
         if f.var in term.variables():
             raise ValueError(f"substitution would capture {f.var!r}")
-        body = substitute(f.body, name, term)
-        return Exists(f.var, body) if isinstance(f, Exists) else ForAll(f.var, body)
+        return type(f)(f.var, substitute(f.body, name, term))
+    p = _plan(f, name, term)
+    return p(0) if callable(p) else p
+
+
+def substitution_plan(f, name, term):
+    """The function j -> substitute(f, name, term + j), from one walk of f.
+
+    Each atom's term.subst(name, term) is done once.  An offset j then
+    only adds c*j to the constant of an atom with coefficient c on name,
+    and folds the atoms and connectives again as substitute does; a part
+    that does not move with j is folded once.  Cooper's method calls the
+    plan of one candidate at each of its offsets.
+    """
+    p = _plan(f, name, term)
+    return p if callable(p) else lambda j: p
+
+
+def _plan(f, name, term):
+    """f's substitution as a formula if it does not move with the offset,
+    else as a function of the offset."""
+    if isinstance(f, Cmp):
+        c = f.term.coeff(name)
+        if c == 0:
+            return _simplify_atom(f)
+        t = f.term.subst(name, term)
+        coeffs, k = t.coeffs, t.constant
+        make = cmp_ge if f.op == ">=" else cmp_eq
+        return lambda j: _simplify_atom(make(LinearTerm(coeffs, k + c * j)))
+    if isinstance(f, Congruence):
+        c = f.term.coeff(name)
+        if c == 0:
+            return f
+        t = f.term.subst(name, term)
+        coeffs, k, m, rs = t.coeffs, t.constant, f.modulus, f.residues
+        return lambda j: congruence(LinearTerm(coeffs, k + c * j), m, rs)
+    if isinstance(f, (And, Or)):
+        stop, unit, join = ((FALSE, TRUE, conj) if isinstance(f, And)
+                            else (TRUE, FALSE, disj))
+        parts = []
+        for p in f.parts:
+            q = _plan(p, name, term)
+            if q is stop:
+                return stop
+            if q is not unit:  # join would drop it
+                parts.append(q)
+        if not any(callable(q) for q in parts):
+            return join(parts)
+
+        def at(j):
+            out = []
+            for q in parts:
+                if callable(q):
+                    q = q(j)
+                    if q is stop:
+                        return stop
+                out.append(q)
+            return join(out)
+        return at
+    if isinstance(f, Not):
+        q = _plan(f.inner, name, term)
+        return (lambda j: neg(q(j))) if callable(q) else neg(q)
+    if isinstance(f, (Exists, ForAll)):
+        return lambda j: substitute(f, name, term + LinearTerm.const(j))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -13,15 +13,35 @@ formula keeps b >= 0 and b = 0 (mod l).  One substitution replaces the
 whole case split, which matters most for semigroup-style bodies such as
 E u. x = ... + 9*u, where the split would multiply the formula's size.
 
-Otherwise E x'. phi becomes the finite disjunction over lower-bound
-candidates b and offsets j in [0, D) of phi[x' := b + j], D the lcm of
-the congruence moduli on x'.  The classic recipe's "minus infinity"
-disjuncts are left out: x' >= 0 is a top-level conjunct, so each of them
-is false over N.  Only live branches are built: substitution folds (see
-formulas.substitute), and an offset is skipped when a top-level
-congruence on x', such as x' = 0 (mod l), that x' := b makes ground
-fails at x' := b + j (one residue test), since that branch would fold
-to FALSE anyway.
+Otherwise each atom on x' is a lower bound x' >= b (x' >= 0 among
+them), an upper bound x' <= a, an equality (both) or a congruence; D is
+the lcm of the congruence moduli on x'.
+
+If no congruence mentions x' (so l = 1) and phi is a conjunction of
+atoms, Fourier-Motzkin is exact over the integers (the exact shadow of
+Pugh's Omega test, CACM 1992): the result is the atoms without x' and
+a - b >= 0 for every lower bound b and upper bound a.
+
+Else Cooper's split is taken on the side with fewer branches.  The lower
+side is the disjunction over lower candidates b and offsets j in [0, D)
+of phi[x' := b + j]; the classic "minus infinity" disjuncts are left
+out, since x' >= 0 is a conjunct and each of them is false over N.  The
+upper side (Cooper 1972) is phi_+inf[x' := j] and phi[x' := a - j] for
+upper candidates a and j in [0, D), with phi_+inf the formula for large
+x': each lower bound on x' TRUE, each upper bound and equality FALSE,
+congruences kept.  It is exact over N because x' >= 0 is a conjunct of
+phi, and it is taken when |upper| + [phi_+inf is not FALSE] < |lower|.
+So for a variable with no upper bound, as in E x. x % 7 = 1 & x % 9 = 2
+& x >= y, only the congruences of phi_+inf are left to decide.
+
+Each candidate walks phi once (formulas.substitution_plan): its
+substitution is done per atom once, and offset j only moves the atoms'
+constants before they fold again as in formulas.substitute.  Only live
+branches are built: an offset is skipped when a top-level congruence on
+x', such as x' = 0 (mod l), that the candidate makes ground fails at
+offset j (one residue test), since that branch would fold to FALSE
+anyway; and the first branch that folds to TRUE ends the split, as the
+disjunction would absorb the rest.
 
 Universals go through the negation dual.  Elimination is innermost-first,
 so each step only ever sees a quantifier-free body.
@@ -33,6 +53,7 @@ from math import lcm
 
 from .formulas import (
     FALSE,
+    TRUE,
     And,
     Cmp,
     Congruence,
@@ -55,6 +76,7 @@ from .formulas import (
     nnf,
     simplify,
     substitute,
+    substitution_plan,
 )
 
 
@@ -83,6 +105,15 @@ def _replace_scaled_var(term, var, fresh):
     del d[var]
     d[fresh] = 1 if c > 0 else -1
     return LinearTerm.of(d, term.constant)
+
+
+def _at_plus_infinity(a, fresh):
+    """Atom a for fresh large enough: a lower bound holds, an upper bound
+    or an equality fails, and a congruence stays."""
+    c = a.term.coeff(fresh)
+    if c == 0 or isinstance(a, Congruence):
+        return a
+    return TRUE if a.op == ">=" and c > 0 else FALSE
 
 
 def _root(term, fresh):
@@ -129,7 +160,7 @@ def eliminate_exists(var, body):
             return simplify(substitute(shifted, fresh, _root(a.term, fresh)))
 
     modulus = 1
-    candidates = []
+    lower, upper = [], []  # candidates b of fresh >= b and a of fresh <= a
     for a in atoms_of(shifted):
         c = a.term.coeff(fresh)
         if c == 0:
@@ -137,28 +168,48 @@ def eliminate_exists(var, body):
         if isinstance(a, Congruence):
             modulus = lcm(modulus, a.modulus)
             continue
-        if a.op == ">=" and c < 0:
-            continue  # upper bound, no candidate
-        b = _root(a.term, fresh)  # fresh = b, or fresh >= b
-        if b not in candidates:
-            candidates.append(b)
+        b = _root(a.term, fresh)  # fresh = b, fresh >= b or fresh <= b
+        for side, on_side in ((lower, c > 0), (upper, c < 0)):
+            if (on_side or a.op == "=") and b not in side:
+                side.append(b)
 
-    if candidates:
+    if modulus == 1 and not any(isinstance(a, (And, Or)) for a in tops):
+        # the exact shadow; modulus 1 also means l = 1, or the congruence
+        # fresh = 0 (mod l) would be there
+        rest = [a for a in tops if a.term.coeff(fresh) == 0]
+        return simplify(conj(rest + [cmp_ge(a - b) for b in lower
+                                     for a in upper]))
+
+    at_inf = FALSE
+    if len(upper) < len(lower):
+        at_inf = _map_atoms(shifted, lambda a: _at_plus_infinity(a, fresh))
+    if len(upper) + (at_inf is not FALSE) < len(lower):
+        # the upper side: phi_+inf[fresh := j] and phi[fresh := a - j]
+        sides = [] if at_inf is FALSE else [(at_inf, LinearTerm.const(0), 1)]
+        sides += [(shifted, a, -1) for a in upper]
+    else:
+        sides = [(shifted, b, 1) for b in lower]
+
+    if sides:
         check_modulus(modulus, "Cooper elimination")
     congs = [(a.term, a.term.coeff(fresh), a.modulus, set(a.residues))
              for a in tops if isinstance(a, Congruence)]
     branches = []
-    for b in candidates:
+    for f, b, sign in sides:
+        plan = substitution_plan(f, fresh, b)
         # a top-level congruence that fresh := b makes ground holds at
-        # offset j iff (c + step * j) % m is a residue, c its constant at
-        # b; an offset that fails one would give a FALSE branch
-        ground = [(t.constant, step, m, rs) for term, step, m, rs in congs
+        # offset j iff (c + sign * step * j) % m is a residue, c its
+        # constant at b; an offset that fails one would give a FALSE branch
+        ground = [(t.constant, sign * step, m, rs)
+                  for term, step, m, rs in congs
                   for t in [term.subst(fresh, b)]
                   if all(c % m == 0 for _, c in t.coeffs)]
         for j in range(modulus):
             if all((c + step * j) % m in rs for c, step, m, rs in ground):
-                branches.append(
-                    substitute(shifted, fresh, b + LinearTerm.const(j)))
+                g = plan(sign * j)
+                if g is TRUE:
+                    return TRUE  # disj would absorb every other branch
+                branches.append(g)
     return simplify(disj(branches))
 
 

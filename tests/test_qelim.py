@@ -1,5 +1,6 @@
 """Quantifier elimination against brute-force search with certified bounds."""
 
+import itertools
 import random
 
 import pytest
@@ -25,8 +26,11 @@ from presburger.formulas import (
     is_quantifier_free,
     neg,
     parse,
+    substitute,
+    substitution_plan,
 )
 from presburger.qelim import decide, eliminate_exists, qelim
+from presburger.semilinear import to_dnf
 from oracles import brute_exists, brute_forall, witness_bound
 
 
@@ -300,12 +304,12 @@ def test_qelim_alternation_merges_negated_congruences():
     # sets merge back into one single-residue atom
     f = parse("A z. (z >= x | E j. 5*j + z = 4*x + w)")
     g = qelim(f)
+    # E z. z < x & !E j. ... has one upper candidate and two lower ones,
+    # so it is split on the upper side
     assert format_formula(g) == (
-        "(w + 4*x >= 1 & w + 4*x % 5 = 1 | 1 >= x) & "
-        "(w + 4*x >= 2 & w + 4*x % 5 = 2 | 2 >= x) & "
-        "(w + 4*x >= 3 & w + 4*x % 5 = 3 | 3 >= x) & "
-        "(w + 4*x >= 4 & w + 4*x % 5 = 4 | 4 >= x) & "
-        "(0 >= x | w + 4*x % 5 = 0)")
+        "(0 >= x | w + 3*x % 5 = 4) & (1 >= x | w + 3*x % 5 = 3) & "
+        "(2 >= x | w + 3*x % 5 = 2) & (3 >= x | w + 3*x % 5 = 1) & "
+        "(4 >= x | w + 3*x % 5 = 0)")
     body = qelim(f.body)
     for x in range(8):
         for w in range(8):
@@ -317,3 +321,121 @@ def test_congruences_on_one_term_fold():
     assert disj([parse("x % 2 = 0"), parse("x % 2 = 1")]) == TRUE
     assert conj([parse("x % 6 = 1"), parse("x % 6 = 2")]) == FALSE
     assert qelim(parse("E y. y = x & (x % 2 = 0 | x % 2 = 1)")) == TRUE
+
+
+def _bound_atom(rng, var, names, sign, unit=False):
+    """sign*c*var + t >= 0 with c in 1..3 (1 if unit) and t on names: a
+    lower bound on var for sign +1, an upper bound for sign -1."""
+    c = 1 if unit else rng.randint(1, 3)
+    t = LinearTerm.of({n: rng.randint(-2, 2) for n in names},
+                      rng.randint(-4, 4))
+    return cmp_ge(LinearTerm.var(var).scale(sign * c) + t)
+
+
+def _check_exists_on_box(body, names, size):
+    g = eliminate_exists("x", body)
+    assert is_quantifier_free(g) and "x" not in free_vars(g)
+    for values in itertools.product(range(size), repeat=len(names)):
+        env = dict(zip(names, values))
+        assert eval_ground(g, env) == brute_exists(body, "x", env), \
+            (format_formula(body), env)
+    return g
+
+
+def test_eliminate_exists_without_upper_bounds():
+    # every comparison on x is a lower bound, so the split is phi_+inf
+    # alone: the congruences on x decide it, offset by offset
+    rng = random.Random(7001)
+    for _ in range(40):
+        parts = [_bound_atom(rng, "x", ["p", "q"], 1)
+                 for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 2)):
+            m = rng.randint(2, 6)
+            parts.append(congruence(
+                LinearTerm.of({"x": rng.randint(1, 3),
+                               "p": rng.randint(0, 2)}), m, rng.randrange(m)))
+        if rng.random() < 0.5:
+            parts.append(disj([_bound_atom(rng, "x", ["p"], 1),
+                               _random_atom(rng, ["p", "q"])]))
+        _check_exists_on_box(conj(parts), ["p", "q"], 7)
+
+
+def test_eliminate_exists_with_fewer_upper_bounds():
+    # a top-level upper bound makes phi_+inf FALSE, and there are more
+    # lower candidates than upper ones: the upper side is taken; a
+    # constant upper bound makes the congruences ground at its candidate,
+    # and its offsets count down from it
+    for text in ["x <= 8 & x >= p & x >= q & x % 3 = 1",
+                 "2*x <= 17 & x >= p & x + q >= 3 & x % 5 = 3",
+                 "x <= 9 & 2*x >= p & x % 4 = 1 & x % 3 = 2"]:
+        _check_exists_on_box(parse(text), ["p", "q"], 12)
+    rng = random.Random(7002)
+    for _ in range(60):
+        k = rng.randint(1, 2)
+        parts = [_bound_atom(rng, "x", rng.choice([["p", "q"], []]), -1)
+                 for _ in range(k)]
+        parts += [_bound_atom(rng, "x", ["p", "q"], 1)
+                  for _ in range(k + rng.randint(0, 1))]
+        m = rng.randint(2, 5)
+        parts.append(congruence(LinearTerm.of(
+            {"x": rng.randint(1, 3), "q": rng.randint(0, 2)}), m,
+            rng.randrange(m)))
+        if rng.random() < 0.5:
+            parts.append(_random_qf(rng, ["x", "p", "q"], 1, cmax=2,
+                                    const=4, mmax=3))
+        _check_exists_on_box(conj(parts), ["p", "q"], 7)
+
+
+def test_eliminate_exists_exact_shadow():
+    # unit coefficients on x and no congruence on x: the result is one
+    # conjunction of atoms (Fourier-Motzkin), with no case split
+    rng = random.Random(7003)
+    for _ in range(60):
+        parts = [_bound_atom(rng, "x", ["p", "q", "r"], rng.choice([1, -1]),
+                             unit=True) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            m = rng.randint(2, 4)
+            parts.append(congruence(LinearTerm.of(
+                {"p": 1, "r": rng.randint(0, 2)}), m, rng.randrange(m)))
+        g = _check_exists_on_box(conj(parts), ["p", "q", "r"], 5)
+        assert not any(isinstance(p, (And, Or))
+                       for p in (g.parts if isinstance(g, And) else (g,)))
+    g = qelim(parse("E y. x <= y & y <= z & w <= y"))
+    assert format_formula(g) == "z >= w & z >= x"
+
+
+def test_substitution_plan_is_substitute_at_each_offset():
+    # Cooper's branches are byte-identical to one substitution per offset
+    rng = random.Random(7004)
+    for _ in range(200):
+        f = _random_qf(rng, ["x", "p", "q"], 3)
+        b = _random_term(rng, ["p", "q"], 3, 5)
+        plan = substitution_plan(f, "x", b)
+        for j in range(-4, 9):
+            assert plan(j) == substitute(f, "x", b + LinearTerm.const(j)), \
+                (format_formula(f), b, j)
+    f = parse("x >= p & E y. y = x + q")
+    assert substitution_plan(f, "x", LinearTerm.var("p"))(2) == \
+        substitute(f, "x", LinearTerm.of({"p": 1}, 2))
+
+
+CRT = "E x. x % 7 = 1 & x % 9 = 2 & x % 11 = 3 & x % 8 = 5 & x >= y"
+
+
+def test_crt_probe_is_true():
+    # x has no upper bound, so only phi_+inf is split, and the one offset
+    # the four congruences allow folds it to TRUE; the lower side gave a
+    # disjunct per residue of y mod 5544
+    assert format_formula(qelim(parse(CRT))) == "0 = 0"
+    assert format_formula(qelim(parse(CRT + " & x % 13 = 4"))) == "0 = 0"
+
+
+def test_chain_probe_cells():
+    # E u is the exact shadow; E y then splits with l = 2
+    f = parse("E y. E u. x <= y & y <= u & u <= z & w <= y & v <= u & "
+              "y + u <= t")
+    s = to_dnf(f)
+    assert len(s.cells) <= 4
+    for values in itertools.product(range(4), repeat=len(s.names)):
+        env = dict(zip(s.names, values))
+        assert s.contains(values) == eval_ground(f, env, bound=3), env
