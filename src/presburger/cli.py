@@ -105,8 +105,9 @@ def _parse_vectors(spec):
 def _emit(args, obj, text, names=None):
     """Print the document that --format asks for; obj and text build what
     serialize.dumps writes and the text, and only the printed one is built.
-    dumps takes a JSON object, and writes a RationalGF, SemilinearSet,
-    StepPolynomial or PiecewiseQuasiPolynomial (with names) from templates."""
+    dumps writes compact canonical JSON, one line with sorted keys, of a
+    JSON value, and writes a RationalGF, SemilinearSet, StepPolynomial or
+    PiecewiseQuasiPolynomial (with names) from one-line templates."""
     print(serialize.dumps(obj(), names) if args.format == "json" else text())
 
 
@@ -411,9 +412,11 @@ def cmd_synth(args):
                               f"{args.pqp}")
     if g.n != 1:
         raise CliError(UNSUPPORTED, "synthesis needs one parameter")
-    param = (obj.get("names") or ["p"])[0]
+    param = obj.get("names", ["p"])[0]
     try:
         formula, counted = synth_formula(g, param=param)
+    except ModulusTooLarge:
+        raise
     except ValueError as e:
         raise CliError(SEMANTIC, str(e))
     text = format_formula(formula)
@@ -440,8 +443,8 @@ def cmd_series(args):
         _emit(args, lambda: {"bound": bound, "coeffs": [
                   {"point": list(pt), "value": serialize.frac_str(table[pt])}
                   for pt in pts]},
-              lambda: "\n".join(f"{' '.join(str(c) for c in pt)}: {table[pt]}"
-                                for pt in pts) or "0")
+              lambda: "\n".join((f"{' '.join(map(str, pt))}: " if pt else "")
+                                + str(table[pt]) for pt in pts) or "0")
     return 0
 
 

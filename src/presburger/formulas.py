@@ -459,6 +459,8 @@ def eval_ground(f, env, bound=0):
 
 
 def _eval(f, env, bound, partial):
+    """True or False; None (partial only) where an unassigned variable
+    leaves f open."""
     if isinstance(f, Cmp):
         try:
             val = f.term.eval(env)
@@ -475,51 +477,36 @@ def _eval(f, env, bound, partial):
                 return None
             raise ValueError(f"unassigned free variable in {f!r}")
         return val % f.modulus in f.residues
-    if isinstance(f, And):
-        saw_none = False
-        for p in f.parts:
-            v = _eval(p, env, bound, partial)
-            if v is False:
-                return False
-            if v is None:
-                saw_none = True
-        return None if saw_none else True
-    if isinstance(f, Or):
-        saw_none = False
-        for p in f.parts:
-            v = _eval(p, env, bound, partial)
-            if v is True:
-                return True
-            if v is None:
-                saw_none = True
-        return None if saw_none else False
     if isinstance(f, Not):
         v = _eval(f.inner, env, bound, partial)
         return None if v is None else not v
-    if isinstance(f, Exists):
-        saw_none = False
-        for k in range(bound + 1):
-            env[f.var] = k
-            v = _eval(f.body, env, bound, partial)
-            if v is True:
-                del env[f.var]
-                return True
+    # stop, the value that decides a node: True for Or and Exists, False for
+    # And and ForAll
+    if isinstance(f, (And, Or)):
+        stop, unknown = isinstance(f, Or), False
+        for p in f.parts:
+            v = _eval(p, env, bound, partial)
+            if v is stop:
+                return stop
             if v is None:
-                saw_none = True
-        del env[f.var]
-        return None if saw_none else False
-    if isinstance(f, ForAll):
-        saw_none = False
-        for k in range(bound + 1):
-            env[f.var] = k
-            v = _eval(f.body, env, bound, partial)
-            if v is False:
-                del env[f.var]
-                return False
-            if v is None:
-                saw_none = True
-        del env[f.var]
-        return None if saw_none else True
+                unknown = True
+        return None if unknown else not stop
+    if isinstance(f, (Exists, ForAll)):
+        stop, unknown, old = isinstance(f, Exists), False, env.get(f.var)
+        try:
+            for k in range(bound + 1):
+                env[f.var] = k
+                v = _eval(f.body, env, bound, partial)
+                if v is stop:
+                    return stop
+                if v is None:
+                    unknown = True
+            return None if unknown else not stop
+        finally:  # the caller's value of f.var, never None, comes back
+            if old is None:
+                env.pop(f.var, None)
+            else:
+                env[f.var] = old
     raise TypeError(f"not a formula: {f!r}")
 
 

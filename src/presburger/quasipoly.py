@@ -35,6 +35,7 @@ from operator import add, mul, sub
 
 from .formulas import (
     LinearTerm,
+    check_modulus,
     cmp_eq,
     cmp_ge,
     congruence,
@@ -280,7 +281,8 @@ def eventual_form(g):
     """(initial values, eventual qp) of a univariate pqp.
 
     Supports one-point and interval cells plus at most one upward ray;
-    initial lists the values below the ray threshold.
+    initial lists the values below the ray threshold.  An interval of
+    more than MODULUS_LIMIT points raises ModulusTooLarge.
     """
     if g.n != 1:
         raise ValueError("eventual form is univariate only")
@@ -296,8 +298,7 @@ def eventual_form(g):
                 raise ValueError("two unbounded pieces")
             ray = (lo, q)
         else:
-            if hi - lo > 4096:
-                raise ValueError("bounded piece too long to enumerate")
+            check_modulus(hi - lo + 1, "enumerating a bounded piece")
             for p in range(lo, hi + 1):
                 points[p] = q.eval((p,))
     if ray is None:

@@ -1,21 +1,20 @@
 """JSON forms for the symbolic objects.
 
 Rationals travel as exact "num/den" strings, vectors as integer arrays.
-Serialization is canonical (sorted keys, sorted monomials), so
-serialize/deserialize round trips are bit-exact and repeated runs are
-byte-identical.
-
-dumps writes what json.dumps(obj, indent=2, sort_keys=True) writes.  GF,
-cell, pqp and step documents go to dumps as the objects themselves and
-are written from per-item templates (a term, a cell, a piece, a monomial,
-a step term); each distinct denominator, polyhedron and lattice basis is
-rendered once per document.  gf_to_obj, semilinear_to_obj, pqp_to_obj and
-step_to_obj are the reference object forms the writers are tested against.
+Documents are compact canonical JSON, json.dumps(obj, sort_keys=True,
+separators=(",", ":")) with sorted monomials, so round trips are bit-exact
+and repeated runs byte-identical.  Plain values go whole through json's C
+encoder.  GF, cell, pqp and step documents are written from one-line
+per-item templates, each distinct denominator, polyhedron, lattice basis
+and exponent vector once per document; gf_to_obj, semilinear_to_obj,
+pqp_to_obj and step_to_obj are the reference forms they are tested
+against.  The readers take JSON integers only where integers belong and
+"num/den" strings with a nonzero denominator where rationals belong;
+anything else raises KeyError, TypeError or ValueError.
 """
 
 import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .genfun import RationalGF, make_term, rgf
 from .lattices import Lattice
@@ -23,85 +22,67 @@ from .polyhedra import Polyhedron
 from .quasipoly import PiecewiseQuasiPolynomial, QuasiPolynomial, StepPolynomial
 from .semilinear import SemilinearSet
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def frac_str(c):
     return str(c if isinstance(c, Fraction) else Fraction(c))
 
 
 def parse_frac(s):
-    return Fraction(s)
+    if type(s) is not str:
+        raise ValueError(f"{s!r} is not a rational string")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def dumps(obj, names=None):
-    """json.dumps(obj, indent=2, sort_keys=True) without json's slow path.
+    """json.dumps(obj, sort_keys=True, separators=(",", ":")).
 
     A RationalGF, SemilinearSet, PiecewiseQuasiPolynomial (with names, as
-    in pqp_to_obj) or StepPolynomial, also inside obj, is written as
-    dumps would write its object form.
+    in pqp_to_obj) or StepPolynomial, also as a value of a dict obj, is
+    written as dumps would write its object form.
     """
     if names is not None:
-        return _pqp_text(obj, "\n", names)
-    return _dump(obj, "\n")
-
-
-def _dump(obj, nl):
-    """obj written at indent nl: its items on lines that start nl + "  "."""
-    if type(obj) is str:
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:
-        return str(obj)
+        return _pqp_text(obj, names)
     if type(obj) in _WRITERS:
-        return _WRITERS[type(obj)](obj, nl)
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        return (_ints(obj, nl) if all(type(x) is int for x in obj)
-                else _join([_dump(x, inner) for x in obj], nl))
-    if isinstance(obj, dict):
-        return _join([_dump(k if type(k) is str else json.dumps(k), nl)
-                      + ": " + _dump(v, inner)
-                      for k, v in sorted(obj.items())], nl, "{}")
-    return json.dumps(obj)  # bool, None, float
+        return _WRITERS[type(obj)](obj)
+    if isinstance(obj, dict) and any(type(v) in _WRITERS
+                                     for v in obj.values()):
+        return "{%s}" % ",".join(_encode(k) + ":" + dumps(v)
+                                 for k, v in sorted(obj.items()))
+    return _encode(obj)
 
 
-loads = json.loads
-
-
-# The writers' helpers; like _dump, each writes its value at indent nl.
-def _join(items, nl, brackets="[]"):
-    """An array (or object) of items already written at indent nl + "  "."""
-    if not items:
-        return brackets
-    inner = nl + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
-
-
-def _ints(v, nl):
-    return _join(list(map(str, v)), nl)
-
-
-def _frac(c):
-    return '"' + frac_str(c) + '"'
-
-
-def _template(keys, nl):
-    """An object with these keys, in sorted order, and a %s per value."""
-    return _join(['"%s": %%s' % k for k in keys], nl, "{}")
-
-
-def _once(cache, key, nl, write=_dump):
-    """write(key, nl), rendered once per document through cache."""
+def _once(cache, key, write=_encode):
+    """write(key), rendered once per document through cache."""
     text = cache.get(key)
     if text is None:
-        text = cache[key] = write(key, nl)
+        text = cache[key] = write(key)
     return text
+
+
+def _int(c):
+    """A JSON integer: true, 2.9 and "3" are not one."""
+    if type(c) is not int:
+        raise ValueError(f"{c!r} is not an integer")
+    return c
 
 
 def _vec(obj, n):
     """Integer vector that must have exactly n entries."""
-    v = tuple(int(c) for c in obj)
+    v = tuple(map(_int, obj))
     if len(v) != n:
         raise ValueError(f"vector {list(v)} does not have {n} entries")
     return v
+
+
+def _names(obj):
+    if type(obj) is not list or not all(type(n) is str for n in obj):
+        raise ValueError(f"names {obj!r} are not a list of strings")
+    return tuple(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +100,19 @@ def gf_to_obj(g):
     }
 
 
-def _gf_text(g, nl):
+def _gf_text(g):
     """dumps(gf_to_obj(g)): the terms of one simplicial cone share their
     denominator; numerators, the hot loop, are joined in place."""
-    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
-    term = _template(("coef", "denom", "numer_exp"), i2)
-    sep, start, end, denoms = "," + i3 + "  ", "[" + i3 + "  ", i3 + "]", {}
-    terms = [term % (_frac(t.coef), _once(denoms, t.denom, i3),
-                     start + sep.join(map(str, t.numer)) + end
-                     if t.numer else "[]")
-             for t in g.terms]
-    return (_template(("names", "terms"), nl)
-            % (_dump(g.names, i1), _join(terms, i1)))
+    denoms = {}
+    terms = ",".join('{"coef":"%s","denom":%s,"numer_exp":[%s]}'
+                     % (frac_str(t.coef), _once(denoms, t.denom),
+                        ",".join(map(str, t.numer)))
+                     for t in g.terms)
+    return '{"names":%s,"terms":[%s]}' % (_encode(g.names), terms)
 
 
 def gf_from_obj(obj):
-    names = tuple(obj["names"])
+    names = _names(obj["names"])
     d = len(names)
     terms = [make_term(parse_frac(t["coef"]), _vec(t["numer_exp"], d),
                        tuple(_vec(b, d) for b in t["denom"]))
@@ -146,22 +124,16 @@ def gf_from_obj(obj):
 # polyhedra and semilinear sets
 
 
-def _rows_to_obj(rows):
-    return [[list(a), b] for a, b in rows]
-
-
-def _rows_from_obj(rows):
-    return [(tuple(int(c) for c in a), int(b)) for a, b in rows]
-
-
 def polyhedron_to_obj(p):
-    return {"dim": p.dim, "ineqs": _rows_to_obj(p.ineqs),
-            "eqs": _rows_to_obj(p.eqs)}
+    return {"dim": p.dim, "ineqs": [[list(a), b] for a, b in p.ineqs],
+            "eqs": [[list(a), b] for a, b in p.eqs]}
 
 
 def polyhedron_from_obj(obj):
-    return Polyhedron.of(int(obj["dim"]), _rows_from_obj(obj["ineqs"]),
-                         _rows_from_obj(obj["eqs"]))
+    dim = _int(obj["dim"])
+    ineqs, eqs = ([(_vec(a, dim), _int(b)) for a, b in obj[key]]
+                  for key in ("ineqs", "eqs"))
+    return Polyhedron.of(dim, ineqs, eqs)
 
 
 def semilinear_to_obj(s):
@@ -175,16 +147,15 @@ def semilinear_to_obj(s):
     }
 
 
-def _cells_text(s, nl):
+def _cells_text(s):
     """dumps(semilinear_to_obj(s)); cells often share their polyhedron."""
-    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
-    cell = _template(("lattice", "polyhedron", "rep"), i2)
     polys, lattices = {}, {}
-    cells = [cell % (_once(lattices, c.coset.lattice.basis, i3),
-                     _once(polys, c.polyhedron, i3), _ints(c.coset.rep, i3))
-             for c in s.cells]
-    return (_template(("cells", "names"), nl)
-            % (_join(cells, i1), _dump(s.names, i1)))
+    cells = ",".join('{"lattice":%s,"polyhedron":%s,"rep":%s}'
+                     % (_once(lattices, c.coset.lattice.basis),
+                        _once(polys, c.polyhedron, dumps),
+                        _encode(c.coset.rep))
+                     for c in s.cells)
+    return '{"cells":[%s],"names":%s}' % (cells, _encode(s.names))
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +165,6 @@ def _cells_text(s, nl):
 def _poly_to_obj(poly):
     return [{"exps": list(e), "coef": frac_str(c)}
             for e, c in sorted(poly.items())]
-
-
-def _poly_from_obj(obj, n):
-    return {_vec(m["exps"], n): parse_frac(m["coef"]) for m in obj}
 
 
 def _rep_key(rep):
@@ -219,43 +186,41 @@ def pqp_to_obj(g, names=None):
     return obj
 
 
-def _pqp_text(g, nl, names=None):
+def _pqp_text(g, names=None):
     """dumps(pqp_to_obj(g, names)); constituent keys sort as strings."""
-    i1, i2, i3, i4, i5, i6 = (nl + "  " * k for k in range(1, 7))
-    piece = _template(("constituents", "lattice", "polyhedron"), i2)
-    mono = _template(("coef", "exps"), i5)
     polys, lattices, exps = {}, {}, {}
     pieces = []
     for cell, q in g.pieces:
-        cons = ['"%s": %s' % (key, _join(
-            [mono % (_frac(c), _once(exps, e, i6, _ints))
-             for e, c in sorted(poly.items())], i4))
+        cons = ",".join('"%s":[%s]' % (key, ",".join(
+            '{"coef":"%s","exps":%s}' % (frac_str(c), _once(exps, e))
+            for e, c in sorted(poly.items())))
             for key, poly in sorted((_rep_key(rep), poly)
-                                    for rep, poly in q.constituents.items())]
-        pieces.append(piece % (_join(cons, i3, "{}"),
-                               _once(lattices, q.lattice.basis, i3),
-                               _once(polys, cell, i3)))
-    doc = {"n": str(g.n), "pieces": _join(pieces, i1)}
-    if names is not None:
-        doc["names"] = _dump(list(names), i1)
-    return _join(['"%s": %s' % kv for kv in sorted(doc.items())], nl, "{}")
+                                    for rep, poly in q.constituents.items()))
+        pieces.append('{"constituents":{%s},"lattice":%s,"polyhedron":%s}'
+                      % (cons, _once(lattices, q.lattice.basis),
+                         _once(polys, cell, dumps)))
+    named = "" if names is None else ',"names":' + _encode(list(names))
+    return '{"n":%d%s,"pieces":[%s]}' % (g.n, named, ",".join(pieces))
 
 
 def pqp_from_obj(obj):
-    n = int(obj["n"])
+    n = _int(obj["n"])
+    if "names" in obj and len(_names(obj["names"])) != n:
+        raise ValueError(f"names {obj['names']} are not {n} names")
     pieces = []
     for pc in obj["pieces"]:
         cell = polyhedron_from_obj(pc["polyhedron"])
         if cell.dim != n:
             raise ValueError(f"polyhedron of dimension {cell.dim}, not {n}")
-        lat = Lattice(n,
-                      tuple(tuple(int(x) for x in b) for b in pc["lattice"]))
+        lat = Lattice(n, tuple(_vec(b, n) for b in pc["lattice"]))
         constituents = {}
         for key, poly in pc["constituents"].items():
-            rep = lat.reduce(_vec(key.split(",") if key else (), n))
+            rep = lat.reduce(_vec([int(c) for c in key.split(",")]
+                                  if key else (), n))
             if rep in constituents:
                 raise ValueError(f"two constituents for the coset of {key}")
-            constituents[rep] = _poly_from_obj(poly, n)
+            constituents[rep] = {_vec(m["exps"], n): parse_frac(m["coef"])
+                                 for m in poly}
         if len(constituents) != lat.index():
             raise ValueError("need one constituent per lattice coset")
         pieces.append((cell, QuasiPolynomial(n, lat, constituents)))
@@ -274,18 +239,15 @@ def step_to_obj(s):
     }
 
 
-def _step_text(s, nl):
+def _step_text(s):
     """dumps(step_to_obj(s))."""
-    i1, i2, i3, i4, i5 = (nl + "  " * k for k in range(1, 6))
-    term = _template(("coef", "factors"), i2)
-    factor = _template(("coeffs", "const"), i4)
-    terms = [term % (_frac(c), _join(
-        [factor % (_join([_frac(a) for a in coeffs], i5), _frac(b))
-         for coeffs, b in factors], i3))
-        for c, factors in s.terms]
-    return _template(("n", "terms"), nl) % (s.n, _join(terms, i1))
+    factor = '{"coeffs":[%s],"const":"%s"}'
+    terms = ",".join('{"coef":"%s","factors":[%s]}' % (frac_str(c), ",".join(
+        factor % (",".join('"%s"' % frac_str(a) for a in coeffs), frac_str(b))
+        for coeffs, b in factors)) for c, factors in s.terms)
+    return '{"n":%d,"terms":[%s]}' % (s.n, terms)
 
 
 _WRITERS = {RationalGF: _gf_text, SemilinearSet: _cells_text,
             PiecewiseQuasiPolynomial: _pqp_text, StepPolynomial: _step_text,
-            Polyhedron: lambda p, nl: _dump(polyhedron_to_obj(p), nl)}
+            Polyhedron: lambda p: _encode(polyhedron_to_obj(p))}

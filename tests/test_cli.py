@@ -1,6 +1,7 @@
 """End-to-end command line tests driven through main(argv)."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -315,6 +316,17 @@ def test_series_univariate_line(capsys):
         os.unlink(path)
 
 
+def test_series_of_a_gf_in_no_variables(capsys, monkeypatch):
+    """A GF in no variables is one number, printed without a point label;
+    its json document keeps the empty point."""
+    doc = json.dumps(run_json(capsys, "count", "x <= 3", "--count-vars", "x"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    assert run(capsys, "series", "-") == (0, "4\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    assert run_json(capsys, "series", "-") == {
+        "bound": 20, "coeffs": [{"point": [], "value": "4"}]}
+
+
 def test_hadamard_and_zero(capsys, tmp_path):
     fa = tmp_path / "a.json"
     fb = tmp_path / "b.json"
@@ -435,38 +447,38 @@ KNAPSACK = ("count", "5*x + 6*y + 7*z <= p", "--count-vars", "x,y,z",
             "--param-vars", "p")
 GOLDEN = [  # stdout pinned byte for byte by its sha256
     (KNAPSACK + ("--as", "qp"),
-     "a5c607535fc85cb54cc920165aa45d96fe8013d0eb65a8fd7f35ee972d6c2571"),
+     "71e7cee2a2c1069daba8933ea6a7f065213da0a84e70ba201a138ce2feda2cc7"),
     (KNAPSACK + ("--as", "step"),
-     "1e389862a0576eb568d410c1b783ee4b770930d4c7a455909b1aab64fc6ecce5"),
+     "7099abfc3b6deae4da9f5a349803f427610fb208c2ee972acf97bc1826180250"),
     (("vpf", "1,0;0,1;1,1;1,2", "--as", "qp"),
-     "e0750067294a1b2c6bf522ef1d8644ac10481131a8fbf5471f7e4021f2ee59e7"),
+     "bceab6646ee0e9ea04ffb26475b557aa1f04b9cc828e0285da663d79d15c3718"),
     (("vpf", "2;3;5;7", "--as", "qp"),
-     "a07451b5d606b1a164d4cc1406ea0b31221c9d7fd7266fa5e635b422e19ad743"),
+     "cc477c3bdd009947f409fef6f1e2655821e0e8e0ec5127ba7c5256319f3e1f26"),
     # cones of index above genfun.LIMIT, decomposed (see
     # test_decomposed_golden_gfs_list_their_points)
     (("genfun", "13*x + 17*y + 19*z <= 104"),
-     "8c131882aa00e334bca67c76a6802ab6bfb8388bba83beb13b398b36df1f7af5"),
+     "b7e79dc275d7cbfd5b1aa2e61d86c180b8f9e62a8836c4b570e1364b84a31e74"),
     (("dnf", "!(x % 200 = 15)"),
-     "2f70ca5d8af153f172adfce2e594e717d44f9175333fcb6ddba6748569ba70fe"),
+     "ec7f754a331b0e1e057617b0e51264fc01c03eedc8f8bcd0e4004858b1fa33be"),
     (("dnf", "!(x + 2*y % 98 = 79)"),
-     "c0055dc4f7da726833b305195013f2770e2dae6235be73e86fe6935967b9f161"),
+     "e3561183662fd1882f5a3192541a9813b3d1e95c822085f39c5ae9f94148d698"),
     (("dnf", "A u. (u >= x | E g. 5*g + u = 3*x + w)"),
-     "76296782e40ddbcbeebdad661e4a9635571875f7b77270e3b6706b70be54d7ff"),
+     "df744cad5285a8bcb6e8f8f70c577fd83aaa61a37d0a4f542ec6a43ace7ebb2e"),
     (("dnf", "E y. E z. x = 3*y + 5*z"),
-     "6876dce49b8f0f636b73329ce5a8cf77d4b63605bd17e1c89500a170564852a6"),
+     "5a27eb3ba06694aa3616bad04a19cfa4da6380b16548408786b7980dbbc0805e"),
     (("genfun", "4*x + 5*y + 6*z + 7*w <= 26"),
-     "4c214a6bb5baa5c38350f2222c863d6ce13d8d9e6e3c3774ba21c4a5ac7b6376"),
+     "dd30133b4111f5d4337121f3cfca611f3aac122f41b4ffc3594c8a0dc6bc807f"),
     (("count", "5*x + 7*y + 9*z + 11*w <= 100", "--count-vars", "w,x,y,z",
       "--as", "value"),
-     "895bdc2dc0fb3f2681f2eef9cfc27911fae1e29c1aa28a9d7a2db30352ed39be"),
+     "f288679182eff3fb20e4d41b6e7f3acda1769d6033e6627539ab76a7f048cd2b"),
     # mixed poles in every cone: Laurent depth 2, lex-negative remaining parts
     (("count", "p <= x + y + z + 3 & x + p <= 3 & x + y + z <= p",
       "--count-vars", "x,y,z", "--param-vars", "p"),
-     "905009b5ed9f349890061c0ae5c28552f627a5f3df7ffa82061f65e5d58f9f14"),
+     "5072d6d726a17c66a5fc1fd1ecd539ecf8e0b5c18b29189c7096b8d22efa6daf"),
     # two parameters, two mixed factors per cone
     (("count", "x + y + z <= p & x <= q & y + z <= q + 1",
       "--count-vars", "x,y,z", "--param-vars", "p,q"),
-     "468ca86cb0409b931582fec62915e285a7aa8019dfe68a6d30d772de9aba4a10"),
+     "fc86bd720f4ac8cd7c77409bc10bebf08e08da81bf82c37abd96e5337b888600"),
 ]
 
 
@@ -494,9 +506,9 @@ def test_golden_hadamard_and_synth(capsys, tmp_path):
         "--param-vars", "p", "--as", "qp")))
     digests = {
         "hadamard":
-        "9d5b42af7a37bbe238808df1d5e522a13f22efd3e4ad456f7f27163861f8276c",
+        "38ca2fa3f4083f46064e103d7526dacce695b11e29d80e26a23fda5ab8c43269",
         "synth":
-        "9cfa3fa79ce37a92d933e1e200980fc61bc0052b8e4a235cce5dbe0c53100364"}
+        "c42660fbb64c659511e46a8368cc6a755b9c8be286c437756f0c1869f9e0782d"}
     for argv in (("hadamard", str(fa), str(fb)), ("synth", str(fq))):
         rc, out, err = run(capsys, *argv, "--format", "json")
         assert rc == 0, err
@@ -565,8 +577,8 @@ def test_large_knapsack_probes(capsys):
 
 
 def test_json_documents_match_the_json_module(capsys, tmp_path):
-    """Every kind of document the command line prints is what
-    json.dumps(indent=2, sort_keys=True) makes of it."""
+    """Every kind of document the command line prints is one line, what
+    json.dumps(sort_keys=True, separators=(",", ":")) makes of it."""
     files = {}
     for name, argv in [("pqp", ("vpf", "2;3", "--as", "qp")),
                        ("gf1", ("vpf", "1;2;2")),
@@ -586,7 +598,8 @@ def test_json_documents_match_the_json_module(capsys, tmp_path):
                  ("hadamard", files["gf1"], files["gf1"])]:
         rc, out, err = run(capsys, *argv, "--format", "json")
         assert rc == (3 if "x >= p" in argv else 0), (argv, err)  # infinite
-        want = json.dumps(json.loads(out), indent=2, sort_keys=True)
+        want = json.dumps(json.loads(out), sort_keys=True,
+                          separators=(",", ":"))
         assert out == want + "\n", argv
 
 
@@ -644,3 +657,71 @@ def test_malformed_input_rejected_under_optimize(tmp_path):
         proc = run_module("-O", "-m", "presburger.cli", cmd, str(path))
         assert proc.returncode == 2, (cmd, proc.stdout, proc.stderr)
         assert "error: not a" in proc.stderr
+
+
+def gf_doc(**term):
+    return {"names": ["x"], "terms": [
+        dict({"coef": "1", "numer_exp": [0], "denom": [[1]]}, **term)]}
+
+
+def pqp_doc(names=("p",), coef="1", lattice=((1,),), ineqs=(((1,), 0),),
+            n=1):
+    return {"n": n, "names": names, "pieces": [{
+        "constituents": {"0": [{"coef": coef, "exps": [0]}]},
+        "lattice": lattice,
+        "polyhedron": {"dim": 1, "eqs": [], "ineqs": ineqs}}]}
+
+
+@pytest.mark.parametrize("cmd, doc", [
+    ("series", gf_doc(coef="1/0")),
+    ("zero", gf_doc(coef="1/0")),
+    ("hadamard", gf_doc(coef="1/0")),
+    ("series", gf_doc(coef=1)),
+    ("series", gf_doc(numer_exp=[True])),
+    ("series", gf_doc(denom=[[2.9]])),
+    ("series", gf_doc(numer_exp=["0"])),
+    ("series", dict(gf_doc(), names="x")),
+    ("synth", pqp_doc(coef="1/0")),
+    ("synth", pqp_doc(names="q1")),
+    ("synth", pqp_doc(names=["p", "q"])),
+    ("synth", pqp_doc(lattice=[[True]])),
+    ("synth", pqp_doc(ineqs=[[[1], 0.5]])),
+    ("synth", pqp_doc(ineqs=[[[1.0], 0]])),
+    ("synth", pqp_doc(n=1.0)),
+])
+def test_malformed_numbers_exit_2(capsys, tmp_path, cmd, doc):
+    """Only JSON integers stand where integers belong and only "num/den"
+    strings with a nonzero denominator where rationals do: anything else
+    is a parse error, exit 2, and never a traceback or a rounded value."""
+    path = str(tmp_path / "doc.json")
+    Path(path).write_text(json.dumps(doc))
+    rc, out, err = run(capsys, cmd, *[path] * (2 if cmd == "hadamard" else 1))
+    what = ("piecewise quasi-polynomial" if cmd == "synth"
+            else "generating function")
+    assert (rc, out, err) == (2, "", f"error: not a {what}: {path}\n")
+
+
+def test_synth_of_a_long_bounded_piece(capsys, tmp_path):
+    """A pqp that is 1 on [0, 10000], as one interval piece, gives the
+    formula of the 10001 one-point pieces that count prints for it; a
+    piece of MODULUS_LIMIT + 1 points exits 4 before it is enumerated."""
+    def interval(hi):
+        path = tmp_path / f"interval{hi}.json"
+        path.write_text(json.dumps(pqp_doc(ineqs=[[[1], 0], [[-1], -hi]])))
+        return str(path)
+
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(run_json(
+        capsys, "count", "x <= 0 & p <= 10000", "--count-vars", "x",
+        "--param-vars", "p", "--as", "qp")))
+    assert len(json.loads(points.read_text())["pieces"]) == 10001
+    rc, out, err = run(capsys, "synth", interval(10000))
+    assert rc == 0, err
+    assert run(capsys, "synth", str(points)) == (rc, out, err)
+    t0 = time.process_time()
+    rc, out, err = run(capsys, "synth", interval(MODULUS_LIMIT))
+    assert time.process_time() - t0 < 1
+    assert rc == 4 and out == ""
+    assert err == (f"error: enumerating a bounded piece needs "
+                   f"{MODULUS_LIMIT + 1} residues, above the modulus limit "
+                   f"{MODULUS_LIMIT}\n")

@@ -302,6 +302,17 @@ def test_eval_ground_quantifiers():
     assert not eval_ground(parse("A x. x >= 1"), {}, bound=3)
 
 
+def test_eval_ground_keeps_the_callers_binding():
+    """A quantifier over x gives the caller's x back to its siblings, and
+    leaves an unassigned x unassigned."""
+    f = parse("(E x. x = 1) & x = 5")
+    assert eval_ground(f, {"x": 5}, bound=3)
+    assert not eval_ground(f, {"x": 4}, bound=3)
+    assert eval_partial(f, {"x": 5}, bound=3) is True
+    assert eval_partial(f, {}, bound=3) is None
+    assert eval_partial(parse("(A x. x = 1) | x = 5"), {"x": 5}) is True
+
+
 def test_eval_partial_kleene():
     f = parse("x >= 1 & y >= 1")
     assert eval_partial(f, {"x": 0}) is False
