@@ -59,28 +59,30 @@ class CliError(Exception):
 # input helpers
 
 
-def _read(path):
-    if path == "-":
-        return sys.stdin.read()
+def _load(path, from_obj, what):
+    """from_obj of the JSON document at path, '-' for stdin."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        if path == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                obj = json.load(fh)
     except OSError as e:
         raise CliError(PARSE, f"cannot read {path}: {e}")
-
-
-def _load_json(path):
-    try:
-        return json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise CliError(PARSE, f"invalid json in {path}: {e}")
+    try:
+        return from_obj(obj)
+    except (KeyError, TypeError, ValueError):
+        raise CliError(PARSE, f"not a {what}: {path}")
 
 
 def _load_gf(path):
-    try:
-        return serialize.gf_from_obj(_load_json(path))
-    except (KeyError, TypeError, ValueError):
-        raise CliError(PARSE, f"not a generating function: {path}")
+    return _load(path, serialize.gf_from_obj, "generating function")
+
+
+def _load_pqp(path):
+    return _load(path, serialize.pqp_from_obj, "piecewise quasi-polynomial")
 
 
 def _split_vars(spec):
@@ -102,13 +104,13 @@ def _parse_vectors(spec):
     return vecs
 
 
-def _emit(args, obj, text, names=None):
+def _emit(args, obj, text):
     """Print the document that --format asks for; obj and text build what
     serialize.dumps writes and the text, and only the printed one is built.
     dumps writes compact canonical JSON, one line with sorted keys, of a
     JSON value, and writes a RationalGF, SemilinearSet, StepPolynomial or
-    PiecewiseQuasiPolynomial (with names) from one-line templates."""
-    print(serialize.dumps(obj(), names) if args.format == "json" else text())
+    PiecewiseQuasiPolynomial from one-line templates."""
+    print(serialize.dumps(obj()) if args.format == "json" else text())
 
 
 def _emit_gf(args, g):
@@ -141,10 +143,9 @@ def _fmt_poly(poly, names):
                    reverse=True)
     parts = []
     for e, c in items:
-        mono = "*".join(n if k == 1 else f"{n}^{k}"
-                        for n, k in zip(names, e) if k)
+        mono = _fmt_monomial(names, e)
         num, den = abs(c.numerator), c.denominator
-        if not mono:
+        if mono == "1":
             body = str(Fraction(num, den))
         else:
             body = mono if num == 1 else f"{num}*{mono}"
@@ -185,13 +186,9 @@ def _fmt_cells(s):
     lines = []
     for i, cell in enumerate(s.cells):
         lines.append(f"cell {i + 1}:")
-        body = []
-        for a, b in cell.polyhedron.eqs:
-            body.append("  " + _fmt_row(s.names, a, b, "="))
-        for a, b in cell.polyhedron.ineqs:
-            body.append("  " + _fmt_row(s.names, a, b, ">="))
-        for coeffs, r, mod in congruences_of_coset(cell.coset):
-            body.append("  " + _fmt_row(s.names, coeffs, r, f"% {mod} ="))
+        body = _fmt_rows(s.names, cell.polyhedron) + [
+            "  " + _fmt_row(s.names, coeffs, r, f"% {mod} =")
+            for coeffs, r, mod in congruences_of_coset(cell.coset)]
         lines.extend(body or ["  true"])
     return "\n".join(lines) if lines else "empty"
 
@@ -203,12 +200,21 @@ def _fmt_row(names, a, b, op):
     return f"{lhs} {op} {b}"
 
 
+def _fmt_rows(names, cell):
+    """The equations, then the inequalities of a polyhedron, indented."""
+    return ["  " + _fmt_row(names, a, b, op)
+            for op, rows in (("=", cell.eqs), (">=", cell.ineqs))
+            for a, b in rows]
+
+
+def _fmt_initial(param, initial):
+    """The values before an eventual form as one line, if there are any."""
+    vals = ", ".join(f"{param}={p}: {v}" for p, v in enumerate(initial))
+    return [f"initial values [{vals}]"] if initial else []
+
+
 def _fmt_eventual(param, initial, q):
-    lines = []
-    if initial:
-        vals = ", ".join(f"{param}={p}: {v}"
-                         for p, v in enumerate(initial))
-        lines.append(f"initial values [{vals}]")
+    lines = _fmt_initial(param, initial)
     m = q.lattice.basis[0][0]
     T = len(initial)
     if q.is_zero():
@@ -224,31 +230,25 @@ def _fmt_eventual(param, initial, q):
     return "\n".join(lines)
 
 
-def _fmt_pieces(names, g):
+def _fmt_pqp(g):
+    """The eventual form of a univariate pqp, else its pieces."""
+    if g.n == 1:
+        return _fmt_eventual(g.names[0], *eventual_form(g))
     lines = []
     for i, (cell, q) in enumerate(g.pieces):
-        lines.append(f"piece {i + 1}:")
-        for a, b in cell.eqs:
-            lines.append("  " + _fmt_row(names, a, b, "="))
-        for a, b in cell.ineqs:
-            lines.append("  " + _fmt_row(names, a, b, ">="))
+        lines += [f"piece {i + 1}:", *_fmt_rows(g.names, cell)]
         diag = " ".join("[" + " ".join(str(x) for x in col) + "]"
                         for col in q.lattice.basis)
         lines.append(f"  lattice {diag}")
         for rep in sorted(q.constituents):
-            body = _fmt_poly(q.constituents[rep], names)
+            body = _fmt_poly(q.constituents[rep], g.names)
             lines.append(f"  rep ({', '.join(str(r) for r in rep)}): {body}")
     return "\n".join(lines) if lines else "0"
 
 
 def _fmt_step_form(names, initial, s):
-    lines = []
-    if initial:
-        vals = ", ".join(f"{names[0]}={p}: {v}"
-                         for p, v in enumerate(initial))
-        lines.append(f"initial values [{vals}]")
-    lines.append(f"for {names[0]} >= {len(initial)}: " + _fmt_step(names, s))
-    return "\n".join(lines)
+    return "\n".join(_fmt_initial(names[0], initial) + [
+        f"for {names[0]} >= {len(initial)}: " + _fmt_step(names, s)])
 
 
 def _fmt_step(names, s):
@@ -300,9 +300,7 @@ def cmd_dnf(args):
 
 
 def cmd_genfun(args):
-    f = parse(args.formula)
-    names = tuple(sorted(free_vars(f)))
-    _emit_gf(args, gf_of_formula(f, names))
+    _emit_gf(args, gf_of_formula(parse(args.formula)))
     return 0
 
 
@@ -341,16 +339,15 @@ def cmd_count(args):
                        f"--as {args.as_} needs exactly one parameter")
     pqp = rgf_to_pqp(g)
     if args.as_ == "qp":
-        _emit(args, lambda: pqp,
-              lambda: _fmt_eventual(params[0], *eventual_form(pqp)), params)
+        _emit(args, lambda: pqp, lambda: _fmt_pqp(pqp))
         return 0
 
     # --as step
     initial, q = eventual_form(pqp)
     s = qp_to_step(q)
     _emit(args, lambda: {"initial": [serialize.frac_str(v) for v in initial],
-                         "names": params, "step": s},
-          lambda: _fmt_step_form(tuple(params), initial, s))
+                         "names": pqp.names, "step": s},
+          lambda: _fmt_step_form(pqp.names, initial, s))
     return 0
 
 
@@ -383,47 +380,30 @@ def _count_at(args, f, counted, params):
 
 def cmd_vpf(args):
     vecs = _parse_vectors(args.vectors)
-    n = len(vecs[0])
-    names = ("x",) if n == 1 else tuple(f"x{i + 1}" for i in range(n))
-    pnames = ("p",) if n == 1 else tuple(f"p{i + 1}" for i in range(n))
-    if args.as_ == "gf":
-        try:
-            g = vpf_gf(vecs, names=names)
-        except ValueError as e:
-            raise CliError(SEMANTIC, str(e))
-        _emit_gf(args, g)
-        return 0
     try:
-        g = vpf_pqp(vecs)
+        g = vpf_gf(vecs) if args.as_ == "gf" else vpf_pqp(vecs)
     except ValueError as e:
         raise CliError(SEMANTIC, str(e))
     _emit(args, lambda: g,
-          lambda: _fmt_eventual("p", *eventual_form(g)) if n == 1
-          else _fmt_pieces(pnames, g), pnames)
+          lambda: _fmt_gf(g) if args.as_ == "gf" else _fmt_pqp(g))
     return 0
 
 
 def cmd_synth(args):
-    obj = _load_json(args.pqp)
-    try:
-        g = serialize.pqp_from_obj(obj)
-    except (KeyError, TypeError, ValueError):
-        raise CliError(PARSE, f"not a piecewise quasi-polynomial: "
-                              f"{args.pqp}")
+    g = _load_pqp(args.pqp)
     if g.n != 1:
         raise CliError(UNSUPPORTED, "synthesis needs one parameter")
-    param = obj.get("names", ["p"])[0]
     try:
-        formula, counted = synth_formula(g, param=param)
+        formula, counted = synth_formula(g)
     except ModulusTooLarge:
         raise
     except ValueError as e:
         raise CliError(SEMANTIC, str(e))
     text = format_formula(formula)
     _emit(args, lambda: {"formula": text, "counted": list(counted),
-                         "param": param},
+                         "param": g.names[0]},
           lambda: f"formula: {text}\ncounted: {','.join(counted)}\n"
-                  f"param: {param}")
+                  f"param: {g.names[0]}")
     return 0
 
 

@@ -138,9 +138,6 @@ class LinearTerm(record("LinearTerm", "coeffs constant", defaults=(0,))):
         return LinearTerm(tuple((n, k * c) for n, c in self.coeffs),
                           k * self.constant)
 
-    def drop_constant(self):
-        return LinearTerm(self.coeffs, 0)
-
     def subst(self, name, replacement):
         """Replace a variable by another term."""
         c = self.coeff(name)
@@ -674,6 +671,12 @@ def _prune_disj(f):
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(<=|>=|[()<>=%&|!.*+-]))")
 
 _RESERVED = {"E", "A"}
+
+
+def is_name(s):
+    """Is s a string the parser reads as one variable NAME?"""
+    m = type(s) is str and _TOKEN_RE.fullmatch(s)
+    return bool(m) and m.group(2) == s and s not in _RESERVED
 
 
 def _tokenize(text):

@@ -39,9 +39,10 @@ substitution is done per atom once, and offset j only moves the atoms'
 constants before they fold again as in formulas.substitute.  Only live
 branches are built: an offset is skipped when a top-level congruence on
 x', such as x' = 0 (mod l), that the candidate makes ground fails at
-offset j (one residue test), since that branch would fold to FALSE
-anyway; and the first branch that folds to TRUE ends the split, as the
-disjunction would absorb the rest.
+offset j, since that branch would fold to FALSE anyway (by CRT, those
+with one residue leave one class J mod M of offsets, and the modulus
+limit counts its D / M); and the first branch that folds to TRUE ends
+the split, as the disjunction would absorb the rest.
 
 Universals go through the negation dual.  Elimination is innermost-first,
 so each step only ever sees a quantifier-free body.
@@ -78,6 +79,7 @@ from .formulas import (
     substitute,
     substitution_plan,
 )
+from .lattices import solve_congruences
 
 
 def _fresh_name(base, taken):
@@ -190,8 +192,6 @@ def eliminate_exists(var, body):
     else:
         sides = [(shifted, b, 1) for b in lower]
 
-    if sides:
-        check_modulus(modulus, "Cooper elimination")
     congs = [(a.term, a.term.coeff(fresh), a.modulus, set(a.residues))
              for a in tops if isinstance(a, Congruence)]
     branches = []
@@ -204,7 +204,16 @@ def eliminate_exists(var, body):
                   for term, step, m, rs in congs
                   for t in [term.subst(fresh, b)]
                   if all(c % m == 0 for _, c in t.coeffs)]
-        for j in range(modulus):
+        # the one-residue ones hold together exactly on j = J (mod M)
+        crt = solve_congruences([((step,), r - c, m)
+                                 for c, step, m, rs in ground
+                                 if len(rs) == 1 for r in rs], 1)
+        if crt is None:
+            continue
+        (M,), = crt.lattice.basis
+        check_modulus(modulus // M, "Cooper elimination")
+        ground = [x for x in ground if len(x[3]) > 1]
+        for j in range(crt.rep[0], modulus, M):
             if all((c + step * j) % m in rs for c, step, m, rs in ground):
                 g = plan(sign * j)
                 if g is TRUE:

@@ -8,18 +8,21 @@ encoder.  GF, cell, pqp and step documents are written from one-line
 per-item templates, each distinct denominator, polyhedron, lattice basis
 and exponent vector once per document; gf_to_obj, semilinear_to_obj,
 pqp_to_obj and step_to_obj are the reference forms they are tested
-against.  The readers take JSON integers only where integers belong and
-"num/den" strings with a nonzero denominator where rationals belong;
-anything else raises KeyError, TypeError or ValueError.
+against.  The readers take JSON integers only where integers belong,
+"num/den" strings with a nonzero denominator where rationals belong and
+distinct formula NAMEs but E and A as names (a pqp without names gets p
+or p1, ..., pn); anything else raises KeyError, TypeError or ValueError.
 """
 
 import json
 from fractions import Fraction
 
+from .formulas import is_name
 from .genfun import RationalGF, make_term, rgf
 from .lattices import Lattice
 from .polyhedra import Polyhedron
-from .quasipoly import PiecewiseQuasiPolynomial, QuasiPolynomial, StepPolynomial
+from .quasipoly import PiecewiseQuasiPolynomial, QuasiPolynomial
+from .quasipoly import StepPolynomial, default_names
 from .semilinear import SemilinearSet
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -38,15 +41,13 @@ def parse_frac(s):
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
-def dumps(obj, names=None):
+def dumps(obj):
     """json.dumps(obj, sort_keys=True, separators=(",", ":")).
 
-    A RationalGF, SemilinearSet, PiecewiseQuasiPolynomial (with names, as
-    in pqp_to_obj) or StepPolynomial, also as a value of a dict obj, is
-    written as dumps would write its object form.
+    A RationalGF, SemilinearSet, PiecewiseQuasiPolynomial or
+    StepPolynomial, also as a value of a dict obj, is written as dumps
+    would write its object form.
     """
-    if names is not None:
-        return _pqp_text(obj, names)
     if type(obj) in _WRITERS:
         return _WRITERS[type(obj)](obj)
     if isinstance(obj, dict) and any(type(v) in _WRITERS
@@ -80,8 +81,9 @@ def _vec(obj, n):
 
 
 def _names(obj):
-    if type(obj) is not list or not all(type(n) is str for n in obj):
-        raise ValueError(f"names {obj!r} are not a list of strings")
+    if (type(obj) is not list or not all(map(is_name, obj))
+            or len(set(obj)) != len(obj)):
+        raise ValueError(f"names {obj!r} are not distinct variable names")
     return tuple(obj)
 
 
@@ -171,9 +173,10 @@ def _rep_key(rep):
     return ",".join(str(int(c)) for c in rep)
 
 
-def pqp_to_obj(g, names=None):
-    obj = {
+def pqp_to_obj(g):
+    return {
         "n": g.n,
+        "names": list(g.names),
         "pieces": [{
             "polyhedron": polyhedron_to_obj(cell),
             "lattice": [list(b) for b in q.lattice.basis],
@@ -181,13 +184,10 @@ def pqp_to_obj(g, names=None):
                              for rep, poly in q.constituents.items()},
         } for cell, q in g.pieces],
     }
-    if names is not None:
-        obj["names"] = list(names)
-    return obj
 
 
-def _pqp_text(g, names=None):
-    """dumps(pqp_to_obj(g, names)); constituent keys sort as strings."""
+def _pqp_text(g):
+    """dumps(pqp_to_obj(g)); constituent keys sort as strings."""
     polys, lattices, exps = {}, {}, {}
     pieces = []
     for cell, q in g.pieces:
@@ -199,14 +199,15 @@ def _pqp_text(g, names=None):
         pieces.append('{"constituents":{%s},"lattice":%s,"polyhedron":%s}'
                       % (cons, _once(lattices, q.lattice.basis),
                          _once(polys, cell, dumps)))
-    named = "" if names is None else ',"names":' + _encode(list(names))
-    return '{"n":%d%s,"pieces":[%s]}' % (g.n, named, ",".join(pieces))
+    return '{"n":%d,"names":%s,"pieces":[%s]}' % (g.n, _encode(g.names),
+                                                   ",".join(pieces))
 
 
 def pqp_from_obj(obj):
     n = _int(obj["n"])
-    if "names" in obj and len(_names(obj["names"])) != n:
-        raise ValueError(f"names {obj['names']} are not {n} names")
+    names = _names(obj["names"]) if "names" in obj else default_names("p", n)
+    if len(names) != n:
+        raise ValueError(f"names {list(names)} are not {n} names")
     pieces = []
     for pc in obj["pieces"]:
         cell = polyhedron_from_obj(pc["polyhedron"])
@@ -224,7 +225,7 @@ def pqp_from_obj(obj):
         if len(constituents) != lat.index():
             raise ValueError("need one constituent per lattice coset")
         pieces.append((cell, QuasiPolynomial(n, lat, constituents)))
-    return PiecewiseQuasiPolynomial(n, tuple(pieces))
+    return PiecewiseQuasiPolynomial(names, tuple(pieces))
 
 
 def step_to_obj(s):

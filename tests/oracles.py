@@ -574,8 +574,8 @@ def hadamard_pqp_oracle(f, g):
         for p0 in (T + (r - T) % m for r in range(m))], da * db)
     q = QuasiPolynomial(1, Lattice(1, ((m,),)), {
         (r,): poly for r, poly in enumerate(polys)})
-    return pqp_to_rgf(eventual_pqp([Fraction(c, da * db) for c in row[:T]],
-                                   q), names=f.names)
+    return pqp_to_rgf(eventual_pqp(
+        f.names, [Fraction(c, da * db) for c in row[:T]], q))
 
 
 def product_on_box(f, g, h, bound):

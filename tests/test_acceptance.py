@@ -154,8 +154,8 @@ def test_c07_rgf_pqp_round_trips():
         table = series_coeffs(f, 40)
         for p in range(41):
             assert g.eval((p,)) == table.get((p,), F(0)), (trial, p)
-        assert series_equal(pqp_to_rgf(g, names=("x",)), f, 40), trial
-    linear = PiecewiseQuasiPolynomial(1, ((
+        assert series_equal(pqp_to_rgf(g), f, 40), trial
+    linear = PiecewiseQuasiPolynomial(("p",), ((
         Polyhedron.of(1, [((1,), 0)]),
         QuasiPolynomial(1, Lattice.standard(1),
                         {(0,): {(1,): F(1), (0,): F(1)}})),))
@@ -168,7 +168,7 @@ def test_c08_formula_synthesis():
     ray = Polyhedron.of(1, [((1,), 0)])
 
     def poly_qp(poly):
-        return PiecewiseQuasiPolynomial(1, ((
+        return PiecewiseQuasiPolynomial(("p",), ((
             ray, QuasiPolynomial(1, Lattice.standard(1), {(0,): poly})),))
 
     cases = [
@@ -176,7 +176,7 @@ def test_c08_formula_synthesis():
         (poly_qp({(2,): F(2), (1,): F(-3), (0,): F(1)}),
          lambda p: 2 * p * p - 3 * p + 1),
         (poly_qp({(0,): F(5)}), lambda p: 5),
-        (PiecewiseQuasiPolynomial(1, ((
+        (PiecewiseQuasiPolynomial(("p",), ((
             ray, QuasiPolynomial(1, Lattice(1, ((2,),)),
                                  {(0,): TRIANGLE_EVEN,
                                   (1,): TRIANGLE_ODD})),)),
@@ -228,7 +228,7 @@ def test_c09_semilinear_oracle_equivalence():
                 atoms.append(cmp_eq(term))
             else:
                 m = rng.randint(2, 4)
-                atoms.append(congruence(term.drop_constant(), m,
+                atoms.append(congruence(LinearTerm(term.coeffs), m,
                                         rng.randrange(m)))
         f = atoms[0]
         for a in atoms[1:]:

@@ -20,9 +20,10 @@ from oracles import (PRIME, count_solutions, gf_value_mod, knapsack_count,
                      step_from_obj)
 from presburger.cli import _build_parser, main
 from presburger.formulas import MODULUS_LIMIT, eval_ground, parse
-from presburger.genfun import cardinality, series_coeffs, series_equal
-from presburger.quasipoly import step_eval
-from presburger.serialize import gf_from_obj, pqp_from_obj
+from presburger.genfun import (cardinality, counting_gf, series_coeffs,
+                               series_equal)
+from presburger.quasipoly import pqp_to_rgf, rgf_to_pqp, step_eval, vpf_pqp
+from presburger.serialize import dumps, gf_from_obj, pqp_from_obj
 
 F = Fraction
 
@@ -77,7 +78,7 @@ def test_modulus_limit_fails_fast(capsys):
                            "negating a congruence", big),
                           (("dnf", "x % 10000000 = 3 | y >= 1"),
                            "splitting a cell by a congruence", big),
-                          (("decide", "E x. x % 10000000 = 3"),
+                          (("qelim", "E x. x + y % 10000000 = 3 & x >= z"),
                            "Cooper elimination", big),
                           (("qelim", "A x. x % 100001 = 1 | x >= y"),
                            "negating a congruence", 100001)]:
@@ -91,7 +92,8 @@ def test_modulus_limit_fails_fast(capsys):
 
 def test_modulus_limit_on_the_upper_side(capsys, monkeypatch):
     """Cooper's upper side checks MODULUS_LIMIT before its offsets: x has
-    two lower bounds and no upper one, so only phi_+inf is split."""
+    three lower bounds and no upper one, so only phi_+inf is split, and
+    its congruence stays open in y."""
     qelim_module = sys.modules["presburger.qelim"]
     plus_infinity = qelim_module._at_plus_infinity
     seen = []
@@ -102,12 +104,25 @@ def test_modulus_limit_on_the_upper_side(capsys, monkeypatch):
 
     monkeypatch.setattr(qelim_module, "_at_plus_infinity", at_plus_infinity)
     t0 = time.process_time()
-    rc, out, err = run(capsys, "qelim", "E x. x % 100003 = 1 & x >= y")
+    rc, out, err = run(capsys, "qelim",
+                       "E x. x + y % 100003 = 1 & x >= z & x >= w")
     assert time.process_time() - t0 < 1
     assert seen
     assert rc == 4 and out == ""
     assert err == (f"error: Cooper elimination needs 100003 residues, "
                    f"above the modulus limit {MODULUS_LIMIT}\n")
+
+
+def test_cooper_walks_one_residue_class(capsys):
+    """Ground congruences with one residue fix the offsets to one class by
+    CRT, so a modulus above MODULUS_LIMIT with few offsets left answers."""
+    for argv, want in [(("decide", "E x. x % 10000000 = 3"), "true\n"),
+                       (("decide", "E x. x % 10000000 = 3 & x % 13 = 4"),
+                        "true\n"),
+                       (("qelim", "E x. x % 100003 = 1 & x >= y"), "0 = 0\n")]:
+        t0 = time.process_time()
+        assert run(capsys, *argv) == (0, want, "")
+        assert time.process_time() - t0 < 1
 
 
 def test_qelim_output_is_quantifier_free_and_equivalent(capsys):
@@ -290,6 +305,27 @@ def test_vpf_qp_dimensions(capsys):
     g = pqp_from_obj(obj)
     for p in product(range(6), repeat=3):
         assert g.eval(p) == min(p) + 1, p
+
+
+@pytest.mark.parametrize("argv, pqp, names", [
+    (("count", "2*x + 3*y <= q", "--count-vars", "x,y", "--param-vars", "q"),
+     lambda: rgf_to_pqp(counting_gf(parse("2*x + 3*y <= q"), ("x", "y"),
+                                    ("q",))), ("q",)),
+    (("vpf", "2;3"), lambda: vpf_pqp([(2,), (3,)]), ("p",)),
+    (("vpf", "1,0;0,1;1,1"), lambda: vpf_pqp([(1, 0), (0, 1), (1, 1)]),
+     ("p1", "p2")),
+])
+def test_pqp_documents_carry_their_names(capsys, argv, pqp, names):
+    """A printed pqp document reads back as the library's pqp, names
+    included, is written again byte for byte, and goes back to a GF in
+    the variables it names."""
+    rc, out, err = run(capsys, *argv, "--as", "qp", "--format", "json")
+    assert rc == 0, err
+    doc = json.loads(out)
+    g = pqp_from_obj(doc)
+    assert g == pqp() and g.names == names == tuple(doc["names"])
+    assert dumps(g) + "\n" == out
+    assert pqp_to_rgf(g).names == names
 
 
 def test_vpf_rejects_zero_generator(capsys):
@@ -693,6 +729,41 @@ def test_malformed_numbers_exit_2(capsys, tmp_path, cmd, doc):
     """Only JSON integers stand where integers belong and only "num/den"
     strings with a nonzero denominator where rationals do: anything else
     is a parse error, exit 2, and never a traceback or a rounded value."""
+    assert_unreadable(capsys, tmp_path, cmd, doc)
+
+
+def pqp2_doc(names):
+    return {"n": 2, "names": names, "pieces": [{
+        "constituents": {"0,0": [{"coef": "1", "exps": [0, 0]}]},
+        "lattice": [[1, 0], [0, 1]],
+        "polyhedron": {"dim": 2, "eqs": [], "ineqs": [[[1, 0], 0]]}}]}
+
+
+def gf2_doc(names):
+    return {"names": names, "terms": [
+        {"coef": "1", "numer_exp": [0, 0], "denom": [[1, 0]]}]}
+
+
+@pytest.mark.parametrize("cmd, doc", [
+    ("synth", pqp_doc(names=["x + 1"])),
+    ("synth", pqp_doc(names=["E"])),
+    ("synth", pqp_doc(names=["A"])),
+    ("synth", pqp_doc(names=[""])),
+    ("synth", pqp_doc(names=[" p"])),
+    ("synth", pqp2_doc(["p", "p"])),
+    ("series", gf2_doc(["x", "x"])),
+    ("zero", gf2_doc(["x", "x"])),
+    ("hadamard", gf2_doc(["x", "x"])),
+])
+def test_bad_names_exit_2(capsys, tmp_path, cmd, doc):
+    """A document's names are distinct variable names the formula parser
+    reads as one NAME each, E and A not among them: synth writes the
+    parameter's name into its formula.  Anything else exits 2."""
+    assert_unreadable(capsys, tmp_path, cmd, doc)
+
+
+def assert_unreadable(capsys, tmp_path, cmd, doc):
+    """cmd on the JSON document doc exits 2 with its "not a" message."""
     path = str(tmp_path / "doc.json")
     Path(path).write_text(json.dumps(doc))
     rc, out, err = run(capsys, cmd, *[path] * (2 if cmd == "hadamard" else 1))

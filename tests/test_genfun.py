@@ -667,7 +667,7 @@ def test_random_formulas_series_match():
                 atoms.append(cmp_eq(term))
             else:
                 m = rng.randint(2, 4)
-                atoms.append(congruence(term.drop_constant(), m,
+                atoms.append(congruence(LinearTerm(term.coeffs), m,
                                         rng.randrange(m)))
         f = atoms[0]
         for a in atoms[1:]:

@@ -101,7 +101,8 @@ def test_no_orphaned_helpers():
     assert orphaned_helpers(sources) == []
 
 
-# Public functions that nothing in the package calls, kept on purpose.
+# Public functions and methods that nothing in the package calls, kept on
+# purpose.
 UNCALLED_PUBLIC = {
     ("serialize.py", "gf_to_obj"):
         "object form of a GF document: the reference the term-by-term "
@@ -121,25 +122,42 @@ UNCALLED_PUBLIC = {
         "parent's double description instead",
     ("polyhedra.py", "has_interior"):
         "the planned refinement of piecewise quasi-polynomial cells uses it",
+    ("polyhedra.py", "Polyhedron.intersect"):
+        "ROADMAP item 1 refines pqp cells with it",
     ("semilinear.py", "formula_from_semilinear"):
         "the planned converse from a rational GF to a formula prints its "
         "result with it",
 }
 
 
+def _units(tree):
+    """(name, nodes) per unit of a module: each method of a top-level class
+    is one, named Class.method, and the rest of each top-level statement
+    is one, named as the function it defines, if any."""
+    for stmt in tree.body:
+        inner = set()
+        for m in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+            if isinstance(m, ast.FunctionDef):
+                nodes = list(ast.walk(m))
+                inner.update(map(id, nodes))
+                yield f"{stmt.name}.{m.name}", nodes
+        name = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        yield name, [n for n in ast.walk(stmt) if id(n) not in inner]
+
+
 def uncalled_public_functions(sources):
-    """Module-level public functions of the given modules (name -> source)
-    that no other top-level statement of any module reads, imports or
-    looks up as an attribute; a function calling itself does not count."""
+    """Module-level public functions and public methods of module-level
+    classes of the given modules (name -> source) whose name no other
+    unit (see _units) of any module reads, imports or looks up as an
+    attribute; a function calling itself does not count."""
     defined = []
-    readers = {}  # name -> {(module, index of the top-level statement)}
+    readers = {}  # name -> {(module, index of the unit)}
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for i, stmt in enumerate(tree.body):
-            if (isinstance(stmt, ast.FunctionDef)
-                    and not stmt.name.startswith("_")):
-                defined.append((module, stmt.name, i))
-            for node in ast.walk(stmt):
+        for i, (unit, nodes) in enumerate(_units(ast.parse(source))):
+            short = unit and unit.rpartition(".")[2]
+            if short and not short.startswith("_"):
+                defined.append((module, unit, short, i))
+            for node in nodes:
                 if isinstance(node, ast.Name):
                     names = [node.id]
                 elif isinstance(node, ast.Attribute):
@@ -150,16 +168,21 @@ def uncalled_public_functions(sources):
                     continue
                 for name in names:
                     readers.setdefault(name, set()).add((module, i))
-    return sorted((m, name) for m, name, i in defined
-                  if not readers.get(name, set()) - {(m, i)})
+    return sorted((m, unit) for m, unit, short, i in defined
+                  if not readers.get(short, set()) - {(m, i)})
 
 
 def test_uncalled_public_functions_are_found():
     sources = {"a": "def api(): return helper()\ndef helper(): pass\n"
-                    "def planted(): return planted()\n",
-               "__init__.py": "from .a import api\n"}
-    assert uncalled_public_functions(sources) == [("a", "planted")]
-    sources["b"] = "from . import a\nx = a.planted\n"
+                    "def planted(): return planted()\n"
+                    "class K:\n    def used(self): return self.spare()\n"
+                    "    def spare(self): return self.spare()\n"
+                    "    def alone(self): return self.alone()\n"
+                    "    def _private(self): pass\n",
+               "__init__.py": "from .a import api\nK().used()\n"}
+    assert uncalled_public_functions(sources) == [("a", "K.alone"),
+                                                  ("a", "planted")]
+    sources["b"] = "from . import a\nx = a.planted\ny = a.K.alone\n"
     assert uncalled_public_functions(sources) == []
 
 

@@ -47,7 +47,8 @@ F = Fraction
 
 
 def ray_pqp(q, lo=0):
-    return PiecewiseQuasiPolynomial(1, ((Polyhedron.of(1, [((1,), lo)]), q),))
+    cell = Polyhedron.of(1, [((1,), lo)])
+    return PiecewiseQuasiPolynomial(("p",), ((cell, q),))
 
 
 def triangle_qp():
@@ -337,7 +338,7 @@ def test_rgf_to_pqp_shifted_step():
 def test_eventual_form_shrinks_initial():
     q = QuasiPolynomial(1, Lattice.standard(1),
                         {(0,): {(1,): F(1), (0,): F(1)}})
-    g = eventual_pqp([5, 0, 7, 4], q)     # 4 agrees with q at p=3
+    g = eventual_pqp(("p",), [5, 0, 7, 4], q)     # 4 agrees with q at p=3
     initial, q2 = eventual_form(g)
     assert initial == (5, 0, 7)
     assert q2 == q
@@ -345,7 +346,7 @@ def test_eventual_form_shrinks_initial():
 
 
 def test_eventual_form_of_points_only():
-    g = eventual_pqp([0, 7], qp_zero(1))
+    g = eventual_pqp(("p",), [0, 7], qp_zero(1))
     initial, q = eventual_form(g)
     assert initial == (0, 7)
     assert q.is_zero()
@@ -361,13 +362,13 @@ def test_pqp_to_rgf_linear():
 
 
 def test_pqp_to_rgf_points():
-    f = pqp_to_rgf(eventual_pqp([0, 5], qp_zero(1)))
+    f = pqp_to_rgf(eventual_pqp(("p",), [0, 5], qp_zero(1)))
     assert series_coeffs(f, 10) == {(1,): F(5)}
 
 
 def test_pqp_to_rgf_triangle_roundtrip():
-    f = rgf(("x",), [make_term(1, (0,), ((1,), (2,), (2,)))])
-    back = pqp_to_rgf(ray_pqp(triangle_qp()), names=("x",))
+    f = rgf(("p",), [make_term(1, (0,), ((1,), (2,), (2,)))])
+    back = pqp_to_rgf(ray_pqp(triangle_qp()))
     assert series_equal(back, f, 30)
 
 
@@ -395,7 +396,7 @@ def test_rgf_pqp_random_roundtrips():
         table = series_coeffs(f, 40)
         for p in range(41):
             assert g.eval((p,)) == table.get((p,), F(0))
-        assert series_equal(pqp_to_rgf(g, names=("x",)), f, 40)
+        assert series_equal(pqp_to_rgf(g), f, 40)
 
 
 def test_pqp_to_rgf_long_bounded_piece():
@@ -403,7 +404,7 @@ def test_pqp_to_rgf_long_bounded_piece():
     q = QuasiPolynomial(1, Lattice.standard(1),
                         {(0,): {(1,): F(1), (0,): F(1)}})
     cell = Polyhedron.of(1, [((1,), 0), ((-1,), -10000)])
-    f = pqp_to_rgf(PiecewiseQuasiPolynomial(1, ((cell, q),)))
+    f = pqp_to_rgf(PiecewiseQuasiPolynomial(("p",), ((cell, q),)))
     assert len(f.terms) <= 4
     table = series_coeffs(f, 10002)
     assert table == {(p,): F(p + 1) for p in range(10001)}
@@ -445,7 +446,7 @@ def test_eventual_form_reduces_the_period():
 
 def test_pqp_to_rgf_two_parameters():
     g = vpf_pqp([(1, 0), (0, 1), (1, 1)])
-    f = pqp_to_rgf(g, names=("x", "y"))
+    f = pqp_to_rgf(g)
     table = series_coeffs(f, 8)
     for a in range(9):
         for b in range(9):
@@ -557,7 +558,7 @@ def check_vpf(gens, bound):
         assert sum(cell.contains(p) for cell, _ in g.pieces) <= 1, (gens, p)
         if min(p) >= 0:
             assert g.eval(p) == table.get(p, F(0)), (gens, p)
-    back = pqp_to_rgf(g, names=f.names)
+    back = pqp_to_rgf(g)
     assert gf_is_zero(rgf(f.names, back.terms + tuple(
         make_term(-t.coef, t.numer, t.denom) for t in f.terms))), gens
     return g
@@ -646,7 +647,7 @@ def test_synth_binomial():
 
 
 def test_synth_initial_values():
-    g = eventual_pqp([0, 9], QuasiPolynomial(
+    g = eventual_pqp(("p",), [0, 9], QuasiPolynomial(
         1, Lattice.standard(1), {(0,): {(1,): F(1)}}))
     check_synth(g, lambda p: 9 if p == 1 else p, 15)
 
@@ -679,7 +680,7 @@ def test_synth_rejects_non_natural():
 
 def test_synth_negative_witness_is_negative():
     # 100 on [0, 99], then 50 - p: the witness lies past the initial values
-    g = eventual_pqp([100] * 100, QuasiPolynomial(
+    g = eventual_pqp(("p",), [100] * 100, QuasiPolynomial(
         1, Lattice.standard(1), {(0,): {(1,): F(-1), (0,): F(50)}}))
     with pytest.raises(ValueError, match="negative value at p=") as err:
         synth_formula(g)

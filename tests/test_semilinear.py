@@ -150,7 +150,7 @@ def test_random_formulas_exact_and_disjoint():
                 atoms.append(cmp_eq(term))
             else:
                 m = rng.randint(2, 4)
-                atoms.append(congruence(term.drop_constant(), m, rng.randrange(m)))
+                atoms.append(congruence(LinearTerm(term.coeffs), m, rng.randrange(m)))
         f = atoms[0]
         for a in atoms[1:]:
             op = rng.randrange(3)

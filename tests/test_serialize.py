@@ -11,6 +11,7 @@ from presburger.quasipoly import (
     PiecewiseQuasiPolynomial,
     QuasiPolynomial,
     StepPolynomial,
+    default_names,
     eventual_pqp,
     qp_to_step,
     vpf_pqp,
@@ -138,18 +139,18 @@ def random_pqp(rng):
                         for rep in lat.coset_representatives()}
         pieces.append((random_polyhedron(rng, n),
                        QuasiPolynomial(n, lat, constituents)))
-    return PiecewiseQuasiPolynomial(n, tuple(pieces))
+    return PiecewiseQuasiPolynomial(default_names("p", n), tuple(pieces))
 
 
 def test_pqp_dumps_matches_the_object_form():
     """dumps writes a pqp piece by piece and monomial by monomial, with
-    and without names.  Covers 1 to 3 parameters, empty constituents,
+    default and arbitrary names.  Covers 1 to 3 parameters, empty constituents,
     Fraction coefficients and more than 10 cosets, whose keys ("10",
     "2", "-1,3") sort as strings."""
     rng = random.Random(1732)
     pqps = [random_pqp(rng) for _ in range(200)]
     pqps.append(vpf_pqp([(1, 0), (0, 1), (1, 1), (1, 2)]))
-    pqps.append(PiecewiseQuasiPolynomial(2, ()))
+    pqps.append(PiecewiseQuasiPolynomial(("p1", "p2"), ()))
     qs = [q for g in pqps for _cell, q in g.pieces]
     assert {g.n for g in pqps} == {1, 2, 3}
     assert any(q.lattice.index() > 10 for q in qs)
@@ -157,10 +158,9 @@ def test_pqp_dumps_matches_the_object_form():
     assert any(F(c).denominator > 1 for q in qs
                for poly in q.constituents.values() for c in poly.values())
     for g in pqps:
-        names = [random_text(rng) for _ in range(g.n)]
-        for ns in (None, names):
-            want = canonical(pqp_to_obj(g, ns))
-            assert dumps(g, ns) == want, g
+        names = tuple(random_text(rng) for _ in range(g.n))
+        for h in (g, g._replace(names=names)):
+            assert dumps(h) == canonical(pqp_to_obj(h)), h
 
 
 def test_step_dumps_matches_the_object_form():
@@ -196,14 +196,14 @@ def test_semilinear_round_trip():
 
 def test_pqp_round_trip():
     g = vpf_pqp([(1,), (2,), (2,)])
-    obj = pqp_to_obj(g, names=("p",))
+    obj = pqp_to_obj(g)
     assert obj["names"] == ["p"]
     g2 = pqp_from_obj(obj)
     assert g2 == g
     # with exceptional point pieces
     q = QuasiPolynomial(1, Lattice(1, ((2,),)),
                         {(0,): {(1,): F(1, 2)}, (1,): {(0,): F(3)}})
-    g3 = eventual_pqp([7, 0, 4], q)
+    g3 = eventual_pqp(("q",), [7, 0, 4], q)
     assert pqp_from_obj(pqp_to_obj(g3)) == g3
 
 
