@@ -30,6 +30,7 @@ from .genfun import (
     series_coeffs,
     series_equal,
     specialize_ones,
+    specialized_gf,
 )
 from .lattices import (
     Lattice,
@@ -97,6 +98,7 @@ __all__ = [
     "series_equal",
     "solve_congruences",
     "specialize_ones",
+    "specialized_gf",
     "step_eval",
     "synth_formula",
     "to_dnf",

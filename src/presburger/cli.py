@@ -27,12 +27,12 @@ from .formulas import (
     ModulusTooLarge,
     format_formula,
     free_vars,
+    is_name,
     parse,
     substitute,
 )
 from .genfun import (
     DivergentSpecialization,
-    cardinality,
     counting_gf,
     gf_is_zero,
     gf_of_formula,
@@ -88,6 +88,9 @@ def _load_pqp(path):
 def _split_vars(spec):
     names = [n.strip() for n in spec.split(",")] if spec else []
     names = [n for n in names if n]
+    for n in names:
+        if not is_name(n):
+            raise CliError(PARSE, f"not a variable name: {n!r}")
     if len(set(names)) != len(names):
         raise CliError(SEMANTIC, f"duplicate variable in {spec!r}")
     return names
@@ -370,7 +373,12 @@ def _count_at(args, f, counted, params):
         for name, v in zip(params, at):
             g = substitute(g, name, LinearTerm.const(v))
         try:
-            val = cardinality(gf_of_formula(g, counted))
+            # the GF over no parameters: a constant
+            val = sum((t.coef for t in counting_gf(g, counted, ()).terms),
+                      Fraction(0))
+            if val.denominator != 1:
+                raise ValueError(f"point count {val} is not an integer")
+            val = int(val)
         except DivergentSpecialization:
             return _emit_infinite(args, "count is infinite" + (
                 f" at {args.at}" if params else ""))

@@ -6,37 +6,40 @@ A RationalGF is a finite sum of terms
 
 with Fraction coef, integer exponent vectors numer (negative entries are
 allowed in intermediate results) and nonzero lex-positive denominator
-vectors b.  The GF of a cell is computed after one change of coordinates:
-an integer affine map from Z^k onto the points of the cell's coset in its
-affine hull, the coset basis composed with an integer parametrization of
-the hull.  Brion's vertex-cone decomposition then runs on the
-full-dimensional polyhedron in Z^k: each tangent cone is triangulated, and
-the pieces are made half-open towards a generic reference vector so facets
-are never counted twice.  A piece whose index (|det| of its generators)
-exceeds LIMIT is split by Barvinok's signed decomposition, in the primal
-half-open form of Koeppe and Verdoolaege, into signed half-open cones of
-smaller index, around a short vector from an integral LLL.  Each cone at
-or below LIMIT is summed exactly by enumerating the integer points of its
-fundamental parallelepiped, so a piece that is not split keeps its terms.
-That enumeration is integer-only: one fraction-free elimination gives the
-adjugate and determinant of the generators, and the walk over the coset
-representatives runs along one lattice axis at a time, each step moving
-the point by one of 2^d vectors picked by the carries of its
-parallelepiped coordinates.  LIMIT = 64 is measured: on the knapsack_gf
-benchmark, where vertex cones reach index 1331, 64 gave the lowest time
-of the limits 8, 32, 64, 128 and 256 (see README).  These steps pass
-plain term lists; the terms are mapped back and coalesced once per cell.
-Series coefficients on a box come from one integer kernel in any
-dimension, _series_table: pruned running sums per denominator, stored as
-dense rows over the last exponent.  specialize_ones evaluates at 1 by one
-integer Laurent expansion per distinct denominator (per simplicial
-cone): each term keeps integer binomial sums, pure poles multiply as
-integer series over one denominator, and every other factor, y its
-remaining monomial, expands in closed form as 1/(1 - y (1+s)^m) =
-sum_j ((1+s)^m - 1)^j y^j / (1 - y)^(j + 1), so no series has GF
-coefficients.  gf_is_zero tests a GF exactly over one common
-denominator, gf_euler applies x_i d/dx_i term by term, and hadamard
-multiplies two series coefficientwise, one cell per pair of terms.
+vectors b.  Brion runs in two steps.  The first lists the leaf cones of a
+cell: an integer affine map x = shift + M t carries Z^k onto the points
+of the cell's coset in its affine hull, and Brion's vertex-cone
+decomposition runs on the full-dimensional polyhedron in Z^k, each
+tangent cone triangulated and made half-open towards a generic reference
+vector, so facets are never counted twice.  A piece whose index (|det|
+of its generators) exceeds LIMIT is split by Barvinok's signed
+decomposition, in the primal half-open form of Koeppe and Verdoolaege,
+into signed half-open cones of smaller index, around a short vector from
+an integral LLL.  LIMIT = 64 is measured: on the knapsack_gf benchmark,
+where vertex cones reach index 1331, 64 gave the lowest time of the
+limits 8, 32, 64, 128 and 256 (see README).  The second step, _walk,
+lists the integer points of a leaf's fundamental parallelepiped under an
+integer exponent map, in integers only: one fraction-free elimination
+gives the adjugate, and the walk over the coset representatives runs
+along one lattice axis at a time, each step moving the point by one of
+2^d moves picked by the carries of its parallelepiped coordinates.
+gf_of_cell walks each leaf with the cell's own map, straight to the
+exponents of the cell's variables.  specialized_gf counts without
+building that GF: it fixes tau once from the mapped generators of every
+leaf, walks each leaf straight to the exponents (tau . x_counted,
+x_rest) of x_counted = t^tau, and hands them to _specialize, the one
+specialization kernel, which specialize_ones also runs on the terms of a
+GF already built.  The kernel evaluates at 1 by one integer Laurent
+expansion per distinct denominator: integer binomial sums per
+denominator, pure poles multiplied as integer series over one
+denominator, and every other factor, y its remaining monomial, expanded
+in closed form as 1/(1 - y (1+s)^m) = sum_j ((1+s)^m - 1)^j y^j /
+(1 - y)^(j + 1), so no series has GF coefficients.  Series coefficients
+on a box come from one integer kernel in any dimension, _series_table:
+pruned running sums per denominator, stored as dense rows over the last
+exponent.  gf_is_zero tests a GF exactly over one common denominator,
+gf_euler applies x_i d/dx_i term by term, and hadamard multiplies two
+series coefficientwise, one cell per pair of terms.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .polyhedra import (
     triangulate,
     vertices,
 )
-from .semilinear import SemilinearCell, to_dnf
+from .semilinear import SemilinearCell, SemilinearSet, to_dnf
 
 
 # Simplicial cones of larger index are split by Barvinok's signed
@@ -271,39 +274,13 @@ def series_equal(g1, g2, bound):
 
 
 # ---------------------------------------------------------------------------
-# monomial substitution
-
-
-def _substitute_exponents(terms, images, shift):
-    """Terms under x_j -> y^images[j] (integer vectors), times y^shift.
-
-    Each distinct denominator is mapped once, its lex flips folded into
-    the sign and shift of a unit term that its numerators then reuse.
-    """
-    rows = tuple(tuple(v[i] for v in images) for i in range(len(shift)))
-    units = {}
-    out = []
-    for t in terms:
-        if t.denom not in units:
-            denoms = [mat_vec(rows, b) for b in t.denom]
-            if not all(any(b) for b in denoms):
-                raise ValueError(
-                    "denominator vector maps to zero; substitute with "
-                    "specialize_ones instead")
-            units[t.denom] = make_term(1, shift, denoms)
-        u = units[t.denom]
-        out.append(GFTerm(t.coef * u.coef,
-                          vadd(mat_vec(rows, t.numer), u.numer), u.denom))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # generating function of a cell (Brion decomposition)
 
 
-def _gf_halfopen_simplicial(apex, gens, adj, det, excluded, sign=1):
-    """sign times the GF of apex + cone(gens) with facets in `excluded`
-    removed.
+def _walk(apex, gens, adj, det, excluded, images, origin):
+    """The integer points of apex + cone(gens) in its fundamental
+    parallelepiped, with the facets in `excluded` removed, each point t
+    given as origin + sum_j t_j images[j] (integer vectors of one length).
 
     gens are linearly independent and span the ambient space, and (adj,
     det) are the adjugate and determinant of the matrix G with the gens
@@ -319,56 +296,69 @@ def _gf_halfopen_simplicial(apex, gens, adj, det, excluded, sign=1):
     division of u by D at rep = 0.  A step along e_j adds s = D sd + sm
     (0 <= sm < D) to u, so each entry of u mod D carries at most once and
     the point moves by e_j - G (sd + c) for the 0/1 vector c of carries:
-    one of 2^d moves per axis, each formed once per cone.
+    one of 2^d moves per axis, each formed once per cone, as its image.
+    The entries of u mod D are packed into one integer, entry i as
+    u_i mod D + K - D in bits i (b + 1) up, with K = 2^b > D: adding the
+    packed sm sets bit b of exactly the entries that carry, so a step is
+    a few integer operations, and its carry bits pick the move.
     """
     d = len(gens)
+    if not d:  # a single point
+        return [origin]
     grows = tuple(tuple(g[i] for g in gens) for i in range(d))
     if not det or mat_mul(grows, adj) != tuple(
             tuple(det * (i == j) for j in range(d)) for i in range(d)):
         raise ValueError("adjugate does not invert the cone generators")
-    unit = make_term(sign, zero_vec(d), gens)  # sign and shift of lex flips
-    if not d:
-        return [unit]
     if det < 0:  # floor(u / D) is unchanged when u and D both change sign
         adj, det = tuple(map(vneg, adj)), -det
     q = math.lcm(*(c.denominator for c in apex))
     D = det * q
     A = [int(c * q) for c in apex]
+    irows = tuple(zip(*images))
+    mrows = tuple(zip(*(mat_vec(irows, g) for g in gens)))  # images of G
     # floor(u / D) - [D divides u] = floor((u - 1) / D), so u starts lower
-    # by 1 on the excluded facets; entries (point plus the shift of the lex
-    # flips, u mod D)
+    # by 1 on the excluded facets
     k, w = zip(*(divmod(-sum(map(operator.mul, row, A)) - (i in excluded), D)
                  for i, row in enumerate(adj)))
-    walk = [(tuple([x - sum(map(operator.mul, row, k))
-                    for x, row in zip(unit.numer, grows)]), w)]
+    start = tuple([x - sum(map(operator.mul, row, k))
+                   for x, row in zip(origin, mrows)])
+    if det == 1:
+        return [start]
+    b = D.bit_length()
+    K, span = 1 << b, b + 1
+    top = sum(K << i * span for i in range(d))
+    walk = [(start, sum(a + K - D << i * span for i, a in enumerate(w)))]
     for j, h in enumerate(hnf_diagonal(grows)):
+        if h == 1:
+            continue
         sd, sm = zip(*(divmod(q * row[j], D) for row in adj))
-        tops = [D - a for a in sm]  # u_i mod D carries from tops_i up
-        base = [(i == j) - sum(map(operator.mul, row, sd))
-                for i, row in enumerate(grows)]
-        moves = {}  # carries c -> (e_j - G (sd + c), sm - D c)
+        step = sum(a << i * span for i, a in enumerate(sm))
+        base = [e - sum(map(operator.mul, row, sd))
+                for e, row in zip(images[j], mrows)]
+        moves = {}  # carry bits -> image of e_j - G (sd + c)
         nxt = []
-        for pt, w in walk:
-            nxt.append((pt, w))
+        for pt, u in walk:
+            nxt.append((pt, u))
             for _ in range(h - 1):
-                c = tuple(map(operator.ge, w, tops))
+                u += step
+                c = u & top
+                u += (c >> b) * (K - D) - c
                 move = moves.get(c)
                 if move is None:
-                    move = moves[c] = (
-                        tuple([x - sum(map(operator.mul, row, c))
-                               for x, row in zip(base, grows)]),
-                        tuple([a - D * ci for a, ci in zip(sm, c)]))
-                pt = tuple(map(operator.add, pt, move[0]))
-                w = tuple(map(operator.add, w, move[1]))
-                nxt.append((pt, w))
+                    bits = [c >> i * span + b & 1 for i in range(d)]
+                    move = moves[c] = tuple([
+                        x - sum(map(operator.mul, row, bits))
+                        for x, row in zip(base, mrows)])
+                pt = tuple(map(operator.add, pt, move))
+                nxt.append((pt, u))
         walk = nxt
-    coef, denom = unit.coef, unit.denom
-    return [GFTerm(coef, pt, denom) for pt, _ in walk]
+    return [pt for pt, _ in walk]
 
 
-def _barvinok(apex, gens, adj, det, sign, ref, limit, terms):
-    """Append the terms of sign times the GF of apex + cone(gens), made
-    half-open towards ref, to terms.
+def _barvinok(apex, gens, adj, det, sign, ref, limit, leaves):
+    """Append the leaves of sign times the GF of apex + cone(gens), made
+    half-open towards ref, to leaves: (apex, gens, adj, det, excluded,
+    sign), each summed by _walk over its parallelepiped.
 
     A cone of index |det| above limit is split by Barvinok's signed
     decomposition in its primal half-open form (Koeppe and Verdoolaege,
@@ -397,19 +387,19 @@ def _barvinok(apex, gens, adj, det, sign, ref, limit, terms):
                         for j, aj in enumerate(a))
                     _barvinok(apex, gens[:i] + (w,) + gens[i + 1:], sub, ai,
                               sign if (ai > 0) == (det > 0) else -sign, ref,
-                              limit, terms)
+                              limit, leaves)
             return
     s = 1 if det > 0 else -1  # s * adj_i is the inward normal of facet i
     excluded = {i for i, row in enumerate(adj) if not lex_positive(
         (s * vdot(row, ref),) + vscale(s, row))}
-    terms.extend(_gf_halfopen_simplicial(apex, gens, adj, det, excluded,
-                                         sign))
+    leaves.append((apex, gens, adj, det, excluded, sign))
 
 
 def _gf_of_cone(cone, limit=LIMIT):
-    """GF of the integer points of a pointed full-dimensional cone: its
-    triangulation, made half-open towards a reference vector on no facet
-    of any piece, with every piece of index above limit decomposed."""
+    """The leaves (see _barvinok) of the GF of the integer points of a
+    pointed full-dimensional cone: its triangulation, made half-open
+    towards a reference vector on no facet of any piece, with every piece
+    of index above limit decomposed."""
     d = len(cone.apex)
     data = [(piece, *int_inverse(tuple(zip(*piece))))
             for piece in triangulate(cone.generators)]
@@ -422,25 +412,28 @@ def _gf_of_cone(cone, limit=LIMIT):
         if all(vdot(row, ref) != 0 for _, adj, _ in data for row in adj):
             break
         M *= 2
-    terms = []
+    leaves = []
     for piece, adj, det in data:
-        _barvinok(cone.apex, piece, adj, det, 1, ref, limit, terms)
-    return terms
+        _barvinok(cone.apex, piece, adj, det, 1, ref, limit, leaves)
+    return leaves
 
 
-def gf_of_cell(names, cell):
-    """GF of the integer points of polyhedron-intersect-coset.
+def _cell_leaves(cell):
+    """The leaves of the GF of polyhedron-intersect-coset, each as (leaf,
+    images, unit): the leaf lives in Z^k, its points map to the cell by
+    x = shift + sum_j t_j images[j], and unit is the term sign x^shift /
+    prod_i (1 - x^(M g_i)) over the mapped generators, its lex flips
+    folded into its sign and exponent as make_term does.
 
-    One integer affine map x = shift + M t carries Z^k onto the integer
-    points of the cell: the coset is x = rep + B z with B its basis, and
-    the affine hull of the polyhedron in z (its equalities plus the
-    implicit ones) is z = z0 + W t with W an integer kernel basis.  Brion
-    runs on the full-dimensional polyhedron in t (a 0-dimensional one is
-    its single vertex), and its terms are mapped back once, not at all
-    when x = t.
+    One integer affine map carries Z^k onto the integer points of the
+    cell: the coset is x = rep + B z with B its basis, and the affine hull
+    of the polyhedron in z (its equalities plus the implicit ones) is z =
+    z0 + W t with W an integer kernel basis.  Brion runs on the
+    full-dimensional polyhedron in t (a 0-dimensional one is its single
+    vertex).
     """
-    d = len(names)
     basis, rep = cell.coset.lattice.basis, cell.coset.rep
+    d = len(rep)
 
     def in_z(a, b):
         return tuple(vdot(a, v) for v in basis), b - vdot(a, rep)
@@ -449,25 +442,31 @@ def gf_of_cell(names, cell):
                       [in_z(a, b) for a, b in cell.polyhedron.eqs])
     # an empty p makes every row an equality, which solve_int then refutes
     eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p)))
-    identity = Lattice.standard(d).basis
-    z0, kernel = zero_vec(d), identity
+    z0, kernel = zero_vec(d), Lattice.standard(d).basis
     if eq_rows:
         A = tuple(a for a, _ in eq_rows)
         z0 = solve_int(A, tuple(b for _, b in eq_rows))
         if z0 is None:
-            return gf_zero(names)
+            return []
         kernel = hnf_kernel(A)
     # an implicit equality becomes the trivial row 0 >= 0, which is dropped
     q = Polyhedron.of(len(kernel), [
         (tuple(vdot(a, w) for w in kernel), b - vdot(a, z0))
         for a, b in p.ineqs])
-    terms = [t for v in vertices(q) for t in _gf_of_cone(tangent_cone(q, v))]
     B = cell.coset.lattice.basis_matrix()
     images = [mat_vec(B, w) for w in kernel]
-    shift = vadd(rep, mat_vec(B, z0))
-    if images != list(identity):  # else the coset is Z^d and shift is 0
-        terms = _substitute_exponents(terms, images, shift)
-    return rgf(names, terms)
+    shift, rows = vadd(rep, mat_vec(B, z0)), tuple(zip(*images))
+    return [(leaf, images, make_term(leaf[5], shift, [
+        mat_vec(rows, g) for g in leaf[1]]))
+        for v in vertices(q) for leaf in _gf_of_cone(tangent_cone(q, v))]
+
+
+def gf_of_cell(names, cell):
+    """GF of the integer points of polyhedron-intersect-coset: each leaf
+    of _cell_leaves walked straight to the exponents of names."""
+    return rgf(names, [GFTerm(unit.coef, pt, unit.denom)
+                       for leaf, images, unit in _cell_leaves(cell)
+                       for pt in _walk(*leaf[:5], images, unit.numer)])
 
 
 def gf_of_semilinear(s):
@@ -485,10 +484,14 @@ def gf_of_formula(f, names=None):
 # specialization at 1
 
 
-def _nonvanishing_functional(vectors, size):
+def _nonvanishing_functional(denoms, positions):
+    """tau with tau . b_s != 0 for the part b_s at positions of every
+    factor b of the denominators given that has one there."""
+    vectors = {tuple(map(b.__getitem__, positions)) for denom in denoms
+               for b in denom if any(b[i] for i in positions)}
     M = 1
     while True:
-        tau = tuple(M ** j for j in range(size))
+        tau = tuple(M ** j for j in range(len(positions)))
         if all(vdot(tau, v) != 0 for v in vectors):
             return tau
         M *= 2
@@ -509,16 +512,15 @@ def _int_series_inverse(r, depth):
     so each division by r[0] below is exact.
     """
     out = [r[0] ** depth]
-    for n in range(1, depth + 1):
-        s = sum(r[j] * out[n - j] for j in range(1, min(n + 1, len(r))))
-        out.append(-(s // r[0]))
+    for n in range(1, depth + 1):  # r_j out_(n-j) for j = 1..n
+        out.append(-(sum(map(operator.mul, r[1:n + 1], out[::-1])) // r[0]))
     return out
 
 
 def _scalar_mul(A, B):
     """Product of two scalar series, to the depth of A."""
-    return [sum(A[i] * B[n - i] for i in range(n + 1) if n - i < len(B))
-            for n in range(len(A))]
+    B = list(B[:len(A)]) + [0] * (len(A) - len(B))
+    return [sum(map(operator.mul, A, B[n::-1])) for n in range(len(A))]
 
 
 def _mixed_series(m, depth):
@@ -559,8 +561,16 @@ def gf_is_zero(g):
     return not any(poly.values())
 
 
-def specialize_ones(g, positions):
-    """Set x_i = 1 for i in positions, cancelling removable poles exactly.
+# the leaf of a single point, its unit the term itself (see _cell_leaves)
+_POINT = ((), (), (), 1, (), 1)
+
+
+def _specialize(names, positions, leaves):
+    """The specialization kernel: x_i = 1 for i in positions, in the GF
+    summed over the (leaf, images, unit) given (see _cell_leaves).  tau is
+    fixed from their denominators before any leaf is walked, and each
+    leaf is walked straight to the exponents (tau . x_s, x_r) of its
+    points, grouped by denominator and coefficient.
 
     Deforms the chosen variables along x_i = t^tau_i and expands each term
     as a Laurent series in s = t - 1.  Denominator factors whose remaining
@@ -575,12 +585,13 @@ def specialize_ones(g, positions):
     multiplied out once per denominator.  A term coef * x^numer
     contributes only coef * C(tau . numer_s, n) at order n, so each
     denominator keeps integer binomial sums keyed by the remaining
-    exponent and coefficient.  A pure pole is s^-1 times an integer series
-    over a power of its constant term (_int_series_inverse); the pure
-    poles multiply over one denominator lp, folded into each binomial row.
-    Any other factor, y = x^br its remaining part, is 1/(1 - y (1+s)^m) =
-    sum_j u^j y^j / (1 - y)^(j + 1) with u = (1+s)^m - 1, the integers
-    [s^n] u^j (j <= n) on fixed terms (_mixed_series); m = 0 (just 1/(1 - y))
+    exponent and coefficient, summed as falling factorials over n!.  A
+    pure pole is s^-1 times an integer series over a power of its
+    constant term (_int_series_inverse); the pure poles multiply over one
+    denominator lp, folded into each binomial row.  Any other factor, y =
+    x^br its remaining part, is 1/(1 - y (1+s)^m) = sum_j u^j y^j /
+    (1 - y)^(j + 1) with u = (1+s)^m - 1, the integers [s^n] u^j
+    (j <= n) on fixed terms (_mixed_series); m = 0 (just 1/(1 - y))
     unless it is mixed, with a counted part too.  These factors multiply
     into one integer table keyed by (order, exponent shift, denominators),
     started at {(0, 0, ()): 1}; q mixed ones give it at most
@@ -588,45 +599,48 @@ def specialize_ones(g, positions):
     it (m = 0 has only j = 0).  Each binomial row meets each entry once.
     """
     positions = tuple(sorted(set(positions)))
-    keep = tuple(i for i in range(g.dim) if i not in positions)
-    names_r = tuple(g.names[i] for i in keep)
+    keep = tuple(i for i in range(len(names)) if i not in positions)
+    names_r = tuple(names[i] for i in keep)
+    tau = _nonvanishing_functional({u.denom for _, _, u in leaves}, positions)
 
-    def proj_s(v):
-        return tuple(map(v.__getitem__, positions))
+    def fold(v):  # (tau . v_s, v_r), the exponents once x_s = t^tau
+        return (sum(map(operator.mul, tau, map(v.__getitem__, positions))),
+                *map(v.__getitem__, keep))
 
-    def proj_r(v):
-        return tuple(map(v.__getitem__, keep))
-
-    groups = {}  # denom -> its terms
-    for t in g.terms:
-        groups.setdefault(t.denom, []).append(t)
-    restricted = {proj_s(b) for denom in groups for b in denom
-                  if any(b[i] for i in positions)}
-    tau = _nonvanishing_functional(restricted, len(positions))
-
-    acc = {}  # order (<= 0) -> list of GFTerms
-    for denom, terms in groups.items():
-        k = sum(1 for b in denom if not any(proj_r(b)))
+    groups = {}  # denom -> coef -> folded points, walked straight there
+    for leaf, images, unit in leaves:
+        groups.setdefault(unit.denom, {}).setdefault(unit.coef, []).extend(
+            _walk(*leaf[:5], list(map(fold, images)), fold(unit.numer)))
+    head, rest = operator.itemgetter(0), operator.itemgetter(slice(1, None))
+    acc, poles = {}, {}  # order (<= 0) -> list of GFTerms; (m, k) -> series
+    for denom, parts in groups.items():
+        k = sum(1 for b in denom if not any(b[i] for i in keep))
         sums = {}  # (remaining exponent, coef) -> binomial sums
-        for t in terms:
-            v = t.numer
-            a = sum(map(operator.mul, tau, map(v.__getitem__, positions)))
-            row = sums.setdefault((proj_r(v), t.coef), [0] * (k + 1))
-            c = 1
-            for n in range(k + 1):  # C(a, n + 1) = C(a, n) (a - n) / (n + 1)
-                row[n] += c
-                c = c * (a - n) // (n + 1)
+        for coef, points in parts.items():
+            points.sort(key=rest)
+            for e, group in itertools.groupby(points, rest):
+                a = list(map(head, group))  # the exponents of t
+                row, f = [len(a)], a  # f: the falling factorials a^(n)
+                for n in range(1, k + 1):
+                    row.append(sum(f) // math.factorial(n))
+                    if n < k:
+                        f = list(map(operator.mul, f, map(
+                            operator.sub, a, itertools.repeat(n))))
+                sums[e, coef] = row
         pure, lp = [1] + [0] * k, 1  # the pure poles' series times lp
         # (order, shift, denominators) -> the other factors' coefficient
         table = {(0, zero_vec(len(keep)), ()): 1}
         for b in denom:
-            bs, br = proj_s(b), proj_r(b)
-            m = vdot(tau, bs)
+            br = tuple(map(b.__getitem__, keep))
+            m = fold(b)[0]
             if not any(br):
                 # pure pole: 1/(1 - t^m) = s^-1 * inverse((1-(1+s)^m)/s)
-                r = [-_binom(m, n + 1) for n in range(k + 1)]
-                pure = _scalar_mul(pure, _int_series_inverse(r, k))
-                lp *= r[0] ** (k + 1)
+                if (m, k) not in poles:  # vertex cones share generators
+                    r = [-_binom(m, n + 1) for n in range(k + 1)]
+                    poles[m, k] = _int_series_inverse(r, k), r[0] ** (k + 1)
+                inverse, scale = poles[m, k]
+                pure = _scalar_mul(pure, inverse)
+                lp *= scale
             else:  # 1/(1 - x^br (1+s)^m), m = 0 when b has no counted part
                 nxt = {}
                 for (n, j), c in _mixed_series(m, k).items():
@@ -637,14 +651,19 @@ def specialize_ones(g, positions):
                             nxt[key] = nxt.get(key, 0) + c * cm
                 table = nxt
         rows = [(e, c, _scalar_mul(row, pure)) for (e, c), row in sums.items()]
+        den = math.lcm(*(c.denominator for _, c, _ in rows))
+        out = {}  # (order, numer, denom) -> integer coefficient times den lp
         for (order, shift, dens), cm in table.items():
             for e, c, row in rows:
-                numer = vadd(e, shift)
+                unit = make_term(1, vadd(e, shift), dens)
+                cu = cm * c.numerator * (den // c.denominator) * int(unit.coef)
                 for n in range(k + 1 - order):
                     if row[n]:
-                        acc.setdefault(order + n - k, []).append(make_term(
-                            Fraction(c.numerator * row[n] * cm,
-                                     c.denominator * lp), numer, dens))
+                        key = (order + n - k, unit.numer, unit.denom)
+                        out[key] = out.get(key, 0) + cu * row[n]
+        for (order, numer, dens), c in out.items():
+            acc.setdefault(order, []).append(
+                GFTerm(Fraction(c, den * lp), numer, dens))
 
     acc = {order: rgf(names_r, terms) for order, terms in acc.items()}
     for order in sorted(acc):
@@ -654,8 +673,24 @@ def specialize_ones(g, positions):
     return acc.get(0, gf_zero(names_r))
 
 
+def specialize_ones(g, positions):
+    """Set x_i = 1 for i in positions in the GF g, already built,
+    cancelling removable poles exactly (see _specialize).  Returns the GF
+    in the remaining variables."""
+    return _specialize(g.names, positions, [(_POINT, (), t) for t in g.terms])
+
+
+def specialized_gf(s, positions):
+    """specialize_ones(gf_of_semilinear(s), positions), without building
+    that GF: each leaf cone of each cell is walked straight to the
+    exponents left once x_i = 1 for i in positions."""
+    return _specialize(s.names, positions, [
+        leaf for cell in s.cells for leaf in _cell_leaves(cell)])
+
+
 def cardinality(g):
-    """Number of points listed by g (all variables set to 1), as an int."""
+    """Number of points listed by the GF g, already built (all variables
+    set to 1), as an int."""
     g0 = specialize_ones(g, range(g.dim))
     val = sum((t.coef for t in g0.terms), Fraction(0))
     if val.denominator != 1:
@@ -670,8 +705,9 @@ def hadamard(f, g):
     A term c x^a / prod_i (1 - x^b_i) of f times a term c' x^a' /
     prod_j (1 - x^b'_j) of g is c c' times the GF of the cell of points
     (e, lam, mu) with e = a + B lam = a' + B' mu and lam, mu >= 0, with
-    lam and mu then set to 1.  Every denominator is lex-positive, so each
-    fibre over e is finite; the pairs are summed with one rgf.
+    lam and mu then set to 1 (specialized_gf).  Every denominator is
+    lex-positive, so each fibre over e is finite; the pairs are summed
+    with one rgf.
     """
     if f.dim != g.dim:
         raise ValueError(f"hadamard product of GFs in {f.dim} and {g.dim} "
@@ -688,8 +724,8 @@ def hadamard(f, g):
                     (unit[i][:d] + (0,) * k + mu, t.numer[i])]
         cell = SemilinearCell(Polyhedron.of(n, [(r, 0) for r in unit[d:]],
                                             eqs), full_coset(n))
-        h = specialize_ones(gf_of_cell(f.names + ("",) * (n - d), cell),
-                            range(d, n))
+        h = specialized_gf(SemilinearSet(f.names + ("",) * (n - d), (cell,)),
+                           range(d, n))
         c = s.coef * t.coef
         terms += [GFTerm(c * u.coef, u.numer, u.denom) for u in h.terms]
     return rgf(f.names, terms)
@@ -703,5 +739,4 @@ def counting_gf(f, count_names, param_names):
     infinitely many counted tuples.
     """
     names = tuple(count_names) + tuple(param_names)
-    g = gf_of_formula(f, names)
-    return specialize_ones(g, range(len(count_names)))
+    return specialized_gf(to_dnf(f, names), range(len(count_names)))

@@ -18,9 +18,9 @@ from presburger.formulas import (
     eval_ground,
 )
 from presburger.genfun import (
+    GFTerm,
     _positive_functional,
     _series_table,
-    _substitute_exponents,
     make_term,
     rgf,
     series_coeffs,
@@ -666,13 +666,27 @@ def truth_masks(formulas, points):
 
 
 def monomial_substitute(g, new_names, images):
-    """Substitute x_j -> y^images[j] with nonnegative exponent vectors."""
+    """Substitute x_j -> y^images[j] with nonnegative exponent vectors.
+
+    Each distinct denominator is mapped once, its lex flips folded into
+    the sign and exponent of a unit term that its numerators then reuse.
+    """
     if len(images) != g.dim or any(len(v) != len(new_names) for v in images):
         raise ValueError("one image of length len(new_names) per variable")
     if any(c < 0 for v in images for c in v):
         raise ValueError("exponent images must be nonnegative")
-    return rgf(new_names, _substitute_exponents(
-        g.terms, [tuple(v) for v in images], zero_vec(len(new_names))))
+    rows = tuple(zip(*images)) or ((),) * len(new_names)
+    units, terms = {}, []
+    for t in g.terms:
+        if t.denom not in units:
+            denoms = [mat_vec(rows, b) for b in t.denom]
+            if not all(any(b) for b in denoms):
+                raise ValueError("denominator vector maps to zero")
+            units[t.denom] = make_term(1, zero_vec(len(new_names)), denoms)
+        u = units[t.denom]
+        terms.append(GFTerm(t.coef * u.coef,
+                            vadd(mat_vec(rows, t.numer), u.numer), u.denom))
+    return rgf(new_names, terms)
 
 
 def congruence_coset(coeffs, residue, modulus, dim):

@@ -573,6 +573,30 @@ def test_split_trees_carry_one_double_description(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_count_builds_no_full_generating_function(capsys, monkeypatch):
+    """count --as value, qp and gf walk each leaf cone of Brion straight
+    to the exponents left after the counted variables are set to 1: no
+    module builds the GF in the counted and parameter variables or sets
+    its variables to 1, and stdout stays pinned by its GOLDEN digest."""
+    def full_gf(*args):
+        raise AssertionError("the count built the full generating function")
+
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("presburger")]:
+        for name in ("gf_of_cell", "specialize_ones", "cardinality"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, full_gf)
+    golden = dict(GOLDEN)
+    for argv in [("count", "5*x + 7*y + 9*z + 11*w <= 100", "--count-vars",
+                  "w,x,y,z", "--as", "value"),
+                 KNAPSACK + ("--as", "qp"),
+                 ("count", "x + y + z <= p & x <= q & y + z <= q + 1",
+                  "--count-vars", "x,y,z", "--param-vars", "p,q")]:  # gf
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[argv], argv
+
+
 def knapsack_text(coeffs, names, bound):
     return " + ".join(f"{a}*{v}" for a, v in zip(coeffs, names)) + \
         f" <= {bound}"
@@ -770,6 +794,19 @@ def assert_unreadable(capsys, tmp_path, cmd, doc):
     what = ("piecewise quasi-polynomial" if cmd == "synth"
             else "generating function")
     assert (rc, out, err) == (2, "", f"error: not a {what}: {path}\n")
+
+
+def test_variable_names_on_the_command_line_exit_2(capsys):
+    """--count-vars and --param-vars take the names the formula parser
+    reads as one NAME each: a count never prints a document with a name
+    that synth then refuses."""
+    for params in ("E", "q r"):
+        assert run(capsys, "count", "x <= 3", "--count-vars", "x",
+                   "--param-vars", params, "--as", "qp", "--format",
+                   "json") == (2, "", f"error: not a variable name: "
+                                      f"{params!r}\n")
+    assert run(capsys, "count", "x <= 3", "--count-vars", "x,A",
+               "--as", "value")[0] == 2
 
 
 def test_synth_of_a_long_bounded_piece(capsys, tmp_path):

@@ -41,10 +41,10 @@ from presburger.genfun import (
     GFTerm,
     RationalGF,
     _barvinok,
-    _gf_halfopen_simplicial,
     _gf_of_cone,
     _int_series_inverse,
     _mixed_series,
+    _walk,
     cardinality,
     counting_gf,
     gf_euler,
@@ -57,6 +57,7 @@ from presburger.genfun import (
     series_coeffs,
     series_equal,
     specialize_ones,
+    specialized_gf,
 )
 from presburger.lattices import (Lattice, LatticeCoset, full_coset,
                                  int_inverse, lex_positive, lll)
@@ -208,10 +209,28 @@ def test_cell_odd_at_least_three():
     assert got == {(n,): 1 for n in range(3, 20, 2)}
 
 
+def leaf_terms(leaves):
+    """The GF terms of leaf cones (see genfun._barvinok), each walked in
+    its own coordinates."""
+    terms = []
+    for apex, gens, adj, det, excluded, sign in leaves:
+        d = len(gens)
+        unit = make_term(sign, (0,) * d, gens)
+        identity = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        terms += [GFTerm(unit.coef, pt, unit.denom) for pt in _walk(
+            apex, gens, adj, det, excluded, identity, unit.numer)]
+    return terms
+
+
+def halfopen_terms(apex, gens, adj, det, excluded):
+    """The GF terms of apex + cone(gens), facets in excluded removed."""
+    return leaf_terms([(apex, gens, adj, det, excluded, 1)])
+
+
 def test_cone_fixture():
     # cone over (1,0) and (1,2): parallelepiped holds (0,0) and (1,1)
     cone = Cone((Fraction(0), Fraction(0)), ((1, 0), (1, 2)))
-    g = rgf(("a", "b"), _gf_of_cone(cone))
+    g = rgf(("a", "b"), leaf_terms(_gf_of_cone(cone)))
     assert set(g.terms) == {
         GFTerm(Fraction(1), (0, 0), ((1, 0), (1, 2))),
         GFTerm(Fraction(1), (1, 1), ((1, 0), (1, 2))),
@@ -241,11 +260,9 @@ def test_halfopen_simplicial_random_against_oracle():
         names = tuple(f"x{i}" for i in range(d))
         want = halfopen_simplicial_oracle(names, apex, gens,
                                           fraction_inverse(G), excluded)
-        got = rgf(names, _gf_halfopen_simplicial(apex, gens, adj, det,
-                                                 excluded))
+        got = rgf(names, halfopen_terms(apex, gens, adj, det, excluded))
         assert got.terms == want.terms, (gens, apex, excluded)
-        closed = rgf(names, _gf_halfopen_simplicial(apex, gens, adj, det,
-                                                    set()))
+        closed = rgf(names, halfopen_terms(apex, gens, adj, det, set()))
         on_facets += closed.terms != want.terms
         trials += 1
     assert on_facets >= 30  # excluded facets that really hold points
@@ -286,7 +303,7 @@ def test_halfopen_simplicial_carry_walk_cases():
             for excluded in itertools.combinations(range(d), r):
                 want = halfopen_simplicial_oracle(
                     names, apex, gens, fraction_inverse(G), set(excluded))
-                got = rgf(names, _gf_halfopen_simplicial(
+                got = rgf(names, halfopen_terms(
                     apex, gens, adj, det, set(excluded)))
                 assert got.terms == want.terms, (gens, apex, excluded)
     assert reached == {"negative det", "two walked axes",
@@ -325,7 +342,8 @@ def test_barvinok_knapsacks_three_ways():
         assert len(points) == knapsack_count(coeffs, bound)
         text = " + ".join(f"{a}*{v}" for a, v in zip(coeffs, names))
         for limit in (LIMIT, 1):
-            g = rgf(names, [t for c in cones for t in _gf_of_cone(c, limit)])
+            g = rgf(names, leaf_terms(
+                [leaf for c in cones for leaf in _gf_of_cone(c, limit)]))
             if limit == LIMIT:
                 assert g == gf_of_formula(parse(f"{text} <= {bound}"), names)
             for _ in range(2):
@@ -373,9 +391,9 @@ def test_barvinok_breaks_ties_by_the_first_nonzero_entry():
         names = tuple(f"x{i}" for i in range(d))
         want = halfopen_simplicial_oracle(names, apex, gens,
                                           fraction_inverse(G), excluded)
-        terms = []
-        _barvinok(apex, gens, adj, det, 1, w, 1, terms)
-        got = rgf(names, terms)
+        leaves = []
+        _barvinok(apex, gens, adj, det, 1, w, 1, leaves)
+        got = rgf(names, leaf_terms(leaves))
         assert got != want  # decomposed, with other denominators
         for _ in range(3):
             x = tuple(rng.randrange(2, PRIME) for _ in range(d))
@@ -386,12 +404,12 @@ def test_barvinok_breaks_ties_by_the_first_nonzero_entry():
 def test_halfopen_simplicial_rejects_a_wrong_adjugate():
     apex, gens = (Fraction(0), Fraction(0)), ((1, 0), (1, 2))
     adj, det = int_inverse(((1, 1), (0, 2)))
-    assert det == 2 and _gf_halfopen_simplicial(apex, gens, adj, det, set())
+    assert det == 2 and halfopen_terms(apex, gens, adj, det, set())
     with pytest.raises(ValueError):
-        _gf_halfopen_simplicial(apex, gens, adj, -det, set())
+        halfopen_terms(apex, gens, adj, -det, set())
     with pytest.raises(ValueError):  # singular: zero adjugate, det 0
-        _gf_halfopen_simplicial(apex, ((1, 1), (2, 2)),
-                                *int_inverse(((1, 2), (1, 2))), set())
+        halfopen_terms(apex, ((1, 1), (2, 2)),
+                       *int_inverse(((1, 2), (1, 2))), set())
 
 
 def test_gf_of_cell_empty_cells_have_no_terms():
@@ -590,18 +608,41 @@ def gf_value(g, x):
                Fraction(0))
 
 
+# bounded sets whose cells map onto Z^k other than by the identity: a
+# plane, an equality inside a coset, and unions of several cosets
+NON_IDENTITY_MAPS = [
+    ("w + 2*x + y = 6 & x % 2 = 1", "wxy", 6),
+    ("x + y + z <= 7 & 2*x + y = z + 1", "xyz", 7),
+    ("x + y <= 6 & x % 3 = 2 | x + y <= 3 & y % 2 = 0", "xy", 6),
+    ("w + x + y <= 5 & (w = x | x + y % 3 = 1)", "wxy", 5),
+]
+
+
 def test_specialize_random_bounded_against_enumeration():
+    """specialize_ones on the GF, and specialized_gf on the cells, against
+    the enumerated points: their number, and their count per value of
+    the remaining variables."""
     rng = random.Random(8642)
     # x^b = 1 only for b = 0 at these points (unique factorization)
     at = [tuple(Fraction(1, p) for p in (2, 3, 5, 7)),
           tuple(Fraction(p, q)
                 for p, q in ((2, 3), (5, 7), (11, 13), (17, 19)))]
-    for trial in range(30):
-        d = 2 + trial % 3
-        names = ["w", "x", "y", "z"][:d]
-        f, points, hi = random_bounded_formula(rng, names)
+
+    def cases():  # drawn one at a time, between the samples of counted
+        for trial in range(30):
+            names = ["w", "x", "y", "z"][:2 + trial % 3]
+            yield *random_bounded_formula(rng, names), names
+        for text, names, hi in NON_IDENTITY_MAPS:
+            f = parse(text)
+            yield f, sorted(indicator(f, names, hi)), hi, list(names)
+
+    for f, points, hi, names in cases():
+        d = len(names)
         g = gf_of_formula(f, names)
         assert cardinality(g) == len(points), format_formula(f)
+        s = to_dnf(f, names)
+        assert specialized_gf(s, range(d)) == rgf((), [make_term(
+            len(points), (), [])]), format_formula(f)
         # the full GF lists the enumerated points; checked by exact values,
         # as its series on the box can cost far more than the box in 4-d
         for pt in at:
@@ -615,6 +656,7 @@ def test_specialize_random_bounded_against_enumeration():
             want[key] = want.get(key, 0) + 1
         h = specialize_ones(g, counted)
         assert series_coeffs(h, hi) == want, (format_formula(f), counted)
+        assert specialized_gf(s, counted) == h, (format_formula(f), counted)
 
 
 def test_specialize_random_unbounded_diverges():
@@ -630,6 +672,9 @@ def test_specialize_random_unbounded_diverges():
             cardinality(g)
         with pytest.raises(DivergentSpecialization):
             specialize_ones(g, [d - 1])
+        for positions in (range(d), [d - 1]):
+            with pytest.raises(DivergentSpecialization):
+                specialized_gf(to_dnf(f, names), positions)
 
 
 def test_cardinality_rejects_fractional_count():
