@@ -9,8 +9,9 @@ allowed in intermediate results) and nonzero lex-positive denominator
 vectors b.  Brion runs in two steps.  The first lists the leaf cones of a
 cell: an integer affine map x = shift + M t carries Z^k onto the points
 of the cell's coset in its affine hull, and Brion's vertex-cone
-decomposition runs on the full-dimensional polyhedron in Z^k, each
-tangent cone triangulated and made half-open towards a generic reference
+decomposition runs on the full-dimensional polyhedron in Z^k, its
+tangent cones all read off one double description, each triangulated
+unless simplicial and made half-open towards a generic reference
 vector, so facets are never counted twice.  A piece whose index (|det|
 of its generators) exceeds LIMIT is split by Barvinok's signed
 decomposition, in the primal half-open form of Koeppe and Verdoolaege,
@@ -70,10 +71,10 @@ from .lattices import (
 )
 from .polyhedra import (
     Polyhedron,
+    _homogenized,
     implicit_equalities,
-    tangent_cone,
     triangulate,
-    vertices,
+    vertex_cones,
 )
 from .semilinear import SemilinearCell, SemilinearSet, to_dnf
 
@@ -399,10 +400,12 @@ def _gf_of_cone(cone, limit=LIMIT):
     """The leaves (see _barvinok) of the GF of the integer points of a
     pointed full-dimensional cone: its triangulation, made half-open
     towards a reference vector on no facet of any piece, with every piece
-    of index above limit decomposed."""
+    of index above limit decomposed.  A cone of d generators, as at each
+    vertex of a simple polyhedron, is its own one piece."""
     d = len(cone.apex)
+    gens = cone.generators
     data = [(piece, *int_inverse(tuple(zip(*piece))))
-            for piece in triangulate(cone.generators)]
+            for piece in ([gens] if len(gens) == d else triangulate(gens))]
     first = data[0][0]
     M = 1
     while True:
@@ -430,7 +433,8 @@ def _cell_leaves(cell):
     of the polyhedron in z (its equalities plus the implicit ones) is z =
     z0 + W t with W an integer kernel basis.  Brion runs on the
     full-dimensional polyhedron in t (a 0-dimensional one is its single
-    vertex).
+    vertex).  One double description of p gives its emptiness, implicit
+    equalities and, with none, vertex cones; with some, one of q gives those.
     """
     basis, rep = cell.coset.lattice.basis, cell.coset.rep
     d = len(rep)
@@ -440,25 +444,29 @@ def _cell_leaves(cell):
 
     p = Polyhedron.of(d, [in_z(a, b) for a, b in cell.polyhedron.ineqs],
                       [in_z(a, b) for a, b in cell.polyhedron.eqs])
-    # an empty p makes every row an equality, which solve_int then refutes
-    eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p)))
+    q = p
+    dd = _homogenized(p)
+    if not any(r[-1] for r, _ in dd[1]):
+        return []
+    eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p, dd)))
     z0, kernel = zero_vec(d), Lattice.standard(d).basis
     if eq_rows:
         A = tuple(a for a, _ in eq_rows)
         z0 = solve_int(A, tuple(b for _, b in eq_rows))
         if z0 is None:
             return []
-        kernel = hnf_kernel(A)
-    # an implicit equality becomes the trivial row 0 >= 0, which is dropped
-    q = Polyhedron.of(len(kernel), [
-        (tuple(vdot(a, w) for w in kernel), b - vdot(a, z0))
-        for a, b in p.ineqs])
+        kernel = hnf_kernel(A, d)
+        # an implicit equality becomes the trivial row 0 >= 0, dropped
+        q = Polyhedron.of(len(kernel), [
+            (tuple(vdot(a, w) for w in kernel), b - vdot(a, z0))
+            for a, b in p.ineqs])
+        dd = _homogenized(q)
     B = cell.coset.lattice.basis_matrix()
     images = [mat_vec(B, w) for w in kernel]
     shift, rows = vadd(rep, mat_vec(B, z0)), tuple(zip(*images))
     return [(leaf, images, make_term(leaf[5], shift, [
         mat_vec(rows, g) for g in leaf[1]]))
-        for v in vertices(q) for leaf in _gf_of_cone(tangent_cone(q, v))]
+        for _, cone in vertex_cones(q, dd) for leaf in _gf_of_cone(cone)]
 
 
 def gf_of_cell(names, cell):

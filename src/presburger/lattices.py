@@ -293,14 +293,13 @@ def hnf_diagonal(M):
     return [H[r][c] for r, c in pivots]
 
 
-def hnf_kernel(M):
-    """Integer kernel basis of M: columns u of unimodular U with M u = 0."""
-    m = len(M)
-    n = len(M[0]) if m else 0
+def hnf_kernel(M, n):
+    """Integer kernel basis of M, with n columns: columns u of unimodular
+    U with M u = 0, the n unit vectors when M has no rows."""
+    if not M:
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     _, U, pivots = _hnf_core(M)
-    rank = len(pivots)
-    ut = columns(U) if n else []
-    return [tuple(ut[j]) for j in range(rank, n)]
+    return [tuple(u) for u in columns(U)[len(pivots):]]
 
 
 def solve_int(M, rhs):

@@ -2,11 +2,12 @@
 
 A Polyhedron stores inequality rows (a, b) meaning a.x >= b and equality
 rows meaning a.x = b, with integer a and b.  All geometry is exact; points
-come back as Fraction tuples.  Feasibility, implicit equalities, interior
-and vertices are read off the lines and extreme rays of the homogenized
-cone {(x, t) : a.x >= b t, t >= 0}, tangent cones off those of the rows
-tight at a point.  Vertex and ray enumeration require a pointed
-polyhedron and raise NonPointedError otherwise.
+come back as Fraction tuples.  Feasibility, implicit equalities, interior,
+vertices and all vertex cones are read off the lines, extreme rays and
+tight-row masks of the homogenized cone {(x, t) : a.x >= b t, t >= 0},
+tangent_cone at any point off the rows tight there.  Vertex and ray
+enumeration require a pointed polyhedron and raise NonPointedError
+otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import mul
+from operator import and_, mul
 
 from .formulas import record
 from .lattices import int_rref, primitive, rat_nullspace, vdot, vneg
@@ -149,9 +150,9 @@ def dd_space(n):
 
 
 def _dd(rows, n):
-    """Lines and extreme rays of {y in Q^n : a.y >= 0 for a in rows}."""
-    lines, rays, _ = reduce(dd_cut, rows, dd_space(n))
-    return lines, [r for r, _ in rays]
+    """The double description (lines, rays, k) of {y in Q^n : a.y >= 0
+    for a in rows}, each ray with its mask of tight rows (see dd_cut)."""
+    return reduce(dd_cut, rows, dd_space(n))
 
 
 def dd_positive(dd, a):
@@ -169,7 +170,8 @@ def dd_feasible(dd, a):
 
 
 def _homogenized(p):
-    """Lines and rays of {(x, t) : a.x >= b t on p's rows, t >= 0}.
+    """The double description of {(x, t) : a.x >= b t on p's rows, t >= 0},
+    its mask bits the equality rows twice, the inequality rows, t >= 0.
 
     p is nonempty exactly when some ray has t > 0; when p is pointed those
     rays, divided by t, are its vertices.
@@ -183,17 +185,17 @@ def _homogenized(p):
 
 
 def is_feasible(p):
-    return any(r[-1] for r in _homogenized(p)[1])
+    return any(r[-1] for r, _ in _homogenized(p)[1])
 
 
-def implicit_equalities(p):
-    """Inequality rows that hold with equality everywhere on p; every row
-    when p is empty."""
-    rays = _homogenized(p)[1]
-    if not any(r[-1] for r in rays):
+def implicit_equalities(p, dd=None):
+    """Inequality rows that hold with equality everywhere on p, the bits
+    set in every mask of dd = _homogenized(p); every row when p is empty."""
+    rays = (dd or _homogenized(p))[1]
+    if not any(r[-1] for r, _ in rays):
         return list(p.ineqs)
-    return [(a, b) for a, b in p.ineqs
-            if all(vdot(a, r[:-1]) == b * r[-1] for r in rays)]
+    tight = reduce(and_, (mask for _, mask in rays)) >> 2 * len(p.eqs)
+    return [row for i, row in enumerate(p.ineqs) if tight >> i & 1]
 
 
 def has_interior(p):
@@ -204,14 +206,45 @@ def has_interior(p):
 
 def vertices(p):
     """All vertices of a pointed, nonempty polyhedron (sorted)."""
-    lines, rays = _homogenized(p)
+    lines, rays, _ = _homogenized(p)
     if lines:
         raise NonPointedError(f"polyhedron in dim {p.dim} contains a line")
     out = sorted(tuple(Fraction(c, r[-1]) for c in r[:-1])
-                 for r in rays if r[-1])
+                 for r, _ in rays if r[-1])
     if not out:
         raise ValueError("empty polyhedron has no vertices")
     return out
+
+
+def vertex_cones(p, dd=None):
+    """Sorted (v, tangent_cone(p, v)) over the vertices of a pointed,
+    nonempty p, the cone of the edges at v, read off dd = _homogenized(p):
+    a ray R is adjacent to the vertex ray V when no third ray is tight on
+    every row the two share (Fukuda and Prodon 1996), and the edge points
+    to the vertex R / t if R has t > 0, along R if t = 0."""
+    lines, rays, _ = dd or _homogenized(p)
+    if lines:
+        raise NonPointedError(f"polyhedron in dim {p.dim} contains a line")
+    need = p.dim - 1  # an edge has dim - 1 independent tight rows
+    out = []
+    for V, mv in rays:
+        t = V[-1]
+        if not t:
+            continue
+        edges = []
+        for R, mr in rays:
+            common = mv & mr
+            if mr == mv or common.bit_count() < need or any(
+                    m & common == common and m != mv and m != mr
+                    for _, m in rays):
+                continue
+            edges.append(primitive([t * x - R[-1] * y for x, y in
+                                    zip(R[:-1], V[:-1])]) if R[-1] else R[:-1])
+        v = tuple(Fraction(c, t) for c in V[:-1])
+        out.append((v, Cone(v, tuple(sorted(edges)))))
+    if not out:
+        raise ValueError("empty polyhedron has no vertices")
+    return sorted(out)
 
 
 def tangent_cone(p, v):
@@ -229,10 +262,10 @@ def tangent_cone(p, v):
     rows = [a for s, a in slack if not s]
     for a, _ in p.eqs:
         rows += [a, vneg(a)]
-    lines, rays = _dd(rows, p.dim)
+    lines, rays, _ = _dd(rows, p.dim)
     if lines:
         raise NonPointedError("cone contains a line")
-    return Cone(tuple(Fraction(c) for c in v), tuple(sorted(rays)))
+    return Cone(tuple(map(Fraction, v)), tuple(sorted(r for r, _ in rays)))
 
 
 # ---------------------------------------------------------------------------

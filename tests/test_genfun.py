@@ -487,6 +487,56 @@ def test_gf_of_cell_random_against_enumeration():
     assert nonempty_with_equality >= 20
 
 
+def test_cell_leaves_run_at_most_two_double_descriptions(monkeypatch):
+    """A cell's Brion input comes from one double description of its
+    polyhedron, and one more of the polyhedron in its affine hull only
+    when it has equalities, explicit or implicit: no vertex runs one of
+    its own, and a simplex's vertex cones skip triangulation."""
+    import presburger.genfun as genfun
+    import presburger.polyhedra as polyhedra
+
+    sizes, cells = [], []
+    dd, cell_leaves = polyhedra._dd, genfun._cell_leaves
+
+    def counted_dd(rows, n):
+        sizes.append(n)
+        return dd(rows, n)
+
+    def counted_cell(cell):
+        cells.append(cell)
+        return cell_leaves(cell)
+
+    def per_vertex(*args):
+        raise AssertionError("a vertex took a path of its own")
+
+    monkeypatch.setattr(polyhedra, "_dd", counted_dd)
+    monkeypatch.setattr(polyhedra, "tangent_cone", per_vertex)
+    monkeypatch.setattr(polyhedra, "vertices", per_vertex)
+    monkeypatch.setattr(genfun, "_cell_leaves", counted_cell)
+    monkeypatch.setattr(genfun, "triangulate", per_vertex)
+    unit = [(tuple(int(i == j) for j in range(3)), 0) for i in range(3)]
+    knapsack = Polyhedron.of(3, unit + [((-5, -7, -9), -60)])
+    segment = Polyhedron.of(2, [((1, 1), 3), ((-1, -1), -3)] + [
+        (a[1:], 0) for a, _ in unit[1:]])  # x + y <= 3 & x + y >= 3
+    names = ("x", "y", "z")
+    for p, want in [(knapsack, [4]), (segment, [3, 2])]:
+        sizes.clear()
+        g = gf_of_cell(names[:p.dim], SemilinearCell(p, full_coset(p.dim)))
+        assert sizes == want
+        assert series_coeffs(g, 12) == {
+            x: 1 for x in box(p.dim, 12) if p.contains(x)}
+    monkeypatch.setattr(genfun, "triangulate", triangulate)
+    sizes.clear()
+    cells.clear()
+    f = rgf(("x",), [make_term(1, (0,), ((1,), (2,)))])
+    g = rgf(("x",), [make_term(1, (1,), ((2,), (3,)))])
+    h = hadamard(f, g)  # every cell has the equalities e = a + B lam
+    assert len(cells) == 1 and sizes == [6, 4]
+    tf, tg = series_coeffs(f, 30), series_coeffs(g, 30)
+    assert series_coeffs(h, 30) == {
+        e: tf[e] * tg[e] for e in tf if e in tg}
+
+
 def test_formula_gf_equality_line():
     g = gf_of_formula(parse("3*a + 5*b = 20"), ["a", "b"])
     assert series_coeffs(g, 20) == {(5, 1): 1, (0, 4): 1}

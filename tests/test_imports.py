@@ -120,6 +120,12 @@ UNCALLED_PUBLIC = {
     ("polyhedra.py", "is_feasible"):
         "a benchmark trace target; to_dnf tests its branches against the "
         "parent's double description instead",
+    ("polyhedra.py", "vertices"):
+        "the per-vertex reference that vertex_cones is tested against, and "
+        "a benchmark trace target",
+    ("polyhedra.py", "tangent_cone"):
+        "the per-vertex reference that vertex_cones is tested against, and "
+        "a benchmark trace target",
     ("polyhedra.py", "has_interior"):
         "the planned refinement of piecewise quasi-polynomial cells uses it",
     ("polyhedra.py", "Polyhedron.intersect"):

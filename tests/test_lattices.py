@@ -82,7 +82,7 @@ def test_hnf_kernel_random():
         m = rng.randint(1, 3)
         n = rng.randint(1, 4)
         M = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(m))
-        for k in hnf_kernel(M):
+        for k in hnf_kernel(M, n):
             assert mat_vec(M, k) == (0,) * m
 
 
@@ -160,7 +160,7 @@ def test_residue_cosets_match_coset_intersect():
         reached = set()
         # the congruence's own coset, solved without the split
         row = (*coeffs, m)
-        kernel = [u[:d] for u in hnf_kernel((row,))]
+        kernel = [u[:d] for u in hnf_kernel((row,), d + 1)]
         for r in range(m):
             x0 = solve_int((row,), (r,))
             want = None if x0 is None else coset_intersect(coset, LatticeCoset(

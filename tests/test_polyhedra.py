@@ -21,6 +21,7 @@ from presburger.polyhedra import (
     nonneg_orthant,
     tangent_cone,
     triangulate,
+    vertex_cones,
     vertices,
 )
 
@@ -405,3 +406,54 @@ def test_branch_test_against_is_feasible():
         kinds.add("parent " + ("with line" if dd[0] else "pointed"))
     assert kinds == {"empty", "full", "lower", "parent with line",
                      "parent pointed"}
+
+
+def test_vertex_cones_against_tangent_cones():
+    """vertex_cones reads every tangent cone off one double description:
+    it equals tangent_cone at each vertex on seeded random pointed
+    polyhedra in d = 1..4, bounded or not, with redundant rows and
+    explicit equalities, and at the non-simple apexes of the square
+    pyramid, the octahedron and the chain cone with its orthant rows.  A
+    line raises NonPointedError and an empty polyhedron ValueError, as
+    in vertices."""
+    pyramid = Polyhedron.of(3, [((0, 0, 1), 0), ((1, 0, -1), 0),
+                                ((0, 1, -1), 0), ((-1, 0, -1), -2),
+                                ((0, -1, -1), -2)])
+    octahedron = Polyhedron.of(3, [((s, t, u), -1) for s in (-1, 1)
+                                   for t in (-1, 1) for u in (-1, 1)])
+    # 0 <= x0 <= x1 <= x2, x0 + x1 + x2 <= p, with x1, x2 >= 0 redundant
+    chain = Polyhedron.of(4, [((-1, -1, -1, 1), 0), ((-1, 1, 0, 0), 0),
+                              ((0, -1, 1, 0), 0), ((1, 0, 0, 0), 0),
+                              ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0)])
+    polys = [pyramid, octahedron, chain]
+    rng = random.Random(2004)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        rows = [(tuple(rng.randint(-3, 3) for _ in range(d)),
+                 rng.randint(-4, 4)) for _ in range(rng.randint(1, d + 2))]
+        # a redundant row: a relaxed sum of two rows
+        (a1, b1), (a2, b2) = rng.choice(rows), rng.choice(rows)
+        rows.append((vadd(a1, a2), b1 + b2 - rng.randint(0, 2)))
+        eqs = [(tuple(rng.randint(-2, 2) for _ in range(d)),
+                rng.randint(-3, 3)) for _ in range(rng.choice([0, 0, 0, 1]))]
+        p = Polyhedron.of(d, rows, eqs)
+        polys.append(p.intersect(box(d, 3)) if rng.random() < 0.5 else p)
+    seen = {"pointed": 0, "unbounded": 0, "equalities": 0, "non-simple": 0,
+            "line": 0, "empty": 0}
+    for p in polys:
+        try:
+            vs = vertices(p)
+        except ValueError as e:  # NonPointedError is a ValueError too
+            seen["line" if isinstance(e, NonPointedError) else "empty"] += 1
+            with pytest.raises(type(e)):
+                vertex_cones(p)
+            continue
+        cones = vertex_cones(p)
+        assert cones == [(v, tangent_cone(p, v)) for v in vs], p
+        seen["pointed"] += 1
+        seen["unbounded"] += bool(recession(p))
+        seen["equalities"] += bool(p.eqs)
+        seen["non-simple"] += sum(len(cone.generators) > rat_rank(
+            cone.generators) for _, cone in cones)
+    assert seen["pointed"] >= 150 and seen["non-simple"] >= 15, seen
+    assert min(seen.values()) >= 10, seen

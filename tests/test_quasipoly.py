@@ -30,6 +30,7 @@ from presburger.quasipoly import (
     QuasiPolynomial,
     StepPolynomial,
     _interpolate,
+    _vpf_chambers,
     eventual_form,
     eventual_pqp,
     poly_eval,
@@ -480,6 +481,17 @@ def test_vpf_pqp_univariate():
     assert vals == [1, 0, 1, 1, 1, 1, 2, 1]
     (_, q2), = g2.pieces
     assert q2.lattice.basis == ((6,),)
+
+
+def test_vpf_chambers_in_one_dimension():
+    """The chamber route runs in 1-d too, where the wall normals come from
+    an empty matrix: its kernel is all of Q^1.  It agrees with the 1-d
+    route vpf_pqp takes, rgf_to_pqp of the vpf GF."""
+    for gens in ([(2,), (3,), (5,), (7,)], [(1,), (2,), (2,)], [(4,)]):
+        chambers = _vpf_chambers(gens, ("p",))
+        series = rgf_to_pqp(vpf_gf(gens, ("p",)))
+        assert [chambers.eval((p,)) for p in range(41)] == \
+            [series.eval((p,)) for p in range(41)], gens
 
 
 def test_vpf_pqp_2d_min_plus_one():
