@@ -444,10 +444,8 @@ def _cell_leaves(cell):
 
     p = Polyhedron.of(d, [in_z(a, b) for a, b in cell.polyhedron.ineqs],
                       [in_z(a, b) for a, b in cell.polyhedron.eqs])
-    q = p
-    dd = _homogenized(p)
-    if not any(r[-1] for r, _ in dd[1]):
-        return []
+    q, dd = p, _homogenized(p)
+    # an empty p makes every row an equality, which solve_int then refutes
     eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p, dd)))
     z0, kernel = zero_vec(d), Lattice.standard(d).basis
     if eq_rows:

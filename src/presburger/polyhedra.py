@@ -219,32 +219,34 @@ def vertices(p):
 def vertex_cones(p, dd=None):
     """Sorted (v, tangent_cone(p, v)) over the vertices of a pointed,
     nonempty p, the cone of the edges at v, read off dd = _homogenized(p):
-    a ray R is adjacent to the vertex ray V when no third ray is tight on
-    every row the two share (Fukuda and Prodon 1996), and the edge points
-    to the vertex R / t if R has t > 0, along R if t = 0."""
+    two rays are adjacent when no third ray is tight on every row they
+    share (Fukuda and Prodon 1996), each pair tested once.  The edge from
+    the vertex ray V toward R is t_V R - t_R V: to the vertex R / t_R if
+    t_R > 0, along R if t_R = 0."""
     lines, rays, _ = dd or _homogenized(p)
     if lines:
         raise NonPointedError(f"polyhedron in dim {p.dim} contains a line")
-    need = p.dim - 1  # an edge has dim - 1 independent tight rows
-    out = []
-    for V, mv in rays:
-        t = V[-1]
-        if not t:
-            continue
-        edges = []
-        for R, mr in rays:
-            common = mv & mr
-            if mr == mv or common.bit_count() < need or any(
-                    m & common == common and m != mv and m != mr
-                    for _, m in rays):
-                continue
-            edges.append(primitive([t * x - R[-1] * y for x, y in
-                                    zip(R[:-1], V[:-1])]) if R[-1] else R[:-1])
-        v = tuple(Fraction(c, t) for c in V[:-1])
-        out.append((v, Cone(v, tuple(sorted(edges)))))
-    if not out:
+    verts = {i: tuple(Fraction(c, V[-1]) for c in V[:-1])
+             for i, (V, _) in enumerate(rays) if V[-1]}
+    edges = {i: [] for i in verts}
+    if not edges:
         raise ValueError("empty polyhedron has no vertices")
-    return sorted(out)
+    need = p.dim - 1  # an edge has dim - 1 independent tight rows
+    for i, (V, mv) in enumerate(rays):
+        for j in range(i + 1, len(rays)):
+            R, mr = rays[j]
+            common = mv & mr
+            if (i not in edges and j not in edges
+                    or common.bit_count() < need or any(
+                        m & common == common and m != mv and m != mr
+                        for _, m in rays)):
+                continue
+            e = primitive([V[-1] * x - R[-1] * y
+                           for x, y in zip(R[:-1], V[:-1])])
+            edges.get(i, []).append(e)
+            edges.get(j, []).append(vneg(e))
+    return sorted((v, Cone(v, tuple(sorted(edges[i]))))
+                  for i, v in verts.items())
 
 
 def tangent_cone(p, v):
