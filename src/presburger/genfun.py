@@ -18,12 +18,16 @@ decomposition, in the primal half-open form of Koeppe and Verdoolaege,
 into signed half-open cones of smaller index, around a short vector from
 an integral LLL.  LIMIT = 64 is measured: on the knapsack_gf benchmark,
 where vertex cones reach index 1331, 64 gave the lowest time of the
-limits 8, 32, 64, 128 and 256 (see README).  The second step, _walk,
-lists the integer points of a leaf's fundamental parallelepiped under an
-integer exponent map, in integers only: one fraction-free elimination
-gives the adjugate, and the walk over the coset representatives runs
-along one lattice axis at a time, each step moving the point by one of
-2^d moves picked by the carries of its parallelepiped coordinates.
+limits 16, 32, 64 and 128 (see README).  Each leaf is an integer record
+set up once: its apex is a vertex ray (x, t) of the double description,
+one fraction-free elimination per simplicial piece gives its adjugate,
+and the images of its generators under the cell's map serve both its
+term and its walk.  The second step, _walk, lists the integer points of
+a leaf's fundamental parallelepiped under an integer exponent map, in
+integers only: the walk over the coset representatives, a box whose
+sizes come from gcds of minors (_box), runs along one lattice axis at a
+time, each step moving the point by one of 2^d moves picked by the
+carries of its parallelepiped coordinates.
 gf_of_cell walks each leaf with the cell's own map, straight to the
 exponents of the cell's variables.  specialized_gf counts without
 building that GF: it fixes tau once from the mapped generators of every
@@ -55,17 +59,14 @@ from .formulas import record
 from .lattices import (
     Lattice,
     full_coset,
-    hnf_diagonal,
     hnf_kernel,
     int_inverse,
     lex_positive,
     lll,
-    mat_mul,
     mat_vec,
     solve_int,
     vadd,
     vdot,
-    vneg,
     vscale,
     zero_vec,
 )
@@ -107,19 +108,17 @@ def make_term(coef, numer, denoms):
     1/(1 - x^b) = -x^(-b)/(1 - x^(-b)) moves each flip into the sign and
     the numerator exponent.
     """
-    coef = Fraction(coef)
-    numer = tuple(int(c) for c in numer)
-    out = []
+    numer, out = tuple(map(int, numer)), []
     for b in denoms:
-        b = tuple(int(c) for c in b)
-        if not any(b):
-            raise ValueError("zero vector in denominator")
+        b = tuple(map(int, b))
         if not lex_positive(b):
-            b = vneg(b)
+            if not any(b):
+                raise ValueError("zero vector in denominator")
+            b = tuple([-c for c in b])
             coef = -coef
-            numer = vadd(numer, b)
+            numer = tuple(map(operator.add, numer, b))
         out.append(b)
-    return GFTerm(coef, numer, tuple(sorted(out)))
+    return GFTerm(Fraction(coef), numer, tuple(sorted(out)))
 
 
 def rgf(names, terms):
@@ -278,61 +277,88 @@ def series_equal(g1, g2, bound):
 # generating function of a cell (Brion decomposition)
 
 
-def _walk(apex, gens, adj, det, excluded, images, origin):
-    """The integer points of apex + cone(gens) in its fundamental
-    parallelepiped, with the facets in `excluded` removed, each point t
-    given as origin + sum_j t_j images[j] (integer vectors of one length).
+def _box(gens, adj, det):
+    """The diagonal h of the column HNF of the nonsingular G with the gens
+    as columns, adj its adjugate and det its determinant, from the
+    determinantal divisors D_k = h_1 ... h_k of G: the gcd of the k x k
+    minors of the first k rows of G, which a unimodular column operation
+    keeps.  D_1 is the gcd of row 0, D_(d-1) that of the adjugate's last
+    column (the cofactors of row d - 1) and D_d = |det|; any other k
+    expands the minors of the rows before along row k - 1, with one sign
+    per k left out."""
+    d = len(gens)
+    minors = {(c,): g[0] for c, g in enumerate(gens)}
+    # for d <= 2 some of these keys coincide, on equal values
+    D = {0: 1, 1: math.gcd(*minors.values()),
+         d - 1: math.gcd(*[row[-1] for row in adj]), d: abs(det)}
+    for k in range(2, d - 1):
+        new = {}
+        for T in itertools.combinations(range(d), k):
+            m = 0
+            for i, c in enumerate(T):
+                m = gens[c][k - 1] * minors[T[:i] + T[i + 1:]] - m
+            new[T] = m
+        minors = new
+        D[k] = math.gcd(*minors.values())
+    return [D[k + 1] // D[k] for k in range(d)]
+
+
+def _walk(leaf, images, mapped, origin):
+    """The integer points of a leaf in its fundamental parallelepiped,
+    each point p given as origin + sum_j p_j images[j], with mapped[i] =
+    sum_j gens[i][j] images[j] the image of generator i (integer vectors
+    of one length).  The leaf is _barvinok's integer record (ray, gens,
+    adj, det, excluded, sign), the half-open cone x / t + cone(gens) with
+    ray = (x, t), t > 0, and the facets in excluded removed; no Fraction
+    and no elimination is made here.
 
     gens are linearly independent and span the ambient space, and (adj,
     det) are the adjugate and determinant of the matrix G with the gens
     as columns; the integer points split into cosets of the generator
     lattice, one point per coset inside the half-open fundamental
     parallelepiped.  All in integers, with adj and det negated together
-    when det < 0: with q the common denominator of apex, A = q * apex and
-    D = det * q > 0, a coset representative rep has parallelepiped
-    coordinates u / D with u = adj (q rep - A), and its point is
-    rep - G floor(u / D), one lower on an excluded facet where D divides
-    u_i.  The representatives form the box prod [0, H_jj) of the HNF H of
-    the generator lattice, walked one axis j at a time from the single
-    division of u by D at rep = 0.  A step along e_j adds s = D sd + sm
-    (0 <= sm < D) to u, so each entry of u mod D carries at most once and
-    the point moves by e_j - G (sd + c) for the 0/1 vector c of carries:
-    one of 2^d moves per axis, each formed once per cone, as its image.
-    The entries of u mod D are packed into one integer, entry i as
-    u_i mod D + K - D in bits i (b + 1) up, with K = 2^b > D: adding the
-    packed sm sets bit b of exactly the entries that carry, so a step is
-    a few integer operations, and its carry bits pick the move.
+    when det < 0: with D = det * t > 0, a coset representative rep has
+    parallelepiped coordinates u / D with u = adj (t rep - x), and its
+    point is rep - G floor(u / D), one lower on an excluded facet where D
+    divides u_i.  The representatives form the box prod [0, h_j) of the
+    HNF diagonal h of the generator lattice (_box), walked one axis j at
+    a time from the single division of u by D at rep = 0.  A step along
+    e_j adds s = D sd + sm (0 <= sm < D) to u, so each entry of u mod D
+    carries at most once and the point moves by e_j - G (sd + c) for the
+    0/1 vector c of carries: one of 2^d moves per axis, each formed once
+    per cone, as its image.  The entries of u mod D are packed into one
+    integer, entry i as u_i mod D + K - D in bits i (b + 1) up, with K =
+    2^b > D: adding the packed sm sets bit b of exactly the entries that
+    carry, so a step is a few integer operations, and its carry bits pick
+    the move.
     """
+    (*x, t), gens, adj, det, excluded, _ = leaf
     d = len(gens)
     if not d:  # a single point
         return [origin]
-    grows = tuple(tuple(g[i] for g in gens) for i in range(d))
-    if not det or mat_mul(grows, adj) != tuple(
-            tuple(det * (i == j) for j in range(d)) for i in range(d)):
+    prods = [sum(map(operator.mul, row, g)) for row in adj for g in gens]
+    if not det or prods[::d + 1] != [det] * d or prods.count(0) != d * d - d:
         raise ValueError("adjugate does not invert the cone generators")
     if det < 0:  # floor(u / D) is unchanged when u and D both change sign
-        adj, det = tuple(map(vneg, adj)), -det
-    q = math.lcm(*(c.denominator for c in apex))
-    D = det * q
-    A = [int(c * q) for c in apex]
-    irows = tuple(zip(*images))
-    mrows = tuple(zip(*(mat_vec(irows, g) for g in gens)))  # images of G
+        adj, det = [[-c for c in row] for row in adj], -det
+    D = det * t
+    mrows = tuple(zip(*mapped))
     # floor(u / D) - [D divides u] = floor((u - 1) / D), so u starts lower
     # by 1 on the excluded facets
-    k, w = zip(*(divmod(-sum(map(operator.mul, row, A)) - (i in excluded), D)
+    k, w = zip(*(divmod(-sum(map(operator.mul, row, x)) - (i in excluded), D)
                  for i, row in enumerate(adj)))
-    start = tuple([x - sum(map(operator.mul, row, k))
-                   for x, row in zip(origin, mrows)])
+    start = tuple([e - sum(map(operator.mul, row, k))
+                   for e, row in zip(origin, mrows)])
     if det == 1:
         return [start]
     b = D.bit_length()
     K, span = 1 << b, b + 1
     top = sum(K << i * span for i in range(d))
     walk = [(start, sum(a + K - D << i * span for i, a in enumerate(w)))]
-    for j, h in enumerate(hnf_diagonal(grows)):
+    for j, h in enumerate(_box(gens, adj, det)):
         if h == 1:
             continue
-        sd, sm = zip(*(divmod(q * row[j], D) for row in adj))
+        sd, sm = zip(*(divmod(t * row[j], D) for row in adj))
         step = sum(a << i * span for i, a in enumerate(sm))
         base = [e - sum(map(operator.mul, row, sd))
                 for e, row in zip(images[j], mrows)]
@@ -348,18 +374,19 @@ def _walk(apex, gens, adj, det, excluded, images, origin):
                 if move is None:
                     bits = [c >> i * span + b & 1 for i in range(d)]
                     move = moves[c] = tuple([
-                        x - sum(map(operator.mul, row, bits))
-                        for x, row in zip(base, mrows)])
+                        e - sum(map(operator.mul, row, bits))
+                        for e, row in zip(base, mrows)])
                 pt = tuple(map(operator.add, pt, move))
                 nxt.append((pt, u))
         walk = nxt
     return [pt for pt, _ in walk]
 
 
-def _barvinok(apex, gens, adj, det, sign, ref, limit, leaves):
-    """Append the leaves of sign times the GF of apex + cone(gens), made
-    half-open towards ref, to leaves: (apex, gens, adj, det, excluded,
-    sign), each summed by _walk over its parallelepiped.
+def _barvinok(ray, gens, adj, det, sign, ref, limit, leaves):
+    """Append the leaves of sign times the GF of x / t + cone(gens), ray =
+    (x, t) with t > 0, made half-open towards ref, to leaves: integer
+    records (ray, gens, adj, det, excluded, sign), each summed by _walk
+    over its parallelepiped.
 
     A cone of index |det| above limit is split by Barvinok's signed
     decomposition in its primal half-open form (Koeppe and Verdoolaege,
@@ -386,47 +413,48 @@ def _barvinok(apex, gens, adj, det, sign, ref, limit, leaves):
                         (ai * x - aj * y) // det
                         for x, y in zip(adj[j], adj[i]))
                         for j, aj in enumerate(a))
-                    _barvinok(apex, gens[:i] + (w,) + gens[i + 1:], sub, ai,
+                    _barvinok(ray, gens[:i] + (w,) + gens[i + 1:], sub, ai,
                               sign if (ai > 0) == (det > 0) else -sign, ref,
                               limit, leaves)
             return
     s = 1 if det > 0 else -1  # s * adj_i is the inward normal of facet i
-    excluded = {i for i, row in enumerate(adj) if not lex_positive(
-        (s * vdot(row, ref),) + vscale(s, row))}
-    leaves.append((apex, gens, adj, det, excluded, sign))
+    excluded = {i for i, row in enumerate(adj) if s * (
+        sum(map(operator.mul, row, ref)) or next(filter(None, row))) < 0}
+    leaves.append((ray, gens, adj, det, excluded, sign))
 
 
-def _gf_of_cone(cone, limit=LIMIT):
-    """The leaves (see _barvinok) of the GF of the integer points of a
-    pointed full-dimensional cone: its triangulation, made half-open
-    towards a reference vector on no facet of any piece, with every piece
-    of index above limit decomposed.  A cone of d generators, as at each
-    vertex of a simple polyhedron, is its own one piece."""
-    d = len(cone.apex)
-    gens = cone.generators
+def _gf_of_cone(ray, gens, limit=LIMIT):
+    """The leaves (see _barvinok) of the GF of the integer points of the
+    pointed full-dimensional cone x / t + cone(gens), ray = (x, t): its
+    triangulation, made half-open towards a reference vector on no facet
+    of any piece, with every piece of index above limit decomposed.  A
+    cone of d generators, as at each vertex of a simple polyhedron, is its
+    own one piece."""
+    d = len(ray) - 1
     data = [(piece, *int_inverse(tuple(zip(*piece))))
             for piece in ([gens] if len(gens) == d else triangulate(gens))]
-    first = data[0][0]
+    cols = tuple(zip(*data[0][0]))
     M = 1
-    while True:
-        ref = zero_vec(d)
-        for i, h in enumerate(first):
-            ref = vadd(ref, tuple(M ** i * c for c in h))
-        if all(vdot(row, ref) != 0 for _, adj, _ in data for row in adj):
+    while True:  # ref = sum_i M^i g_i over the first piece
+        ref = [sum(M ** i * c for i, c in enumerate(col)) for col in cols]
+        if all(sum(map(operator.mul, row, ref))
+               for _, adj, _ in data for row in adj):
             break
         M *= 2
     leaves = []
     for piece, adj, det in data:
-        _barvinok(cone.apex, piece, adj, det, 1, ref, limit, leaves)
+        _barvinok(ray, piece, adj, det, 1, ref, limit, leaves)
     return leaves
 
 
 def _cell_leaves(cell):
     """The leaves of the GF of polyhedron-intersect-coset, each as (leaf,
-    images, unit): the leaf lives in Z^k, its points map to the cell by
-    x = shift + sum_j t_j images[j], and unit is the term sign x^shift /
-    prod_i (1 - x^(M g_i)) over the mapped generators, its lex flips
-    folded into its sign and exponent as make_term does.
+    images, mapped, unit): the leaf is _barvinok's integer record in Z^k,
+    its points map to the cell by x = shift + sum_j t_j images[j], mapped
+    holds the images of its generators under that map, computed once for
+    both unit and _walk, and unit is the term sign x^shift / prod (1 -
+    x^m) over the mapped generators m, its lex flips folded into its sign
+    and exponent as make_term does.
 
     One integer affine map carries Z^k onto the integer points of the
     cell: the coset is x = rep + B z with B its basis, and the affine hull
@@ -434,7 +462,9 @@ def _cell_leaves(cell):
     z0 + W t with W an integer kernel basis.  Brion runs on the
     full-dimensional polyhedron in t (a 0-dimensional one is its single
     vertex).  One double description of p gives its emptiness, implicit
-    equalities and, with none, vertex cones; with some, one of q gives those.
+    equalities and, with none, vertex cones; with some, one of q gives
+    those.  Each vertex comes as its primitive ray (x, t) of that double
+    description, the apex x / t of every leaf at it.
     """
     basis, rep = cell.coset.lattice.basis, cell.coset.rep
     d = len(rep)
@@ -462,17 +492,22 @@ def _cell_leaves(cell):
     B = cell.coset.lattice.basis_matrix()
     images = [mat_vec(B, w) for w in kernel]
     shift, rows = vadd(rep, mat_vec(B, z0)), tuple(zip(*images))
-    return [(leaf, images, make_term(leaf[5], shift, [
-        mat_vec(rows, g) for g in leaf[1]]))
-        for _, cone in vertex_cones(q, dd) for leaf in _gf_of_cone(cone)]
+    out = []
+    for ray, gens in vertex_cones(q, dd):
+        for leaf in _gf_of_cone(ray, gens):
+            mapped = [tuple([sum(map(operator.mul, row, g)) for row in rows])
+                      for g in leaf[1]]
+            out.append((leaf, images, mapped, make_term(leaf[5], shift,
+                                                        mapped)))
+    return out
 
 
 def gf_of_cell(names, cell):
     """GF of the integer points of polyhedron-intersect-coset: each leaf
     of _cell_leaves walked straight to the exponents of names."""
     return rgf(names, [GFTerm(unit.coef, pt, unit.denom)
-                       for leaf, images, unit in _cell_leaves(cell)
-                       for pt in _walk(*leaf[:5], images, unit.numer)])
+                       for leaf, images, mapped, unit in _cell_leaves(cell)
+                       for pt in _walk(leaf, images, mapped, unit.numer)])
 
 
 def gf_of_semilinear(s):
@@ -568,15 +603,16 @@ def gf_is_zero(g):
 
 
 # the leaf of a single point, its unit the term itself (see _cell_leaves)
-_POINT = ((), (), (), 1, (), 1)
+_POINT = ((1,), (), (), 1, (), 1)
 
 
 def _specialize(names, positions, leaves):
     """The specialization kernel: x_i = 1 for i in positions, in the GF
-    summed over the (leaf, images, unit) given (see _cell_leaves).  tau is
-    fixed from their denominators before any leaf is walked, and each
-    leaf is walked straight to the exponents (tau . x_s, x_r) of its
-    points, grouped by denominator and coefficient.
+    summed over the (leaf, images, mapped, unit) given (see _cell_leaves).
+    tau is fixed from their denominators before any leaf is walked, and
+    each leaf is walked straight to the exponents (tau . x_s, x_r) of its
+    points, with its images and mapped generators folded the same way,
+    grouped by denominator and coefficient.
 
     Deforms the chosen variables along x_i = t^tau_i and expands each term
     as a Laurent series in s = t - 1.  Denominator factors whose remaining
@@ -607,16 +643,17 @@ def _specialize(names, positions, leaves):
     positions = tuple(sorted(set(positions)))
     keep = tuple(i for i in range(len(names)) if i not in positions)
     names_r = tuple(names[i] for i in keep)
-    tau = _nonvanishing_functional({u.denom for _, _, u in leaves}, positions)
+    tau = _nonvanishing_functional({u.denom for *_, u in leaves}, positions)
 
     def fold(v):  # (tau . v_s, v_r), the exponents once x_s = t^tau
         return (sum(map(operator.mul, tau, map(v.__getitem__, positions))),
                 *map(v.__getitem__, keep))
 
     groups = {}  # denom -> coef -> folded points, walked straight there
-    for leaf, images, unit in leaves:
+    for leaf, images, mapped, unit in leaves:
         groups.setdefault(unit.denom, {}).setdefault(unit.coef, []).extend(
-            _walk(*leaf[:5], list(map(fold, images)), fold(unit.numer)))
+            _walk(leaf, list(map(fold, images)), list(map(fold, mapped)),
+                  fold(unit.numer)))
     head, rest = operator.itemgetter(0), operator.itemgetter(slice(1, None))
     acc, poles = {}, {}  # order (<= 0) -> list of GFTerms; (m, k) -> series
     for denom, parts in groups.items():
@@ -683,7 +720,8 @@ def specialize_ones(g, positions):
     """Set x_i = 1 for i in positions in the GF g, already built,
     cancelling removable poles exactly (see _specialize).  Returns the GF
     in the remaining variables."""
-    return _specialize(g.names, positions, [(_POINT, (), t) for t in g.terms])
+    return _specialize(g.names, positions,
+                       [(_POINT, (), (), t) for t in g.terms])
 
 
 def specialized_gf(s, positions):

@@ -73,11 +73,6 @@ def mat_vec(M, v):
     return tuple(vdot(row, v) for row in M)
 
 
-def mat_mul(A, B):
-    bt = tuple(zip(*B))
-    return tuple(tuple(vdot(row, col) for col in bt) for row in A)
-
-
 def columns(M):
     return [list(col) for col in zip(*M)] if M else []
 
@@ -284,13 +279,6 @@ def hnf(M):
     """
     H, U, _ = _hnf_core(M)
     return H, U
-
-
-def hnf_diagonal(M):
-    """Diagonal of the column HNF of a nonsingular square integer matrix,
-    the sizes of the box of coset representatives of its column lattice."""
-    H, _, pivots = _hnf_core(M, False)
-    return [H[r][c] for r, c in pivots]
 
 
 def hnf_kernel(M, n):

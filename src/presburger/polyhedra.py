@@ -217,18 +217,18 @@ def vertices(p):
 
 
 def vertex_cones(p, dd=None):
-    """Sorted (v, tangent_cone(p, v)) over the vertices of a pointed,
-    nonempty p, the cone of the edges at v, read off dd = _homogenized(p):
-    two rays are adjacent when no third ray is tight on every row they
-    share (Fukuda and Prodon 1996), each pair tested once.  The edge from
-    the vertex ray V toward R is t_V R - t_R V: to the vertex R / t_R if
+    """Sorted (V, gens) over the vertices of a pointed, nonempty p, read
+    off dd = _homogenized(p): V = (x, t) is the vertex's primitive ray of
+    dd, so the vertex is x / t with t > 0 its common denominator, and gens
+    the sorted edges at it, the generators of tangent_cone(p, x / t).  Two
+    rays are adjacent when no third ray is tight on every row they share
+    (Fukuda and Prodon 1996), each pair tested once.  The edge from the
+    vertex ray V toward R is t_V R - t_R V: to the vertex R / t_R if
     t_R > 0, along R if t_R = 0."""
     lines, rays, _ = dd or _homogenized(p)
     if lines:
         raise NonPointedError(f"polyhedron in dim {p.dim} contains a line")
-    verts = {i: tuple(Fraction(c, V[-1]) for c in V[:-1])
-             for i, (V, _) in enumerate(rays) if V[-1]}
-    edges = {i: [] for i in verts}
+    edges = {i: [] for i, (V, _) in enumerate(rays) if V[-1]}
     if not edges:
         raise ValueError("empty polyhedron has no vertices")
     need = p.dim - 1  # an edge has dim - 1 independent tight rows
@@ -245,8 +245,7 @@ def vertex_cones(p, dd=None):
                            for x, y in zip(R[:-1], V[:-1])])
             edges.get(i, []).append(e)
             edges.get(j, []).append(vneg(e))
-    return sorted((v, Cone(v, tuple(sorted(edges[i]))))
-                  for i, v in verts.items())
+    return sorted((rays[i][0], tuple(sorted(e))) for i, e in edges.items())
 
 
 def tangent_cone(p, v):

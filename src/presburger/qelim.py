@@ -50,7 +50,7 @@ so each step only ever sees a quantifier-free body.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .formulas import (
     FALSE,
@@ -79,7 +79,6 @@ from .formulas import (
     substitute,
     substitution_plan,
 )
-from .lattices import solve_congruences
 
 
 def _fresh_name(base, taken):
@@ -123,6 +122,22 @@ def _root(term, fresh):
     rest = LinearTerm(tuple((n, v) for n, v in term.coeffs if n != fresh),
                       term.constant)
     return rest if term.coeff(fresh) < 0 else -rest
+
+
+def _offsets(congruences):
+    """(J, M) with 0 <= J < M such that step * j = r (mod m) for every
+    (step, r, m) given exactly when j = J (mod M), or None if no j does:
+    with j = J + M k so far, the next one is (step M) k = r - step J
+    (mod m), solved by one gcd and one modular inverse."""
+    J, M = 0, 1
+    for step, r, m in congruences:
+        a, b = step * M, r - step * J
+        g = gcd(a, m)
+        if b % g:
+            return None
+        m //= g
+        J, M = J + M * (b // g * pow(a // g, -1, m) % m), M * m
+    return J, M
 
 
 def eliminate_exists(var, body):
@@ -205,15 +220,14 @@ def eliminate_exists(var, body):
                   for t in [term.subst(fresh, b)]
                   if all(c % m == 0 for _, c in t.coeffs)]
         # the one-residue ones hold together exactly on j = J (mod M)
-        crt = solve_congruences([((step,), r - c, m)
-                                 for c, step, m, rs in ground
-                                 if len(rs) == 1 for r in rs], 1)
+        crt = _offsets([(step, r - c, m) for c, step, m, rs in ground
+                        if len(rs) == 1 for r in rs])
         if crt is None:
             continue
-        (M,), = crt.lattice.basis
+        J, M = crt
         check_modulus(modulus // M, "Cooper elimination")
         ground = [x for x in ground if len(x[3]) > 1]
-        for j in range(crt.rep[0], modulus, M):
+        for j in range(J, modulus, M):
             if all((c + step * j) % m in rs for c, step, m, rs in ground):
                 g = plan(sign * j)
                 if g is TRUE:

@@ -152,10 +152,10 @@ def semilinear_to_obj(s):
 def _cells_text(s):
     """dumps(semilinear_to_obj(s)); cells often share their polyhedron."""
     polys, lattices = {}, {}
-    cells = ",".join('{"lattice":%s,"polyhedron":%s,"rep":%s}'
+    cells = ",".join('{"lattice":%s,"polyhedron":%s,"rep":[%s]}'
                      % (_once(lattices, c.coset.lattice.basis),
                         _once(polys, c.polyhedron, dumps),
-                        _encode(c.coset.rep))
+                        ",".join(map(str, c.coset.rep)))
                      for c in s.cells)
     return '{"cells":[%s],"names":%s}' % (cells, _encode(s.names))
 

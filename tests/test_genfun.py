@@ -41,6 +41,7 @@ from presburger.genfun import (
     GFTerm,
     RationalGF,
     _barvinok,
+    _box,
     _gf_of_cone,
     _int_series_inverse,
     _mixed_series,
@@ -59,13 +60,13 @@ from presburger.genfun import (
     specialize_ones,
     specialized_gf,
 )
-from presburger.lattices import (Lattice, LatticeCoset, full_coset,
+from presburger.lattices import (Lattice, LatticeCoset, full_coset, hnf,
                                  int_inverse, lex_positive, lll)
 from presburger.polyhedra import (Cone, Polyhedron, tangent_cone,
                                   triangulate, vertices)
 from presburger import is_zero_univariate
 from presburger.quasipoly import vpf_gf
-from presburger.semilinear import SemilinearCell, to_dnf
+from presburger.semilinear import SemilinearCell, SemilinearSet, to_dnf
 
 
 def box(d, hi):
@@ -209,28 +210,40 @@ def test_cell_odd_at_least_three():
     assert got == {(n,): 1 for n in range(3, 20, 2)}
 
 
+def as_ray(apex):
+    """The integer ray (x, t) of a rational apex x / t, t > 0 minimal."""
+    t = math.lcm(*(c.denominator for c in apex))
+    return (*(int(c * t) for c in apex), t)
+
+
+def cone_leaves(cone, limit=LIMIT):
+    """The leaves of genfun._gf_of_cone for a Cone with a rational apex."""
+    return _gf_of_cone(as_ray(cone.apex), cone.generators, limit)
+
+
 def leaf_terms(leaves):
     """The GF terms of leaf cones (see genfun._barvinok), each walked in
     its own coordinates."""
     terms = []
-    for apex, gens, adj, det, excluded, sign in leaves:
+    for leaf in leaves:
+        gens, sign = leaf[1], leaf[5]
         d = len(gens)
         unit = make_term(sign, (0,) * d, gens)
         identity = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        terms += [GFTerm(unit.coef, pt, unit.denom) for pt in _walk(
-            apex, gens, adj, det, excluded, identity, unit.numer)]
+        terms += [GFTerm(unit.coef, pt, unit.denom)
+                  for pt in _walk(leaf, identity, gens, unit.numer)]
     return terms
 
 
 def halfopen_terms(apex, gens, adj, det, excluded):
     """The GF terms of apex + cone(gens), facets in excluded removed."""
-    return leaf_terms([(apex, gens, adj, det, excluded, 1)])
+    return leaf_terms([(as_ray(apex), gens, adj, det, excluded, 1)])
 
 
 def test_cone_fixture():
     # cone over (1,0) and (1,2): parallelepiped holds (0,0) and (1,1)
     cone = Cone((Fraction(0), Fraction(0)), ((1, 0), (1, 2)))
-    g = rgf(("a", "b"), leaf_terms(_gf_of_cone(cone)))
+    g = rgf(("a", "b"), leaf_terms(cone_leaves(cone)))
     assert set(g.terms) == {
         GFTerm(Fraction(1), (0, 0), ((1, 0), (1, 2))),
         GFTerm(Fraction(1), (1, 1), ((1, 0), (1, 2))),
@@ -343,7 +356,7 @@ def test_barvinok_knapsacks_three_ways():
         text = " + ".join(f"{a}*{v}" for a, v in zip(coeffs, names))
         for limit in (LIMIT, 1):
             g = rgf(names, leaf_terms(
-                [leaf for c in cones for leaf in _gf_of_cone(c, limit)]))
+                [leaf for c in cones for leaf in cone_leaves(c, limit)]))
             if limit == LIMIT:
                 assert g == gf_of_formula(parse(f"{text} <= {bound}"), names)
             for _ in range(2):
@@ -392,13 +405,85 @@ def test_barvinok_breaks_ties_by_the_first_nonzero_entry():
         want = halfopen_simplicial_oracle(names, apex, gens,
                                           fraction_inverse(G), excluded)
         leaves = []
-        _barvinok(apex, gens, adj, det, 1, w, 1, leaves)
+        _barvinok(as_ray(apex), gens, adj, det, 1, w, 1, leaves)
         got = rgf(names, leaf_terms(leaves))
         assert got != want  # decomposed, with other denominators
         for _ in range(3):
             x = tuple(rng.randrange(2, PRIME) for _ in range(d))
             assert gf_value_mod(got, x) == gf_value_mod(want, x), gens
         trials += 1
+
+
+def test_box_sizes_are_the_hnf_diagonal():
+    """_box reads the walk's box sizes off the determinantal divisors of
+    the generator matrix: they equal the diagonal of its column HNF on
+    seeded random nonsingular matrices in d = 1..5, of either sign of
+    determinant, and on every leaf of their Barvinok decompositions
+    down to index 1, whose adjugates come from the split."""
+    rng = random.Random(4711)
+    signs, leaves_seen = set(), 0
+    for trial in range(400):
+        d = 1 + trial % 5
+        gens = tuple(tuple(rng.randint(-9, 9) for _ in range(d))
+                     for _ in range(d))
+        G = tuple(zip(*gens))
+        adj, det = int_inverse(G)
+        if not det:
+            continue
+        signs.add(det > 0)
+        cones = [(gens, adj, det)]
+        if abs(det) <= 200:
+            leaves = []
+            _barvinok((0,) * d + (1,), gens, adj, det, 1,
+                      [2 ** i for i in range(d)], 1, leaves)
+            cones += [leaf[1:4] for leaf in leaves]
+            leaves_seen += len(leaves)
+        for g, a, t in cones:
+            H = hnf(tuple(zip(*g)))[0]
+            assert _box(g, a, t) == [H[j][j] for j in range(d)], g
+    assert signs == {True, False} and leaves_seen >= 600
+
+
+def test_leaf_setup_runs_no_elimination(monkeypatch):
+    """A knapsack cell's leaves run one int_inverse per simplicial piece
+    (here one per vertex) and no HNF, in gf_of_cell and specialized_gf
+    alike, and every leaf reaches _walk with an integer apex."""
+    import presburger.genfun as genfun
+    import presburger.lattices as lattices
+
+    calls = {"int_inverse": 0, "_hnf_core": 0, "walk": 0}
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    genfun_walk = genfun._walk
+
+    def walk(leaf, *args):
+        assert all(isinstance(c, int) for c in leaf[0]) and leaf[0][-1] > 0
+        calls["walk"] += 1
+        return genfun_walk(leaf, *args)
+
+    counted(genfun, "int_inverse")
+    counted(lattices, "_hnf_core")
+    monkeypatch.setattr(genfun, "_walk", walk)
+    for coeffs, bound in [((13, 17, 19), 104), ((4, 5, 6, 7), 26)]:
+        d = len(coeffs)
+        p = Polyhedron.of(d, [(tuple(-a for a in coeffs), -bound)] + [
+            (tuple(int(i == j) for j in range(d)), 0) for i in range(d)])
+        cell = SemilinearCell(p, full_coset(d))
+        names = tuple("xyzw"[:d])
+        for run in (lambda: gf_of_cell(names, cell),
+                    lambda: specialized_gf(SemilinearSet(names, (cell,)),
+                                           range(d))):
+            calls.update(dict.fromkeys(calls, 0))
+            run()
+            assert calls["int_inverse"] == d + 1 and not calls["_hnf_core"]
+            assert calls["walk"] > d + 1  # Barvinok split some cones
 
 
 def test_halfopen_simplicial_rejects_a_wrong_adjugate():

@@ -8,9 +8,13 @@ from oracles import (congruence_coset, fraction_inverse, fraction_nullspace,
                      lll_defects, rat_rank, rat_solve)
 from presburger.lattices import (Lattice, LatticeCoset, congruences_of_coset,
                                  coset_intersect, full_coset, hnf, hnf_kernel,
-                                 int_inverse, lll, mat_mul, mat_vec, primitive,
+                                 int_inverse, lll, mat_vec, primitive,
                                  rat_inv, rat_nullspace, residue_cosets,
                                  solve_congruences, solve_int, vdot)
+
+
+def mat_mul(A, B):
+    return tuple(tuple(vdot(row, col) for col in zip(*B)) for row in A)
 
 
 def is_unimodular(U):

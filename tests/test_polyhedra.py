@@ -1,5 +1,6 @@
 """Polyhedron geometry: feasibility certificates, vertices, rays, pieces."""
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -410,7 +411,8 @@ def test_branch_test_against_is_feasible():
 
 def test_vertex_cones_against_tangent_cones():
     """vertex_cones reads every tangent cone off one double description:
-    it equals tangent_cone at each vertex on seeded random pointed
+    each vertex comes as a primitive ray (x, t) with t > 0, and its edges
+    equal the generators of tangent_cone at x / t on seeded random pointed
     polyhedra in d = 1..4, bounded or not, with redundant rows and
     explicit equalities, and at the non-simple apexes of the square
     pyramid, the octahedron and the chain cone with its orthant rows.  A
@@ -449,11 +451,14 @@ def test_vertex_cones_against_tangent_cones():
                 vertex_cones(p)
             continue
         cones = vertex_cones(p)
-        assert cones == [(v, tangent_cone(p, v)) for v in vs], p
+        assert all(V[-1] > 0 and math.gcd(*V) == 1 for V, _ in cones), p
+        assert sorted(Cone(tuple(Fraction(c, V[-1]) for c in V[:-1]), gens)
+                      for V, gens in cones) == [
+            tangent_cone(p, v) for v in vs], p
         seen["pointed"] += 1
         seen["unbounded"] += bool(recession(p))
         seen["equalities"] += bool(p.eqs)
-        seen["non-simple"] += sum(len(cone.generators) > rat_rank(
-            cone.generators) for _, cone in cones)
+        seen["non-simple"] += sum(len(gens) > rat_rank(gens)
+                                  for _, gens in cones)
     assert seen["pointed"] >= 150 and seen["non-simple"] >= 15, seen
     assert min(seen.values()) >= 10, seen

@@ -29,7 +29,8 @@ from presburger.formulas import (
     substitute,
     substitution_plan,
 )
-from presburger.qelim import decide, eliminate_exists, qelim
+from presburger.lattices import solve_congruences
+from presburger.qelim import _offsets, decide, eliminate_exists, qelim
 from presburger.semilinear import to_dnf
 from oracles import brute_exists, brute_forall, witness_bound
 
@@ -420,6 +421,22 @@ def test_substitution_plan_is_substitute_at_each_offset():
 
 
 CRT = "E x. x % 7 = 1 & x % 9 = 2 & x % 11 = 3 & x % 8 = 5 & x >= y"
+
+
+def test_offsets_against_solve_congruences():
+    """Cooper's one-dimensional CRT step gives the same (J, M), or None,
+    as the general solve_congruences on seeded random systems, zero and
+    negative steps and moduli of 1 included."""
+    rng = random.Random(3535)
+    solved = 0
+    for _ in range(600):
+        system = [(rng.randint(-12, 12), rng.randint(-30, 30),
+                   rng.randint(1, 12)) for _ in range(rng.randint(0, 3))]
+        coset = solve_congruences([((s,), r, m) for s, r, m in system], 1)
+        want = coset and (coset.rep[0], coset.lattice.basis[0][0])
+        assert _offsets(system) == want, system
+        solved += want is not None
+    assert 150 <= solved <= 450
 
 
 def test_crt_probe_is_true():
