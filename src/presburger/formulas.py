@@ -446,59 +446,35 @@ def eval_ground(f, env, bound=0):
     """Evaluate with every free variable assigned a natural number.
 
     Quantifiers range over [0, bound] rather than all of N, which is exact
-    whenever `bound` dominates the relevant witnesses.
+    whenever `bound` dominates the relevant witnesses.  An unassigned
+    variable raises ValueError.
     """
-    # not an input check: with partial=False an unassigned variable raises
-    # ValueError, so _eval never returns None
-    v = _eval(f, dict(env), bound, partial=False)
-    assert v is not None
-    return v
+    return _eval(f, dict(env), bound)
 
 
-def _eval(f, env, bound, partial):
-    """True or False; None (partial only) where an unassigned variable
-    leaves f open."""
-    if isinstance(f, Cmp):
+def _eval(f, env, bound):
+    if isinstance(f, (Cmp, Congruence)):
         try:
             val = f.term.eval(env)
         except KeyError:
-            if partial:
-                return None
             raise ValueError(f"unassigned free variable in {f!r}")
+        if isinstance(f, Congruence):
+            return val % f.modulus in f.residues
         return val >= 0 if f.op == ">=" else val == 0
-    if isinstance(f, Congruence):
-        try:
-            val = f.term.eval(env)
-        except KeyError:
-            if partial:
-                return None
-            raise ValueError(f"unassigned free variable in {f!r}")
-        return val % f.modulus in f.residues
     if isinstance(f, Not):
-        v = _eval(f.inner, env, bound, partial)
-        return None if v is None else not v
-    # stop, the value that decides a node: True for Or and Exists, False for
-    # And and ForAll
-    if isinstance(f, (And, Or)):
-        stop, unknown = isinstance(f, Or), False
-        for p in f.parts:
-            v = _eval(p, env, bound, partial)
-            if v is stop:
-                return stop
-            if v is None:
-                unknown = True
-        return None if unknown else not stop
+        return not _eval(f.inner, env, bound)
+    if isinstance(f, And):
+        return all(_eval(p, env, bound) for p in f.parts)
+    if isinstance(f, Or):
+        return any(_eval(p, env, bound) for p in f.parts)
     if isinstance(f, (Exists, ForAll)):
-        stop, unknown, old = isinstance(f, Exists), False, env.get(f.var)
+        stop, old = isinstance(f, Exists), env.get(f.var)
         try:
             for k in range(bound + 1):
                 env[f.var] = k
-                v = _eval(f.body, env, bound, partial)
-                if v is stop:
+                if _eval(f.body, env, bound) is stop:
                     return stop
-                if v is None:
-                    unknown = True
-            return None if unknown else not stop
+            return not stop
         finally:  # the caller's value of f.var, never None, comes back
             if old is None:
                 env.pop(f.var, None)

@@ -57,14 +57,12 @@ from fractions import Fraction
 
 from .formulas import record
 from .lattices import (
-    Lattice,
+    affine_lattice,
     full_coset,
-    hnf_kernel,
     int_inverse,
     lex_positive,
     lll,
     mat_vec,
-    solve_int,
     vadd,
     vdot,
     vscale,
@@ -459,12 +457,12 @@ def _cell_leaves(cell):
     One integer affine map carries Z^k onto the integer points of the
     cell: the coset is x = rep + B z with B its basis, and the affine hull
     of the polyhedron in z (its equalities plus the implicit ones) is z =
-    z0 + W t with W an integer kernel basis.  Brion runs on the
+    z0 + W t, t = C z (see affine_lattice).  Brion runs on the
     full-dimensional polyhedron in t (a 0-dimensional one is its single
     vertex).  One double description of p gives its emptiness, implicit
-    equalities and, with none, vertex cones; with some, one of q gives
-    those.  Each vertex comes as its primitive ray (x, t) of that double
-    description, the apex x / t of every leaf at it.
+    equalities and vertex cones, which C maps into t: each edge, and each
+    vertex ray (x, s) to (C x, s), its primitive ray in t, the apex of
+    every leaf at it.
     """
     basis, rep = cell.coset.lattice.basis, cell.coset.rep
     d = len(rep)
@@ -474,26 +472,21 @@ def _cell_leaves(cell):
 
     p = Polyhedron.of(d, [in_z(a, b) for a, b in cell.polyhedron.ineqs],
                       [in_z(a, b) for a, b in cell.polyhedron.eqs])
-    q, dd = p, _homogenized(p)
-    # an empty p makes every row an equality, which solve_int then refutes
+    dd = _homogenized(p)
+    # an empty p makes every row an equality, which affine_lattice refutes
     eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p, dd)))
-    z0, kernel = zero_vec(d), Lattice.standard(d).basis
-    if eq_rows:
-        A = tuple(a for a, _ in eq_rows)
-        z0 = solve_int(A, tuple(b for _, b in eq_rows))
-        if z0 is None:
-            return []
-        kernel = hnf_kernel(A, d)
-        # an implicit equality becomes the trivial row 0 >= 0, dropped
-        q = Polyhedron.of(len(kernel), [
-            (tuple(vdot(a, w) for w in kernel), b - vdot(a, z0))
-            for a, b in p.ineqs])
-        dd = _homogenized(q)
+    hull = affine_lattice(tuple(a for a, _ in eq_rows),
+                          tuple(b for _, b in eq_rows), d)
+    if hull is None:
+        return []
+    z0, kernel, C = hull
     B = cell.coset.lattice.basis_matrix()
     images = [mat_vec(B, w) for w in kernel]
     shift, rows = vadd(rep, mat_vec(B, z0)), tuple(zip(*images))
     out = []
-    for ray, gens in vertex_cones(q, dd):
+    for ray, gens in sorted(((*mat_vec(C, ray[:-1]), ray[-1]), tuple(
+            sorted(mat_vec(C, g) for g in gens)))
+            for ray, gens in vertex_cones(p, dd)):
         for leaf in _gf_of_cone(ray, gens):
             mapped = [tuple([sum(map(operator.mul, row, g)) for row in rows])
                       for g in leaf[1]]

@@ -281,13 +281,22 @@ def hnf(M):
     return H, U
 
 
-def hnf_kernel(M, n):
-    """Integer kernel basis of M, with n columns: columns u of unimodular
-    U with M u = 0, the n unit vectors when M has no rows."""
+def affine_lattice(M, rhs, n):
+    """The integer solutions x = x0 + W z (z in Z^k) of M x = rhs, M with
+    n columns, as (x0, W, C), None if there are none: W is a basis of ker M
+    in Z^n and C its left inverse with C x0 = 0, so z = C x.  One HNF M U =
+    H gives x0 = U y, y zero past the rank, and W and C, the columns of U
+    and rows of U^-1 = det adj(U) past it; no rows give (0, I, I)."""
     if not M:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    _, U, pivots = _hnf_core(M)
-    return [tuple(u) for u in columns(U)[len(pivots):]]
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return (0,) * n, eye, eye
+    H, U, pivots = _hnf_core(M)
+    x0 = _back_substitute(H, U, pivots, rhs)
+    if x0 is None:
+        return None
+    adj, det = int_inverse(U)
+    r = len(pivots)
+    return x0, tuple(zip(*U))[r:], tuple(vscale(det, c) for c in adj[r:])
 
 
 def solve_int(M, rhs):

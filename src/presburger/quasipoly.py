@@ -56,8 +56,8 @@ from .genfun import (
 from .lattices import (
     Lattice,
     LatticeCoset,
+    affine_lattice,
     coset_intersect,
-    hnf_kernel,
     int_inverse,
     int_rref,
     mat_vec,
@@ -474,12 +474,12 @@ def _vpf_chambers(gens, names):
     from one series table of vpf_gf.
     """
     n = len(gens[0])
-    E = hnf_kernel(gens, n)
+    E = affine_lattice(gens, [0] * len(gens), n)[1]
     r = n - len(E)
     uniq = sorted(set(gens))
     facets, walls = set(), set()
     for S in combinations(sorted({primitive(g) for g in uniq}), r - 1):
-        normal = hnf_kernel([*S, *E], n)
+        normal = affine_lattice([*S, *E], [0] * (len(S) + len(E)), n)[1]
         if len(normal) == 1:
             a = primitive(normal[0])
             signs = {vdot(a, g) > 0 for g in uniq if vdot(a, g)}

@@ -10,15 +10,17 @@ from presburger.formulas import (
     And,
     Cmp,
     Congruence,
+    Exists,
+    ForAll,
     LinearTerm,
     Not,
     Or,
-    _eval,
     atoms_of,
     eval_ground,
 )
 from presburger.genfun import (
     GFTerm,
+    _gf_of_cone,
     _positive_functional,
     _series_table,
     make_term,
@@ -28,17 +30,25 @@ from presburger.genfun import (
 from presburger.lattices import (
     Lattice,
     LatticeCoset,
+    affine_lattice,
     full_coset,
     mat_vec,
     primitive,
     residue_cosets,
+    solve_int,
     vadd,
     vdot,
     vneg,
     vsub,
     zero_vec,
 )
-from presburger.polyhedra import NonPointedError
+from presburger.polyhedra import (
+    NonPointedError,
+    Polyhedron,
+    _homogenized,
+    implicit_equalities,
+    vertex_cones,
+)
 from presburger.quasipoly import (
     QuasiPolynomial,
     _interpolate,
@@ -621,9 +631,36 @@ def eval_partial(f, env, bound=0):
     """Three-valued evaluation: True / False / None (undetermined).
 
     Atoms mentioning unassigned variables evaluate to None; and/or/not use
-    Kleene logic.  Used by enumeration oracles to prune search.
+    Kleene logic, and quantifiers range over [0, bound].  Used by
+    enumeration oracles to prune search.  Reads the nodes directly, as
+    truth_masks does, so it checks eval_ground from outside.
     """
-    return _eval(f, dict(env), bound, partial=True)
+    def ev(g, env):
+        if isinstance(g, (Cmp, Congruence)):
+            if any(n not in env for n, _ in g.term.coeffs):
+                return None
+            v = g.term.constant + sum(c * env[n] for n, c in g.term.coeffs)
+            if isinstance(g, Congruence):
+                return v % g.modulus in g.residues
+            return v >= 0 if g.op == ">=" else v == 0
+        if isinstance(g, Not):
+            v = ev(g.inner, env)
+            return None if v is None else not v
+        if isinstance(g, (And, Or)):
+            values = (ev(p, env) for p in g.parts)
+        elif isinstance(g, (Exists, ForAll)):
+            values = (ev(g.body, {**env, g.var: k}) for k in range(bound + 1))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        # stop decides the node: True for Or and Exists, False otherwise
+        stop, unknown = isinstance(g, (Or, Exists)), False
+        for v in values:
+            if v is stop:
+                return stop
+            unknown = unknown or v is None
+        return None if unknown else not stop
+
+    return ev(f, env)
 
 
 def truth_masks(formulas, points):
@@ -687,6 +724,43 @@ def monomial_substitute(g, new_names, images):
         terms.append(GFTerm(t.coef * u.coef,
                             vadd(mat_vec(rows, t.numer), u.numer), u.denom))
     return rgf(new_names, terms)
+
+
+def reference_cell_leaves(cell):
+    """genfun._cell_leaves with a second double description: the cell's
+    polyhedron p in z, x = rep + B z, is rewritten as q in the coordinates
+    t of its affine hull z = z0 + W t, and vertex_cones reads q's vertex
+    cones off q's own double description.  The leaf records come out as
+    _cell_leaves gives them, (leaf, images, mapped, unit)."""
+    basis, rep = cell.coset.lattice.basis, cell.coset.rep
+    d = len(rep)
+
+    def in_z(a, b):
+        return tuple(vdot(a, v) for v in basis), b - vdot(a, rep)
+
+    p = Polyhedron.of(d, [in_z(a, b) for a, b in cell.polyhedron.ineqs],
+                      [in_z(a, b) for a, b in cell.polyhedron.eqs])
+    # an empty p makes every row an equality, which solve_int then refutes
+    eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p)))
+    A, rhs = tuple(a for a, _ in eq_rows), tuple(b for _, b in eq_rows)
+    z0 = solve_int(A, rhs) if A else zero_vec(d)
+    if z0 is None:
+        return []
+    kernel = affine_lattice(A, rhs, d)[1]
+    # an implicit equality becomes the trivial row 0 >= 0, dropped
+    q = Polyhedron.of(len(kernel), [
+        (tuple(vdot(a, w) for w in kernel), b - vdot(a, z0))
+        for a, b in p.ineqs])
+    B = cell.coset.lattice.basis_matrix()
+    images = [mat_vec(B, w) for w in kernel]
+    shift, rows = vadd(rep, mat_vec(B, z0)), tuple(zip(*images))
+    out = []
+    for ray, gens in vertex_cones(q, _homogenized(q)):
+        for leaf in _gf_of_cone(ray, gens):
+            mapped = [mat_vec(rows, g) for g in leaf[1]]
+            out.append((leaf, images, mapped, make_term(leaf[5], shift,
+                                                        mapped)))
+    return out
 
 
 def congruence_coset(coeffs, residue, modulus, dim):

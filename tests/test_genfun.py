@@ -19,6 +19,7 @@ from oracles import (
     monomial_substitute,
     points_value_mod,
     product_on_box,
+    reference_cell_leaves,
     scalar_inverse,
     series_coeffs_oracle,
     series_oracle,
@@ -42,6 +43,7 @@ from presburger.genfun import (
     RationalGF,
     _barvinok,
     _box,
+    _cell_leaves,
     _gf_of_cone,
     _int_series_inverse,
     _mixed_series,
@@ -572,29 +574,77 @@ def test_gf_of_cell_random_against_enumeration():
     assert nonempty_with_equality >= 20
 
 
-def test_cell_leaves_run_at_most_two_double_descriptions(monkeypatch):
+def test_cell_leaves_match_the_hull_reference():
+    # the leaf records read off p's own double description and mapped into
+    # its affine hull equal those of a second one run on p in the hull
+    rng = random.Random(36)
+    tally = dict.fromkeys(["explicit", "implicit", "empty", "coset"], 0)
+    for trial in range(240):
+        d = 1 + trial % 5
+        B = rng.randint(1, 4)
+        rows = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
+        rows += [(tuple(-int(i == j) for j in range(d)), -B)
+                 for i in range(d)]
+        for _ in range(rng.randint(0, 2)):
+            rows.append((tuple(rng.randint(-2, 2) for _ in range(d)),
+                         rng.randint(-B, B)))
+        eqs = []
+        a = tuple(rng.randint(-2, 2) for _ in range(d))
+        b = dot(a, [rng.randint(0, B) for _ in range(d)])
+        kind = trial // 5 % 4
+        if kind == 0 and any(a):
+            eqs.append((a, b))
+            if trial % 3 == 0:  # a second one, not always integer-solvable
+                eqs.append((tuple(rng.randint(-3, 3) for _ in range(d)),
+                            rng.randint(-3, 3)))
+        elif kind == 1 and any(a):
+            rows += [(a, b), (tuple(-c for c in a), -b)]
+        elif kind == 2 and any(a):
+            rows += [(a, b + 1), (tuple(-c for c in a), -b)]  # empty over Q
+        coset = random_hnf_coset(rng, d) if trial % 2 else full_coset(d)
+        cell = SemilinearCell(Polyhedron.of(d, rows, eqs), coset)
+        got = _cell_leaves(cell)
+        assert got == reference_cell_leaves(cell), (cell, trial)
+        tally["explicit"] += bool(eqs and got)
+        tally["implicit"] += bool(kind == 1 and any(a) and got)
+        tally["empty"] += not got
+        tally["coset"] += bool(trial % 2 and got)
+    assert min(tally.values()) >= 20, tally
+
+
+def test_cell_leaves_run_one_double_description(monkeypatch):
     """A cell's Brion input comes from one double description of its
-    polyhedron, and one more of the polyhedron in its affine hull only
-    when it has equalities, explicit or implicit: no vertex runs one of
-    its own, and a simplex's vertex cones skip triangulation."""
+    polyhedron, equalities or not, and its affine hull from at most one
+    HNF, none without equalities: no vertex runs a description of its own,
+    and a simplex's vertex cones skip triangulation."""
     import presburger.genfun as genfun
+    import presburger.lattices as lattices
     import presburger.polyhedra as polyhedra
 
-    sizes, cells = [], []
-    dd, cell_leaves = polyhedra._dd, genfun._cell_leaves
+    sizes, cells, hnf_calls, hnfs = [], [], [], []
+    dd, hnf_core, cell_leaves = (polyhedra._dd, lattices._hnf_core,
+                                 genfun._cell_leaves)
 
     def counted_dd(rows, n):
         sizes.append(n)
         return dd(rows, n)
 
-    def counted_cell(cell):
+    def counted_hnf(*args):
+        hnf_calls.append(args)
+        return hnf_core(*args)
+
+    def counted_cell(cell):  # hnfs: the _hnf_core calls inside each cell
         cells.append(cell)
-        return cell_leaves(cell)
+        before = len(hnf_calls)
+        out = cell_leaves(cell)
+        hnfs.append(len(hnf_calls) - before)
+        return out
 
     def per_vertex(*args):
         raise AssertionError("a vertex took a path of its own")
 
     monkeypatch.setattr(polyhedra, "_dd", counted_dd)
+    monkeypatch.setattr(lattices, "_hnf_core", counted_hnf)
     monkeypatch.setattr(polyhedra, "tangent_cone", per_vertex)
     monkeypatch.setattr(polyhedra, "vertices", per_vertex)
     monkeypatch.setattr(genfun, "_cell_leaves", counted_cell)
@@ -604,19 +654,21 @@ def test_cell_leaves_run_at_most_two_double_descriptions(monkeypatch):
     segment = Polyhedron.of(2, [((1, 1), 3), ((-1, -1), -3)] + [
         (a[1:], 0) for a, _ in unit[1:]])  # x + y <= 3 & x + y >= 3
     names = ("x", "y", "z")
-    for p, want in [(knapsack, [4]), (segment, [3, 2])]:
+    for p, want, want_hnfs in [(knapsack, [4], [0]), (segment, [3], [1])]:
         sizes.clear()
+        hnfs.clear()
         g = gf_of_cell(names[:p.dim], SemilinearCell(p, full_coset(p.dim)))
-        assert sizes == want
+        assert sizes == want and hnfs == want_hnfs
         assert series_coeffs(g, 12) == {
             x: 1 for x in box(p.dim, 12) if p.contains(x)}
     monkeypatch.setattr(genfun, "triangulate", triangulate)
     sizes.clear()
     cells.clear()
+    hnfs.clear()
     f = rgf(("x",), [make_term(1, (0,), ((1,), (2,)))])
     g = rgf(("x",), [make_term(1, (1,), ((2,), (3,)))])
     h = hadamard(f, g)  # every cell has the equalities e = a + B lam
-    assert len(cells) == 1 and sizes == [6, 4]
+    assert len(cells) == 1 and sizes == [6] and hnfs == [1]
     tf, tg = series_coeffs(f, 30), series_coeffs(g, 30)
     assert series_coeffs(h, 30) == {
         e: tf[e] * tg[e] for e in tf if e in tg}

@@ -6,11 +6,12 @@ import pytest
 
 from oracles import (congruence_coset, fraction_inverse, fraction_nullspace,
                      lll_defects, rat_rank, rat_solve)
-from presburger.lattices import (Lattice, LatticeCoset, congruences_of_coset,
-                                 coset_intersect, full_coset, hnf, hnf_kernel,
-                                 int_inverse, lll, mat_vec, primitive,
-                                 rat_inv, rat_nullspace, residue_cosets,
-                                 solve_congruences, solve_int, vdot)
+from presburger.lattices import (Lattice, LatticeCoset, affine_lattice,
+                                 congruences_of_coset, coset_intersect,
+                                 full_coset, hnf, int_inverse, lll, mat_vec,
+                                 primitive, rat_inv, rat_nullspace,
+                                 residue_cosets, solve_congruences, solve_int,
+                                 vdot)
 
 
 def mat_mul(A, B):
@@ -86,8 +87,52 @@ def test_hnf_kernel_random():
         m = rng.randint(1, 3)
         n = rng.randint(1, 4)
         M = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(m))
-        for k in hnf_kernel(M, n):
+        for k in affine_lattice(M, (0,) * m, n)[1]:
             assert mat_vec(M, k) == (0,) * m
+
+
+def test_affine_lattice_random():
+    # x0 + W z over Z^k against solve_int, with C the left inverse of W;
+    # rank-deficient, duplicated and empty M included
+    rng = random.Random(36)
+    solvable = unsolvable = 0
+    for trial in range(300):
+        m, n = rng.randint(0, 3), rng.randint(1, 4)
+        M = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+        if m and trial % 3 == 0:
+            M.append(M[0] if trial % 2 else tuple(2 * a for a in M[-1]))
+        M = tuple(M)
+        if trial % 2:
+            rhs = mat_vec(M, [rng.randint(-5, 5) for _ in range(n)])
+        else:
+            rhs = tuple(rng.randint(-9, 9) for _ in M)
+        got = affine_lattice(M, rhs, n)
+        # no rows make every x a solution, where solve_int has no matrix
+        assert (got is None) == (bool(M) and solve_int(M, rhs) is None)
+        if got is None:
+            unsolvable += 1
+            continue
+        solvable += 1
+        x0, W, C = got
+        k = len(W)
+        assert k == n - rat_rank(M)
+        assert len(C) == k and all(len(w) == len(c) == n for w, c in zip(W, C))
+        assert mat_vec(M, x0) == rhs
+        assert all(mat_vec(M, w) == (0,) * len(M) for w in W)
+        assert tuple(mat_vec(C, w) for w in W) == tuple(
+            tuple(int(i == j) for j in range(k)) for i in range(k))
+        for _ in range(3):
+            z = tuple(rng.randint(-6, 6) for _ in range(k))
+            x = tuple(a + sum(zi * w[i] for zi, w in zip(z, W))
+                      for i, a in enumerate(x0))
+            assert mat_vec(M, x) == rhs
+            assert mat_vec(C, [a - b for a, b in zip(x, x0)]) == z
+            assert mat_vec(C, x) == z  # C x0 = 0
+    assert solvable >= 100 and unsolvable >= 50
+    eye = ((1, 0), (0, 1))
+    assert affine_lattice((), (), 2) == ((0, 0), eye, eye)
+    assert affine_lattice(((2, 4),), (3,), 2) is None
+    assert affine_lattice(((1, 1), (1, 1)), (1, 2), 2) is None
 
 
 def test_solve_int():
@@ -164,11 +209,11 @@ def test_residue_cosets_match_coset_intersect():
         reached = set()
         # the congruence's own coset, solved without the split
         row = (*coeffs, m)
-        kernel = [u[:d] for u in hnf_kernel((row,), d + 1)]
         for r in range(m):
-            x0 = solve_int((row,), (r,))
-            want = None if x0 is None else coset_intersect(coset, LatticeCoset(
-                Lattice.from_generators(d, kernel), x0[:d]))
+            sol = affine_lattice((row,), (r,), d + 1)
+            want = None if sol is None else coset_intersect(coset, LatticeCoset(
+                Lattice.from_generators(d, [u[:d] for u in sol[1]]),
+                sol[0][:d]))
             assert cell(r) == want, (coset, coeffs, m, r)
             if want is not None:
                 reached.add(r % m)
