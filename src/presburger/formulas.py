@@ -406,6 +406,9 @@ def _plan(f, name, term):
             return f
         t = f.term.subst(name, term)
         coeffs, k, m, rs = t.coeffs, t.constant, f.modulus, f.residues
+        if all(a % m == 0 for _, a in coeffs):  # ground at every offset
+            rs = frozenset(rs)  # already reduced to [0, m)
+            return lambda j: TRUE if (k + c * j) % m in rs else FALSE
         return lambda j: congruence(LinearTerm(coeffs, k + c * j), m, rs)
     if isinstance(f, (And, Or)):
         stop, unit, join = ((FALSE, TRUE, conj) if isinstance(f, And)

@@ -10,9 +10,10 @@ vectors b.  Brion runs in two steps.  The first lists the leaf cones of a
 cell: an integer affine map x = shift + M t carries Z^k onto the points
 of the cell's coset in its affine hull, and Brion's vertex-cone
 decomposition runs on the full-dimensional polyhedron in Z^k, its
-tangent cones all read off one double description, each triangulated
-unless simplicial and made half-open towards a generic reference
-vector, so facets are never counted twice.  A piece whose index (|det|
+tangent cones all read off one double description, for a cell of
+to_dnf the one its split tree built, each triangulated unless
+simplicial and made half-open towards a generic reference vector, so
+facets are never counted twice.  A piece whose index (|det|
 of its generators) exceeds LIMIT is split by Barvinok's signed
 decomposition, in the primal half-open form of Koeppe and Verdoolaege,
 into signed half-open cones of smaller index, around a short vector from
@@ -21,8 +22,9 @@ where vertex cones reach index 1331, 64 gave the lowest time of the
 limits 16, 32, 64 and 128 (see README).  Each leaf is an integer record
 set up once: its apex is a vertex ray (x, t) of the double description,
 one fraction-free elimination per simplicial piece gives its adjugate,
-and the images of its generators under the cell's map serve both its
-term and its walk.  The second step, _walk, lists the integer points of
+and the images of its generators under the cell's map, one per distinct
+generator of the cell and none when the map is the identity, serve both
+its term and its walk.  The second step, _walk, lists the integer points of
 a leaf's fundamental parallelepiped under an integer exponent map, in
 integers only: the walk over the coset representatives, a box whose
 sizes come from gcds of minors (_box), runs along one lattice axis at a
@@ -54,6 +56,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache, partial, reduce
 
 from .formulas import record
 from .lattices import (
@@ -63,6 +66,7 @@ from .lattices import (
     lex_positive,
     lll,
     mat_vec,
+    primitive,
     vadd,
     vdot,
     vscale,
@@ -71,11 +75,12 @@ from .lattices import (
 from .polyhedra import (
     Polyhedron,
     _homogenized,
+    dd_cut,
     implicit_equalities,
     triangulate,
     vertex_cones,
 )
-from .semilinear import SemilinearCell, SemilinearSet, to_dnf
+from .semilinear import SemilinearCell, SemilinearSet, _dnf_cells
 
 
 # Simplicial cones of larger index are split by Barvinok's signed
@@ -129,10 +134,6 @@ def rgf(names, terms):
         acc[key] = t
     out = [t for _, t in sorted(acc.items()) if t.coef != 0]
     return RationalGF(tuple(names), tuple(out))
-
-
-def gf_zero(names):
-    return RationalGF(tuple(names), ())
 
 
 def gf_euler(g, i):
@@ -445,12 +446,12 @@ def _gf_of_cone(ray, gens, limit=LIMIT):
     return leaves
 
 
-def _cell_leaves(cell):
+def _cell_leaves(cell, cone=None):
     """The leaves of the GF of polyhedron-intersect-coset, each as (leaf,
     images, mapped, unit): the leaf is _barvinok's integer record in Z^k,
     its points map to the cell by x = shift + sum_j t_j images[j], mapped
-    holds the images of its generators under that map, computed once for
-    both unit and _walk, and unit is the term sign x^shift / prod (1 -
+    holds the images of its generators under that map, each computed once
+    for both unit and _walk, and unit is the term sign x^shift / prod (1 -
     x^m) over the mapped generators m, its lex flips folded into its sign
     and exponent as make_term does.
 
@@ -459,59 +460,67 @@ def _cell_leaves(cell):
     of the polyhedron in z (its equalities plus the implicit ones) is z =
     z0 + W t, t = C z (see affine_lattice).  Brion runs on the
     full-dimensional polyhedron in t (a 0-dimensional one is its single
-    vertex).  One double description of p gives its emptiness, implicit
-    equalities and vertex cones, which C maps into t: each edge, and each
-    vertex ray (x, s) to (C x, s), its primitive ray in t, the apex of
-    every leaf at it.
-    """
-    basis, rep = cell.coset.lattice.basis, cell.coset.rep
-    d = len(rep)
+    vertex).  One double description of the polyhedron's homogenized cone
+    in x, reduce(dd_cut, *cone) as to_dnf hands it over or else its own,
+    gives its emptiness, implicit equalities and vertex cones.  Its rays
+    (x, s) map to the primitive (adj(B) (x - s rep), det(B) s) in z, masks
+    kept, and C maps each edge, and each vertex ray (z, s) to (C z, s),
+    its primitive ray in t, the apex of every leaf at it; a map that is
+    the identity is skipped."""
+    p, (lattice, rep) = cell.polyhedron, cell.coset
+    lines, rays, k = dd = reduce(dd_cut, *cone) if cone else _homogenized(p)
 
     def in_z(a, b):
-        return tuple(vdot(a, v) for v in basis), b - vdot(a, rep)
+        return tuple(vdot(a, v) for v in lattice.basis), b - vdot(a, rep)
 
-    p = Polyhedron.of(d, [in_z(a, b) for a, b in cell.polyhedron.ineqs],
-                      [in_z(a, b) for a, b in cell.polyhedron.eqs])
-    dd = _homogenized(p)
     # an empty p makes every row an equality, which affine_lattice refutes
-    eq_rows = sorted(set(p.eqs) | set(implicit_equalities(p, dd)))
+    eq_rows = sorted({in_z(a, b)
+                      for a, b in p.eqs + tuple(implicit_equalities(p, dd))})
     hull = affine_lattice(tuple(a for a, _ in eq_rows),
-                          tuple(b for _, b in eq_rows), d)
+                          tuple(b for _, b in eq_rows), len(rep))
     if hull is None:
         return []
     z0, kernel, C = hull
-    B = cell.coset.lattice.basis_matrix()
+    B, full = lattice.basis_matrix(), lattice.index() == 1
+    if not full:
+        adj, det = int_inverse(B)
+        dd = lines, [(primitive([*mat_vec(adj, [c - r[-1] * q for c, q in zip(
+            r, rep)]), det * r[-1]]), mask) for r, mask in rays], k
+    cones = vertex_cones(p, dd)
+    if eq_rows:
+        cones = sorted(((*mat_vec(C, ray[:-1]), ray[-1]), tuple(
+            sorted(mat_vec(C, g) for g in gens))) for ray, gens in cones)
     images = [mat_vec(B, w) for w in kernel]
     shift, rows = vadd(rep, mat_vec(B, z0)), tuple(zip(*images))
-    out = []
-    for ray, gens in sorted(((*mat_vec(C, ray[:-1]), ray[-1]), tuple(
-            sorted(mat_vec(C, g) for g in gens)))
-            for ray, gens in vertex_cones(p, dd)):
-        for leaf in _gf_of_cone(ray, gens):
-            mapped = [tuple([sum(map(operator.mul, row, g)) for row in rows])
-                      for g in leaf[1]]
-            out.append((leaf, images, mapped, make_term(leaf[5], shift,
-                                                        mapped)))
-    return out
+    # each generator is mapped once: Barvinok siblings share most of them
+    image = tuple if full and not eq_rows else cache(partial(mat_vec, rows))
+    return [(leaf, images, mapped, make_term(leaf[5], shift, mapped))
+            for ray, gens in cones for leaf in _gf_of_cone(ray, gens)
+            for mapped in [list(map(image, leaf[1]))]]
 
 
-def gf_of_cell(names, cell):
+def gf_of_cell(names, cell, cone=None):
     """GF of the integer points of polyhedron-intersect-coset: each leaf
     of _cell_leaves walked straight to the exponents of names."""
-    return rgf(names, [GFTerm(unit.coef, pt, unit.denom)
-                       for leaf, images, mapped, unit in _cell_leaves(cell)
+    return rgf(names, [GFTerm(unit.coef, pt, unit.denom) for leaf, images,
+                       mapped, unit in _cell_leaves(cell, cone)
                        for pt in _walk(leaf, images, mapped, unit.numer)])
 
 
+def _gf_of_cells(names, cells, cones):
+    """The GF of disjoint cells, each with its cone (see _cell_leaves)."""
+    if len(cells) == 1:  # gf_of_cell's result is already coalesced
+        return gf_of_cell(names, cells[0], cones[0])
+    return rgf(names, [t for c, cone in zip(cells, cones)
+                       for t in gf_of_cell(names, c, cone).terms])
+
+
 def gf_of_semilinear(s):
-    if len(s.cells) == 1:  # gf_of_cell's result is already coalesced
-        return gf_of_cell(s.names, s.cells[0])
-    return rgf(s.names, [t for cell in s.cells
-                         for t in gf_of_cell(s.names, cell).terms])
+    return _gf_of_cells(s.names, s.cells, [None] * len(s.cells))
 
 
 def gf_of_formula(f, names=None):
-    return gf_of_semilinear(to_dnf(f, names))
+    return _gf_of_cells(*_dnf_cells(f, names))
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +652,14 @@ def _specialize(names, positions, leaves):
                 *map(v.__getitem__, keep))
 
     groups = {}  # denom -> coef -> folded points, walked straight there
+    cell_images = None  # the leaves of a cell share its images
     for leaf, images, mapped, unit in leaves:
+        if images is not cell_images:
+            cell_images, folded = images, list(map(fold, images))
         groups.setdefault(unit.denom, {}).setdefault(unit.coef, []).extend(
-            _walk(leaf, list(map(fold, images)), list(map(fold, mapped)),
-                  fold(unit.numer)))
+            _walk(leaf, folded, list(map(fold, mapped)), fold(unit.numer)))
     head, rest = operator.itemgetter(0), operator.itemgetter(slice(1, None))
-    acc, poles = {}, {}  # order (<= 0) -> list of GFTerms; (m, k) -> series
+    acc, poles = {}, {}  # (order, numer, denom) -> [(c, q)]; (m, k) -> series
     for denom, parts in groups.items():
         k = sum(1 for b in denom if not any(b[i] for i in keep))
         sums = {}  # (remaining exponent, coef) -> binomial sums
@@ -697,16 +708,20 @@ def _specialize(names, positions, leaves):
                     if row[n]:
                         key = (order + n - k, unit.numer, unit.denom)
                         out[key] = out.get(key, 0) + cu * row[n]
-        for (order, numer, dens), c in out.items():
-            acc.setdefault(order, []).append(
-                GFTerm(Fraction(c, den * lp), numer, dens))
+        for key, c in out.items():
+            acc.setdefault(key, []).append((c, den * lp))
 
-    acc = {order: rgf(names_r, terms) for order, terms in acc.items()}
-    for order in sorted(acc):
-        if order < 0 and not gf_is_zero(acc[order]):
+    orders = {}  # order (<= 0) -> its nonzero terms, sum c / q over one lcm
+    for (order, numer, dens), parts in sorted(acc.items()):
+        q = math.lcm(*(q for _, q in parts))
+        if c := sum(c * (q // qc) for c, qc in parts):
+            orders.setdefault(order, []).append(
+                GFTerm(Fraction(c, q), numer, dens))
+    for order, terms in orders.items():
+        if order < 0 and not gf_is_zero(RationalGF(names_r, terms)):
             raise DivergentSpecialization(
                 f"pole of order {-order} does not cancel at 1")
-    return acc.get(0, gf_zero(names_r))
+    return RationalGF(names_r, tuple(orders.get(0, ())))
 
 
 def specialize_ones(g, positions):
@@ -775,5 +790,6 @@ def counting_gf(f, count_names, param_names):
     Raises DivergentSpecialization if some parameter value admits
     infinitely many counted tuples.
     """
-    names = tuple(count_names) + tuple(param_names)
-    return specialized_gf(to_dnf(f, names), range(len(count_names)))
+    names, cells, cones = _dnf_cells(f, (*count_names, *param_names))
+    return _specialize(names, range(len(count_names)), [
+        leaf for cell in zip(cells, cones) for leaf in _cell_leaves(*cell)])

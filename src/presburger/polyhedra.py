@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import and_, mul
+from operator import mul
 
 from .formulas import record
 from .lattices import int_rref, primitive, rat_nullspace, vdot, vneg
@@ -189,13 +189,13 @@ def is_feasible(p):
 
 
 def implicit_equalities(p, dd=None):
-    """Inequality rows that hold with equality everywhere on p, the bits
-    set in every mask of dd = _homogenized(p); every row when p is empty."""
-    rays = (dd or _homogenized(p))[1]
-    if not any(r[-1] for r, _ in rays):
+    """Inequality rows that hold with equality everywhere on p, those tight
+    on every ray of dd (p's homogenized cone); every row when p is empty."""
+    rays = [r for r, _ in (dd or _homogenized(p))[1]]
+    if not any(r[-1] for r in rays):
         return list(p.ineqs)
-    tight = reduce(and_, (mask for _, mask in rays)) >> 2 * len(p.eqs)
-    return [row for i, row in enumerate(p.ineqs) if tight >> i & 1]
+    return [(a, b) for a, b in p.ineqs
+            if all(sum(map(mul, a, r)) == b * r[-1] for r in rays)]
 
 
 def has_interior(p):

@@ -16,7 +16,8 @@ other residues, gives m - 1 cells.  Distinct branches disagree on some
 split, so the produced cells are disjoint by construction.  A branch is
 tested against the double description of its parent's homogenized cone
 (polyhedra.dd_feasible), an equality by both half-spaces as the parent is
-convex, and only a branch that splits further is cut by its rows.
+convex, and only a branch that splits further is cut by its rows: a cell
+keeps its parent's description and rows (_dnf_cells) for Brion to cut.
 """
 
 from __future__ import annotations
@@ -130,6 +131,13 @@ def _fold(h, key):
 
 def to_dnf(f, names=None):
     """Decompose the solution set of f over N^names into disjoint cells."""
+    names, cells, _ = _dnf_cells(f, names)
+    return SemilinearSet(names, tuple(cells))
+
+
+def _dnf_cells(f, names):
+    """to_dnf as (names, cells, cones): reduce(dd_cut, *cone) is the double
+    description of the homogenized cone of each cell's polyhedron."""
     if names is None:
         names = tuple(sorted(free_vars(f)))
     else:
@@ -156,7 +164,7 @@ def to_dnf(f, names=None):
     cmps.sort(key=lambda a: a.op != "=")
     order = sorted(groups.items()) + [(None, [a]) for a in cmps]
     rank = {a: i for i, (_, atoms) in enumerate(order) for a in atoms}
-    cells = []
+    cells, cones = [], []
     polys = {}  # (ineqs, eqs) -> Polyhedron; residue branches share rows
 
     def eqs_solvable_on_coset(poly, coset):
@@ -170,8 +178,8 @@ def to_dnf(f, names=None):
         rhs = vsub(tuple(b for _, b in poly.eqs), mat_vec(rows, coset.rep))
         return solve_int(M, rhs) is not None
 
-    def split(h, ineqs, eqs, coset, dd):
-        # h: g with this branch's decided atoms folded away; dd: its cone
+    def split(h, ineqs, eqs, coset, cone):
+        # h: g, its decided atoms folded away; its cone: reduce(dd_cut, *cone)
         if h is FALSE:
             return
         if h is TRUE:
@@ -181,7 +189,9 @@ def to_dnf(f, names=None):
                 poly = polys[rows] = Polyhedron.of(d, ineqs + orthant, eqs)
             if eqs_solvable_on_coset(poly, coset):
                 cells.append(SemilinearCell(poly, coset))
+                cones.append(cone)
             return
+        dd = reduce(dd_cut, *cone)
         key, atoms = order[min(map(rank.__getitem__, atoms_of(h)))]
         if key is None:
             atom = atoms[0]
@@ -199,7 +209,7 @@ def to_dnf(f, names=None):
                 if branch is not FALSE and all(
                         dd_feasible(dd, row) for row in rows):
                     split(branch, ineqs + add_ineq, eqs + add_eq, coset,
-                          dd if branch is TRUE else reduce(dd_cut, rows, dd))
+                          (rows, dd))
             return
         coeffs, modulus = key
         term = atoms[0].term
@@ -214,15 +224,16 @@ def to_dnf(f, names=None):
         else:
             check_modulus(modulus // step, "splitting a cell by a congruence")
             residues = range(r0 % step, modulus, step)
+        cone = (), dd  # shared by the residue branches
         for r in residues:
             branch = named.get(r, base)
             refined = None if branch is FALSE else cell(r)
             if refined is not None:
-                split(branch, ineqs, eqs, refined, dd)
+                split(branch, ineqs, eqs, refined, cone)
 
     space = dd_space(d + 1)  # cut by the unit rows to {x >= 0, t >= 0}
-    split(g, [], [], full_coset(d), reduce(dd_cut, space[0], space))
-    return SemilinearSet(names, tuple(cells))
+    split(g, [], [], full_coset(d), (space[0], space))
+    return names, cells, cones
 
 
 def formula_from_semilinear(s):

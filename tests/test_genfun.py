@@ -64,11 +64,12 @@ from presburger.genfun import (
 )
 from presburger.lattices import (Lattice, LatticeCoset, full_coset, hnf,
                                  int_inverse, lex_positive, lll)
-from presburger.polyhedra import (Cone, Polyhedron, tangent_cone,
-                                  triangulate, vertices)
+from presburger.polyhedra import (Cone, Polyhedron, implicit_equalities,
+                                  tangent_cone, triangulate, vertices)
 from presburger import is_zero_univariate
 from presburger.quasipoly import vpf_gf
-from presburger.semilinear import SemilinearCell, SemilinearSet, to_dnf
+from presburger.semilinear import (SemilinearCell, SemilinearSet, _dnf_cells,
+                                   to_dnf)
 
 
 def box(d, hi):
@@ -610,18 +611,52 @@ def test_cell_leaves_match_the_hull_reference():
         tally["empty"] += not got
         tally["coset"] += bool(trial % 2 and got)
     assert min(tally.values()) >= 20, tally
+    # the same records from the double description of each cell's branch
+    # in to_dnf, cut by the rows still pending there
+    tally = dict.fromkeys(tally, 0)
+    for trial in range(240):
+        names = ("x", "y", "z")[:1 + trial % 3]
+        bound = rng.randint(1, 4)
+        parts = [cmp_ge(LinearTerm.of({n: -1}, bound)) for n in names]
+        term = LinearTerm.of({n: rng.randint(-2, 2) for n in names},
+                             rng.randint(-3, 3))
+        kind = trial // 3 % 4
+        if kind == 0:
+            parts.append(cmp_eq(term))
+        elif kind == 1:  # two inequalities that pin term, implicitly
+            parts.append(conj([cmp_ge(term), cmp_ge(-term)]))
+        elif kind == 2:
+            parts.append(disj([cmp_ge(term), cmp_ge(-term)]))
+        if trial % 2:  # on term itself, a pin of term may miss the coset
+            m = rng.randint(2, 4)
+            coeffs = dict(term.coeffs) if kind == 1 else {
+                n: rng.randint(0, 3) for n in names}
+            parts.append(congruence(LinearTerm.of(coeffs), m, rng.sample(
+                range(m), rng.randint(1, m - 1))))
+        _, cells, cones = _dnf_cells(conj(parts), names)
+        for cell, cone in zip(cells, cones):
+            got = _cell_leaves(cell, cone)
+            assert got == reference_cell_leaves(cell), (parts, cell)
+            tally["explicit"] += bool(cell.polyhedron.eqs and got)
+            tally["implicit"] += bool(
+                implicit_equalities(cell.polyhedron) and got)
+            tally["empty"] += not got
+            tally["coset"] += bool(cell.coset.lattice.index() > 1 and got)
+    assert min(tally.values()) >= 20, tally
 
 
 def test_cell_leaves_run_one_double_description(monkeypatch):
     """A cell's Brion input comes from one double description of its
     polyhedron, equalities or not, and its affine hull from at most one
     HNF, none without equalities: no vertex runs a description of its own,
-    and a simplex's vertex cones skip triangulation."""
+    and a simplex's vertex cones skip triangulation.  A hand-built cell
+    runs its own description; a cell of to_dnf, from gf_of_formula or
+    counting_gf, runs none, as it brings the one of its branch."""
     import presburger.genfun as genfun
     import presburger.lattices as lattices
     import presburger.polyhedra as polyhedra
 
-    sizes, cells, hnf_calls, hnfs = [], [], [], []
+    sizes, cells, hnf_calls, hnfs, runs = [], [], [], [], []
     dd, hnf_core, cell_leaves = (polyhedra._dd, lattices._hnf_core,
                                  genfun._cell_leaves)
 
@@ -633,11 +668,13 @@ def test_cell_leaves_run_one_double_description(monkeypatch):
         hnf_calls.append(args)
         return hnf_core(*args)
 
-    def counted_cell(cell):  # hnfs: the _hnf_core calls inside each cell
+    def counted_cell(cell, cone=None):
+        # hnfs and runs: the _hnf_core and _dd calls inside each cell
         cells.append(cell)
-        before = len(hnf_calls)
-        out = cell_leaves(cell)
+        before, before_dd = len(hnf_calls), len(sizes)
+        out = cell_leaves(cell, cone)
         hnfs.append(len(hnf_calls) - before)
+        runs.append(len(sizes) - before_dd)
         return out
 
     def per_vertex(*args):
@@ -657,18 +694,36 @@ def test_cell_leaves_run_one_double_description(monkeypatch):
     for p, want, want_hnfs in [(knapsack, [4], [0]), (segment, [3], [1])]:
         sizes.clear()
         hnfs.clear()
+        runs.clear()
         g = gf_of_cell(names[:p.dim], SemilinearCell(p, full_coset(p.dim)))
-        assert sizes == want and hnfs == want_hnfs
+        assert sizes == want and hnfs == want_hnfs and runs == [1]
         assert series_coeffs(g, 12) == {
             x: 1 for x in box(p.dim, 12) if p.contains(x)}
     monkeypatch.setattr(genfun, "triangulate", triangulate)
+    # cells of to_dnf: a split knapsack, equalities, congruence cosets
+    for text in ["5*x + 7*y + 9*z <= 60 & (x >= 2 | y + z <= 3)",
+                 "x + y + z = 6 & x % 3 = 1 | 2*x + y <= 5 & y % 2 = 0"]:
+        f = parse(text)
+        cells.clear()
+        runs.clear()
+        g = gf_of_formula(f, names)
+        assert len(cells) >= 2 and runs == [0] * len(cells)
+        assert series_coeffs(g, 8) == indicator(f, names, 8)
+        runs.clear()
+        h = counting_gf(f, names[:2], names[2:])
+        assert runs and runs == [0] * len(runs)
+        assert series_coeffs(h, 8) == {
+            (z,): n for z in range(9) if (n := sum(
+                eval_ground(f, {"x": x, "y": y, "z": z})
+                for x, y in box(2, 12)))}
     sizes.clear()
     cells.clear()
     hnfs.clear()
+    runs.clear()
     f = rgf(("x",), [make_term(1, (0,), ((1,), (2,)))])
     g = rgf(("x",), [make_term(1, (1,), ((2,), (3,)))])
     h = hadamard(f, g)  # every cell has the equalities e = a + B lam
-    assert len(cells) == 1 and sizes == [6] and hnfs == [1]
+    assert len(cells) == 1 and sizes == [6] and hnfs == [1] and runs == [1]
     tf, tg = series_coeffs(f, 30), series_coeffs(g, 30)
     assert series_coeffs(h, 30) == {
         e: tf[e] * tg[e] for e in tf if e in tg}

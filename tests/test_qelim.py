@@ -420,6 +420,56 @@ def test_substitution_plan_is_substitute_at_each_offset():
         substitute(f, "x", LinearTerm.of({"p": 1}, 2))
 
 
+def test_ground_congruences_fold_at_each_offset():
+    """A congruence that the substitution makes ground, its coefficients
+    all 0 mod m, folds to TRUE or FALSE at each offset by its residue test
+    alone, and the plan stays substitute at each offset around it."""
+    rng = random.Random(3737)
+    seen = dict.fromkeys(["one", "several", "negative"], 0)
+    for _ in range(150):
+        m = rng.randint(2, 50)
+        c, s, k = rng.randint(1, m - 1), rng.randint(-3, 3), rng.randint(
+            -3 * m, 3 * m)
+        rs = rng.sample(range(m), rng.choice([1, rng.randint(1, m - 1)]))
+        # x = s p + b0 + j makes c x + a p + k ground mod m, a = -c s
+        atom = congruence(LinearTerm.of({"x": c, "p": -c * s}, k), m, rs)
+        b0 = rng.randint(-2 * m, 2 * m)
+        b = LinearTerm.of({"p": s}, b0)
+        f = rng.choice([conj, disj])([atom, _random_qf(rng, ["x", "p"], 2)])
+        atom_plan, plan = (substitution_plan(g, "x", b) for g in (atom, f))
+        for j in range(3 * m):
+            want = TRUE if (c * (b0 + j) + k) % m in rs else FALSE
+            assert atom_plan(j) is want, (format_formula(atom), b, j)
+            assert plan(j) == substitute(f, "x", b + LinearTerm.const(j)), \
+                (format_formula(f), b, j)
+        seen["one" if len(rs) == 1 else "several"] += 1
+        seen["negative"] += k < 0 or b0 < 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_frobenius_offsets_test_ground_congruences_alone(monkeypatch):
+    """Deciding the 211/223 Frobenius sentence at its Frobenius number F
+    and at F - 1 builds no residue set per offset: Cooper walks tens of
+    thousands of offsets, and formulas.congruence runs fewer times than
+    the two generators sum to."""
+    import presburger.formulas as formulas
+
+    calls, congruence_of = [], formulas.congruence
+
+    def counted(*args):
+        calls.append(args)
+        return congruence_of(*args)
+
+    monkeypatch.setattr(formulas, "congruence", counted)
+    a, b = 211, 223
+    frobenius = a * b - a - b
+    for g, want in [(frobenius, True), (frobenius - 1, False)]:
+        calls.clear()
+        f = parse(f"A x. (x <= {g} | E y. E z. x = {a}*y + {b}*z)")
+        assert decide(f) is want
+        assert len(calls) < a + b, len(calls)
+
+
 CRT = "E x. x % 7 = 1 & x % 9 = 2 & x % 11 = 3 & x % 8 = 5 & x >= y"
 
 
