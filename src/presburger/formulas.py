@@ -398,6 +398,10 @@ def _plan(f, name, term):
             return _simplify_atom(f)
         t = f.term.subst(name, term)
         coeffs, k = t.coeffs, t.constant
+        if not coeffs:  # ground at every offset
+            if f.op == ">=":
+                return lambda j: TRUE if k + c * j >= 0 else FALSE
+            return lambda j: TRUE if k + c * j == 0 else FALSE
         make = cmp_ge if f.op == ">=" else cmp_eq
         return lambda j: _simplify_atom(make(LinearTerm(coeffs, k + c * j)))
     if isinstance(f, Congruence):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import mul
+from operator import and_, mul
 
 from .formulas import record
 from .lattices import int_rref, primitive, rat_nullspace, vdot, vneg
@@ -190,12 +190,15 @@ def is_feasible(p):
 
 def implicit_equalities(p, dd=None):
     """Inequality rows that hold with equality everywhere on p, those tight
-    on every ray of dd (p's homogenized cone); every row when p is empty."""
-    rays = [r for r, _ in (dd or _homogenized(p))[1]]
-    if not any(r[-1] for r in rays):
+    on every ray of dd (p's homogenized cone); every row when p is empty,
+    none when the AND of dd's exact masks, which cover p's rows, is 0."""
+    rays = (dd or _homogenized(p))[1]
+    if not any(r[-1] for r, _ in rays):
         return list(p.ineqs)
+    if not reduce(and_, (m for _, m in rays)):
+        return []
     return [(a, b) for a, b in p.ineqs
-            if all(sum(map(mul, a, r)) == b * r[-1] for r in rays)]
+            if all(sum(map(mul, a, r)) == b * r[-1] for r, _ in rays)]
 
 
 def has_interior(p):

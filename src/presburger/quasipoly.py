@@ -22,7 +22,8 @@ checks a quasi-polynomial.  Each coset brings one more layer of samples,
 of total degree D + 1, whose Newton differences must vanish, else
 RuntimeError.  Synthesis needs no kernel: it takes the forward
 differences of each residue class q(m t + r) in t straight from q's
-values, with m the period of q.
+values, with m the period of q.  rgf_to_pqp trims initial values on the
+integer series row, and qp_to_step shares one floor per residue offset.
 """
 
 from __future__ import annotations
@@ -275,12 +276,11 @@ def _interval_of(cell):
 
 def _reduce_period(q):
     """Smallest divisor period with identical constituent pattern."""
-    m = q.lattice.basis[0][0]
-    m2 = next(d for d in range(1, m + 1) if m % d == 0 and all(
-        q.constituents[(r,)] == q.constituents[(r % d,)] for r in range(m)))
+    m, cons = q.lattice.basis[0][0], q.constituents
+    m2 = next((d for d in range(1, m) if m % d == 0 and all(
+        cons[(r,)] == cons[(r % d,)] for r in range(d, m))), m)
     return q if m2 == m else QuasiPolynomial(
-        1, Lattice(1, ((m2,),)), {(r,): q.constituents[(r,)]
-                                  for r in range(m2)})
+        1, Lattice(1, ((m2,),)), {(r,): cons[(r,)] for r in range(m2)})
 
 
 def eventual_form(g):
@@ -352,7 +352,9 @@ def rgf_to_pqp(f):
     each checked on one more sample.  The series must vanish at negative
     exponents: with -k the lowest numerator exponent, x^k f is read on
     [0, k - 1], and ValueError is raised if any of those coefficients is
-    nonzero.  The parameter is named as f's variable.
+    nonzero.  Initial values that q gives are trimmed on the integer row:
+    q(p) = row[p] / den iff the row's (degree + 1)-th difference at step
+    period vanishes from p.  The parameter is named as f's variable.
     """
     if f.dim != 1:
         raise ValueError("rgf_to_pqp is univariate only")
@@ -374,6 +376,9 @@ def rgf_to_pqp(f):
         for p0 in (T + (r - T) % period for r in range(period))], den)
     q = QuasiPolynomial(1, Lattice(1, ((period,),)),
                         {(r,): poly for r, poly in enumerate(polys)})
+    binom = [(-1) ** j * math.comb(degree + 1, j) for j in range(degree + 2)]
+    while T and not sum(map(mul, binom, row[T - 1::period])):
+        T -= 1
     return eventual_pqp(f.names, [Fraction(c, den) for c in row[:T]], q)
 
 
@@ -584,13 +589,13 @@ def qp_to_step(q):
             acc[-r, e] = acc.get((-r, e), 0) + c
             if m > 1:
                 acc[-r - 1, e] = acc.get((-r - 1, e), 0) - c
-    one = ((Fraction(1),), Fraction(0))
-    terms = []
-    for (neg, e), c in sorted(acc.items()):
-        if c:
-            floor = (((Fraction(1, m),), Fraction(neg, m)),) if m > 1 else ()
-            terms.append((Fraction(c, L), floor + (one,) * e))
-    return StepPolynomial(1, tuple(terms))
+    one, step = ((Fraction(1),), Fraction(0)), (Fraction(1, m),)
+    floors = {neg: ((step, Fraction(neg, m)),) if m > 1 else ()
+              for neg in range(-m, 1)}
+    coefs = {c: Fraction(c, L) for c in set(acc.values())}
+    return StepPolynomial(1, tuple(
+        (coefs[c], floors[neg] + (one,) * e)
+        for (neg, e), c in sorted(acc.items()) if c))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ Documents are compact canonical JSON, json.dumps(obj, sort_keys=True,
 separators=(",", ":")) with sorted monomials, so round trips are bit-exact
 and repeated runs byte-identical.  Plain values go whole through json's C
 encoder.  GF, cell, pqp and step documents are written from one-line
-per-item templates, each distinct denominator, polyhedron, lattice basis
-and exponent vector once per document; gf_to_obj, semilinear_to_obj,
-pqp_to_obj and step_to_obj are the reference forms they are tested
-against.  The readers take JSON integers only where integers belong,
+per-item templates, each distinct denominator, polyhedron, lattice basis,
+exponent vector and shared Fraction once per document, and are tested
+against the reference forms gf_to_obj, semilinear_to_obj, pqp_to_obj and
+step_to_obj.  The readers take JSON integers only where integers belong,
 "num/den" strings with a nonzero denominator where rationals belong and
 distinct formula NAMEs but E and A as names (a pqp without names gets p
 or p1, ..., pn); anything else raises KeyError, TypeError or ValueError.
@@ -57,11 +57,13 @@ def dumps(obj):
     return _encode(obj)
 
 
-def _once(cache, key, write=_encode):
-    """write(key), rendered once per document through cache."""
+def _once(cache, obj, write=_encode, key=None):
+    """write(obj), once per document in cache under key, else obj; id(obj)
+    hashes faster than a Fraction and names obj while the document holds it."""
+    key = obj if key is None else key
     text = cache.get(key)
     if text is None:
-        text = cache[key] = write(key)
+        text = cache[key] = write(obj)
     return text
 
 
@@ -170,7 +172,7 @@ def _poly_to_obj(poly):
 
 
 def _rep_key(rep):
-    return ",".join(str(int(c)) for c in rep)
+    return ",".join(map(str, rep))
 
 
 def pqp_to_obj(g):
@@ -188,11 +190,12 @@ def pqp_to_obj(g):
 
 def _pqp_text(g):
     """dumps(pqp_to_obj(g)); constituent keys sort as strings."""
-    polys, lattices, exps = {}, {}, {}
+    polys, lattices, exps, coefs = {}, {}, {}, {}
     pieces = []
     for cell, q in g.pieces:
         cons = ",".join('"%s":[%s]' % (key, ",".join(
-            '{"coef":"%s","exps":%s}' % (frac_str(c), _once(exps, e))
+            '{"coef":"%s","exps":%s}' % (_once(coefs, c, frac_str, id(c)),
+                                         _once(exps, e))
             for e, c in sorted(poly.items())))
             for key, poly in sorted((_rep_key(rep), poly)
                                     for rep, poly in q.constituents.items()))
@@ -241,11 +244,16 @@ def step_to_obj(s):
 
 
 def _step_text(s):
-    """dumps(step_to_obj(s))."""
-    factor = '{"coeffs":[%s],"const":"%s"}'
-    terms = ",".join('{"coef":"%s","factors":[%s]}' % (frac_str(c), ",".join(
-        factor % (",".join('"%s"' % frac_str(a) for a in coeffs), frac_str(b))
-        for coeffs, b in factors)) for c, factors in s.terms)
+    """dumps(step_to_obj(s)), each shared coefficient and factor once."""
+    coefs, factors = {}, {}
+
+    def factor(f):
+        return '{"coeffs":[%s],"const":"%s"}' % (",".join(
+            '"%s"' % frac_str(a) for a in f[0]), frac_str(f[1]))
+    terms = ",".join('{"coef":"%s","factors":[%s]}' % (
+        _once(coefs, c, frac_str, id(c)),
+        ",".join(_once(factors, f, factor, id(f)) for f in fs))
+        for c, fs in s.terms)
     return '{"n":%d,"terms":[%s]}' % (s.n, terms)
 
 

@@ -486,6 +486,14 @@ GOLDEN = [  # stdout pinned byte for byte by its sha256
      "71e7cee2a2c1069daba8933ea6a7f065213da0a84e70ba201a138ce2feda2cc7"),
     (KNAPSACK + ("--as", "step"),
      "7099abfc3b6deae4da9f5a349803f427610fb208c2ee972acf97bc1826180250"),
+    # period 168: the step document shares its floors and coefficients
+    (("count", "8*x + 7*y + 3*z <= p", "--count-vars", "x,y,z",
+      "--param-vars", "p", "--as", "step"),
+     "21844f67d061dbdbb547f132d9546936c0c5c40701cffa48f0e36848fe32d577"),
+    # the series row trims 10 of its 15 initial values, as q agrees there
+    (("count", "x + 3*y <= p & x % 3 = 2 & x + y >= 4", "--count-vars",
+      "x,y", "--param-vars", "p", "--as", "qp"),
+     "c6512fa1317de2ed22520cffefafa5d5c4810683303d1cbeae5b9bf1e9bfa978"),
     (("vpf", "1,0;0,1;1,1;1,2", "--as", "qp"),
      "bceab6646ee0e9ea04ffb26475b557aa1f04b9cc828e0285da663d79d15c3718"),
     (("vpf", "2;3;5;7", "--as", "qp"),

@@ -8,6 +8,14 @@ from functools import reduce
 import pytest
 
 from oracles import rat_rank, rays_oracle, vertices_oracle
+from presburger.formulas import (
+    LinearTerm,
+    cmp_eq,
+    cmp_ge,
+    congruence,
+    conj,
+    disj,
+)
 from presburger.lattices import vadd, vdot, vneg, vsub
 from presburger.polyhedra import (
     Cone,
@@ -25,6 +33,17 @@ from presburger.polyhedra import (
     vertex_cones,
     vertices,
 )
+from presburger.semilinear import _dnf_cells
+
+
+def implicit_by_dot_products(p, dd):
+    """implicit_equalities(p, dd) without the mask test: every inequality
+    row against every ray of dd."""
+    rays = [r for r, _ in dd[1]]
+    if not any(r[-1] for r in rays):
+        return list(p.ineqs)
+    return [(a, b) for a, b in p.ineqs
+            if all(vdot(a, r[:-1]) == b * r[-1] for r in rays)]
 
 
 def square():
@@ -274,6 +293,60 @@ def check_against_oracles(p):
     full = bool(points) and not p.eqs and rat_rank(spread) == d
     assert has_interior(p) == full, p
     return kind
+
+
+def test_implicit_equalities_of_a_handed_over_description():
+    """With the double description to_dnf hands over for each cell, and
+    with one of a hand-built polyhedron's homogenized rows cut in shuffled
+    order, the mask test gives the rows each row-by-ray dot product gives,
+    and those of the polyhedron's own description."""
+    rng = random.Random(5151)
+    tally = dict.fromkeys(["explicit", "implicit", "none", "empty"], 0)
+    for trial in range(160):
+        names = ("x", "y", "z")[:1 + trial % 3]
+        parts = [cmp_ge(LinearTerm.of({n: -1}, rng.randint(1, 4)))
+                 for n in names]
+        term = LinearTerm.of({n: rng.randint(-2, 2) for n in names},
+                             rng.randint(-3, 3))
+        kind = trial // 3 % 4
+        if kind == 0:
+            parts.append(cmp_eq(term))
+        elif kind == 1:  # two inequalities that pin term, implicitly
+            parts.append(conj([cmp_ge(term), cmp_ge(-term)]))
+        elif kind == 2:
+            parts.append(disj([cmp_ge(term), cmp_ge(-term)]))
+        if trial % 2:
+            m = rng.randint(2, 4)
+            parts.append(congruence(LinearTerm.of(
+                {n: rng.randint(0, 3) for n in names}), m,
+                rng.sample(range(m), rng.randint(1, m - 1))))
+        _, cells, cones = _dnf_cells(conj(parts), names)
+        for cell, cone in zip(cells, cones):
+            p, dd = cell.polyhedron, reduce(dd_cut, *cone)
+            got = implicit_equalities(p, dd)
+            assert got == implicit_by_dot_products(p, dd), (parts, p)
+            assert got == implicit_equalities(p), (parts, p)
+            tally["explicit"] += bool(p.eqs)
+            tally["implicit"] += bool(got)
+            tally["none"] += not got
+    for _ in range(160):
+        d = rng.randint(1, 3)
+        rows = [(tuple(rng.randint(-2, 2) for _ in range(d)),
+                 rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.4:  # a pinned row, or one cut off: empty
+            a, b = rows[0]
+            rows.append((vneg(a), -b - rng.choice([0, 1])))
+        eqs = rows[-1:] if rng.random() < 0.2 else []
+        p = Polyhedron.of(d, rows, eqs)
+        hom = [(*a, -b) for a, b in p.ineqs + p.eqs] + [
+            (*vneg(a), b) for a, b in p.eqs] + [(0,) * d + (1,)]
+        rng.shuffle(hom)
+        dd = reduce(dd_cut, hom, dd_space(d + 1))
+        got = implicit_equalities(p, dd)
+        assert got == implicit_by_dot_products(p, dd), p
+        assert got == implicit_equalities(p), p
+        tally["empty"] += not is_feasible(p)
+    assert min(tally.values()) >= 20, tally
 
 
 def test_double_description_against_subset_enumeration():

@@ -447,6 +447,36 @@ def test_ground_congruences_fold_at_each_offset():
     assert min(seen.values()) >= 20, seen
 
 
+def test_ground_comparisons_fold_at_each_offset():
+    """A comparison that the substitution makes ground folds to TRUE or
+    FALSE at each offset by the sign of its constant alone, and the plan
+    stays substitute at each offset around it."""
+    rng = random.Random(3939)
+    seen = dict.fromkeys([">=", "=", "both"], 0)
+    for _ in range(150):
+        m = rng.randint(2, 50)
+        c, s = rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(-3, 3)
+        b0 = rng.randint(-2 * m, 2 * m)
+        # c x + a p + k crosses 0 near x = s p + b0 + t, a = -c s
+        k = -c * (b0 + rng.randint(0, 3 * m)) + rng.choice([0, 0, 1, -1])
+        op, make = rng.choice([(">=", cmp_ge), ("=", cmp_eq)])
+        atom = make(LinearTerm.of({"x": c, "p": -c * s}, k))
+        b = LinearTerm.of({"p": s}, b0)
+        f = rng.choice([conj, disj])([atom, _random_qf(rng, ["x", "p"], 2)])
+        atom_plan, plan = (substitution_plan(g, "x", b) for g in (atom, f))
+        got = set()
+        for j in range(3 * m + 1):
+            v = c * (b0 + j) + k
+            want = TRUE if (v >= 0 if op == ">=" else v == 0) else FALSE
+            assert atom_plan(j) is want, (format_formula(atom), b, j)
+            assert plan(j) == substitute(f, "x", b + LinearTerm.const(j)), \
+                (format_formula(f), b, j)
+            got.add(want)
+        seen[op] += 1
+        seen["both"] += len(got) == 2
+    assert min(seen.values()) >= 40, seen
+
+
 def test_frobenius_offsets_test_ground_congruences_alone(monkeypatch):
     """Deciding the 211/223 Frobenius sentence at its Frobenius number F
     and at F - 1 builds no residue set per offset: Cooper walks tens of

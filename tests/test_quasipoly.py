@@ -245,6 +245,72 @@ def test_rgf_to_pqp_matches_oracle_path(monkeypatch):
     assert len(calls) == len(gfs)
 
 
+def random_trim_gf(rng):
+    """A univariate GF with numerator exponents above 0, so T > 0: terms
+    c x^a / prod(1 - x^e), whose series often agrees with q below T
+    already; a polynomial, or x^a (1 - x^e) / (1 - x^e), so q is zero;
+    or x^a / (1 - x^d) spread over the residues of a period k d, which
+    reduces to d."""
+    kind = rng.choice(["shifted", "zero", "reduces"])
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        c, a = random_frac(rng), rng.randint(1, 9)
+        if kind == "shifted":
+            dens = tuple((rng.choice((1, 2, 3, 4, 6)),)
+                         for _ in range(rng.randint(1, 3)))
+            terms.append(make_term(c, (a,), dens))
+        elif kind == "zero":
+            e = rng.randint(1, 5)
+            terms += [make_term(c, (a,), ((e,),)),
+                      make_term(-c, (a + e,), ((e,),))] if rng.random() < 0.5 \
+                else [make_term(c, (a,), ())]
+        else:
+            d, k = rng.randint(1, 3), rng.randint(2, 3)
+            terms += [make_term(c, (a + r * d,), ((k * d,),))
+                      for r in range(k)]
+    return rgf(("x",), terms)
+
+
+def test_rgf_to_pqp_trims_the_series_row(monkeypatch):
+    """The trim on the integer series row leaves what the Fraction route,
+    eventual_pqp on every value below T, leaves, and hands eventual_pqp
+    nothing more to trim; the pqp is the series on [0, T + 3 period];
+    eventual_form gives back the same initial values and q, trimming
+    nothing more; and the step form of q is q."""
+    handed = []
+
+    def recorded(names, initial, q):
+        handed.append(initial)
+        return eventual_pqp(names, initial, q)
+
+    monkeypatch.setattr(quasipoly, "eventual_pqp", recorded)
+    rng = random.Random(3838)
+    tally = dict.fromkeys(["trimmed", "kept", "zero", "reduced"], 0)
+    for _ in range(150):
+        f = random_trim_gf(rng)
+        T = max([0, *(t.numer[0] + 1 for t in f.terms)])
+        period = math.lcm(*(e for t in f.terms for (e,) in t.denom))
+        g = rgf_to_pqp(f)
+        ray = [(cell.ineqs[0][1], q) for cell, q in g.pieces if not cell.eqs]
+        points = [cell.eqs[0][1] for cell, _ in g.pieces if cell.eqs]
+        lo, q = ray[0] if ray else (max(points, default=-1) + 1, qp_zero(1))
+        series = series_coeffs(f, T + 3 * period)
+        values = [F(series.get((p,), 0)) for p in range(T + 3 * period + 1)]
+        assert g == eventual_pqp(f.names, values[:T], q), f
+        assert [g.eval((p,)) for p in range(len(values))] == values, f
+        assert handed.pop() == values[:lo], f
+        initial, q2 = eventual_form(g)
+        assert initial == tuple(values[:lo]) and q2 == q, f
+        s = qp_to_step(q)
+        for p in range(-2, T + 3 * period):
+            assert step_eval(s, (p,)) == q.eval((p,)), (f, p)
+        tally["trimmed"] += bool(ray) and lo < T
+        tally["kept"] += bool(ray) and lo > 0
+        tally["zero"] += not ray
+        tally["reduced"] += bool(ray) and q.lattice.basis[0][0] < period
+    assert min(tally.values()) >= 15, tally
+
+
 def random_hadamard_gf(rng):
     """The zero GF, an all-polynomial GF, or terms c x^a / prod(1 - x^e)
     with a in [-2, 8], e in [1, 6] and some without a denominator; a term
