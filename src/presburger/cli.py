@@ -390,6 +390,8 @@ def cmd_vpf(args):
     vecs = _parse_vectors(args.vectors)
     try:
         g = vpf_gf(vecs) if args.as_ == "gf" else vpf_pqp(vecs)
+    except ModulusTooLarge:
+        raise
     except ValueError as e:
         raise CliError(SEMANTIC, str(e))
     _emit(args, lambda: g,

@@ -3,10 +3,10 @@ full-rank lattices and lattice cosets.
 
 Vectors are tuples of ints (or Fractions where noted), matrices are tuples
 of rows.  Nothing in this module ever touches floating point.  Adjugates,
-determinants, inverses and rational kernels share one fraction-free
-Gauss-Jordan kernel over the integers.  Lattice bases are kept in a
-canonical column-style Hermite normal form, so lattice and coset equality
-is plain structural equality.
+determinants and inverses share one fraction-free Gauss-Jordan kernel
+over the integers.  Lattice bases are kept in a canonical column-style
+Hermite normal form, so lattice and coset equality is plain structural
+equality.
 """
 
 from __future__ import annotations
@@ -136,25 +136,6 @@ def rat_inv(M):
     if not det:
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(a, det) for a in row) for row in adj)
-
-
-def rat_nullspace(M, n=None):
-    """Basis of the rational kernel of the integer matrix M (rows of
-    length n), as Fraction vectors with a 1 in their own free column."""
-    if n is None:
-        n = len(M[0]) if M else 0
-    rows = [list(row) for row in M]
-    pivots = int_rref(rows, n)
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[r][fc], rows[r][pc])
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Rational polyhedra: one double-description kernel, triangulation.
+"""Rational polyhedra and cone triangulation on one double-description kernel.
 
 A Polyhedron stores inequality rows (a, b) meaning a.x >= b and equality
 rows meaning a.x = b, with integer a and b.  All geometry is exact; points
 come back as Fraction tuples.  Feasibility, implicit equalities, interior,
 vertices and all vertex cones are read off the lines, extreme rays and
 tight-row masks of the homogenized cone {(x, t) : a.x >= b t, t >= 0},
-tangent_cone at any point off the rows tight there.  Vertex and ray
+tangent_cone at any point off the rows tight there, and a cone's
+triangulation off the tight-row masks of its lifted dual.  Vertex and ray
 enumeration require a pointed polyhedron and raise NonPointedError
 otherwise.
 """
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import lcm
 from operator import and_, mul
 
 from .formulas import record
-from .lattices import int_rref, primitive, rat_nullspace, vdot, vneg
+from .lattices import int_rref, primitive, vdot, vneg
 
 
 class NonPointedError(ValueError):
@@ -277,48 +279,34 @@ def tangent_cone(p, v):
 
 
 def triangulate(generators):
-    """Split a set of cone generators into simplicial pieces.
+    """Split the generators of a pointed cone into simplicial pieces: the
+    placing triangulation (De Loera, Rambau and Santos 2010, 4.3), read
+    off one double description.
 
-    Placing construction: generators are sorted, an initial simplex is the
-    first linearly independent subset, and each later generator is joined
-    to the boundary facets it can see.  Generators interior to the hull of
-    the earlier ones are absorbed; generators interior to the final cone
-    but placed early subdivide it.  Pieces are sorted tuples of the given
-    generators, each of full rank; no generators give the one empty
-    piece.
+    Generators are sorted, the initial simplex is the pivot columns of one
+    fraction-free elimination, and every generator gets its integer
+    coordinates c in that basis, |c| <= C.  Lifted to (c, h), with h = 0
+    on the simplex and h = M^k on the k-th later generator, M = 1 +
+    (rC)^(r+1), the pieces are the lower facets of the lifted cone: the
+    generators tight on each ray of its dual cone with positive last
+    entry.  By Cramer and Hadamard, a linear function through r earlier
+    lifted generators is at most r^(r/2+1) C^r M^(k-1) at c, below M^k, so
+    the k-th generator joins exactly the boundary facets of the earlier
+    pieces that it sees strictly, as placing does, and each piece has r
+    independent generators.  Pieces are sorted tuples of the given
+    generators; no generators give the one empty piece.
     """
     gens = sorted(set(tuple(g) for g in generators))
-    if not gens:
-        return [()]  # the cone {0} is its own simplicial piece
-    # one fraction-free elimination with the generators as columns: its
-    # pivot columns are the initial simplex, and every column ends as the
-    # generator's coordinates in that basis, all scaled by the same pivot
+    # generators as columns: row i ends as coordinate i in the basis of
+    # pivot columns, all scaled by the same last pivot
     rows = [list(col) for col in zip(*gens)]
-    basis_idx = int_rref(rows, len(gens))
-    r = len(basis_idx)
-    pieces = [tuple(basis_idx)]
-    rest = [i for i in range(len(gens)) if i not in basis_idx]
-    coords = list(zip(*rows[:r]))
-    for idx in rest:
-        counts = {}
-        owner = {}
-        for piece in pieces:
-            for j in range(len(piece)):
-                facet = piece[:j] + piece[j + 1:]
-                counts[facet] = counts.get(facet, 0) + 1
-                owner[facet] = piece[j]
-        new_pieces = []
-        for facet, cnt in sorted(counts.items()):
-            if cnt != 1:
-                continue
-            ns = rat_nullspace([coords[i] for i in facet], r)
-            # unreachable: each piece is r independent generators, so each
-            # of its facets spans a hyperplane of the coordinate space
-            assert len(ns) == 1
-            n = ns[0]
-            if vdot(n, coords[owner[facet]]) < 0:
-                n = vneg(n)
-            if vdot(n, coords[idx]) < 0:
-                new_pieces.append(tuple(sorted(facet + (idx,))))
-        pieces.extend(new_pieces)
-    return sorted(tuple(gens[i] for i in piece) for piece in pieces)
+    basis = int_rref(rows, len(gens))
+    r = len(basis)
+    if r == len(gens):
+        return [tuple(gens)]  # already simplicial; the cone {0} too
+    M = 1 + (r * max(abs(c) for row in rows[:r] for c in row)) ** (r + 1)
+    h = (M ** k for k in count(1))
+    lifted = [(*c, 0 if i in basis else next(h))
+              for i, c in enumerate(zip(*rows[:r]))]
+    return sorted(tuple(g for i, g in enumerate(gens) if mask >> i & 1)
+                  for y, mask in _dd(lifted, r + 1)[1] if y[-1] > 0)

@@ -288,12 +288,13 @@ def eventual_form(g):
 
     Supports one-point and interval cells plus at most one upward ray;
     initial lists the values below the ray threshold.  An interval of
-    more than MODULUS_LIMIT points raises ModulusTooLarge.
+    more than MODULUS_LIMIT points raises ModulusTooLarge; pieces that
+    share a point raise ValueError naming the least such point.
     """
     if g.n != 1:
         raise ValueError("eventual form is univariate only")
     ray = None
-    points = {}
+    points, shared = {}, []
     for cell, q in g.pieces:
         iv = _interval_of(cell)
         if iv is None:
@@ -306,13 +307,13 @@ def eventual_form(g):
         else:
             check_modulus(hi - lo + 1, "enumerating a bounded piece")
             for p in range(lo, hi + 1):
+                if p in points:
+                    shared.append(p)
                 points[p] = q.eval((p,))
-    if ray is None:
-        T = max(points, default=-1) + 1
-        q = qp_zero(1)
-    else:
-        T, q = ray
-        T = max(T, max((p + 1 for p in points if p >= T), default=0))
+    T, q = ray or (max(points, default=-1) + 1, qp_zero(1))
+    shared += [p for p in points if p >= T]
+    if shared:
+        raise ValueError(f"two pieces hold {g.names[0]} = {min(shared)}")
     initial = [points.get(p, Fraction(0)) for p in range(T)]
     while initial and q.eval((len(initial) - 1,)) == initial[-1]:
         initial.pop()
@@ -354,7 +355,8 @@ def rgf_to_pqp(f):
     [0, k - 1], and ValueError is raised if any of those coefficients is
     nonzero.  Initial values that q gives are trimmed on the integer row:
     q(p) = row[p] / den iff the row's (degree + 1)-th difference at step
-    period vanishes from p.  The parameter is named as f's variable.
+    period vanishes from p.  The parameter is named as f's variable.  A
+    period above MODULUS_LIMIT raises ModulusTooLarge.
     """
     if f.dim != 1:
         raise ValueError("rgf_to_pqp is univariate only")
@@ -367,6 +369,7 @@ def rgf_to_pqp(f):
                              "negative exponent")
     T = max([0, *(t.numer[0] + 1 for t in f.terms)])
     period = lcm(*(e for t in f.terms for (e,) in t.denom))
+    check_modulus(period, "reading a quasi-polynomial")
     degree = max([1, *(len(t.denom) for t in f.terms)]) - 1
     bound = T + period * (degree + 2)
     table, den = _series_table(f, bound)
@@ -476,7 +479,8 @@ def _vpf_chambers(gens, names):
     span(B), the constituent is interpolated from a triangular grid along r
     rays of the region, each scaled into the lattice, from a start in the
     closed region, and checked on the grid's next layer; all samples come
-    from one series table of vpf_gf.
+    from one series table of vpf_gf.  A chamber lattice of index above
+    MODULUS_LIMIT raises ModulusTooLarge before its cosets are listed.
     """
     n = len(gens[0])
     E = affine_lattice(gens, [0] * len(gens), n)[1]
@@ -520,6 +524,7 @@ def _vpf_chambers(gens, names):
         lat = reduce(coset_intersect, [
             c for adj, det, c in bases
             if all(x * det > 0 for x in mat_vec(adj, inner)[:r])]).lattice
+        check_modulus(lat.index(), "listing a chamber's cosets")
         # r independent rays of the region, each scaled into the lattice
         steps = [next(vscale(k, rays[i]) for k in count(1)
                       if lat.contains(vscale(k, rays[i])))

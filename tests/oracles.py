@@ -478,6 +478,43 @@ def rays_oracle(ge_normals, eq_normals, dim):
     return sorted(rays)
 
 
+def placing_triangulation(generators):
+    """polyhedra.triangulate by the placing loop over Fractions: the
+    sorted generators' first linearly independent subset is the initial
+    simplex, and each later generator, in coordinates in that basis, is
+    joined to every boundary facet of the pieces so far that it sees
+    strictly, its normal from a Fraction kernel.  A boundary facet has
+    one piece until it has two, so its oriented normal is kept."""
+    gens = sorted(set(tuple(g) for g in generators))
+    if not gens:
+        return [()]
+    rows = [[Fraction(c) for c in col] for col in zip(*gens)]
+    basis_idx = _rref(rows, len(gens))
+    r = len(basis_idx)
+    pieces = [tuple(basis_idx)]
+    coords = list(zip(*rows[:r]))
+    normals = {}  # a boundary facet's normal, positive on its one piece
+    for idx in range(len(gens)):
+        if idx in basis_idx:
+            continue
+        counts, owner = {}, {}
+        for piece in pieces:
+            for j in range(len(piece)):
+                facet = piece[:j] + piece[j + 1:]
+                counts[facet] = counts.get(facet, 0) + 1
+                owner[facet] = piece[j]
+        for facet, cnt in sorted(counts.items()):
+            if cnt != 1:
+                continue
+            if facet not in normals:
+                (n,) = fraction_nullspace([coords[i] for i in facet], r)
+                normals[facet] = (n if vdot(n, coords[owner[facet]]) > 0
+                                  else vneg(n))
+            if vdot(normals[facet], coords[idx]) < 0:
+                pieces.append(tuple(sorted(facet + (idx,))))
+    return sorted(tuple(gens[i] for i in piece) for piece in pieces)
+
+
 def poly_norm(p):
     return {e: c for e, c in p.items() if c != 0}
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -111,6 +112,30 @@ def test_modulus_limit_on_the_upper_side(capsys, monkeypatch):
     assert rc == 4 and out == ""
     assert err == (f"error: Cooper elimination needs 100003 residues, "
                    f"above the modulus limit {MODULUS_LIMIT}\n")
+
+
+def test_quasi_polynomial_runaways_exit_4():
+    """A quasi-polynomial's period and a chamber's lattice index are
+    checked against MODULUS_LIMIT before their residues are listed.
+    Without the check each of these queries runs for 18 s or more and
+    takes a gigabyte or more, so each runs in its own process, capped at
+    512 MiB of address space and killed after 10 s."""
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    for argv, what, m in [
+            (("count", "x % 997 = 1 & y % 991 = 2 & x + y <= p",
+              "--count-vars", "x,y", "--param-vars", "p", "--as", "qp",
+              "--format", "json"), "reading a quasi-polynomial", 997 * 991),
+            (("vpf", "997;991", "--as", "qp"),
+             "reading a quasi-polynomial", 997 * 991),
+            (("vpf", "997,0;0,991;1,1", "--as", "qp"),
+             "listing a chamber's cosets", 997 * 991 * 997)]:
+        proc = run_module("-m", "presburger", *argv, timeout=10,
+                          preexec_fn=capped)
+        assert proc.returncode == 4 and proc.stdout == "", proc.stderr
+        assert proc.stderr == (f"error: {what} needs {m} residues, above "
+                               f"the modulus limit {MODULUS_LIMIT}\n")
 
 
 def test_cooper_walks_one_residue_class(capsys):
@@ -679,12 +704,14 @@ def test_console_script_installed():
     assert proc.stdout.strip() == "true"
 
 
-def run_module(*args):
-    """Run `python <args>` with the package under test importable."""
+def run_module(*args, **kwargs):
+    """Run `python <args>` with the package under test importable; kwargs
+    go to subprocess.run."""
     src = str(Path(presburger.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          **kwargs)
 
 
 def test_python_m_presburger():
@@ -815,6 +842,20 @@ def test_variable_names_on_the_command_line_exit_2(capsys):
                                       f"{params!r}\n")
     assert run(capsys, "count", "x <= 3", "--count-vars", "x,A",
                "--as", "value")[0] == 2
+
+
+def test_synth_rejects_overlapping_pieces(capsys, tmp_path):
+    """p in [0, 5] maps to 1 and p in [3, 8] to 2: the document's own eval
+    gives 1 at p = 3..5, so no formula is right for both pieces and synth
+    exits 3, as for two unbounded pieces."""
+    doc = pqp_doc(ineqs=[[[1], 0], [[-1], -5]])
+    doc["pieces"] += pqp_doc(coef="2", ineqs=[[[1], 3], [[-1], -8]])[
+        "pieces"]
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(doc))
+    assert pqp_from_obj(json.loads(path.read_text())).eval((3,)) == 1
+    assert run(capsys, "synth", str(path)) == (
+        3, "", "error: two pieces hold p = 3\n")
 
 
 def test_synth_of_a_long_bounded_piece(capsys, tmp_path):

@@ -7,7 +7,12 @@ from functools import reduce
 
 import pytest
 
-from oracles import rat_rank, rays_oracle, vertices_oracle
+from oracles import (
+    placing_triangulation,
+    rat_rank,
+    rays_oracle,
+    vertices_oracle,
+)
 from presburger.formulas import (
     LinearTerm,
     cmp_eq,
@@ -16,7 +21,7 @@ from presburger.formulas import (
     conj,
     disj,
 )
-from presburger.lattices import vadd, vdot, vneg, vsub
+from presburger.lattices import int_rref, vadd, vdot, vneg, vsub
 from presburger.polyhedra import (
     Cone,
     NonPointedError,
@@ -214,6 +219,42 @@ def test_triangulate_below_full_rank():
         [((1, 0, 0), (1, 1, 0)), ((1, 1, 0), (1, 2, 0))]
     assert triangulate([(0, 1, 1), (0, 1, 0), (0, 2, 1)]) == \
         [((0, 1, 0), (0, 1, 1))]
+
+
+def random_pointed_cone(rng, d):
+    """Generators (1, v) over a box, v in [-2, 2]^(r-1), some on its
+    facets, some inside it, some scaled, mapped into Q^d by a random
+    integer matrix of rank r <= d; e_0 stays positive on them, so the
+    cone is pointed."""
+    r = d if rng.random() < 0.8 else rng.randint(1, d - 1)
+    while True:
+        B = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(d)]
+        if rat_rank(B) == r:
+            break
+    gens = set()
+    for _ in range(rng.randint(r + 1, r + 5)):
+        k = rng.choice((1, 1, 2))
+        u = (k, *(k * rng.randint(-2, 2) for _ in range(r - 1)))
+        gens.add(tuple(vdot(row, u) for row in B))
+    return sorted(gens)
+
+
+def test_triangulate_matches_placing_loop():
+    """The lower facets of the lifted cone are the placing loop's pieces,
+    each of r independent generators, on cones of rank r below d too and
+    with generators inside the cone or on a facet of it."""
+    def rank(vectors):
+        return len(int_rref([list(v) for v in vectors], len(vectors[0])))
+
+    rng = random.Random(39)
+    split = 0
+    for trial in range(300):
+        gens = random_pointed_cone(rng, 2 + trial % 4)
+        pieces, r = triangulate(gens), rank(gens)
+        assert pieces == placing_triangulation(gens), (trial, gens)
+        assert all(len(p) == r == rank(p) for p in pieces), gens
+        split += len(pieces) > 1
+    assert split >= 200
 
 
 def test_intersect_and_contains():

@@ -420,6 +420,29 @@ def test_eventual_form_of_points_only():
     assert g.eval((1,)) == 7 and g.eval((5,)) == 0
 
 
+def test_eventual_form_rejects_overlapping_pieces():
+    """Two pieces that hold one point leave the value there ambiguous, so
+    eventual_form names the least such point instead of letting a later
+    piece win."""
+    def const(c):
+        return QuasiPolynomial(1, Lattice.standard(1), {(0,): {(0,): F(c)}})
+
+    def interval(lo, hi=None):
+        return Polyhedron.of(1, [((1,), lo)] + (
+            [((-1,), -hi)] if hi is not None else []))
+
+    for pieces, shared in [([(interval(0, 5), 1), (interval(3, 8), 2)], 3),
+                           ([(interval(4), 1), (interval(0, 6), 2)], 4),
+                           ([(interval(0, 2), 1), (interval(2), 2)], 2)]:
+        g = PiecewiseQuasiPolynomial(("p",), tuple(
+            (cell, const(c)) for cell, c in pieces))
+        with pytest.raises(ValueError, match=f"two pieces hold p = {shared}$"):
+            eventual_form(g)
+    g = PiecewiseQuasiPolynomial(("p",), (
+        (interval(0, 2), const(1)), (interval(3), const(2))))
+    assert eventual_form(g) == ((1, 1, 1), const(2))
+
+
 def test_pqp_to_rgf_linear():
     q = QuasiPolynomial(1, Lattice.standard(1),
                         {(0,): {(1,): F(1), (0,): F(1)}})
